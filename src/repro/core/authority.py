@@ -343,11 +343,11 @@ class DifaneSwitch(DataPlaneSwitch):
     # -- the data plane ------------------------------------------------------------
     def process(self, packet: Packet) -> None:
         """Ingress classification / transit tunnelling / authority entry."""
-        now = self._now()
-        if packet.is_encapsulated:
-            if packet.encap_destination != self.name:
+        tunnel_end = packet.encap_destination
+        if tunnel_end is not None:
+            if tunnel_end != self.name:
                 # Transit: tunnel forwarding only, no reclassification.
-                self.network.forward_toward(self.name, packet.encap_destination, packet)
+                self.network.forward_toward(self.name, tunnel_end, packet)
                 return
             # Redirected to this authority switch.
             if self._redirect_station is not None:
@@ -357,9 +357,9 @@ class DifaneSwitch(DataPlaneSwitch):
                 self._handle_redirect(packet)
             return
 
-        # Ingress classification.
-        result = self.pipeline.lookup(packet, now)
-        self._classified(packet, result, now)
+        # Ingress classification: the only branch that reads the clock.
+        now = self._now()
+        self._classified(packet, self.pipeline.lookup(packet, now), now)
 
     def _classified(self, packet: Packet, result, now: float) -> None:
         """Act on one ingress classification verdict (shared by the

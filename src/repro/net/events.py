@@ -16,19 +16,28 @@ Two pieces:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time as _time
 from collections import deque
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.obs import context as _obs_context
 
 __all__ = ["EventScheduler", "ScheduledEvent", "ServiceStation"]
 
+_INF = float("inf")
 
-class ScheduledEvent:
+
+class ScheduledEvent(list):
     """Handle for a scheduled callback; supports cancellation.
+
+    The handle *is* the heap entry: a list ``[time, sequence, callback,
+    args, kind]`` with no ``__lt__`` of its own, so the heap orders
+    entries by C list comparison.  ``sequence`` is unique per scheduler,
+    which means a comparison is decided by ``(time, sequence)`` and never
+    reaches the callback or its arguments.  Read the fields through the
+    properties; only the scheduler indexes the list.
 
     ``kind`` distinguishes per-packet events (``"call"``) from
     burst-granular batch events (``"batch"``, one callback moving a whole
@@ -37,22 +46,41 @@ class ScheduledEvent:
     how much of a run rode the columnar path.
     """
 
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "kind")
+    __slots__ = ()
 
-    def __init__(self, time: float, sequence: int, callback: Callable, args: Tuple):
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.kind = "call"
+    @property
+    def time(self) -> float:
+        """Simulation time the event fires at."""
+        return self[0]
+
+    @property
+    def sequence(self) -> int:
+        """Scheduling order, the tie-break among equal times."""
+        return self[1]
+
+    @property
+    def callback(self) -> Optional[Callable]:
+        """The callable to fire; ``None`` once cancelled."""
+        return self[2]
+
+    @property
+    def args(self) -> Tuple:
+        """Positional arguments the callback fires with."""
+        return self[3]
+
+    @property
+    def kind(self) -> str:
+        """``"call"`` or ``"batch"``."""
+        return self[4]
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` was called."""
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from firing (no-op if already fired)."""
-        self.cancelled = True
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
+        self[2] = None
 
 
 class EventScheduler:
@@ -106,16 +134,20 @@ class EventScheduler:
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would poison the heap order
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        event = ScheduledEvent(
+            (self._now + delay, next(self._sequence), callback, args, "call")
+        )
+        _heappush(self._heap, event)
+        return event
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(f"cannot schedule at {time} < now {self._now}")
-        event = ScheduledEvent(time, next(self._sequence), callback, args)
-        heapq.heappush(self._heap, event)
+        event = ScheduledEvent((time, next(self._sequence), callback, args, "call"))
+        _heappush(self._heap, event)
         return event
 
     def schedule_batch(
@@ -129,7 +161,7 @@ class EventScheduler:
         collapsed.
         """
         event = self.schedule(delay, callback, *args)
-        event.kind = "batch"
+        event[4] = "batch"
         self.batch_events_scheduled += 1
         return event
 
@@ -138,21 +170,27 @@ class EventScheduler:
 
         Stops when the heap drains, when the next event would fire after
         ``until``, or after ``max_events`` callbacks (a runaway guard).
+        The clock then advances to ``until`` unless a live event at or
+        before it is still pending (a ``max_events`` stop), so time never
+        jumps past an event that has yet to fire.
 
-        The loop body is the hottest code in every experiment, so the
-        heap, the pop and the profiler branch are hoisted out of it; the
-        disabled-profiler fast path (every run except ``--profile``) pays
-        no per-event timer reads or attribute chases.
+        The loop body is the hottest code in every experiment, so what is
+        fixed for the call is decided before it: the ``None`` tests on
+        ``until`` / ``max_events`` become comparisons against infinity,
+        and the disabled-profiler fast path (every run except
+        ``--profile``) pays no per-event timer reads or attribute chases.
         """
         fired = 0
         heap = self._heap
-        pop = heapq.heappop
+        pop = _heappop
+        horizon = _INF if until is None else until
+        limit = _INF if max_events is None else max_events
         profiler = self.profiler
         # One branch outside the loop: profiler enablement is fixed at
         # run-context creation, never toggled mid-run.
         profiling = profiler is not None and profiler.enabled
         # Same hoisting for telemetry: the disabled path (every run unless
-        # --telemetry) pays one comparison per event, nothing else.  An
+        # --telemetry) pays one truth test per event, nothing else.  An
         # event at or past the deadline closes the elapsed window(s)
         # *before* firing, so a window's counter deltas come exactly from
         # the events inside it.
@@ -163,34 +201,37 @@ class EventScheduler:
             tele_deadline = recorder.deadline(tele_index)
             probes = self.telemetry_probes
         while heap:
-            if max_events is not None and fired >= max_events:
-                break
             event = heap[0]
-            if until is not None and event.time > until:
+            when = event[0]
+            if when > horizon or fired >= limit:
                 break
             pop(heap)
-            if event.cancelled:
+            callback = event[2]
+            if callback is None:
                 continue
-            if sampling and event.time >= tele_deadline:
-                tele_index, tele_deadline = recorder.roll(
-                    tele_index, event.time, probes
-                )
-            self._now = event.time
+            if sampling and when >= tele_deadline:
+                tele_index, tele_deadline = recorder.roll(tele_index, when, probes)
+            self._now = when
             if profiling:
                 started = _time.perf_counter()
-                event.callback(*event.args)
+                callback(*event[3])
                 profiler.observe(
                     "callback:" + getattr(
-                        event.callback, "__qualname__", type(event.callback).__name__
+                        callback, "__qualname__", type(callback).__name__
                     ),
                     _time.perf_counter() - started,
                 )
             else:
-                event.callback(*event.args)
+                callback(*event[3])
             fired += 1
         self._events_processed += fired
         if until is not None and self._now < until:
-            self._now = until
+            # A ``max_events`` stop can leave events at or before ``until``
+            # on the heap; only live ones hold the clock back.
+            while heap and heap[0][2] is None:
+                pop(heap)
+            if not heap or heap[0][0] > until:
+                self._now = until
         if sampling:
             # Attribute the residual deltas to the trailing (partial)
             # window; the cursor persists so a continuing run keeps
@@ -200,7 +241,7 @@ class EventScheduler:
 
     def pending(self) -> int:
         """Number of not-yet-fired (and not cancelled) events."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for event in self._heap if event[2] is not None)
 
 
 class ServiceStation:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -61,7 +61,8 @@ class Link:
 
     __slots__ = ("source", "destination", "spec", "scheduler", "deliver",
                  "deliver_batch", "on_loss", "loss_probability", "jitter_s",
-                 "_rng", "packets_carried", "bytes_carried", "packets_lost")
+                 "_rng", "_delays", "packets_carried", "bytes_carried",
+                 "packets_lost")
 
     def __init__(
         self,
@@ -92,20 +93,27 @@ class Link:
         # String-seeded Random uses sha512 of the seed, so the stream is
         # stable across processes (unlike hash(), which is salted).
         self._rng = random.Random(f"{seed}:{source}->{destination}")
+        #: ``size_bytes -> spec.transfer_delay(size_bytes)`` for the sizes
+        #: :meth:`send` has carried (the spec is frozen, so entries never
+        #: go stale; packet sizes are a handful of distinct values).
+        self._delays: Dict[int, float] = {}
         self.packets_carried = 0
         self.bytes_carried = 0
         self.packets_lost = 0
 
     def send(self, packet) -> None:
         """Start transmitting ``packet``; it arrives after the link delay."""
+        size = packet.size_bytes
         self.packets_carried += 1
-        self.bytes_carried += packet.size_bytes
+        self.bytes_carried += size
         if self.loss_probability > 0.0 and self._rng.random() < self.loss_probability:
             self.packets_lost += 1
             if self.on_loss is not None:
                 self.on_loss(self, packet)
             return
-        delay = self.spec.transfer_delay(packet.size_bytes)
+        delay = self._delays.get(size)
+        if delay is None:
+            delay = self._delays[size] = self.spec.transfer_delay(size)
         if self.jitter_s > 0.0:
             delay += self._rng.uniform(0.0, self.jitter_s)
         self.scheduler.schedule(delay, self.deliver, self.destination, packet)

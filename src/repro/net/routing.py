@@ -13,7 +13,10 @@ from typing import Dict, List, Optional
 
 import networkx as nx
 
-__all__ = ["RoutingTable", "compute_routes"]
+__all__ = ["RoutingTable", "UNREACHABLE", "compute_routes"]
+
+#: The distance to a destination no path leads to.
+UNREACHABLE = float("inf")
 
 
 class RoutingTable:
@@ -31,13 +34,15 @@ class RoutingTable:
         """
         if at_node == destination:
             return None
-        return self._next_hops.get(at_node, {}).get(destination)
+        table = self._next_hops.get(at_node)
+        return None if table is None else table.get(destination)
 
     def distance(self, source: str, destination: str) -> float:
         """Latency-weighted shortest-path distance; ``inf`` if unreachable."""
         if source == destination:
             return 0.0
-        return self._distances.get(source, {}).get(destination, float("inf"))
+        table = self._distances.get(source)
+        return UNREACHABLE if table is None else table.get(destination, UNREACHABLE)
 
     def path(self, source: str, destination: str) -> List[str]:
         """The full node sequence from ``source`` to ``destination``.

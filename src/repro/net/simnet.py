@@ -23,7 +23,7 @@ from repro.flowspace.batch import PacketBatch, columnar_enabled
 from repro.flowspace.packet import Packet
 from repro.net.events import EventScheduler
 from repro.net.links import Link
-from repro.net.routing import RoutingTable, compute_routes
+from repro.net.routing import UNREACHABLE, RoutingTable, compute_routes
 from repro.net.topology import Topology
 from repro.obs import context as _obs_context
 from repro.obs.attribution import attribute_reason
@@ -544,7 +544,7 @@ class SimNetwork:
         by the OpenFlow channel model for switch ↔ controller traffic.
         """
         distance = self.routes.distance(from_node, to_node)
-        if distance == float("inf"):
+        if distance == UNREACHABLE:
             return
         self.control_messages_sent += 1
         self._m_control.inc()

@@ -36,6 +36,7 @@ accumulating per-packet records.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -370,9 +371,16 @@ class SpaceSavingSketch:
     truncated away by the top-k cut are covered by their merged
     overestimate).  Tie-breaks (eviction victim, top-k cut) order by
     ``(count, key)``, so the summary is deterministic.
+
+    The eviction victim comes from a lazy-stale min-heap holding exactly
+    one ``(count, key)`` record per entry.  Counts only grow, so a record
+    is never above its entry's live ``(count, key)``: a popped record
+    that still equals the live pair is the true minimum, and a stale one
+    is requeued at the live count.  Eviction is O(log k) amortised where
+    the scan it replaces was O(k); victim and summary are identical.
     """
 
-    __slots__ = ("k", "total", "_entries", "_absent_bound")
+    __slots__ = ("k", "total", "_entries", "_absent_bound", "_heap")
     kind = "topk"
 
     def __init__(self, k: int = 32):
@@ -383,6 +391,7 @@ class SpaceSavingSketch:
         self.total = 0
         self._entries: Dict[str, List[int]] = {}
         self._absent_bound = 0
+        self._heap: List[Tuple[int, str]] = []
 
     def offer(self, key, count: int = 1) -> None:
         """Count ``count`` occurrences of ``key`` (keys coerce to str)."""
@@ -396,18 +405,21 @@ class SpaceSavingSketch:
         if entry is not None:
             entry[0] += count
             return
-        if len(self._entries) < self.k:
-            floor = self._absent_bound
-            self._entries[key] = [floor + count, floor]
-            return
-        victim_key, victim = min(
-            self._entries.items(), key=lambda item: (item[1][0], item[0])
-        )
-        del self._entries[victim_key]
-        if victim[0] > self._absent_bound:
-            self._absent_bound = victim[0]
+        entries, heap = self._entries, self._heap
+        if len(entries) >= self.k:
+            while True:
+                victim_count, victim_key = heap[0]
+                live_count = entries[victim_key][0]
+                if live_count == victim_count:
+                    break
+                heapq.heapreplace(heap, (live_count, victim_key))
+            heapq.heappop(heap)
+            del entries[victim_key]
+            if victim_count > self._absent_bound:
+                self._absent_bound = victim_count
         floor = self._absent_bound
-        self._entries[key] = [floor + count, floor]
+        entries[key] = [floor + count, floor]
+        heapq.heappush(heap, (floor + count, key))
 
     def guarantee_threshold(self) -> int:
         """Any key with true count above this is certainly in the summary."""
@@ -464,6 +476,8 @@ class SpaceSavingSketch:
             merged = dict(ranked[: self.k])
         self._entries = merged
         self._absent_bound = bound
+        self._heap = [(entry[0], key) for key, entry in merged.items()]
+        heapq.heapify(self._heap)
 
     def __repr__(self) -> str:
         return (

@@ -102,8 +102,10 @@ class DataPlaneSwitch:
         self._m_seen.inc()
         if self.forwarding_delay_s > 0:
             network.scheduler.schedule(self.forwarding_delay_s, self._enqueue, packet)
+        elif self._station is None:
+            self.process(packet)
         else:
-            self._enqueue(packet)
+            self._station.submit(packet)
 
     def handle_burst(self, network, packets) -> None:
         """Entry point for a same-instant packet burst.
@@ -140,12 +142,15 @@ class DataPlaneSwitch:
         self.process_packet_batch(batch)
 
     def _enqueue(self, packet: Packet) -> None:
+        """Forwarding-delay callback: the second half of :meth:`handle_packet`."""
         if self._station is None:
-            self._process_now(packet)
+            self.process(packet)
         else:
             self._station.submit(packet)
 
     def _process_now(self, packet: Packet) -> None:
+        """Station completion callback; resolves :meth:`process` per call so
+        a subclass or a tracer patching it after ``attach`` is still seen."""
         self.process(packet)
 
     def _overloaded(self, packet: Packet) -> None:

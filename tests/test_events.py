@@ -1,8 +1,14 @@
 """Unit tests for the event scheduler and service stations."""
 
+import functools
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net import EventScheduler, ServiceStation
+from repro.obs.profile import Profiler, STAGE_HISTOGRAM
+from repro.obs.registry import MetricsRegistry
 
 
 class TestScheduler:
@@ -85,6 +91,186 @@ class TestScheduler:
         sched.schedule(0.0, forever)
         fired = sched.run(max_events=10)
         assert fired == 10
+
+    def test_max_events_stop_does_not_jump_the_clock_past_pending_events(self):
+        """run(until, max_events) used to leave now == until with events
+        still pending before it: the next schedule_at was "in the past"
+        and the next run() moved the clock backwards."""
+        sched = EventScheduler()
+        seen = []
+        sched.schedule(2.0, lambda: seen.append(sched.now))
+        sched.schedule(3.0, lambda: seen.append(sched.now))
+        assert sched.run(until=10.0, max_events=1) == 1
+        assert sched.now == 2.0
+        sched.schedule_at(2.5, lambda: seen.append(sched.now))
+        sched.run(until=10.0)
+        assert seen == [2.0, 2.5, 3.0]
+        assert sched.now == 10.0  # drained: now the horizon is reached
+
+    def test_cancelled_events_do_not_hold_the_clock_back(self):
+        sched = EventScheduler()
+        sched.schedule(2.0, lambda: None)
+        sched.schedule(3.0, lambda: None).cancel()
+        sched.schedule(20.0, lambda: None)
+        sched.run(until=10.0, max_events=1)
+        assert sched.now == 10.0
+        assert sched.pending() == 1
+
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at", "schedule_batch"])
+    def test_nan_time_rejected(self, entry):
+        """NaN passed ``delay < 0``, fired first and set now = nan."""
+        sched = EventScheduler()
+        sched.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            getattr(sched, entry)(float("nan"), lambda: None)
+        assert sched.pending() == 1
+        assert sched.batch_events_scheduled == 0
+        sched.run()
+        assert sched.now == 1.0
+
+    def test_same_time_events_never_compare_their_arguments(self):
+        sched = EventScheduler()
+        fired = []
+        sched.schedule(1.0, lambda arg: fired.append(arg), {"a": 1})
+        sched.schedule(1.0, lambda arg: fired.append(arg), {"b": 2})
+        sched.schedule_at(1.0, fired.append, object)
+        sched.run()
+        assert fired == [{"a": 1}, {"b": 2}, object]
+
+    def test_handle_exposes_the_event_read_only(self):
+        sched = EventScheduler()
+        handle = sched.schedule(0.5, print, "x", 2)
+        assert (handle.time, handle.sequence, handle.kind) == (0.5, 0, "call")
+        assert (handle.callback, handle.args) == (print, ("x", 2))
+        assert not handle.cancelled
+        with pytest.raises(AttributeError):
+            handle.time = 0.0
+        handle.cancel()
+        assert handle.cancelled
+
+    def test_profiled_run_records_a_stage_per_callback(self):
+        registry = MetricsRegistry()
+        sched = EventScheduler(profiler=Profiler(registry=registry, enabled=True))
+        fired = []
+        sched.schedule(0.1, fired.append, "bound")
+        sched.schedule(0.2, functools.partial(fired.append, "partial"))
+        sched.schedule(0.3, fired.append, "cancelled").cancel()
+        assert sched.run() == 2
+        assert fired == ["bound", "partial"]
+        assert registry.value(STAGE_HISTOGRAM, stage="callback:list.append")["count"] == 1
+        assert registry.value(STAGE_HISTOGRAM, stage="callback:partial")["count"] == 1
+
+
+# -- the scheduler contract, against a reference model ------------------------
+
+class ReferenceScheduler:
+    """The contract, restated without a heap: events fire in a stable sort
+    by ``(time, scheduling order)``; ``order`` is allocated when the event
+    is scheduled, which for a spawned event is when its parent fires."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events = []  # every event ever scheduled, in scheduling order
+        self.log = []     # (order, time it fired at)
+        self.processed = 0
+        self.batches = 0
+
+    def add(self, time, spawn_delay=None, cancel_target=None):
+        self.events.append(SimpleNamespace(
+            time=time, order=len(self.events), live=True,
+            spawn_delay=spawn_delay, cancel_target=cancel_target,
+        ))
+
+    def cancel(self, index):
+        self.events[index % len(self.events)].live = False
+
+    def live(self):
+        return [event for event in self.events if event.live]
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while max_events is None or fired < max_events:
+            live = self.live()
+            if not live:
+                break
+            event = min(live, key=lambda event: (event.time, event.order))
+            if until is not None and event.time > until:
+                break
+            event.live = False
+            self.now = event.time
+            self.log.append((event.order, self.now))
+            fired += 1
+            if event.spawn_delay is not None:
+                self.add(self.now + event.spawn_delay)
+            if event.cancel_target is not None:
+                self.cancel(event.cancel_target)
+        self.processed += fired
+        if until is not None and self.now < until and not any(
+            event.time <= until for event in self.live()
+        ):
+            self.now = until
+        return fired
+
+
+# Quarter-second grid: float sums are exact and equal-time ties are common.
+TICKS = st.integers(0, 8).map(lambda n: n / 4.0)
+MAYBE_TICKS = st.one_of(st.none(), TICKS)
+INDEX = st.integers(0, 63)
+SCHEDULER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "schedule_at", "schedule_batch"]),
+                  TICKS, MAYBE_TICKS, st.one_of(st.none(), INDEX)),
+        st.tuples(st.just("cancel"), INDEX),
+        st.tuples(st.just("run"), MAYBE_TICKS, st.one_of(st.none(), st.integers(0, 4))),
+    ),
+    min_size=12,  # hypothesis favours short lists; interleavings need length
+    max_size=60,
+)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=SCHEDULER_OPS)
+def test_scheduler_fires_in_reference_order(ops):
+    """Random interleavings of schedule / schedule_at / schedule_batch /
+    cancel / run(until) / run(max_events), with callbacks that schedule
+    and cancel from inside the loop."""
+    sched, model = EventScheduler(), ReferenceScheduler()
+    handles, log = [], []
+
+    def fire(order, spawn_delay, cancel_target):
+        log.append((order, sched.now))
+        if spawn_delay is not None:
+            handles.append(sched.schedule(spawn_delay, fire, len(handles), None, None))
+        if cancel_target is not None:
+            handles[cancel_target % len(handles)].cancel()
+
+    for op in ops:
+        before = sched.now
+        if op[0] == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+                model.cancel(op[1])
+        elif op[0] == "run":
+            until = None if op[1] is None else sched.now + op[1]
+            assert sched.run(until=until, max_events=op[2]) == model.run(until, op[2])
+        else:
+            entry, tick, spawn_delay, cancel_target = op
+            when = sched.now + tick if entry == "schedule_at" else tick
+            handle = getattr(sched, entry)(
+                when, fire, len(handles), spawn_delay, cancel_target
+            )
+            handles.append(handle)
+            model.add(model.now + tick, spawn_delay, cancel_target)
+            model.batches += entry == "schedule_batch"
+            assert handle.kind == ("batch" if entry == "schedule_batch" else "call")
+        assert log == model.log
+        assert before <= sched.now == model.now
+        assert sched.pending() == len(model.live())
+        assert sched.events_processed == model.processed
+        assert sched.batch_events_scheduled == model.batches
+        assert [h.time for h in handles] == [event.time for event in model.events]
+        assert [h.sequence for h in handles] == list(range(len(handles)))
 
 
 class TestServiceStation:

@@ -209,6 +209,59 @@ def test_space_saving_batch_offer_and_determinism():
     assert a.total == b.total == 13
 
 
+class ScanSpaceSaving(SpaceSavingSketch):
+    """Oracle: the O(k) victim scan the eviction heap replaced."""
+
+    __slots__ = ()
+
+    def offer(self, key, count: int = 1) -> None:
+        if count == 0:
+            return
+        key = str(key)
+        self.total += count
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry[0] += count
+            return
+        if len(self._entries) >= self.k:
+            victim_key, victim = min(
+                self._entries.items(), key=lambda item: (item[1][0], item[0])
+            )
+            del self._entries[victim_key]
+            self._absent_bound = max(self._absent_bound, victim[0])
+        floor = self._absent_bound
+        self._entries[key] = [floor + count, floor]
+
+
+# Few keys, small k, two sketches: evictions of entries whose count grew
+# since they were queued (the stale-record case) happen in most examples.
+SKETCH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("offer"), st.integers(0, 1), st.integers(0, 9),
+                  st.integers(0, 3)),
+        st.tuples(st.just("merge"), st.integers(0, 1), st.integers(0, 1)),
+    ),
+    min_size=40,  # hypothesis favours short lists; evictions need a full sketch
+    max_size=200,
+)
+
+
+@SETTINGS
+@given(ops=SKETCH_OPS, k=st.integers(1, 4))
+def test_space_saving_heap_eviction_matches_the_scan_oracle(ops, k):
+    """Any offer / merge_from interleaving over two sketches: the heap
+    picks the scan's victim every time, so every export is identical."""
+    heaped = [SpaceSavingSketch(k=k) for _ in range(2)]
+    scanned = [ScanSpaceSaving(k=k) for _ in range(2)]
+    for op in ops:
+        for pool in (heaped, scanned):
+            if op[0] == "offer":
+                pool[op[1]].offer(op[2], op[3])
+            elif op[1] != op[2]:
+                pool[op[1]].merge_from(pool[op[2]])
+        assert [s.export() for s in heaped] == [s.export() for s in scanned]
+
+
 # -- FixedWidthHistogram -----------------------------------------------------
 
 
