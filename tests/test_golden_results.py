@@ -121,16 +121,36 @@ def _run_e9q():
     return run_qos_slo()
 
 
+def _run_e7():
+    # The one trace-driven golden: 1000-rule ClassBench ACL, 600 Zipf
+    # packets over 300 flows replayed through the LRU and COST fragment
+    # caches and the microflow cache at two sizes.  Pins the miss rates
+    # and install counts of the policy-lookup -> win_fragment -> replay
+    # path, which no event-driven golden reaches.
+    #
+    # A replay emits no counters, so the metrics document alone would pin
+    # only the parameters: fold the exact miss-rate series and the install
+    # table into the notes before the document is built.
+    from repro.experiments.caching import run_cache_miss
+
+    result = run_cache_miss(n_packets=600, n_flows=300, cache_sizes=[10, 100])
+    result.notes["miss_rate"] = {s.label: s.points() for s in result.series}
+    result.notes["table"] = [
+        dict(zip(result.table_headers, row)) for row in result.table_rows
+    ]
+    return result
+
+
 @pytest.mark.parametrize(
     "runner",
     [
         _run_a6, _run_c1, _run_e4, _run_c2, _run_c2_static, _run_m1,
-        _run_e8c, _run_e9q,
+        _run_e8c, _run_e9q, _run_e7,
     ],
     ids=[
         "A6-failover-transient", "C1-chaos-soak", "E4-delay",
         "C2-rebalance-soak", "C2-static-soak", "M1-streaming-soak",
-        "E8-caching-ablation", "E9-qos-slo",
+        "E8-caching-ablation", "E9-qos-slo", "E7-cache-miss",
     ],
 )
 def test_golden_metrics(runner, run_context, update_goldens):
