@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.rule import Rule
@@ -63,6 +63,9 @@ def simulate_microflow_cache(
     selects the policy-lookup backend (see :mod:`repro.flowspace.engine`).
     """
     table = RuleTable(layout, policy, engine=engine)
+    # The policy is fixed for the replay, so a header's winner is looked
+    # up once; the memo lives and dies with this call.
+    winners: Dict[int, Optional[Rule]] = {}
     cache: "OrderedDict[int, bool]" = OrderedDict()
     hits = misses = installs = evictions = unmatched = packets = 0
     for bits in header_sequence:
@@ -71,8 +74,9 @@ def simulate_microflow_cache(
             hits += 1
             cache.move_to_end(bits)
             continue
-        winner = table.lookup_bits(bits)
-        if winner is None:
+        if bits not in winners:
+            winners[bits] = table.lookup_bits(bits)
+        if winners[bits] is None:
             unmatched += 1
             continue
         misses += 1
@@ -97,10 +101,19 @@ def simulate_wildcard_cache(
 
     A miss consults the policy, computes the winning rule's independent
     win-region fragment containing the packet (the same per-miss
-    computation the authority switch performs; memoized), and installs
-    that single wildcard entry.  Lookups scan from most to least recently
-    used; fragments are pairwise disjoint so the first match is the only
-    match.
+    computation the authority switch performs), and installs that single
+    wildcard entry.
+
+    Within one replay the policy is fixed, so a header's winner and its
+    fragment are pure functions of the header.  Fragments are moreover a
+    *partition*: if ``q`` lies in the fragment clipped for ``p``, every
+    intermediate region of ``p``'s walk contains ``q`` and the pieces at
+    each step are disjoint, so ``q``'s walk picks the same pieces and ends
+    at the same fragment.  Hence each distinct header is resolved once — a
+    first-seen header scans the fragments generated so far (at most one
+    can hold it) before asking :func:`win_fragment` — and a cache hit is
+    one ``fragment in cache`` probe instead of a scan.  Both memos live
+    and die with this call.
 
     ``eviction`` selects the replacement policy: ``"lru"`` (the paper) or
     ``"cost"``, a GreedyDual-Size-Frequency-style score — frequency times
@@ -112,9 +125,12 @@ def simulate_wildcard_cache(
     if eviction not in ("lru", "cost"):
         raise ValueError(f"unknown eviction policy {eviction!r}")
     table = RuleTable(layout, policy, engine=engine)
-    ordered_rules = list(table.rules)
+    ordered_rules = table.rules
     cost = eviction == "cost"
-    fragment_memo: Dict[Ternary, Ternary] = {}
+    winners: Dict[int, Optional[Rule]] = {}
+    #: Every fragment generated so far, in first-generated order.
+    fragments: List[Ternary] = []
+    fragment_of: Dict[int, Ternary] = {}
     cache: "OrderedDict[Ternary, bool]" = OrderedDict()
     freq: Dict[Ternary, int] = {}
     score: Dict[Ternary, float] = {}
@@ -129,35 +145,36 @@ def simulate_wildcard_cache(
     hits = misses = installs = evictions = unmatched = packets = 0
     for bits in header_sequence:
         packets += 1
-        found = None
-        for fragment in reversed(cache):
-            if fragment.matches(bits):
-                found = fragment
-                break
-        if found is not None:
+        fragment = fragment_of.get(bits)
+        if fragment is None and bits not in winners:
+            # First sight of this header: a fragment generated for an
+            # earlier one may already hold it.
+            for known in fragments:
+                if (bits & known.mask) == known.value:
+                    fragment = fragment_of[bits] = known
+                    break
+        if fragment in cache:
             hits += 1
-            cache.move_to_end(found)
+            cache.move_to_end(fragment)
             if cost:
-                freq[found] += 1
-                rescore(found)
+                freq[fragment] += 1
+                rescore(fragment)
             continue
-        winner = table.lookup_bits(bits)
+        if bits not in winners:
+            winners[bits] = table.lookup_bits(bits)
+        winner = winners[bits]
         if winner is None:
             unmatched += 1
             continue
         misses += 1
         if cache_size <= 0:
             continue
-        fragment = None
-        for memoized in fragment_memo.values():
-            if memoized.matches(bits):
-                fragment = memoized
-                break
         if fragment is None:
             fragment = win_fragment(ordered_rules, winner, bits)
             if fragment is None:
                 continue
-            fragment_memo[fragment] = fragment
+            fragments.append(fragment)
+            fragment_of[bits] = fragment
         cache[fragment] = True
         installs += 1
         if cost:

@@ -766,7 +766,7 @@ class DifaneSwitch(DataPlaneSwitch):
 
     def _cache_rules_for(self, rule: Rule, packet_bits: int) -> List[Rule]:
         """The cache rule(s) one miss generates (fragment + prefetch)."""
-        authority_rules = list(self.pipeline.authority.table.rules)
+        authority_rules = self.pipeline.authority.table.rules
         cached_rules: Optional[List[Rule]] = None
         if self.prefetch_fragments > 1:
             try:

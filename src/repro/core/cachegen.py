@@ -76,31 +76,33 @@ def win_region(
 def win_fragment(rules: Sequence[Rule], target: Rule, packet_bits: int):
     """The single win-region fragment of ``target`` containing the packet.
 
-    Walks the higher-priority overlapping rules once, subtracting each and
-    keeping only the piece containing the packet — **O(overlaps × width)**
-    instead of the exponential full decomposition, which is what lets an
-    authority switch generate a cache rule per miss at line rate.  Returns
-    a :class:`~repro.flowspace.ternary.Ternary`, or ``None`` when the
+    Walks the rules ahead of ``target`` once.  Each costs three integer
+    tests (matches the packet?  same width?  overlaps the region so far?);
+    each one that does overlap clips the region to the piece containing
+    the packet in O(1) big-int work and one allocation
+    (:meth:`Ternary.subtract_containing`) — never the full decomposition,
+    which is exponential in the overlaps, nor a piece per cared bit.  That
+    is what lets an authority switch generate a cache rule per miss at
+    line rate.  Returns a :class:`~repro.flowspace.ternary.Ternary`
+    (``target``'s own when nothing clipped it), or ``None`` when the
     packet is not actually won by ``target``.
     """
-    if not target.match.matches_bits(packet_bits):
-        return None
     region = target.match.ternary
+    mask, value, width = region.mask, region.value, region.width
+    if (packet_bits & mask) != value:
+        return None
     for rule in rules:
         if rule is target:
             return region
-        if rule.match.matches_bits(packet_bits):
+        other = rule.match.ternary
+        if (packet_bits & other.mask) == other.value:
             # A higher-priority rule matches the packet: target did not win.
             return None
-        if region.intersects(rule.match.ternary):
-            containing = None
-            for piece in region.subtract(rule.match.ternary):
-                if piece.matches(packet_bits):
-                    containing = piece
-                    break
-            if containing is None:
-                return None
-            region = containing
+        if other.width != width:
+            raise ValueError(f"width mismatch: {width} vs {other.width}")
+        if not (value ^ other.value) & mask & other.mask:
+            region = region.subtract_containing(other, packet_bits)
+            mask, value = region.mask, region.value
     raise ValueError("target rule is not present in the rule sequence")
 
 

@@ -44,7 +44,7 @@ def _cache_point(
     zipf_alpha: float,
     seed: int,
     engine: str,
-) -> Tuple[float, float, int, int]:
+) -> Tuple[float, float, float, int, int, int]:
     """One sweep point: both cache simulators at one cache ``size``.
 
     When driven by generating parameters (``policy is None``) the policy

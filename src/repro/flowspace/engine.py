@@ -205,9 +205,14 @@ class LinearEngine(MatchEngine):
         self._sequence = 0
 
     # -- lookup ------------------------------------------------------------
+    # The scans test ``(bits & mask) == value`` on the rule's own ternary
+    # inline: two Python calls per rule (``matches_bits`` -> ``matches``)
+    # were most of a 1000-rule lookup, and parallel mask/value arrays
+    # would have to be kept in sync under cache-table churn.
     def lookup_bits(self, header_bits: int) -> Optional[Rule]:
         for rule in self._rules:
-            if rule.match.matches_bits(header_bits):
+            ternary = rule.match.ternary
+            if (header_bits & ternary.mask) == ternary.value:
                 return rule
         return None
 
@@ -218,7 +223,8 @@ class LinearEngine(MatchEngine):
         for bits in header_bits_seq:
             winner = None
             for rule in rules:
-                if rule.match.matches_bits(bits):
+                ternary = rule.match.ternary
+                if (bits & ternary.mask) == ternary.value:
                     winner = rule
                     break
             append(winner)
@@ -462,15 +468,17 @@ class DecisionTreeEngine(MatchEngine):
             node = one_child if (header_bits >> bit) & 1 else zero_child
         best: Optional[Tuple[_Key, Rule]] = None
         for key, rule in node:
-            if alive.get(rule.rule_id) is rule and rule.match.matches_bits(
-                header_bits
+            ternary = rule.match.ternary
+            if (header_bits & ternary.mask) == ternary.value and (
+                alive.get(rule.rule_id) is rule
             ):
                 best = (key, rule)
                 break  # leaves are key-sorted: first live match wins
         for key, rule in self._overlay:
             if best is not None and best[0] < key:
                 break  # overlay is key-sorted too
-            if rule.match.matches_bits(header_bits):
+            ternary = rule.match.ternary
+            if (header_bits & ternary.mask) == ternary.value:
                 best = (key, rule)
                 break
         return best[1] if best is not None else None

@@ -191,6 +191,31 @@ class Ternary:
             mask = flipped_mask
         return remainder
 
+    def subtract_containing(self, other: "Ternary", bits: int) -> Optional["Ternary"]:
+        """The piece of ``self`` minus ``other`` that contains ``bits``.
+
+        Equal to the first piece of ``subtract(other)`` that matches
+        ``bits`` — ``self`` itself when the two are disjoint, ``None`` when
+        ``bits`` lies outside ``self`` or inside ``other`` — but in closed
+        form: walking high to low, ``subtract`` pins every extra bit
+        ``other`` cares about to ``other``'s value until the one it flips,
+        so the piece holding ``bits`` flips the *highest* extra bit where
+        ``bits`` disagrees with ``other`` and cares about nothing below it.
+        """
+        self._check_width(other)
+        mask = self.mask
+        if (bits & mask) != self.value:
+            return None
+        if (self.value ^ other.value) & mask & other.mask:
+            return self
+        extra = other.mask & ~mask
+        differing = (bits ^ other.value) & extra
+        if not differing:
+            return None
+        top = differing.bit_length() - 1
+        mask |= (extra >> top) << top
+        return Ternary(bits & mask, mask, self.width)
+
     # -- enumeration & sampling ----------------------------------------------
     def enumerate(self, limit: Optional[int] = None) -> Iterator[int]:
         """Yield the concrete strings matched, up to an optional ``limit``.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import generate_cache_rule, generate_cache_rules
-from repro.core.cachegen import win_region
+from repro.core.cachegen import win_fragment, win_region
 from repro.flowspace import (
     Drop,
     Forward,
@@ -22,7 +22,10 @@ from repro.flowspace import (
     Ternary,
     TWO_FIELD_LAYOUT,
 )
+from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.rule import RuleKind
+from repro.workloads.classbench import generate_classbench
+from repro.workloads.traffic import flow_headers_for_policy
 
 L = TWO_FIELD_LAYOUT
 
@@ -99,6 +102,75 @@ class TestGenerateCacheRule:
         rules = chain_policy()
         bits = L.pack_values(f1=1, f2=1)  # actually won by rules[0]
         assert generate_cache_rule(rules, rules[1], bits) is None
+
+
+def search_win_fragment(rules, target, packet_bits):
+    """Oracle: ``win_fragment`` as it was before the closed form — build
+    every piece of every subtraction and keep the one holding the packet."""
+    if not target.match.matches_bits(packet_bits):
+        return None
+    region = target.match.ternary
+    for rule in rules:
+        if rule is target:
+            return region
+        if rule.match.matches_bits(packet_bits):
+            return None
+        if region.intersects(rule.match.ternary):
+            containing = None
+            for piece in region.subtract(rule.match.ternary):
+                if piece.matches(packet_bits):
+                    containing = piece
+                    break
+            if containing is None:
+                return None
+            region = containing
+    raise ValueError("target rule is not present in the rule sequence")
+
+
+class TestWinFragment:
+    def test_agrees_with_search_on_classbench_acl(self):
+        """Winner and a random non-winner per header, 200-rule ACL."""
+        policy = generate_classbench("acl", count=200, seed=7, layout=FIVE_TUPLE_LAYOUT)
+        table = RuleTable(FIVE_TUPLE_LAYOUT, policy)
+        ordered = table.rules
+        rng = random.Random(18)
+        clipped = declined = 0
+        for bits in flow_headers_for_policy(policy, 300, seed=2):
+            winner = table.lookup_bits(bits)
+            fragment = win_fragment(ordered, winner, bits)
+            assert fragment == search_win_fragment(ordered, winner, bits)
+            assert fragment.matches(bits)
+            clipped += fragment != winner.match.ternary
+            # Both ``None`` branches: a random rule (almost always one the
+            # packet is outside of) and every rule it matches but loses.
+            beaten = [
+                r for r in ordered if r is not winner and r.match.matches_bits(bits)
+            ]
+            stranger = rng.choice([r for r in ordered if r is not winner])
+            for other in beaten + [stranger]:
+                assert win_fragment(ordered, other, bits) is None
+                assert search_win_fragment(ordered, other, bits) is None
+            declined += len(beaten)
+        assert clipped > 50 and declined > 50
+
+    def test_unclipped_target_is_returned_itself(self):
+        rules = chain_policy()
+        bits = L.pack_values(f1=1, f2=1)
+        assert win_fragment(rules, rules[0], bits) is rules[0].match.ternary
+        # Disjoint higher-priority rules do not clip either.
+        low = rule(1, f1="1111xxxx")
+        bits = L.pack_values(f1=0xF0, f2=0xF0)
+        assert win_fragment(rules[:2] + [low], low, bits) is low.match.ternary
+
+    def test_absent_target_and_width_mismatch_raise(self):
+        rules = chain_policy()
+        bits = L.pack_values(f1=200, f2=200)
+        with pytest.raises(ValueError, match="not present"):
+            win_fragment(rules[:-1], rules[-1], bits)
+        alien = Rule(Match.build(FIVE_TUPLE_LAYOUT, nw_proto=6), 99, Drop())
+        for implementation in (win_fragment, search_win_fragment):
+            with pytest.raises(ValueError, match="width mismatch"):
+                implementation([alien] + rules, rules[-1], bits)
 
 
 class TestGenerateCacheRules:

@@ -1,9 +1,16 @@
 """Tests for the trace-driven cache simulators."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import simulate_microflow_cache, simulate_wildcard_cache
-from repro.flowspace import Drop, Forward, Match, Rule, TWO_FIELD_LAYOUT
+from repro.baselines.microflow_cache import CacheSimResult
+from repro.core.cachegen import win_fragment
+from repro.flowspace import (
+    Drop, Forward, Match, Rule, RuleTable, Ternary, TWO_FIELD_LAYOUT,
+)
 from repro.workloads.classbench import generate_classbench
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 
@@ -105,3 +112,120 @@ class TestWildcardCache:
         policy = tiny_policy()
         result = simulate_wildcard_cache(policy, L, [0x01FF, 0x01FE], cache_size=4)
         assert result.hit_rate + result.miss_rate == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the scan-based replay the per-header memos replaced
+# ---------------------------------------------------------------------------
+
+def scan_wildcard_cache(policy, layout, header_sequence, cache_size,
+                        engine=None, eviction="lru"):
+    """``simulate_wildcard_cache`` as it was: every header scans the cache
+    MRU -> LRU, every miss looks the policy up and scans every fragment
+    generated so far.  Relies on nothing but fragments being disjoint."""
+    table = RuleTable(layout, policy, engine=engine)
+    ordered_rules = list(table.rules)
+    cost = eviction == "cost"
+    fragment_memo = {}
+    cache = OrderedDict()
+    freq, score, clock = {}, {}, 0.0
+
+    def rescore(fragment):
+        bonus = 1.0
+        if fragment.width:
+            bonus += fragment.wildcard_bits() / fragment.width
+        score[fragment] = clock + freq[fragment] * bonus
+
+    hits = misses = installs = evictions = unmatched = packets = 0
+    for bits in header_sequence:
+        packets += 1
+        found = None
+        for fragment in reversed(cache):
+            if fragment.matches(bits):
+                found = fragment
+                break
+        if found is not None:
+            hits += 1
+            cache.move_to_end(found)
+            if cost:
+                freq[found] += 1
+                rescore(found)
+            continue
+        winner = table.lookup_bits(bits)
+        if winner is None:
+            unmatched += 1
+            continue
+        misses += 1
+        if cache_size <= 0:
+            continue
+        fragment = None
+        for memoized in fragment_memo.values():
+            if memoized.matches(bits):
+                fragment = memoized
+                break
+        if fragment is None:
+            fragment = win_fragment(ordered_rules, winner, bits)
+            if fragment is None:
+                continue
+            fragment_memo[fragment] = fragment
+        cache[fragment] = True
+        installs += 1
+        if cost:
+            freq[fragment] = 1
+            rescore(fragment)
+        if len(cache) > cache_size:
+            if cost:
+                victim = min(cache, key=score.get)
+                clock = score[victim]
+                del cache[victim], freq[victim], score[victim]
+            else:
+                cache.popitem(last=False)
+            evictions += 1
+    return CacheSimResult(cache_size, packets, hits, misses, installs, evictions, unmatched)
+
+
+#: Coarse ternaries (a few cared bits per field, high or low) so random
+#: rules overlap yet nearby headers land in different fragments.
+_coarse = st.builds(
+    lambda v, m: Ternary(v & m, m, L.width),
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.sampled_from(
+        [0x0000, 0xC000, 0x00C0, 0xC0C0, 0x0303, 0x0103, 0x0301, 0x000F, 0x0F00]
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    # Priorities 0-3 over up to 10 rules: equal priorities are the norm.
+    specs=st.lists(st.tuples(_coarse, st.integers(0, 3)), min_size=1, max_size=10),
+    default_rule=st.booleans(),
+    flows=st.lists(st.integers(0, 0xFFFF), min_size=4, max_size=12, unique=True),
+    picks=st.lists(st.integers(0, 11), min_size=20, max_size=80),
+    cache_size=st.sampled_from([0, 1, 2, 8]),
+    eviction=st.sampled_from(["lru", "cost"]),
+    engine=st.sampled_from(["linear", "tuplespace", "dtree"]),
+)
+def test_prop_replay_equals_scan_oracle(
+    specs, default_rule, flows, picks, cache_size, eviction, engine
+):
+    """Resolve-once replay == scan-everything replay, field for field."""
+    policy = [
+        Rule(Match(L, ternary), priority, Forward(f"p{i}"))
+        for i, (ternary, priority) in enumerate(specs)
+    ]
+    if default_rule:
+        policy.append(Rule(Match.any(L), 0, Drop()))
+    # Few flows, many packets: headers repeat, so hits, re-installs after
+    # eviction and repeated unmatched headers all occur.
+    sequence = [flows[pick % len(flows)] for pick in picks]
+    expected = scan_wildcard_cache(
+        policy, L, sequence, cache_size, engine=engine, eviction=eviction
+    )
+    actual = simulate_wildcard_cache(
+        policy, L, sequence, cache_size, engine=engine, eviction=eviction
+    )
+    assert actual == expected
+    micro = simulate_microflow_cache(policy, L, sequence, cache_size, engine=engine)
+    assert micro.unmatched == expected.unmatched
+    assert micro.packets == expected.packets == len(sequence)

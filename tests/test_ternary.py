@@ -157,6 +157,30 @@ class TestSubtract:
                 assert not p.intersects(q)
 
 
+class TestSubtractContaining:
+    def test_known_piece(self):
+        a = Ternary.from_string("1xxx")
+        b = Ternary.from_string("11x1")
+        assert str(a.subtract_containing(b, 0b1000)) == "10xx"
+        assert str(a.subtract_containing(b, 0b1110)) == "11x0"
+
+    def test_disjoint_returns_self(self):
+        a = Ternary.from_string("1x")
+        b = Ternary.from_string("0x")
+        assert a.subtract_containing(b, 0b10) is a
+
+    def test_outside_self_or_inside_other_is_none(self):
+        a = Ternary.from_string("1xxx")
+        b = Ternary.from_string("11x1")
+        assert a.subtract_containing(b, 0b0000) is None
+        assert a.subtract_containing(b, 0b1101) is None
+        assert a.subtract_containing(Ternary.from_string("0xxx"), 0b0000) is None
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            Ternary.wildcard(4).subtract_containing(Ternary.wildcard(8), 0)
+
+
 class TestStructure:
     def test_concat(self):
         high = Ternary.from_string("1x")
@@ -232,6 +256,53 @@ def test_prop_subtract_pieces_disjoint_and_sized(a, b):
     overlap = a.intersection(b)
     expected = a.size() - (overlap.size() if overlap else 0)
     assert total == expected
+
+
+def _first_piece_containing(region, other, bits):
+    """The oracle: search the full decomposition, as cachegen used to."""
+    return next((p for p in region.subtract(other) if p.matches(bits)), None)
+
+
+@settings(max_examples=300)
+@given(a=ternaries(), b=ternaries(), p=points())
+def test_prop_subtract_containing_is_total(a, b, p):
+    """Every branch — clipped, disjoint, outside ``a``, inside ``b``."""
+    assert a.subtract_containing(b, p) == _first_piece_containing(a, b, p)
+
+
+@st.composite
+def clipping_cases(draw):
+    """``(region, other, bits)`` with bits ∈ region \\ other, region ∩ other ≠ ∅.
+
+    Built constructively so wide headers hit the clipping branch every
+    time: ``other`` copies ``bits`` on the bits it shares with ``region``
+    and flips at least one of the bits only it cares about.
+    """
+    width = draw(st.integers(min_value=1, max_value=128))
+    word = st.integers(min_value=0, max_value=(1 << width) - 1)
+    bits = draw(word)
+    other_mask = draw(word.filter(bool))
+    region_mask = draw(word) & ~(1 << draw(st.sampled_from(
+        [i for i in range(width) if other_mask >> i & 1]
+    )))
+    extra = other_mask & ~region_mask
+    flips = draw(word) & extra or extra
+    region = Ternary(bits & region_mask, region_mask, width)
+    other = Ternary((bits ^ flips) & other_mask, other_mask, width)
+    return region, other, bits
+
+
+@settings(max_examples=300)
+@given(case=clipping_cases())
+def test_prop_subtract_containing_matches_subtract(case):
+    """Closed form == first matching piece of the search, widths 1–128."""
+    region, other, bits = case
+    assert region.matches(bits) and not other.matches(bits)
+    assert region.intersects(other)
+    piece = region.subtract_containing(other, bits)
+    assert piece == _first_piece_containing(region, other, bits)
+    assert piece.matches(bits)
+    assert region.covers(piece) and not piece.intersects(other)
 
 
 @settings(max_examples=200)
