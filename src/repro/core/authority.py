@@ -422,12 +422,12 @@ class DifaneSwitch(DataPlaneSwitch):
     def process_packet_batch(self, batch) -> None:
         """Columnar :meth:`process`: classify and act on a whole batch.
 
-        Counters, rule statistics, delivery records and traces land
-        exactly as per-packet :meth:`process` calls would — only event
-        granularity (one per batch hop instead of one per packet hop) and
-        same-instant ordering differ, neither of which the metrics
-        document can observe.  Capacity-bounded paths (the redirect
-        station) are defined per packet and degrade to the scalar path.
+        Counters, rule statistics, delivery records and traces land as
+        per-packet :meth:`process` calls would until a cache evicts: a
+        burst's installs arrive per flow, not in packet order, and LRU
+        breaks ties by install order (DESIGN.md, "Equivalence &
+        determinism").  Capacity-bounded paths (the redirect station) are
+        defined per packet and degrade to the scalar path.
         """
         now = self._now()
         if batch.encap_destination is not None:

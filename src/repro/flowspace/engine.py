@@ -187,17 +187,6 @@ class LinearEngine(MatchEngine):
         del self._by_id[rule.rule_id]
         return True
 
-    def remove_if(self, predicate: Callable[[Rule], bool]) -> List[Rule]:
-        kept: List[Rule] = []
-        removed: List[Rule] = []
-        for rule in self._rules:
-            (removed if predicate(rule) else kept).append(rule)
-        self._rules = kept
-        for rule in removed:
-            del self._order[rule.rule_id]
-            del self._by_id[rule.rule_id]
-        return removed
-
     def clear(self) -> None:
         self._rules.clear()
         self._order.clear()
@@ -250,8 +239,7 @@ class TupleSpaceEngine(TupleSpaceTable, MatchEngine):
 
     Adopts :class:`~repro.flowspace.tuplespace.TupleSpaceTable` (which was
     previously dead code) and adds the interface surface the engine layer
-    needs: ordered :meth:`rules`, :meth:`clear`, predicate removal and
-    batch lookup.
+    needs: ordered :meth:`rules`, :meth:`clear` and batch lookup.
     """
 
     name = "tuplespace"
@@ -261,12 +249,6 @@ class TupleSpaceEngine(TupleSpaceTable, MatchEngine):
 
     def add_all(self, rules: Iterable[Rule]) -> None:
         self._bulk_load(rules)
-
-    def remove_if(self, predicate: Callable[[Rule], bool]) -> List[Rule]:
-        doomed = [rule for rule in self.rules() if predicate(rule)]
-        for rule in doomed:
-            self.remove(rule)
-        return doomed
 
     def clear(self) -> None:
         self._groups.clear()
@@ -375,17 +357,6 @@ class DecisionTreeEngine(MatchEngine):
                 self._overlay = [
                     entry for entry in self._overlay if entry[1] is not rule
                 ]
-        return removed
-
-    def remove_if(self, predicate: Callable[[Rule], bool]) -> List[Rule]:
-        removed = self._base.remove_if(predicate)
-        if removed and self._root is not None:
-            doomed_ids = {rule.rule_id for rule in removed}
-            self._tombstones += len(doomed_ids & self._tree_ids)
-            self._overlay = [
-                entry for entry in self._overlay
-                if entry[1].rule_id not in doomed_ids
-            ]
         return removed
 
     def clear(self) -> None:

@@ -155,10 +155,11 @@ class DeliveryLog:
     def stream_into(self, observer) -> None:
         """Forward all future outcomes to ``observer``; retain nothing.
 
-        The observer needs ``record(DeliveryRecord)`` and
-        ``block(_BatchBlock)`` methods (:class:`DeliverySketchObserver`
-        implements both).  Must be enabled before any outcome lands —
-        retroactive streaming would silently split the log in two.
+        The observer needs ``record(DeliveryRecord)``,
+        ``observe_delivery(delay, hops)`` and ``block(_BatchBlock)``
+        (:class:`DeliverySketchObserver` implements all three).  Must be
+        enabled before any outcome lands — retroactive streaming would
+        silently split the log in two.
         """
         if self._entries:
             raise RuntimeError("cannot enable streaming on a non-empty delivery log")
@@ -170,6 +171,11 @@ class DeliveryLog:
             self._observer.record(record)
             return
         self._entries.append(record)
+
+    def append_delivery(self, delay: float, hops: int) -> None:
+        """Streaming mode only: one delivered packet, no record built."""
+        self._streamed += 1
+        self._observer.observe_delivery(delay, hops)
 
     def append_block(self, block: _BatchBlock) -> None:
         if self._observer is not None:
@@ -245,6 +251,9 @@ class SimNetwork:
         self.loss_seed = loss_seed
         self._nodes: Dict[str, object] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
+        #: (at node, destination) -> outgoing Link, filled lazily per hop
+        #: and valid for one routing epoch (cleared by rebuild_routes).
+        self._next_link: Dict[Tuple[str, str], Link] = {}
         self.deliveries = DeliveryLog()
         self.control_messages_sent = 0
         # Hot-path metric children, bound once.
@@ -328,6 +337,7 @@ class SimNetwork:
         for pair in [p for p in self._links if p not in current]:
             del self._links[pair]
         self.routes = compute_routes(self.topology)
+        self._next_link.clear()
         self._hosts = self._host_set()
 
     # -- packet movement -------------------------------------------------------
@@ -427,6 +437,11 @@ class SimNetwork:
 
     def forward_toward(self, at_node: str, destination: str, packet: Packet) -> None:
         """Forward one hop along the shortest path to ``destination``."""
+        link = self._next_link.get((at_node, destination))
+        if link is not None:
+            packet.hops += 1
+            link.send(packet)
+            return
         if at_node == destination:
             self._arrive(destination, packet)
             return
@@ -434,6 +449,9 @@ class SimNetwork:
         if hop is None:
             self.record_drop(packet, at_node, f"unreachable {destination}")
             return
+        link = self._links.get((at_node, hop))
+        if link is not None:
+            self._next_link[(at_node, destination)] = link
         self.transmit(at_node, hop, packet)
 
     def transmit_batch(self, from_node: str, to_node: str, batch: PacketBatch) -> None:
@@ -454,6 +472,11 @@ class SimNetwork:
         location and destination), where the scalar path repeats it per
         packet with the same answer.
         """
+        link = self._next_link.get((at_node, destination))
+        if link is not None:
+            batch.hops += 1
+            link.send_batch(batch)
+            return
         if at_node == destination:
             self._arrive_batch(destination, batch)
             return
@@ -461,6 +484,9 @@ class SimNetwork:
         if hop is None:
             self.record_drop_batch(batch, at_node, f"unreachable {destination}")
             return
+        link = self._links.get((at_node, hop))
+        if link is not None:
+            self._next_link[(at_node, destination)] = link
         self.transmit_batch(at_node, hop, batch)
 
     def fabric_is_clean(self) -> bool:
@@ -599,6 +625,11 @@ class SimNetwork:
             self.tracer.record(
                 self.scheduler.now, TraceKind.DELIVERED, packet, node=endpoint
             )
+        if self.deliveries._observer is not None:
+            self.deliveries.append_delivery(
+                self.scheduler.now - (packet.created_at or 0.0), packet.hops
+            )
+            return
         self.deliveries.append(
             DeliveryRecord(
                 packet_id=packet.packet_id,

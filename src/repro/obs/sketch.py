@@ -530,11 +530,15 @@ class DeliverySketchObserver:
     def record(self, record) -> None:
         """Consume one scalar :class:`DeliveryRecord`."""
         if record.delivered:
-            self.delivered += 1
-            self.delay_sketch.observe(record.finished_at - record.created_at)
-            self.hop_histogram.observe(record.hops)
+            self.observe_delivery(record.finished_at - record.created_at, record.hops)
         else:
             self.dropped += 1
+
+    def observe_delivery(self, delay: float, hops: int) -> None:
+        """Consume one delivered packet's delay and hop count (no record)."""
+        self.delivered += 1
+        self.delay_sketch.observe(delay)
+        self.hop_histogram.observe(hops)
 
     def block(self, block) -> None:
         """Consume one columnar batch block without materializing rows."""

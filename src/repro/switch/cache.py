@@ -18,13 +18,21 @@ policies the evaluation exercises:
   on (§4 of the paper): stale cache rules age out.
 
 The manager's bookkeeping is index-backed: an exact occupancy counter, a
-``(match, actions)``-keyed duplicate map, and a lazy-stale min-heap keyed
-per policy replace the per-install linear scans of the original
-implementation.  :class:`ScanCacheManager` keeps those scans alive as the
-equivalence oracle for property tests.  The indexes stay exact even when
-callers mutate the TCAM directly (``evict_if``/``clear``) because they are
+``(match, actions)``-keyed duplicate map, a lazy-stale min-heap keyed per
+policy, and a lazy-stale **deadline heap** for timeouts replace the
+per-install linear scans of the original implementation.
+:class:`ScanCacheManager` keeps those scans alive as the equivalence
+oracle for property tests.  The indexes stay exact even when callers
+mutate the TCAM directly (predicate eviction, ``clear``) because they are
 maintained from the TCAM's observer hooks, not from the manager's own
 call sites.
+
+The deadline heap holds, per rule that carries a timeout, a *lower bound*
+on the instant it can expire.  The bound needs no push per hit under one
+contract: timeouts are stamped before the rule reaches ``tcam.install``
+and activity stamps (``installed_at``, ``last_hit_at``) only move forward
+with the simulation clock.  ``Rule.is_expired`` stays the only judge of
+expiry; the heap merely nominates whom to ask.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import heapq
 import math
 import random
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.flowspace.rule import Rule, RuleKind
@@ -161,6 +170,8 @@ class CacheManager:
         self._heap: List[tuple] = []
         self._push_seq = 0
         self._install_seq = 0
+        # Lazy-stale deadline heap: (due lower bound, order_key, entry).
+        self._deadlines: List[tuple] = []
         for rule in tcam.rules(RuleKind.CACHE):
             self._note_install(rule)
         tcam.add_install_hook(self._note_install)
@@ -382,6 +393,15 @@ class CacheManager:
             self._rescore(entry)
         elif self.policy is not EvictionPolicy.RANDOM:
             self._push(entry, self._sort_key(entry))
+        due = _deadline(rule, -math.inf)
+        if due != math.inf:
+            heap = self._deadlines
+            heapq.heappush(heap, (due, order_key, entry))
+            if len(heap) > max(64, 4 * self._occupancy):
+                # Capacity-evicted and invalidated entries linger until
+                # due: drop them (a live entry's old bound stays valid).
+                heap[:] = [item for item in heap if item[2].alive]
+                heapq.heapify(heap)
 
     def _note_evict(self, rule: Rule) -> None:
         entry = self._entries.pop(id(rule), None)
@@ -472,10 +492,31 @@ class CacheManager:
 
     # -- maintenance ----------------------------------------------------------------
     def expire(self, now: float) -> List[Rule]:
-        """Evict cache rules whose timeouts have elapsed."""
-        expired = self.tcam.evict_if(
-            lambda rule: rule.kind is RuleKind.CACHE and rule.is_expired(now)
-        )
+        """Evict cache rules whose timeouts have elapsed, in table order.
+
+        ``is_expired`` tests ``now - ref >= timeout`` while the heap orders
+        by ``ref + timeout``; the two round an ulp apart, so the horizon
+        carries a few ulps of slack and the exact predicate decides.
+        """
+        heap = self._deadlines
+        if not heap:
+            return []
+        horizon = now + 4 * math.ulp(now)
+        doomed: List[_Entry] = []
+        # Live nominees that are not expired (a hit or refresh moved their
+        # reference) are re-keyed after the loop: re-pushing a borderline
+        # bound inside it would pop the same tuple again forever.
+        deferred: List[_Entry] = []
+        while heap and heap[0][0] <= horizon:
+            entry = heapq.heappop(heap)[2]
+            if entry.alive:
+                (doomed if entry.rule.is_expired(now) else deferred).append(entry)
+        for entry in deferred:
+            heapq.heappush(heap, (_deadline(entry.rule, now), entry.order_key, entry))
+        doomed.sort(key=attrgetter("order_key"))
+        expired = [entry.rule for entry in doomed]
+        for rule in expired:
+            self.tcam.evict(rule)
         self.expired += len(expired)
         return expired
 
@@ -505,16 +546,23 @@ class CacheManager:
 class ScanCacheManager(CacheManager):
     """Reference oracle: the pre-index linear scans over shared state.
 
-    Overrides only the three scan points (occupancy, duplicate detection,
-    victim selection) with the original O(n) implementations; every piece
-    of state maintenance — counters, COST scores, penalty EWMA — is
-    inherited, so property tests can drive an indexed manager and a scan
-    manager through identical operation sequences and require the same
-    victims, survivors, and counters byte-for-byte.
+    Overrides only the four scan points (occupancy, expiry, duplicate
+    detection, victim selection) with the original O(n) implementations;
+    every piece of state maintenance — counters, COST scores, penalty
+    EWMA — is inherited, so property tests can drive an indexed manager
+    and a scan manager through identical operation sequences and require
+    the same victims, survivors, and counters byte-for-byte.
     """
 
     def occupancy(self) -> int:
         return len(self.cache_rules())
+
+    def expire(self, now: float) -> List[Rule]:
+        expired = self.tcam.evict_if(
+            lambda rule: rule.kind is RuleKind.CACHE and rule.is_expired(now)
+        )
+        self.expired += len(expired)
+        return expired
 
     def _find_duplicate(self, rule: Rule) -> Optional[Rule]:
         for existing in self.cache_rules():
@@ -556,6 +604,25 @@ def _derives_from(rule: Rule, policy_rule: Rule) -> bool:
         and root.priority == policy_rule.priority
         and root.match == policy_rule.match
     )
+
+
+def _deadline(rule: Rule, now: float) -> float:
+    """Lower bound on the instant ``rule`` can expire (``inf`` = never).
+
+    A rule with an idle timeout but no stamp yet cannot be stamped before
+    ``now`` (``-inf`` when unknown, so the next ``expire`` asks again).
+    """
+    due = math.inf
+    if rule.hard_timeout is not None and rule.installed_at is not None:
+        due = rule.installed_at + rule.hard_timeout
+    if rule.idle_timeout is not None:
+        reference = rule.last_hit_at
+        if reference is None:
+            reference = rule.installed_at
+        if reference is None:
+            reference = now
+        due = min(due, reference + rule.idle_timeout)
+    return due
 
 
 def _last_activity(rule: Rule) -> float:

@@ -192,9 +192,9 @@ class DifanePipeline:
         positions within ``batch`` (ascending within each group), ``rule``
         is ``None`` only for the trailing MISS group.  Stage counters,
         ``misses`` and per-rule hit statistics land exactly as per-packet
-        :meth:`lookup` calls would; only the grouping (and therefore the
-        downstream action-execution order within one same-instant batch)
-        differs, which the metrics document cannot observe.
+        :meth:`lookup` calls would; only the grouping (and so the action
+        order within one same-instant batch) differs — invisible until a
+        full cache breaks LRU ties by install order (DESIGN.md).
         """
         stages = self._m_stage
         groups: List[Tuple[PipelineStage, Optional[Rule], np.ndarray]] = []

@@ -23,9 +23,9 @@ from repro.flowspace.vectormatch import VectorMatcher
 
 __all__ = ["Tcam", "TcamFullError"]
 
-#: Above this many rules the compiled vector scan (O(rules) numpy passes)
-#: loses to the engine's per-packet batch lookup; the columnar path then
-#: packs header words and dispatches the engine once for the batch.
+#: Above this many rules the compiled vector match (packets x rules per
+#: cared field) yields to the engine's per-packet batch lookup: the columnar
+#: path packs header words and dispatches the engine once for the batch.
 VECTOR_RULE_LIMIT = 512
 
 
@@ -242,14 +242,14 @@ class Tcam:
             for index in np.unique(winners[matched]).tolist():
                 selected = winners == index
                 rule = rules[index]
-                count = int(selected.sum())
-                rule.packet_count += count
+                rule_hits = int(selected.sum())
+                rule.packet_count += rule_hits
                 rule.byte_count += int(sizes[selected].sum())
                 if now is not None:
                     rule.last_hit_at = now
                 if self._hit_hooks:
                     for hook in self._hit_hooks:
-                        hook(rule, count, now)
+                        hook(rule, rule_hits, now)
         return winners, rules
 
     def peek(self, packet: Packet) -> Optional[Rule]:

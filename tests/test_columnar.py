@@ -24,7 +24,9 @@ from repro.cli import main as cli_main
 from repro.core.controller import DifaneNetwork
 from repro.flowspace.batch import PacketBatch, layout_vectorizes, set_columnar
 from repro.flowspace.bits import mask_of_width
-from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
+from repro.flowspace import Forward, Match, Rule, RuleTable, Ternary
+from repro.flowspace.fields import FIVE_TUPLE_LAYOUT, TWO_FIELD_LAYOUT
+from repro.flowspace.vectormatch import VectorMatcher
 from repro.net.events import EventScheduler
 from repro.net.topology import TopologyBuilder
 from repro.obs import context as obs_context
@@ -191,6 +193,95 @@ def test_match_batch_agrees_with_scalar_lookup():
         expected = tcam.table.lookup_bits(bits)
         actual = None if winners[position] < 0 else ordered[winners[position]]
         assert actual is expected
+
+
+def _loop_match(layout, rules, columns):
+    """The per-rule loop ``VectorMatcher.match`` ran before the broadcast
+    compare replaced it, kept as the oracle: visit rules in lookup order
+    and hand each the still-unmatched packets whose cared fields agree."""
+    first = next(iter(columns.values())) if columns else None
+    count = len(first) if first is not None else 0
+    winners = np.full(count, -1, dtype=np.int64)
+    unmatched = np.ones(count, dtype=bool)
+    for index, rule in enumerate(rules):
+        ok = unmatched.copy()
+        for name in layout.names():
+            sub = layout.field_ternary(rule.match.ternary, name)
+            if sub.mask:
+                ok &= (columns[name] & np.uint64(sub.mask)) == np.uint64(sub.value)
+        winners[ok] = index
+        unmatched &= ~ok
+    return winners
+
+
+@st.composite
+def _matcher_cases(draw):
+    layout = draw(st.sampled_from([FIVE_TUPLE_LAYOUT, TWO_FIELD_LAYOUT]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    names = layout.names()
+    # Fields outside ``cared`` are wildcards in every rule: the matcher
+    # must skip them, not compare them.
+    cared = draw(st.sets(st.sampled_from(names)))
+    table = RuleTable(layout)
+    for _ in range(draw(st.integers(0, 300))):
+        mask = value = 0
+        for spec in layout.fields:
+            style = rng.randrange(4) if spec.name in cared else 0
+            window = mask_of_width(spec.width)
+            field_mask = (
+                0, window, window & ~mask_of_width(rng.randrange(spec.width + 1)),
+                rng.getrandbits(spec.width),
+            )[style]
+            # Few distinct values, so rules overlap and shadow each other.
+            field_value = rng.choice((0, window, 0x5A5A5A5A & window)) & field_mask
+            mask |= field_mask << layout.offset(spec.name)
+            value |= field_value << layout.offset(spec.name)
+        table.add(Rule(
+            Match(layout, Ternary(value, mask, layout.width)),
+            rng.randrange(3),                       # duplicate priorities
+            Forward("x"),
+        ))
+    rules = list(table.rules)
+    headers = [rng.getrandbits(layout.width) for _ in range(draw(st.integers(0, 24)))]
+    headers += [
+        rng.choice(rules).match.ternary.sample(rng)
+        for _ in range(draw(st.integers(0, 24)) if rules else 0)
+    ]
+    columns = {
+        spec.name: np.array(
+            [(bits >> layout.offset(spec.name)) & mask_of_width(spec.width)
+             for bits in headers],
+            dtype=np.uint64,
+        )
+        for spec in layout.fields
+    }
+    return layout, table, rules, headers, columns
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_matcher_cases())
+def test_prop_vector_matcher_agrees_with_the_loop_and_the_engine(case):
+    """Broadcast compare + first-True == the per-rule loop == lookup_bits,
+    over empty batches, empty tables, all-wildcard tables, fields no rule
+    cares about and equal-priority overlaps (first installed wins)."""
+    layout, table, rules, headers, columns = case
+    winners = VectorMatcher(layout, rules).match(columns)
+    assert winners.dtype == np.int64 and winners.shape == (len(headers),)
+    assert winners.tolist() == _loop_match(layout, rules, columns).tolist()
+    for bits, winner in zip(headers, winners.tolist()):
+        expected = table.lookup_bits(bits)
+        assert (None if winner < 0 else rules[winner]) is expected
+
+
+def test_vector_matcher_all_wildcard_table_sends_everyone_to_rule_zero():
+    rules = [Rule(Match.any(LAYOUT), 1, Forward(port)) for port in "ab"]
+    batch = _sample_batch(count=5)
+    matcher = VectorMatcher(LAYOUT, rules)
+    assert matcher._fields == []                    # nothing to compare
+    assert matcher.match(batch.fields).tolist() == [0] * 5
+    assert VectorMatcher(LAYOUT, []).match(batch.fields).tolist() == [-1] * 5
+    assert matcher.match(_sample_batch(count=0).fields).tolist() == []
 
 
 # -- burst-granular scheduling ------------------------------------------------------

@@ -10,10 +10,13 @@ alongside the behavioural tests for the COST policy itself, install
 batching, and controller budget partitioning.
 """
 
+import contextlib
 import pickle
+import random
+import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.flowspace import (
     Drop,
@@ -55,6 +58,11 @@ def manager(cls=CacheManager, capacity=3, policy=EvictionPolicy.LRU, **kwargs):
 # Property: indexed manager == scan oracle, byte for byte
 # ---------------------------------------------------------------------------
 
+TIMEOUTS = [None, 0.5, 3.0, 6.0]
+#: Clock steps: fractional, so sums like 0.1 + 0.3 round the way real
+#: simulation clocks do, and 0.0, so several ops share one instant.
+STEPS = st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.5])
+
 op_install = st.tuples(
     st.just("install"),
     st.integers(min_value=0, max_value=5),        # f1 (small: forces dups)
@@ -62,6 +70,14 @@ op_install = st.tuples(
     st.sampled_from(["x", "y"]),                  # action (dup key part)
     st.sampled_from([None, 1e-3, 2e-2]),          # refetch penalty stamp
     st.integers(min_value=0, max_value=2),        # origin index
+    st.sampled_from(TIMEOUTS),                    # idle timeout (None: never)
+    st.sampled_from(TIMEOUTS),                    # hard timeout
+)
+#: A rule that reaches the TCAM behind the manager's back, with no
+#: install time: its idle timeout has no reference until the first hit.
+op_raw = st.tuples(
+    st.just("raw"), st.integers(min_value=0, max_value=5),
+    st.sampled_from(TIMEOUTS),
 )
 op_hit = st.tuples(st.just("hit"), st.integers(min_value=0, max_value=5))
 op_expire = st.tuples(st.just("expire"))
@@ -70,32 +86,41 @@ op_capacity = st.tuples(st.just("capacity"), st.integers(min_value=0, max_value=
 op_invalidate = st.tuples(st.just("invalidate"), st.integers(min_value=0, max_value=2))
 
 ops_lists = st.lists(
-    st.one_of(op_install, op_hit, op_expire, op_flush, op_capacity, op_invalidate),
+    st.tuples(
+        STEPS,
+        st.one_of(op_install, op_install, op_hit, op_expire, op_expire,
+                  op_raw, op_flush, op_capacity, op_invalidate),
+    ),
     min_size=1,
-    max_size=40,
+    max_size=60,
 )
 
 
 def apply_ops(cls, policy, ops, origins):
-    m = manager(
-        cls, capacity=3, policy=policy, seed=7,
-        default_idle_timeout=6.0, cost_tau=4.0,
-    )
+    m = manager(cls, capacity=3, policy=policy, seed=7, cost_tau=4.0)
+    #: What the outside sees: every eviction in hook order, and each
+    #: ``expire`` call's returned list.
+    m.log = []
+    m.tcam.add_evict_hook(lambda rule: m.log.append(("evict", str(rule.match))))
     clock = 0.0
-    for op in ops:
-        clock += 1.0
+    for step, op in ops:
+        clock += step
         kind = op[0]
         if kind == "install":
-            _, f1, priority, port, penalty, origin_idx = op
-            m.install(
-                cache_rule(f1, priority, port, origin=origins[origin_idx],
-                           penalty=penalty),
-                now=clock,
-            )
+            _, f1, priority, port, penalty, origin_idx, idle, hard = op
+            rule = cache_rule(f1, priority, port, origin=origins[origin_idx],
+                              penalty=penalty)
+            rule.idle_timeout, rule.hard_timeout = idle, hard
+            m.install(rule, now=clock)
+        elif kind == "raw":
+            rule = cache_rule(op[1], 4, "raw")
+            rule.idle_timeout = op[2]
+            m.tcam.install(rule, now=None)
         elif kind == "hit":
             m.tcam.lookup(Packet.from_fields(L, f1=op[1]), now=clock)
         elif kind == "expire":
-            m.expire(now=clock)
+            expired = m.expire(now=clock)
+            m.log.append(("expired", [str(rule.match) for rule in expired]))
         elif kind == "flush":
             m.flush()
         elif kind == "capacity":
@@ -126,17 +151,166 @@ def fingerprint(m):
         m.invalidated,
         m.evicted,
         m.refetch_penalty_ewma,
+        m.tcam.evictions,
+        getattr(m, "log", None),
     )
 
 
-@settings(max_examples=60, deadline=None)
+#: ``ref + timeout`` and ``now - ref`` round differently around this pair.
+ADVERSARIAL_REF = 0.8553402726544312
+ADVERSARIAL_DUE = 3.8553402726544315   # == ADVERSARIAL_REF + 3.0
+
+
+@contextlib.contextmanager
+def must_finish_within(seconds):
+    """Turn a non-terminating call into a failure (no timeout plugin here)."""
+    def overdue(signum, frame):
+        raise AssertionError(f"did not finish within {seconds}s")
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_IDLE_3 = ("install", 1, 5, "x", None, 0, 3.0, None)
+_MISS = ("hit", 5)
+
+
+@settings(max_examples=150, deadline=None)
 @given(ops=ops_lists, policy=st.sampled_from(POLICIES))
+# Plain clock steps reach the rounding gap: 0.1 + 0.3 + 0.3 = 0.7 and the
+# clock lands on 3.6999999999999997, where ``now - 0.7 >= 3.0`` although
+# ``0.7 + 3.0 > now`` — a heap that trusts ``due <= now`` keeps the rule.
+@example(
+    ops=[(0.1, _MISS), (0.3, _MISS), (0.3, _IDLE_3), (0.1, _MISS),
+         (2.5, _MISS), (0.1, _MISS), (0.3, ("expire",))],
+    policy=EvictionPolicy.LRU,
+)
+# One ulp short of expiry: nominated by the slack, refused by the
+# predicate.  Re-pushed inside the pop loop it would pop forever.
+@example(
+    ops=[(ADVERSARIAL_REF, _IDLE_3), (2.9999999999999996, ("expire",)),
+         (1.0, ("expire",))],
+    policy=EvictionPolicy.LRU,
+)
 def test_prop_indexed_matches_scan_oracle(ops, policy):
-    """Identical op sequences → identical state, victims, and counters."""
+    """Identical op sequences → identical state, victims, and counters.
+
+    Expiry is the deadline heap on one side and the full-table scan on
+    the other; the log pins the order rules leave in, not just the set.
+    """
     origins = [Rule(Match.any(L), 9, Forward(f"o{i}")) for i in range(3)]
-    indexed = apply_ops(CacheManager, policy, ops, origins)
+    with must_finish_within(30):
+        indexed = apply_ops(CacheManager, policy, ops, origins)
     oracle = apply_ops(ScanCacheManager, policy, ops, origins)
     assert fingerprint(indexed) == fingerprint(oracle)
+    assert len(indexed._deadlines) <= max(64, 4 * indexed.occupancy())
+
+
+# ---------------------------------------------------------------------------
+# Deadline-heap expiry: floating point, termination, bounded staleness
+# ---------------------------------------------------------------------------
+
+class TestDeadlineHeapExpiry:
+    def pair(self, **kwargs):
+        return [manager(cls, capacity=4, **kwargs)
+                for cls in (CacheManager, ScanCacheManager)]
+
+    def test_expired_by_subtraction_but_not_by_addition(self):
+        """``now - ref >= 3.0`` holds although ``ref + 3.0 > now``: the scan
+        expires the rule, and so must the heap — a ``due <= now`` test
+        without rounding slack would keep it."""
+        now = 3.855340272654431
+        assert now - ADVERSARIAL_REF >= 3.0 and ADVERSARIAL_DUE > now
+        for m in self.pair(default_idle_timeout=3.0):
+            rule = m.install(cache_rule(1), now=ADVERSARIAL_REF)
+            assert m.expire(now) == [rule]
+            assert m.expired == 1 and m.occupancy() == 0
+
+    def test_nominated_but_not_expired_terminates_and_survives(self):
+        """One ulp earlier the bound is within the slack but the predicate
+        says no: the nominee is parked and re-keyed after the pop loop
+        (re-pushed inside it, the same tuple would pop forever) and still
+        expires when its time comes."""
+        early = 3.8553402726544306
+        assert not (early - ADVERSARIAL_REF >= 3.0)
+        for m in self.pair(default_idle_timeout=3.0):
+            rule = m.install(cache_rule(1), now=ADVERSARIAL_REF)
+            with must_finish_within(5):
+                assert m.expire(early) == []
+            assert m.occupancy() == 1
+            assert m.expire(ADVERSARIAL_DUE) == [rule]
+
+    def test_hits_and_refreshes_postpone_idle_but_not_hard(self):
+        for m in self.pair(default_idle_timeout=3.0, default_hard_timeout=10.0):
+            rule = m.install(cache_rule(1), now=0.0)
+            m.tcam.lookup(Packet.from_fields(L, f1=1), now=2.0)
+            assert m.expire(3.5) == []              # idle reference moved to 2.0
+            m.install(cache_rule(1), now=4.5)       # duplicate refresh → 4.5
+            assert m.expire(7.0) == []
+            m.tcam.lookup(Packet.from_fields(L, f1=1), now=7.4)
+            m.tcam.lookup(Packet.from_fields(L, f1=1), now=9.9)
+            assert m.expire(9.99) == []
+            assert m.expire(10.0) == [rule]         # hard timeout from install
+
+    def test_rules_without_timeouts_never_enter_the_heap(self):
+        m = manager(capacity=4)
+        for i in range(4):
+            m.install(cache_rule(i), now=float(i))
+        assert m._deadlines == []
+        assert m.expire(1e9) == [] and m.occupancy() == 4
+
+    def test_unstamped_rule_is_keyed_from_its_first_sighting(self):
+        """``installed_at=None`` + idle timeout: no reference until a hit."""
+        for m in self.pair():
+            rule = cache_rule(1)
+            rule.idle_timeout = 2.0
+            m.tcam.install(rule, now=None)
+            assert m.expire(100.0) == []            # nothing to measure from
+            m.tcam.lookup(Packet.from_fields(L, f1=1), now=100.5)
+            assert m.expire(102.0) == []
+            assert m.expire(102.5) == [rule]
+
+    def test_simultaneous_expiries_leave_in_table_order(self):
+        for m in self.pair(default_idle_timeout=1.0):
+            low = m.install(cache_rule(1, priority=1), now=0.0)
+            high_late = m.install(cache_rule(2, priority=3), now=0.5)
+            high_early = m.install(cache_rule(3, priority=3), now=0.25)
+            seen = []
+            m.tcam.add_evict_hook(seen.append)
+            # Lookup order: priority first, then installation order — not
+            # deadline order (low is due first and leaves last).
+            assert m.expire(5.0) == [high_late, high_early, low]
+            assert seen == [high_late, high_early, low]
+
+    def test_dead_entries_are_compacted_away(self):
+        """10^4 ops of installs, capacity evictions, hits and expiries: the
+        heap stays within the eviction heap's ``max(64, 4 x occupancy)``
+        bound and the manager keeps agreeing with the scan."""
+        rng = random.Random(22)
+        indexed, oracle = self.pair()
+        clock = 0.0
+        for _ in range(10_000):
+            clock += rng.choice([0.0, 0.01, 0.05])
+            roll = rng.random()
+            f1 = rng.randrange(200)
+            hard = rng.choice([None, 80.0])
+            for m in (indexed, oracle):
+                if roll < 0.7:
+                    rule = cache_rule(f1)
+                    # Far-off deadlines: capacity evicts long before due.
+                    rule.idle_timeout, rule.hard_timeout = 50.0, hard
+                    m.install(rule, now=clock)
+                elif roll < 0.9:
+                    m.tcam.lookup(Packet.from_fields(L, f1=f1), now=clock)
+                else:
+                    m.expire(clock)
+            assert len(indexed._deadlines) <= max(64, 4 * indexed.occupancy())
+        assert fingerprint(indexed) == fingerprint(oracle)
+        assert indexed.evicted_capacity > 6000
 
 
 def test_indexed_survives_external_tcam_mutation():

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.flowspace import Packet, TWO_FIELD_LAYOUT
+from repro.flowspace.batch import PacketBatch
 from repro.net import SimNetwork, TopologyBuilder
+from repro.net.failures import FailureInjector
 from repro.net.simnet import CONTROL_OVERHEAD_S
+from repro.net.topology import Topology
+from repro.obs.registry import MetricsRegistry
+from repro.obs.sketch import DeliverySketchObserver
 
 
 class EchoSwitch:
@@ -102,6 +107,96 @@ class TestForwarding:
         topo.add_link("hub", "s2")
         net.rebuild_routes()
         assert net.routes.reachable("s0", "s2")
+
+
+def build_triangle():
+    """a, b, c fully meshed, one host on c: a→c direct, or a→b→c."""
+    topo = Topology()
+    for name in "abc":
+        topo.add_switch(name)
+    for a, b in ("ab", "bc", "ac"):
+        topo.add_link(a, b)
+    topo.add_host("hc", "c")
+    net = SimNetwork(topo)
+    for name in "abc":
+        net.register_node(EchoSwitch(name, "hc"))
+    return net
+
+
+class TestNextLinkMemo:
+    """``(node, destination) → Link`` is resolved once per routing epoch."""
+
+    def send(self, net):
+        packet = Packet.from_fields(TWO_FIELD_LAYOUT)
+        net.inject_at_switch("a", packet)
+        net.run()
+        return packet
+
+    def test_memo_hit_counts_hops_like_the_first_packet(self):
+        net = build_triangle()
+        first, second = self.send(net), self.send(net)
+        assert ("a", "hc") in net._next_link            # filled by the miss
+        assert first.hops == second.hops == 2           # a→c, c→hc
+        assert net.link("a", "c").packets_carried == 2
+
+    def test_link_failure_invalidates_and_repair_is_used_again(self):
+        net = build_triangle()
+        faults = FailureInjector(net)
+        self.send(net)
+        faults.fail_link("a", "c")
+        assert not net._next_link                       # new routing epoch
+        detour = self.send(net)
+        assert detour.hops == 3                         # a→b, b→c, c→hc
+        assert net.link("a", "b").packets_carried == 1
+        faults.restore_link("a", "c")
+        direct = self.send(net)
+        assert direct.hops == 2
+        # The repaired link is a new object: a stale memo would have kept
+        # feeding the old one (which still drains what it carries).
+        assert net.link("a", "c").packets_carried == 1
+        assert net.link("a", "b").packets_carried == 1
+        assert len(net.delivered()) == 3
+
+    def test_batches_share_the_memo(self):
+        net = build_triangle()
+        self.send(net)
+        batch = PacketBatch.from_fields(TWO_FIELD_LAYOUT, 4, size_bytes=64)
+        net.forward_batch_toward("a", "hc", batch)
+        assert batch.hops.tolist() == [1] * 4
+        assert net.link("a", "c").packets_carried == 5
+        FailureInjector(net).fail_link("a", "c")
+        net.forward_batch_toward("a", "hc", batch)
+        assert net.link("a", "b").packets_carried == 4
+
+    def test_unreachable_and_local_destinations_are_not_memoised(self):
+        net = build_triangle()
+        net.forward_toward("a", "nowhere", Packet.from_fields(TWO_FIELD_LAYOUT))
+        assert "unreachable" in net.dropped()[0].drop_reason
+        assert not net._next_link
+
+
+class TestStreamingDelivery:
+    def test_record_free_delivery_feeds_the_observer_the_same_numbers(self):
+        """With a streaming observer ``record_delivery`` builds no
+        ``DeliveryRecord``; the sketches must see the same delay floats
+        and hop counts as the record path hands ``observer.record``."""
+        kept_topo, kept = build_net()
+        streamed_topo, streamed = build_net()
+        observer = DeliverySketchObserver(registry=MetricsRegistry())
+        streamed.deliveries.stream_into(observer)
+        for net in (kept, streamed):
+            for _ in range(5):
+                net.inject_from_host("h0", Packet.from_fields(TWO_FIELD_LAYOUT))
+                net.run()
+            net.record_drop(Packet.from_fields(TWO_FIELD_LAYOUT), "s0", "test")
+        replayed = DeliverySketchObserver(registry=MetricsRegistry())
+        for record in kept.deliveries:
+            replayed.record(record)
+        assert len(streamed.deliveries) == len(kept.deliveries) == 6
+        assert (observer.delivered, observer.dropped) == (5, 1)
+        assert (replayed.delivered, replayed.dropped) == (5, 1)
+        assert observer.delay_sketch.export() == replayed.delay_sketch.export()
+        assert observer.hop_histogram.export() == replayed.hop_histogram.export()
 
 
 class TestControlMessages:

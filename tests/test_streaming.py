@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.common import metrics_document
 from repro.experiments.streaming import run_streaming_soak
+from repro.flowspace.batch import set_columnar
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT, parse_ip
 from repro.net.simnet import DeliveryLog, DeliveryRecord
 from repro.net.topology import TopologyBuilder
@@ -276,6 +277,41 @@ def test_m1_jobs_flag_is_inert():
     one, _ = _m1_document(sketch=True, jobs=1)
     two, _ = _m1_document(sketch=True, jobs=2)
     assert one == two
+
+
+def _m1_cache_evictions(result):
+    network = result.notes["_network"]
+    return sum(
+        network.node(name).cache.evicted for name in network.topology.edge_switches()
+    )
+
+
+@pytest.mark.parametrize("epochs", [
+    1,                                  # no cache has filled yet
+    2,                                  # first evictions; ties not yet decisive
+    pytest.param(3, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 2a: columnar delivers a burst's cache installs per "
+        "flow, scalar in packet order; once a cache is full LRU breaks "
+        "equal-activity ties by install order and the documents part.  "
+        "Delete this marker with the history-free tie-break.",
+    )),
+])
+def test_m1_columnar_equals_scalar_until_evictions_break_ties(epochs):
+    """Looks for the M1 scalar/columnar break (DESIGN.md, "Equivalence &
+    determinism"): identical documents while no cache evicts, and the
+    smallest pinned size at which they stop being identical."""
+    size = dict(epochs=epochs, cache_capacity=16, sketch=True)
+    scalar, scalar_run = _m1_document(**size)
+    set_columnar(True)
+    try:
+        columnar, columnar_run = _m1_document(**size)
+    finally:
+        set_columnar(False)
+    evictions = _m1_cache_evictions(scalar_run)
+    assert (evictions > 0) == (epochs > 1)
+    assert _m1_cache_evictions(columnar_run) == evictions
+    assert columnar == scalar
 
 
 def test_m1_sketch_mode_preserves_outcome_counters():
