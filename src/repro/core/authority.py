@@ -22,6 +22,7 @@ saturate.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Optional
 
 from repro.flowspace.action import Drop, Forward, SetField
@@ -54,6 +55,23 @@ __all__ = ["DifaneSwitch"]
 #: Calibrated authority-switch redirect capacity (single-packet flows/s).
 #: Matches the headline number measured on the paper's kernel prototype.
 DEFAULT_REDIRECT_RATE = 800_000.0
+
+#: Ingress stage -> (switch statistic, per-class QoS statistic, trace kind).
+_STAGE_ACCOUNTING = {
+    PipelineStage.CACHE: ("cache_hits", "cache_hits", TraceKind.CACHE_HIT),
+    PipelineStage.AUTHORITY: (
+        "authority_hits", "authority_hits", TraceKind.AUTHORITY_HIT,
+    ),
+    PipelineStage.PARTITION: ("redirects_out", "redirects", TraceKind.REDIRECT),
+}
+
+
+def _sole_forward_port(rule: Rule) -> Optional[str]:
+    """The port when ``rule``'s whole action list is one ``Forward``."""
+    actions = rule.actions.actions
+    if len(actions) == 1 and isinstance(actions[0], Forward):
+        return actions[0].port
+    return None
 
 
 class DifaneSwitch(DataPlaneSwitch):
@@ -173,6 +191,9 @@ class DifaneSwitch(DataPlaneSwitch):
         #: ``None``/empty otherwise so the hot path stays a cheap test.
         self._qos = None
         self._qc: dict = {}
+        #: arrival instant -> in-band install entries awaiting that event
+        #: (see :meth:`queue_cache_installs`).
+        self._pending_installs: dict = {}
 
     # -- wiring ---------------------------------------------------------------
     def attach(self, network) -> None:
@@ -423,11 +444,13 @@ class DifaneSwitch(DataPlaneSwitch):
         """Columnar :meth:`process`: classify and act on a whole batch.
 
         Counters, rule statistics, delivery records and traces land as
-        per-packet :meth:`process` calls would until a cache evicts: a
-        burst's installs arrive per flow, not in packet order, and LRU
-        breaks ties by install order (DESIGN.md, "Equivalence &
-        determinism").  Capacity-bounded paths (the redirect station) are
-        defined per packet and degrade to the scalar path.
+        per-packet :meth:`process` calls would.  Accounting is per
+        (stage, rule) group, but forwarding is per *egress*: every group
+        whose action list is one ``Forward`` — or one redirect — toward
+        the same destination leaves as a single sub-batch in packet
+        order, so a burst stays a burst on its next link however many
+        rules it matched.  Capacity-bounded paths (the redirect station)
+        are defined per packet and degrade to the scalar path.
         """
         now = self._now()
         if batch.encap_destination is not None:
@@ -448,99 +471,100 @@ class DifaneSwitch(DataPlaneSwitch):
             return
 
         tracer = self.network.tracer
+        egress: dict = {}
         for stage, rule, indices in self.pipeline.classify_batch(batch, now):
-            sub = batch.select(indices)
             count = len(indices)
-            if stage is PipelineStage.CACHE:
-                self.cache_hits += count
-                self._m["cache_hits"].inc(count)
-                if self._qos is not None:
-                    self._qos_count("cache_hits", sub.header_bits_list())
-                if tracer.enabled:
-                    tracer.record_batch(
-                        now, TraceKind.CACHE_HIT, sub.packets(), node=self.name
-                    )
-                self._terminal_batch(sub, rule)
-            elif stage is PipelineStage.AUTHORITY:
-                self.authority_hits += count
-                self._m["authority_hits"].inc(count)
-                if self._qos is not None:
-                    self._qos_count("authority_hits", sub.header_bits_list())
-                if tracer.enabled:
-                    tracer.record_batch(
-                        now, TraceKind.AUTHORITY_HIT, sub.packets(), node=self.name
-                    )
-                self._terminal_batch(sub, rule)
-            elif stage is PipelineStage.PARTITION:
-                self.redirects_out += count
-                self._m["redirects_out"].inc(count)
-                if self._qos is not None:
-                    self._qos_count("redirects", sub.header_bits_list())
-                sub.via_authority[:] = True
-                if tracer.enabled:
-                    tracer.record_batch(
-                        now, TraceKind.REDIRECT, sub.packets(), node=self.name
-                    )
-                self._redirect_batch_via_partition(sub, rule)
-            else:
+            if stage is PipelineStage.MISS:
                 self.unmatched += count
                 self._m["unmatched"].inc(count)
-                self.network.record_drop_batch(sub, self.name, "no matching rule")
+                self.network.record_drop_batch(
+                    batch.select(indices), self.name, "no matching rule"
+                )
+                continue
+            stat, qos_stat, kind = _STAGE_ACCOUNTING[stage]
+            setattr(self, stat, getattr(self, stat) + count)
+            self._m[stat].inc(count)
+            if stage is PipelineStage.PARTITION:
+                batch.via_authority[indices] = True
+            if self._qos is not None or tracer.enabled:
+                sub = batch.select(indices)
+                if self._qos is not None:
+                    self._qos_count(qos_stat, sub.header_bits_list())
+                if tracer.enabled:
+                    tracer.record_batch(now, kind, sub.packets(), node=self.name)
+            if stage is PipelineStage.PARTITION:
+                destination = self._batch_redirect_destination(batch, indices, rule)
+            else:
+                destination = _sole_forward_port(rule)
+                if destination is None:
+                    self._terminal_batch(batch.select(indices), rule)
+            if destination is not None:
+                egress.setdefault(destination, []).extend(indices.tolist())
+        self._forward_by_egress(batch, egress)
 
-    def _redirect_batch_via_partition(self, batch, rule: Rule) -> None:
-        """Batch analogue of :meth:`_redirect_via_partition`.
+    def _forward_by_egress(self, batch, egress: dict) -> None:
+        """Tunnel one sub-batch per destination, each in packet order."""
+        for destination, indices in egress.items():
+            indices.sort()
+            sub = batch.select(indices)
+            sub.encapsulate(destination)
+            self.network.forward_batch_toward(self.name, destination, sub)
+
+    def _batch_redirect_destination(self, batch, indices, rule: Rule) -> Optional[str]:
+        """Batch analogue of :meth:`_redirect_via_partition`: the authority
+        switch the group at ``indices`` tunnels to.
 
         Destination resolution (primary reachability, backup failover)
         depends only on the partition rule and current routes, so it is
-        computed once per group; the rare degraded path (orphaned
-        partition → controller punt) is inherently per packet and
-        materializes the scalar view.
+        computed once per group.  ``None`` means the group was consumed
+        here: the rare degraded path (orphaned partition → controller
+        punt) is inherently per packet and materializes the scalar view.
         """
-        count = len(batch)
         action = rule.actions.actions[0]
-        destination = action.destination
-        if not self.network.routes.reachable(self.name, destination):
-            for backup in getattr(action, "backups", ()):
-                if self.network.routes.reachable(self.name, backup):
-                    destination = backup
-                    self.failovers += count
-                    self._m["failovers"].inc(count)
-                    if self.network.tracer.enabled:
-                        self.network.tracer.record_batch(
-                            self._now(), TraceKind.FAILOVER, batch.packets(),
-                            node=self.name, detail=backup,
-                        )
-                    break
-            else:
-                if self.control_channel is not None:
-                    self.degraded_packets += count
-                    self._m["degraded_packets"].inc(count)
-                    for packet in batch.packets():
-                        packet.via_controller = True
-                        if self.network.tracer.enabled:
-                            self.network.tracer.record(
-                                self._now(), TraceKind.DEGRADED, packet,
-                                node=self.name,
-                            )
-                        self.control_channel.send_to_controller(
-                            PacketIn(switch=self.name, packet=packet)
-                        )
-                    return
-                self.network.record_drop_batch(
-                    batch, self.name, "authority unreachable"
+        reachable = self.network.routes.reachable
+        if reachable(self.name, action.destination):
+            return action.destination
+        count = len(indices)
+        sub = batch.select(indices)
+        tracer = self.network.tracer
+        for backup in getattr(action, "backups", ()):
+            if reachable(self.name, backup):
+                self.failovers += count
+                self._m["failovers"].inc(count)
+                if tracer.enabled:
+                    tracer.record_batch(
+                        self._now(), TraceKind.FAILOVER, sub.packets(),
+                        node=self.name, detail=backup,
+                    )
+                return backup
+        if self.control_channel is None:
+            self.network.record_drop_batch(sub, self.name, "authority unreachable")
+            return None
+        self.degraded_packets += count
+        self._m["degraded_packets"].inc(count)
+        for packet in sub.packets():
+            packet.via_controller = True
+            if tracer.enabled:
+                tracer.record(
+                    self._now(), TraceKind.DEGRADED, packet, node=self.name
                 )
-                return
-        batch.encapsulate(destination)
-        self.network.forward_batch_toward(self.name, destination, batch)
+            self.control_channel.send_to_controller(
+                PacketIn(switch=self.name, packet=packet)
+            )
+        return None
 
     def _handle_redirect_batch(self, batch) -> None:
         """Authority-path processing of a redirected batch.
 
+        Terminal forwards leave per egress, like ingress classification.
         Install decisions are made **per unique flow**: the win-fragment
         computation (:func:`generate_cache_rule`) runs once per distinct
-        header in the batch, while the install messages and counters stay
-        per packet — exactly what the scalar path produces, minus the
-        redundant recomputation.
+        (ingress, winner, header), while the install messages and
+        counters stay per packet — each ingress is sent one sequence of
+        ``(packet id, fragment groups)`` and applies it in packet order
+        (:meth:`queue_cache_installs`), exactly what the scalar path
+        produces, minus the redundant recomputation and the per-message
+        events.
         """
         count = len(batch)
         self.redirects_handled += count
@@ -548,86 +572,116 @@ class DifaneSwitch(DataPlaneSwitch):
         batch.decapsulate()
         now = self._now()
         tracer = self.network.tracer
+        packets = batch.packets() if tracer.enabled else None
         if tracer.enabled:
             tracer.record_batch(
-                now, TraceKind.AUTHORITY_HANDLE, batch.packets(), node=self.name
+                now, TraceKind.AUTHORITY_HANDLE, packets, node=self.name
             )
         winners, rules = self.pipeline.authority.match_batch(batch, now)
-        missed = [i for i, w in enumerate(winners) if w < 0]
+        winners = winners.tolist()
+        # Snapshot headers before terminal actions (SetField rewrites
+        # would corrupt the win-fragment computation — the cache rule
+        # must match packets as they arrived at the ingress switch).
+        original_bits = batch.header_bits_list()
+        groups: dict = {}
+        for i, winner in enumerate(winners):
+            groups.setdefault(winner, []).append(i)
+        missed = groups.pop(-1, None)
         if missed:
             self.unmatched += len(missed)
             self.network.record_drop_batch(
                 batch.select(missed), self.name, "authority miss"
             )
-        groups: dict = {}
-        for i, winner in enumerate(winners):
-            if winner >= 0:
-                groups.setdefault(int(winner), []).append(i)
-        ingress = batch.ingress_switch
+        egress: dict = {}
         for winner, indices in groups.items():
-            rule = rules[winner]
-            sub = batch.select(indices)
-            # Snapshot headers before terminal actions (SetField rewrites
-            # would corrupt the win-fragment computation — the cache rule
-            # must match packets as they arrived at the ingress switch).
-            original_bits = sub.header_bits_list()
-            sub_packets = sub.packets() if tracer.enabled else None
-            self._terminal_batch(sub, rule)
-            if ingress is None:
-                continue
-            # Group the sub-batch by unique flow so the expensive cache
-            # rule generation runs once per flow, not once per packet.
-            flows: dict = {}
-            for position, bits in enumerate(original_bits):
-                flows.setdefault(bits, []).append(position)
-            if ingress != self.name:
-                target = self.network.node(ingress)
-                delay = self.install_latency_s + self.network.routes.distance(
-                    self.name, ingress
-                )
-                penalty = self.network.routes.distance(ingress, self.name) + delay
-                for bits, positions in flows.items():
-                    cached_rules = self._cache_rules_for(rule, bits)
-                    repeat = len(positions)
-                    for group in self._fragment_groups(cached_rules, penalty):
-                        for cached in group:
-                            self.cache_installs_sent += repeat
-                            self._m["cache_installs_sent"].inc(repeat)
-                            if tracer.enabled:
-                                for position in positions:
-                                    tracer.record(
-                                        self._now(), TraceKind.INSTALL_SENT,
-                                        sub_packets[position],
-                                        node=self.name, detail=ingress,
-                                    )
-                        if len(group) == 1:
-                            self.network.scheduler.schedule_batch(
-                                delay, target.install_cache_rule_times,
-                                group[0], repeat,
-                            )
-                        else:
-                            # One batched message per redirected packet.
-                            self.cache_install_batches_sent += repeat
-                            self.network.scheduler.schedule_batch(
-                                delay, target.install_cache_rules_times,
-                                group, repeat,
-                            )
+            destination = _sole_forward_port(rules[winner])
+            if destination is None:
+                self._terminal_batch(batch.select(indices), rules[winner])
             else:
-                # Degenerate single-switch case: cache locally.
-                for bits, positions in flows.items():
-                    cached_rules = self._cache_rules_for(rule, bits)
-                    self._fragment_groups(cached_rules, self.install_latency_s)
-                    for cached in cached_rules:
-                        self.install_cache_rule_times(cached, len(positions))
+                egress.setdefault(destination, []).extend(indices)
+        self._forward_by_egress(batch, egress)
+
+        by_ingress: dict = {}
+        for i, ingress in enumerate(batch.ingress_switch.tolist()):
+            if ingress is not None and winners[i] >= 0:
+                by_ingress.setdefault(ingress, []).append(i)
+        packet_ids = batch.packet_ids.tolist()
+        distance = self.network.routes.distance
+        for ingress, indices in by_ingress.items():
+            delay = self.install_latency_s + distance(self.name, ingress)
+            # The full miss penalty the ingress pays to re-fetch an entry
+            # (see :meth:`_send_cache_install`).
+            penalty = distance(ingress, self.name) + delay
+            flows: dict = {}  # (winner, header) -> fragment groups
+            entries = []
+            for i in indices:
+                key = (winners[i], original_bits[i])
+                fragment_groups = flows.get(key)
+                if fragment_groups is None:
+                    fragment_groups = flows[key] = self._fragment_groups(
+                        self._cache_rules_for(rules[key[0]], key[1]), penalty
+                    )
+                entries.append((packet_ids[i], fragment_groups))
+            target = self.network.node(ingress)
+            if target is self:
+                # Degenerate single-switch case: cache locally, no message.
+                self._install_in_packet_order(entries)
+                continue
+            for i, (_, fragment_groups) in zip(indices, entries):
+                for group in fragment_groups:
+                    self.cache_installs_sent += len(group)
+                    self._m["cache_installs_sent"].inc(len(group))
+                    if len(group) > 1:
+                        self.cache_install_batches_sent += 1
+                    if tracer.enabled:
+                        for _ in group:
+                            tracer.record(
+                                now, TraceKind.INSTALL_SENT, packets[i],
+                                node=self.name, detail=ingress,
+                            )
+            target.queue_cache_installs(delay, entries)
+
+    def queue_cache_installs(self, delay: float, entries: list) -> None:
+        """Receive one authority's in-band installs for a redirected batch.
+
+        ``entries`` is ``[(packet id, fragment groups), ...]``, one entry
+        per redirected packet.  Sequences that arrive at the same instant
+        — several authorities answering one burst — share one event and
+        are applied together in packet order.
+        """
+        arrival = self._now() + delay
+        pending = self._pending_installs.get(arrival)
+        if pending is not None:
+            pending.extend(entries)
+            return
+        self._pending_installs[arrival] = entries
+        self.network.scheduler.schedule_batch(
+            delay, self._apply_cache_installs, arrival
+        )
+
+    def _apply_cache_installs(self, arrival: float) -> None:
+        self._install_in_packet_order(self._pending_installs.pop(arrival))
+
+    def _install_in_packet_order(self, entries: list) -> None:
+        """One :meth:`install_cache_rule` per packet per fragment, sorted by
+        packet id: the order the scalar path's per-packet install messages
+        arrive in, which LRU relies on when it breaks equal-activity ties
+        by install order."""
+        entries.sort(key=itemgetter(0))
+        for _, fragment_groups in entries:
+            for group in fragment_groups:
+                for rule in group:
+                    self.install_cache_rule(rule)
 
     def install_cache_rule_times(self, rule: Rule, count: int) -> None:
         """Absorb ``count`` identical in-band installs in one call.
 
-        The scalar path sends one install message per redirected packet;
-        the columnar sender collapses a same-flow group into one event
-        carrying the multiplicity.  Looping here keeps every counter and
-        the duplicate-refresh behaviour of :class:`CacheManager` identical
-        to ``count`` separate messages.
+        Looping keeps every counter and the duplicate-refresh behaviour of
+        :class:`CacheManager` identical to ``count`` separate messages.
+        Nothing in ``src/`` sends a multiplicity any more (installs are
+        applied per packet, :meth:`queue_cache_installs`); this and
+        :meth:`install_cache_rules_times` remain because the benchmark's
+        hook table names them.
         """
         for _ in range(count):
             self.install_cache_rule(rule)
@@ -639,9 +693,8 @@ class DifaneSwitch(DataPlaneSwitch):
             self.install_cache_rule(rule)
 
     def install_cache_rules_times(self, rules: List[Rule], count: int) -> None:
-        """Columnar analogue of :meth:`install_cache_rules`: absorb the
-        same fragment batch ``count`` times (packet-outer, fragment-inner,
-        matching the scalar per-packet send order)."""
+        """:meth:`install_cache_rules`, ``count`` times (packet-outer,
+        fragment-inner, matching the scalar per-packet send order)."""
         for _ in range(count):
             for rule in rules:
                 self.install_cache_rule(rule)

@@ -71,11 +71,12 @@ def layout_vectorizes(layout: HeaderLayout) -> bool:
 class PacketBatch:
     """A same-instant burst of packets in struct-of-arrays form.
 
-    Per-packet data lives in parallel numpy arrays; attributes that are
-    uniform across a burst by construction (creation time, ingress switch,
-    encapsulation state) are shared scalars.  Mutating helpers
-    (:meth:`set_field`, ``hops += 1``, the via-flag arrays) match the
-    scalar :class:`Packet` bookkeeping operation-for-operation.
+    Per-packet data lives in parallel numpy arrays; the two attributes
+    every packet of a batch shares (creation time, encapsulation state —
+    :meth:`concat` joins only batches that agree on both) are scalars.
+    Mutating helpers (:meth:`set_field`, ``hops += 1``, the via-flag
+    arrays) match the scalar :class:`Packet` bookkeeping
+    operation-for-operation.
 
     Attributes
     ----------
@@ -88,12 +89,19 @@ class PacketBatch:
     packet_ids:
         int64 array drawn from the same global counter scalar packets use,
         so a burst consumes ids exactly as its scalar materialization would.
+    ingress_switch:
+        Object array of per-packet ingress switch names (``None`` until
+        injection): batches from several ingresses merge at a shared hop.
+    uniform_size:
+        The size in bytes every packet has, or ``None`` when sizes differ
+        (or are not known to agree) — lets a link skip reducing
+        ``size_bytes`` on every send.
     """
 
     __slots__ = (
         "layout", "fields", "flow_ids", "packet_ids", "size_bytes", "hops",
         "via_authority", "via_controller", "created_at", "ingress_switch",
-        "encap_destination", "_bits",
+        "encap_destination", "uniform_size", "_bits",
     )
 
     def __init__(
@@ -107,9 +115,10 @@ class PacketBatch:
         via_authority: np.ndarray,
         via_controller: np.ndarray,
         created_at: Optional[float] = None,
-        ingress_switch: Optional[str] = None,
+        ingress_switch: Optional[np.ndarray] = None,
         encap_destination: Optional[str] = None,
         bits: Optional[List[int]] = None,
+        uniform_size: Optional[int] = None,
     ):
         self.layout = layout
         self.fields = fields
@@ -120,8 +129,12 @@ class PacketBatch:
         self.via_authority = via_authority
         self.via_controller = via_controller
         self.created_at = created_at
-        self.ingress_switch = ingress_switch
+        self.ingress_switch = (
+            np.full(len(packet_ids), None, dtype=object)
+            if ingress_switch is None else ingress_switch
+        )
         self.encap_destination = encap_destination
+        self.uniform_size = uniform_size
         #: Lazily packed header words (list of Python ints; the layout may
         #: be wider than 64 bits, so these cannot live in numpy).
         self._bits = bits
@@ -187,16 +200,17 @@ class PacketBatch:
             np.zeros(count, dtype=bool),
             np.zeros(count, dtype=bool),
             bits=bits,
+            uniform_size=size_bytes,
         )
 
     @classmethod
     def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
         """Adopt an existing scalar burst (shared attributes must be uniform).
 
-        The packets keep their ids; shared scalars (creation time, ingress,
+        The packets keep their ids; the shared scalars (creation time,
         encapsulation) are taken from the first packet and must agree
-        across the burst — batches model same-instant single-ingress
-        bursts, which is the only shape the injection APIs produce.
+        across the burst — batches model same-instant bursts, which is
+        the only shape the injection APIs produce.
         """
         packets = list(packets)
         if not packets:
@@ -207,7 +221,6 @@ class PacketBatch:
             if (
                 packet.layout != layout
                 or packet.created_at != first.created_at
-                or packet.ingress_switch != first.ingress_switch
                 or packet.encap_destination != first.encap_destination
             ):
                 raise ValueError("burst packets must share layout and shared scalars")
@@ -218,6 +231,9 @@ class PacketBatch:
             columns = _columns_from_bits(layout, bits)
         flow_array = np.empty(count, dtype=object)
         flow_array[:] = [packet.flow_id for packet in packets]
+        ingress_array = np.empty(count, dtype=object)
+        ingress_array[:] = [packet.ingress_switch for packet in packets]
+        sizes = {packet.size_bytes for packet in packets}
         return cls(
             layout,
             columns,
@@ -228,9 +244,55 @@ class PacketBatch:
             np.array([packet.via_authority for packet in packets], dtype=bool),
             np.array([packet.via_controller for packet in packets], dtype=bool),
             created_at=first.created_at,
-            ingress_switch=first.ingress_switch,
+            ingress_switch=ingress_array,
             encap_destination=first.encap_destination,
             bits=bits,
+            uniform_size=sizes.pop() if len(sizes) == 1 else None,
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["PacketBatch"]) -> "PacketBatch":
+        """Join batches end to end (packet order: ``parts`` order, then each
+        part's own).
+
+        The parts must share layout, creation time and encapsulation —
+        what stays a scalar on the result; everything per-packet
+        (``ingress_switch`` included) is concatenated.  A single part is
+        returned as is.
+        """
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(part, name) for part in parts])
+
+        fields = None
+        if first.fields is not None:
+            fields = {
+                name: np.concatenate([part.fields[name] for part in parts])
+                for name in first.fields
+            }
+        bits = None
+        if all(part._bits is not None for part in parts):
+            bits = [word for part in parts for word in part._bits]
+        size = first.uniform_size
+        return cls(
+            first.layout,
+            fields,
+            joined("flow_ids"),
+            joined("packet_ids"),
+            joined("size_bytes"),
+            joined("hops"),
+            joined("via_authority"),
+            joined("via_controller"),
+            created_at=first.created_at,
+            ingress_switch=joined("ingress_switch"),
+            encap_destination=first.encap_destination,
+            bits=bits,
+            uniform_size=(
+                size if all(part.uniform_size == size for part in parts) else None
+            ),
         )
 
     # -- scalar view -----------------------------------------------------------
@@ -249,7 +311,7 @@ class PacketBatch:
         via_c = self.via_controller
         layout = self.layout
         created_at = self.created_at
-        ingress = self.ingress_switch
+        ingress = self.ingress_switch.tolist()
         encap = self.encap_destination
         out = []
         for i in range(len(packet_ids)):
@@ -260,7 +322,7 @@ class PacketBatch:
             packet.size_bytes = int(sizes[i])
             packet.packet_id = int(packet_ids[i])
             packet.created_at = created_at
-            packet.ingress_switch = ingress
+            packet.ingress_switch = ingress[i]
             packet.encap_destination = encap
             packet.hops = int(hops[i])
             packet.via_authority = bool(via_a[i])
@@ -328,9 +390,10 @@ class PacketBatch:
             self.via_authority[indices],
             self.via_controller[indices],
             created_at=self.created_at,
-            ingress_switch=self.ingress_switch,
+            ingress_switch=self.ingress_switch[indices],
             encap_destination=self.encap_destination,
             bits=bits,
+            uniform_size=self.uniform_size,
         )
 
     # -- dunder -------------------------------------------------------------------------
@@ -339,7 +402,8 @@ class PacketBatch:
 
     def __repr__(self) -> str:
         encap = f" encap={self.encap_destination}" if self.encap_destination else ""
-        return f"<PacketBatch n={len(self)} ingress={self.ingress_switch}{encap}>"
+        ingress = sorted({str(name) for name in self.ingress_switch.tolist()})
+        return f"<PacketBatch n={len(self)} ingress={','.join(ingress)}{encap}>"
 
 
 def _columns_from_bits(

@@ -105,7 +105,6 @@ class _BatchBlock:
     def materialize(self) -> List[DeliveryRecord]:
         batch = self.batch
         created_at = batch.created_at or 0.0
-        ingress = batch.ingress_switch
         # tolist() converts each column to Python objects in one C pass;
         # per-element numpy indexing dominated the delivery hot path.
         return [
@@ -114,12 +113,13 @@ class _BatchBlock:
                 self.delivered, hop, via_a, via_c, ingress,
                 self.endpoint, self.drop_reason,
             )
-            for packet_id, flow_id, hop, via_a, via_c in zip(
+            for packet_id, flow_id, hop, via_a, via_c, ingress in zip(
                 batch.packet_ids.tolist(),
                 batch.flow_ids.tolist(),
                 batch.hops.tolist(),
                 batch.via_authority.tolist(),
                 batch.via_controller.tolist(),
+                batch.ingress_switch.tolist(),
             )
         ]
 
@@ -279,7 +279,7 @@ class SimNetwork:
         return Link(
             a, b, spec, self.scheduler, self._arrive,
             on_loss=self._link_loss, seed=self.loss_seed,
-            deliver_batch=self._arrive_batch,
+            deliver_batch=self._arrive_batches,
         )
 
     def _build_links(self) -> None:
@@ -420,7 +420,7 @@ class SimNetwork:
             return
         now = self.scheduler.now
         batch.created_at = now
-        batch.ingress_switch = switch
+        batch.ingress_switch[:] = switch
         self._m_injected.inc(len(batch))
         if self.tracer.enabled:
             self.tracer.record_batch(now, TraceKind.INGRESS, batch.packets(), node=switch)
@@ -546,6 +546,25 @@ class SimNetwork:
             self.record_drop(packet, node_name, "no behaviour registered")
             return
         behaviour.handle_packet(self, packet)
+
+    def _arrive_batches(self, node_name: str, batches: List[PacketBatch]) -> None:
+        """Everything one link delivers to ``node_name`` at one instant.
+
+        Batches that share tunnel destination and creation time (the
+        sub-batches a switch forwarded the same way, or several ingresses'
+        traffic converging on one next hop) continue as one batch, so the
+        node classifies, forwards and records per (link, instant), not per
+        upstream send.
+        """
+        if len(batches) > 1:
+            merged: Dict[tuple, List[PacketBatch]] = {}
+            for batch in batches:
+                merged.setdefault(
+                    (batch.encap_destination, batch.created_at), []
+                ).append(batch)
+            batches = [PacketBatch.concat(parts) for parts in merged.values()]
+        for batch in batches:
+            self._arrive_batch(node_name, batch)
 
     def _arrive_batch(self, node_name: str, batch: PacketBatch) -> None:
         if node_name in self._hosts:

@@ -192,9 +192,10 @@ class DifanePipeline:
         positions within ``batch`` (ascending within each group), ``rule``
         is ``None`` only for the trailing MISS group.  Stage counters,
         ``misses`` and per-rule hit statistics land exactly as per-packet
-        :meth:`lookup` calls would; only the grouping (and so the action
-        order within one same-instant batch) differs — invisible until a
-        full cache breaks LRU ties by install order (DESIGN.md).
+        :meth:`lookup` calls would — which is why the caller is free to
+        regroup: :meth:`DifaneSwitch.process_packet_batch` merges the
+        groups that leave by the same egress and forwards each merged
+        sub-batch in packet order (DESIGN.md, "Columnar core").
         """
         stages = self._m_stage
         groups: List[Tuple[PipelineStage, Optional[Rule], np.ndarray]] = []

@@ -25,9 +25,16 @@ from repro.core.controller import DifaneNetwork
 from repro.flowspace.batch import PacketBatch, layout_vectorizes, set_columnar
 from repro.flowspace.bits import mask_of_width
 from repro.flowspace import Forward, Match, Rule, RuleTable, Ternary
-from repro.flowspace.fields import FIVE_TUPLE_LAYOUT, TWO_FIELD_LAYOUT
+from repro.flowspace.fields import (
+    FIVE_TUPLE_LAYOUT,
+    IPV6_FIVE_TUPLE_LAYOUT,
+    TWO_FIELD_LAYOUT,
+)
+from repro.flowspace.packet import Packet
 from repro.flowspace.vectormatch import VectorMatcher
 from repro.net.events import EventScheduler
+from repro.net.links import Link, LinkSpec
+from repro.net.simnet import _BatchBlock
 from repro.net.topology import TopologyBuilder
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
@@ -35,6 +42,12 @@ from repro.switch.tcam import Tcam
 from repro.workloads.batches import TimedBatch, host_pair_batches
 from repro.workloads.classbench import generate_classbench
 from repro.workloads.policies import routing_policy_for_topology
+from repro.workloads.streaming import (
+    StreamSpec,
+    stream_bursts,
+    streaming_policy,
+    streaming_topology,
+)
 
 LAYOUT = FIVE_TUPLE_LAYOUT
 
@@ -169,6 +182,303 @@ def test_packet_batch_encapsulate_decapsulate():
         assert packet.encap_destination == "a1"
     batch.decapsulate()
     assert batch.encap_destination is None
+
+
+def _packet_view(packet):
+    return tuple(getattr(packet, name) for name in Packet.__slots__)
+
+
+@st.composite
+def _concat_parts(draw):
+    layout = draw(st.sampled_from([FIVE_TUPLE_LAYOUT, IPV6_FIVE_TUPLE_LAYOUT]))
+    parts = []
+    for index in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(0, 5))
+        values = st.lists(st.integers(0, 2**16 - 1), min_size=count, max_size=count)
+        batch = PacketBatch.from_fields(
+            layout, count,
+            flow_ids=draw(values),
+            size_bytes=draw(st.sampled_from([64, 1500])),
+            nw_dst=draw(values), tp_src=draw(values), tp_dst=80,
+        )
+        # What a hop has done to a batch by the time it meets another one.
+        batch.created_at = 0.25
+        batch.ingress_switch[:] = draw(st.sampled_from(["e0", "e1", None]))
+        batch.hops += index
+        batch.via_authority[:] = draw(st.booleans())
+        batch.encapsulate("a0")
+        if draw(st.booleans()):
+            batch.header_bits_list()                # packed words cached
+        parts.append(batch)
+    return parts
+
+
+@settings(max_examples=80, deadline=None)
+@given(parts=_concat_parts())
+def test_prop_concat_is_the_parts_end_to_end(parts):
+    """``concat(parts).packets()`` is the parts' ``packets()`` in order —
+    vectorizing and wide layouts, packed words cached on all, some or no
+    parts, sizes uniform or not — and the per-packet ingress survives
+    into the delivery rows."""
+    expected = [packet for part in parts for packet in part.packets()]
+    merged = PacketBatch.concat(parts)
+    assert (merged is parts[0]) == (len(parts) == 1)
+    assert list(map(_packet_view, merged.packets())) == list(map(_packet_view, expected))
+    sizes = {packet.size_bytes for part in parts for packet in part.packets()}
+    assert merged.uniform_size is None or sizes <= {merged.uniform_size}
+    if len({part.uniform_size for part in parts}) == 1:
+        assert merged.uniform_size == parts[0].uniform_size
+    picked = np.arange(0, len(merged), 2)
+    assert merged.select(picked).uniform_size == merged.uniform_size
+    assert list(map(_packet_view, merged.select(picked).packets())) == [
+        _packet_view(expected[i]) for i in picked
+    ]
+    rows = _BatchBlock(merged, "sink0", 0.5, True).materialize()
+    assert [row.ingress_switch for row in rows] == [p.ingress_switch for p in expected]
+    assert [row.packet_id for row in rows] == [p.packet_id for p in expected]
+
+
+def test_from_packets_keeps_mixed_ingress_and_knows_its_size():
+    first, second = _sample_batch(count=2).packets(), _sample_batch(count=2).packets()
+    for packet in first:
+        packet.ingress_switch = "e0"
+    for packet in second:
+        packet.ingress_switch = "e1"
+    second[1].size_bytes = 1500
+    assert PacketBatch.from_packets(first).uniform_size == 64
+    mixed = PacketBatch.from_packets(first + second)
+    assert mixed.ingress_switch.tolist() == ["e0", "e0", "e1", "e1"]
+    assert mixed.uniform_size is None
+    assert [p.ingress_switch for p in mixed.packets()] == ["e0", "e0", "e1", "e1"]
+
+
+# -- link coalescing ------------------------------------------------------------------
+
+def _test_link(spec=LinkSpec(), seed=0):
+    """A bare link whose arrivals land in a list as ``(time, [ids...])``:
+    one entry per arrival callback, batch arrivals as one id list per batch."""
+    scheduler = EventScheduler()
+    arrivals = []
+    link = Link(
+        "a", "b", spec, scheduler,
+        deliver=lambda node, packet: arrivals.append((scheduler.now, packet.packet_id)),
+        deliver_batch=lambda node, batches: arrivals.append(
+            (scheduler.now, [batch.packet_ids.tolist() for batch in batches])
+        ),
+        seed=seed,
+    )
+    return scheduler, link, arrivals
+
+
+def _flat(arrivals):
+    """Arrivals as sorted ``(time, packet id)`` pairs, scalar or batch."""
+    pairs = []
+    for time, ids in arrivals:
+        if isinstance(ids, int):
+            pairs.append((time, ids))
+        else:
+            pairs.extend((time, i) for batch_ids in ids for i in batch_ids)
+    return sorted(pairs)
+
+
+def test_same_instant_sends_share_one_batch_event():
+    scheduler, link, arrivals = _test_link()
+    first, second, later = (_sample_batch(count=3) for _ in range(3))
+    link.send_batch(first)
+    link.send_batch(second)
+    assert scheduler.batch_events_scheduled == 1
+    # A send whose arrival instant differs starts its own event ...
+    scheduler.schedule(1e-6, link.send_batch, later)
+    scheduler.run()
+    assert scheduler.batch_events_scheduled == 2
+    delay = LinkSpec().transfer_delay(64)
+    assert arrivals == [
+        (delay, [first.packet_ids.tolist(), second.packet_ids.tolist()]),
+        (1e-6 + delay, [later.packet_ids.tolist()]),
+    ]
+    assert link.packets_carried == 9 and link.bytes_carried == 9 * 64
+    # ... and so does one made once the event has fired.
+    link.send_batch(_sample_batch(count=2))
+    assert scheduler.batch_events_scheduled == 3
+
+
+def test_a_fired_batch_event_is_detached_from_the_link():
+    """On a zero-delay link a send made right after an arrival has the
+    *same* arrival instant as the event that just fired; it must travel
+    in a new event, not be appended to the list already handed over."""
+    scheduler, link, arrivals = _test_link(
+        LinkSpec(propagation_s=0.0, bandwidth_bps=float("inf"))
+    )
+    first, second = _sample_batch(count=2), _sample_batch(count=2)
+    link.send_batch(first)
+    scheduler.run()
+    link.send_batch(second)
+    scheduler.run()
+    assert arrivals == [
+        (0.0, [first.packet_ids.tolist()]), (0.0, [second.packet_ids.tolist()]),
+    ]
+
+
+def test_mixed_size_batch_arrives_once_per_size():
+    scheduler, link, arrivals = _test_link()
+    packets = _sample_batch(count=4).packets()
+    packets[1].size_bytes = packets[3].size_bytes = 1500
+    batch = PacketBatch.from_packets(packets)
+    link.send_batch(batch)
+    scheduler.run()
+    ids = batch.packet_ids.tolist()
+    assert arrivals == [
+        (LinkSpec().transfer_delay(64), [[ids[0], ids[2]]]),
+        (LinkSpec().transfer_delay(1500), [[ids[1], ids[3]]]),
+    ]
+    assert link.bytes_carried == 2 * 64 + 2 * 1500
+
+
+@pytest.mark.parametrize("faults", [dict(loss_probability=0.3), dict(jitter_s=1e-4)])
+def test_faulty_link_draws_per_packet_in_packet_order(faults):
+    """Loss and jitter are untouched by coalescing: a batch consumes the
+    link's RNG exactly as its packets sent one by one would, and two
+    same-instant sends on a lossy link stay two events."""
+    spec = LinkSpec(**faults)
+    batches = [_sample_batch(count=20), _sample_batch(count=20)]
+    scalar_scheduler, scalar_link, scalar_arrivals = _test_link(spec, seed=7)
+    for batch in batches:
+        for packet in batch.packets():
+            scalar_link.send(packet)
+    scalar_scheduler.run()
+    scheduler, link, arrivals = _test_link(spec, seed=7)
+    for batch in batches:
+        link.send_batch(batch)
+    if not spec.jitter_s:
+        assert scheduler.batch_events_scheduled == 2
+    scheduler.run()
+    assert _flat(arrivals) == _flat(scalar_arrivals)
+    assert link.packets_lost == scalar_link.packets_lost
+    assert (link.packets_lost > 0) == bool(spec.loss_probability)
+    assert (link.packets_carried, link.bytes_carried) == (
+        scalar_link.packets_carried, scalar_link.bytes_carried,
+    )
+
+
+# -- packet-ordered installs, egress bucketing -----------------------------------------
+
+def _tied_install_run(columnar, spy=None):
+    """Two ingresses, two equidistant authorities, caches of 8: installs
+    from ``a0`` and ``a1`` reach an ingress at the same instant, and from
+    the second epoch on every install evicts."""
+    set_columnar(columnar)
+    fresh_run_context()
+    spec = StreamSpec(
+        hosts=4096, edge_switches=2, authority_switches=2, epochs=4,
+        burst_size=64, rules_per_switch=16,
+    )
+    facade = DifaneNetwork.build(
+        streaming_topology(spec), streaming_policy(spec, LAYOUT), LAYOUT,
+        authority_switches=spec.authority_names(), cache_capacity=8,
+    )
+    ingress = facade.switch("e0")
+    evicted = []
+    ingress.pipeline.cache.add_evict_hook(lambda rule: evicted.append(str(rule.match)))
+    if spy is not None:
+        spy(facade)
+    for timed in stream_bursts(spec, LAYOUT):
+        facade.send_batch_at(timed.time, timed.switch, timed.batch)
+    facade.run()
+    table = [str(rule.match) for rule in ingress.pipeline.cache.table.rules]
+    sent = [facade.switch(name).cache_installs_sent for name in ("a0", "a1")]
+    return table, evicted, sent
+
+
+def test_tied_installs_from_two_authorities_land_in_packet_order():
+    queued = []
+
+    def spy(facade):
+        ingress = facade.switch("e0")
+        queue = ingress.queue_cache_installs
+
+        def recording(delay, entries):
+            queued.append(facade.network.scheduler.now + delay)
+            queue(delay, entries)
+        ingress.queue_cache_installs = recording
+
+    scalar_table, scalar_evicted, scalar_sent = _tied_install_run(False)
+    table, evicted, sent = _tied_install_run(True, spy)
+    assert min(sent) > 0 and len(queued) > len(set(queued)), "no tie to break"
+    assert len(evicted) > 8
+    assert sent == scalar_sent
+    assert evicted == scalar_evicted            # same victims, same order
+    assert table == scalar_table
+
+
+@pytest.mark.parametrize("prefetch", [1, 4])
+def test_redirect_to_own_ingress_caches_locally_in_packet_order(prefetch):
+    """The degenerate single-switch case (a burst tunnelled to the switch
+    it entered at) installs synchronously — and, like the remote case, per
+    packet in packet order, not per flow: 24 installs into a 4-entry cache
+    evict the same victims as 24 scalar packets."""
+    def run(columnar):
+        set_columnar(columnar)
+        context = fresh_run_context(trace=True)
+        topo = TopologyBuilder.star(leaf_count=3, hosts_per_leaf=2)
+        rules, host_ips = routing_policy_for_topology(topo, LAYOUT, seed=1)
+        facade = DifaneNetwork.build(
+            topo, rules, LAYOUT, authority_count=1, cache_capacity=4,
+            redirect_rate=None, prefetch_fragments=prefetch,
+        )
+        switch = next(s for s in facade.switches() if len(s.pipeline.authority))
+        addresses = list(host_ips.values())
+        picks = np.random.default_rng(3).integers(0, len(addresses), 24)
+        batch = PacketBatch.from_fields(
+            LAYOUT, 24, flow_ids=list(range(24)), nw_src=addresses[0],
+            nw_dst=[addresses[i] for i in picks], nw_proto=6, tp_dst=80,
+        )
+        batch.created_at = 0.0
+        batch.ingress_switch[:] = switch.name
+        batch.encapsulate(switch.name)
+        if columnar:
+            switch.handle_batch(facade.network, batch)
+        else:
+            for packet in batch.packets():
+                switch.handle_packet(facade.network, packet)
+        facade.run()
+        return (
+            context.metrics.snapshot(exclude_prefixes=("artifact_cache_",)),
+            [str(rule.match) for rule in switch.pipeline.cache.table.rules],
+            switch.cache_installs_received, switch.cache.evicted,
+            context.tracer.accounting(),
+        )
+
+    scalar = run(False)
+    assert scalar[2] >= 24 and scalar[3] > 0
+    assert run(True) == scalar
+
+
+def test_a_burst_leaves_as_one_sub_batch_per_egress_in_packet_order():
+    forwards = []
+    bursts = {epoch * StreamSpec.epoch_interval_s for epoch in range(4)}
+
+    def spy(facade):
+        forward = facade.network.forward_batch_toward
+
+        def recording(at_node, destination, batch):
+            # Classification points only (an ingress at a burst instant,
+            # an authority); transit relays whatever order arrived.
+            now = facade.network.scheduler.now
+            if at_node in ("a0", "a1") or (at_node != "core" and now in bursts):
+                forwards.append(
+                    (now, at_node, destination, batch.packet_ids.tolist())
+                )
+            forward(at_node, destination, batch)
+        facade.network.forward_batch_toward = recording
+
+    _tied_install_run(True, spy)
+    assert any(len(ids) > 1 for *_, ids in forwards)
+    for *where, ids in forwards:
+        assert ids == sorted(ids), where
+    # One sub-batch per (instant, switch, destination): a burst that hits
+    # many rules toward one sink is not split per rule.
+    keys = [tuple(where) for *where, _ in forwards]
+    assert len(keys) == len(set(keys))
 
 
 # -- the vector matcher -------------------------------------------------------------

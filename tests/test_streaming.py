@@ -288,19 +288,16 @@ def _m1_cache_evictions(result):
 
 @pytest.mark.parametrize("epochs", [
     1,                                  # no cache has filled yet
-    2,                                  # first evictions; ties not yet decisive
-    pytest.param(3, marks=pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 2a: columnar delivers a burst's cache installs per "
-        "flow, scalar in packet order; once a cache is full LRU breaks "
-        "equal-activity ties by install order and the documents part.  "
-        "Delete this marker with the history-free tie-break.",
-    )),
+    2,                                  # first evictions
+    3,                                  # LRU first breaks a tie by install order
+    10,
+    M1_SMALL["epochs"],
 ])
-def test_m1_columnar_equals_scalar_until_evictions_break_ties(epochs):
-    """Looks for the M1 scalar/columnar break (DESIGN.md, "Equivalence &
-    determinism"): identical documents while no cache evicts, and the
-    smallest pinned size at which they stop being identical."""
+def test_m1_columnar_equals_scalar_through_evictions(epochs):
+    """Full caches are where install order shows (DESIGN.md, "Equivalence &
+    determinism"): LRU breaks equal-activity ties by it, and columnar
+    applies a burst's installs in packet order like scalar, so the
+    documents stay identical however long the caches have been evicting."""
     size = dict(epochs=epochs, cache_capacity=16, sketch=True)
     scalar, scalar_run = _m1_document(**size)
     set_columnar(True)
