@@ -88,8 +88,6 @@ from repro.core import (
     generate_cache_rule,
     generate_cache_rules,
     partition_policy,
-    prune_shadowed_rules,
-    shadow_report,
 )
 from repro.baselines import (
     NoxController,
@@ -131,8 +129,7 @@ __all__ = [
     "partition_policy", "Partition", "PartitionResult", "assign_partitions",
     "build_partition_rules", "generate_cache_rule", "generate_cache_rules",
     "DifaneSwitch", "DifaneController", "DifaneNetwork",
-    "choose_authority_switches", "prune_shadowed_rules", "shadow_report",
-    "ChurnWorkload",
+    "choose_authority_switches", "ChurnWorkload",
     # baselines
     "NoxController", "NoxSwitch", "NoxNetwork", "ProactiveNetwork",
     "simulate_microflow_cache", "simulate_wildcard_cache",

@@ -31,7 +31,6 @@ from repro.core.controller import (
     PartitionInvariantError,
 )
 from repro.core.placement import choose_authority_switches
-from repro.core.optimize import prune_shadowed_rules, shadow_report
 from repro.core.dynamics import ChurnEvent, ChurnWorkload
 from repro.core.frontend import DifaneFrontend
 
@@ -49,8 +48,6 @@ __all__ = [
     "HeartbeatMonitor",
     "PartitionInvariantError",
     "choose_authority_switches",
-    "prune_shadowed_rules",
-    "shadow_report",
     "ChurnEvent",
     "ChurnWorkload",
     "DifaneFrontend",

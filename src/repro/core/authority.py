@@ -379,13 +379,10 @@ class DifaneSwitch(DataPlaneSwitch):
             return
 
         # Ingress classification: the only branch that reads the clock.
-        now = self._now()
-        self._classified(packet, self.pipeline.lookup(packet, now), now)
-
-    def _classified(self, packet: Packet, result, now: float) -> None:
-        """Act on one ingress classification verdict (shared by the
-        per-packet and batch paths; counters and traces identical)."""
-        tracer = self.network.tracer
+        network = self.network
+        now = network.scheduler.now
+        result = self.pipeline.lookup(packet, now)
+        tracer = network.tracer
         if result.stage is PipelineStage.CACHE:
             self.cache_hits += 1
             self._m["cache_hits"].inc()
@@ -416,28 +413,7 @@ class DifaneSwitch(DataPlaneSwitch):
         else:
             self.unmatched += 1
             self._m["unmatched"].inc()
-            self.network.record_drop(packet, self.name, "no matching rule")
-
-    def process_batch(self, packets: List[Packet]) -> None:
-        """Classify a burst of ingress packets with one engine dispatch.
-
-        Encapsulated (transit / redirected) packets take the normal
-        per-packet path; everything else goes through
-        :meth:`DifanePipeline.lookup_batch`, then per-packet action
-        dispatch.  Outcome and counters are identical to calling
-        :meth:`process` per packet.
-        """
-        now = self._now()
-        ingress = []
-        for packet in packets:
-            if packet.is_encapsulated:
-                self.process(packet)
-            else:
-                ingress.append(packet)
-        if not ingress:
-            return
-        for packet, result in zip(ingress, self.pipeline.lookup_batch(ingress, now)):
-            self._classified(packet, result, now)
+            network.record_drop(packet, self.name, "no matching rule")
 
     # -- the columnar data plane ---------------------------------------------------
     def process_packet_batch(self, batch) -> None:
@@ -673,31 +649,11 @@ class DifaneSwitch(DataPlaneSwitch):
                 for rule in group:
                     self.install_cache_rule(rule)
 
-    def install_cache_rule_times(self, rule: Rule, count: int) -> None:
-        """Absorb ``count`` identical in-band installs in one call.
-
-        Looping keeps every counter and the duplicate-refresh behaviour of
-        :class:`CacheManager` identical to ``count`` separate messages.
-        Nothing in ``src/`` sends a multiplicity any more (installs are
-        applied per packet, :meth:`queue_cache_installs`); this and
-        :meth:`install_cache_rules_times` remain because the benchmark's
-        hook table names them.
-        """
-        for _ in range(count):
-            self.install_cache_rule(rule)
-
     def install_cache_rules(self, rules: List[Rule]) -> None:
         """Receive a batched in-band install: sibling win-region fragments
         of one policy rule, carried in a single message."""
         for rule in rules:
             self.install_cache_rule(rule)
-
-    def install_cache_rules_times(self, rules: List[Rule], count: int) -> None:
-        """:meth:`install_cache_rules`, ``count`` times (packet-outer,
-        fragment-inner, matching the scalar per-packet send order)."""
-        for _ in range(count):
-            for rule in rules:
-                self.install_cache_rule(rule)
 
     def _terminal_batch(self, batch, rule: Rule) -> None:
         """Batch analogue of :meth:`_terminal` (same action semantics)."""

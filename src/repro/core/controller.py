@@ -937,7 +937,7 @@ class DifaneNetwork:
 
         One scheduler event carries the whole same-instant burst (see
         :meth:`SimNetwork.inject_batch_at_switch`); with columnar mode off
-        the batch degrades to the scalar burst path at fire time, so the
+        the batch degrades to the per-packet scalar path at fire time, so the
         same workload schedule drives either mode.
         """
         self.network.scheduler.schedule_at(

@@ -360,71 +360,44 @@ class SimNetwork:
             self.tracer.record(self.scheduler.now, TraceKind.INGRESS, packet, node=switch)
         self._arrive(switch, packet)
 
-    def inject_burst_at_switch(self, switch: str, packets: List[Packet]) -> None:
-        """Hand a same-instant burst directly to ``switch``.
-
-        Flow-event workloads that emit many packets at one timestamp go
-        through the behaviour's ``handle_burst`` (batched classification,
-        see :meth:`MatchEngine.batch_lookup`) instead of paying per-packet
-        dispatch; behaviours without burst support fall back to the
-        per-packet path with identical outcomes.
-        """
-        now = self.scheduler.now
-        self._m_injected.inc(len(packets))
-        tracer = self.tracer
-        for packet in packets:
-            packet.created_at = now
-            packet.ingress_switch = switch
-            if tracer.enabled:
-                tracer.record(now, TraceKind.INGRESS, packet, node=switch)
-        behaviour = self._nodes.get(switch)
-        if behaviour is None:
-            for packet in packets:
-                self.record_drop(packet, switch, "no behaviour registered")
-            return
-        if (
-            columnar_enabled()
-            and packets
-            and hasattr(behaviour, "handle_batch")
-            and self.fabric_is_clean()
-            and not any(packet.is_encapsulated for packet in packets)
-        ):
-            # Columnar fast path: adopt the burst as a batch so the whole
-            # trip downstream (classify, per-hop transit, delivery) moves
-            # one batch per event instead of one packet per event.
-            behaviour.handle_batch(self, PacketBatch.from_packets(packets))
-            return
-        burst = getattr(behaviour, "handle_burst", None)
-        if burst is not None:
-            burst(self, packets)
-        else:
-            for packet in packets:
-                behaviour.handle_packet(self, packet)
-
     def inject_batch_at_switch(self, switch: str, batch: PacketBatch) -> None:
         """Hand a columnar same-instant batch directly to ``switch``.
 
-        The batch-native analogue of :meth:`inject_burst_at_switch`.  With
-        columnar mode off (or a behaviour without batch support) the batch
-        is materialized and takes the scalar oracle path — identical
-        packet ids, counters and outcomes.
+        With columnar mode off, a behaviour without batch support or a
+        fabric that draws randomness (:meth:`fabric_is_clean`), the batch
+        is materialized and every packet takes the scalar path
+        (``handle_packet`` → ``process``) — identical packet ids, counters
+        and outcomes.
         """
-        behaviour = self._nodes.get(switch)
-        if (
-            not columnar_enabled()
-            or behaviour is None
-            or not hasattr(behaviour, "handle_batch")
-            or not self.fabric_is_clean()
-        ):
-            self.inject_burst_at_switch(switch, batch.packets())
-            return
         now = self.scheduler.now
         batch.created_at = now
         batch.ingress_switch[:] = switch
         self._m_injected.inc(len(batch))
+        behaviour = self._nodes.get(switch)
+        if (
+            columnar_enabled()
+            and behaviour is not None
+            and hasattr(behaviour, "handle_batch")
+            and self.fabric_is_clean()
+        ):
+            if self.tracer.enabled:
+                self.tracer.record_batch(
+                    now, TraceKind.INGRESS, batch.packets(), node=switch
+                )
+            behaviour.handle_batch(self, batch)
+            return
+        # The scalar view carries the batch's stamps; every INGRESS is
+        # traced before the first packet is processed.
+        packets = batch.packets()
         if self.tracer.enabled:
-            self.tracer.record_batch(now, TraceKind.INGRESS, batch.packets(), node=switch)
-        behaviour.handle_batch(self, batch)
+            self.tracer.record_batch(now, TraceKind.INGRESS, packets, node=switch)
+        if behaviour is None:
+            for packet in packets:
+                self.record_drop(packet, switch, "no behaviour registered")
+            return
+        handle_packet = behaviour.handle_packet
+        for packet in packets:
+            handle_packet(self, packet)
 
     def transmit(self, from_node: str, to_node: str, packet: Packet) -> None:
         """Send ``packet`` over the ``from_node`` → ``to_node`` link."""

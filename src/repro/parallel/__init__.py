@@ -23,7 +23,6 @@ from repro.parallel.cache import (
     classbench_ruleset,
     configure_artifact_cache,
     flow_headers,
-    policy_partitions,
     zipf_packet_sequence,
 )
 from repro.parallel.provenance import host_provenance
@@ -39,7 +38,6 @@ __all__ = [
     "derive_seed",
     "flow_headers",
     "host_provenance",
-    "policy_partitions",
     "resolve_jobs",
     "zipf_packet_sequence",
 ]

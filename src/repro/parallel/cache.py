@@ -41,7 +41,6 @@ __all__ = [
     "classbench_ruleset",
     "flow_headers",
     "zipf_packet_sequence",
-    "policy_partitions",
 ]
 
 #: Default disk location when caching is enabled without an explicit dir.
@@ -236,25 +235,3 @@ def zipf_packet_sequence(
         ),
     )
     return list(sequence)
-
-
-def policy_partitions(policy_params: Dict[str, Any], layout, num_partitions: int):
-    """Cached flow-space partition of a cached ClassBench policy.
-
-    Memory-tier only: a ``PartitionResult`` references the policy's live
-    ``Rule`` objects, and downstream matching relies on that identity —
-    an unpickled disk copy would silently break it.
-    """
-    from repro.core.partition import partition_policy
-
-    params = {"policy": dict(policy_params), "layout": _layout_key(layout),
-              "num_partitions": num_partitions}
-    return _cache.get(
-        "partitions",
-        params,
-        lambda: partition_policy(
-            classbench_ruleset(layout=layout, **policy_params),
-            layout, num_partitions=num_partitions,
-        ),
-        disk=False,
-    )

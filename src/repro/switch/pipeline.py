@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time as _time
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -116,77 +116,33 @@ class DifanePipeline:
     def lookup(self, packet: Packet, now: Optional[float] = None) -> LookupResult:
         """Match ``packet`` through the stages in DIFANE order."""
         profiler = self._profiler
-        if profiler is not None and profiler.enabled:
-            started = _time.perf_counter()
-            result = self._lookup(packet, now)
-            profiler.observe("pipeline-lookup", _time.perf_counter() - started)
-            return result
-        return self._lookup(packet, now)
-
-    def _lookup(self, packet: Packet, now: Optional[float]) -> LookupResult:
-        stages = self._m_stage
+        started = (
+            _time.perf_counter()
+            if profiler is not None and profiler.enabled
+            else None
+        )
+        stage = PipelineStage.CACHE
         rule = self.cache.lookup(packet, now)
-        if rule is not None:
-            if stages is not None:
-                stages[PipelineStage.CACHE].inc()
-            return LookupResult(rule, PipelineStage.CACHE)
-        rule = self.authority.lookup(packet, now)
-        if rule is not None:
-            if stages is not None:
-                stages[PipelineStage.AUTHORITY].inc()
-            return LookupResult(rule, PipelineStage.AUTHORITY)
-        rule = self.partition.lookup(packet, now)
-        if rule is not None:
-            if stages is not None:
-                stages[PipelineStage.PARTITION].inc()
-            return LookupResult(rule, PipelineStage.PARTITION)
-        self.misses += 1
-        if stages is not None:
-            stages[PipelineStage.MISS].inc()
-        return LookupResult(None, PipelineStage.MISS)
-
-    def lookup_batch(
-        self, packets: Sequence[Packet], now: Optional[float] = None
-    ) -> List[LookupResult]:
-        """Batch :meth:`lookup`: classify a burst stage-by-stage.
-
-        Each stage's engine is dispatched once for the whole burst (the
-        point of :meth:`MatchEngine.batch_lookup`); packets that miss a
-        stage flow to the next one, preserving per-packet results and all
-        hit/miss counters exactly as sequential :meth:`lookup` calls would.
-        """
-        results: List[Optional[LookupResult]] = [None] * len(packets)
-        pending = list(range(len(packets)))
+        if rule is None:
+            stage = PipelineStage.AUTHORITY
+            rule = self.authority.lookup(packet, now)
+            if rule is None:
+                stage = PipelineStage.PARTITION
+                rule = self.partition.lookup(packet, now)
+                if rule is None:
+                    stage = PipelineStage.MISS
+                    self.misses += 1
         stages = self._m_stage
-        for tcam, stage in (
-            (self.cache, PipelineStage.CACHE),
-            (self.authority, PipelineStage.AUTHORITY),
-            (self.partition, PipelineStage.PARTITION),
-        ):
-            if not pending:
-                break
-            subset = [packets[i] for i in pending]
-            winners = tcam.lookup_batch(subset, now)
-            still_pending = []
-            for index, winner in zip(pending, winners):
-                if winner is not None:
-                    results[index] = LookupResult(winner, stage)
-                    if stages is not None:
-                        stages[stage].inc()
-                else:
-                    still_pending.append(index)
-            pending = still_pending
-        for index in pending:
-            self.misses += 1
-            results[index] = LookupResult(None, PipelineStage.MISS)
-        if stages is not None and pending:
-            stages[PipelineStage.MISS].inc(len(pending))
-        return results
+        if stages is not None:
+            stages[stage].inc()
+        if started is not None:
+            profiler.observe("pipeline-lookup", _time.perf_counter() - started)
+        return LookupResult(rule, stage)
 
     def classify_batch(
         self, batch, now: Optional[float] = None
     ) -> List[Tuple[PipelineStage, Optional[Rule], np.ndarray]]:
-        """Columnar :meth:`lookup_batch`: classify a whole batch per stage.
+        """Columnar :meth:`lookup`: classify a whole batch per stage.
 
         Returns ``(stage, rule, indices)`` groups — ``indices`` are
         positions within ``batch`` (ascending within each group), ``rule``

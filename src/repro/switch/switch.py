@@ -107,30 +107,12 @@ class DataPlaneSwitch:
         else:
             self._station.submit(packet)
 
-    def handle_burst(self, network, packets) -> None:
-        """Entry point for a same-instant packet burst.
-
-        When the switch has no per-packet budget or delay to model, the
-        whole burst goes through :meth:`process_batch` — one classify
-        dispatch instead of one per packet.  A switch with a processing
-        budget degrades to per-packet handling, since the budget is
-        defined packet-by-packet.
-        """
-        if self._station is not None or self.forwarding_delay_s > 0:
-            for packet in packets:
-                self.handle_packet(network, packet)
-            return
-        self.packets_seen += len(packets)
-        self._m_seen.inc(len(packets))
-        self.process_batch(list(packets))
-
     def handle_batch(self, network, batch) -> None:
         """Entry point for a columnar same-instant batch.
 
-        Mirrors :meth:`handle_burst`: a switch with a per-packet budget or
-        forwarding delay degrades to the scalar path (both are defined
-        packet-by-packet); otherwise the batch flows whole into
-        :meth:`process_packet_batch`.
+        A switch with a per-packet budget or forwarding delay degrades to
+        the scalar path (both are defined packet-by-packet); otherwise the
+        batch flows whole into :meth:`process_packet_batch`.
         """
         if self._station is not None or self.forwarding_delay_s > 0:
             for packet in batch.packets():
@@ -163,24 +145,15 @@ class DataPlaneSwitch:
         """Classify and act on one packet.  Subclasses must override."""
         raise NotImplementedError
 
-    def process_batch(self, packets) -> None:
-        """Classify and act on a same-instant burst.
-
-        The default is the per-packet loop; switches whose classifier
-        supports batched lookup (:meth:`MatchEngine.batch_lookup`)
-        override this to classify the burst in one engine dispatch.
-        """
-        for packet in packets:
-            self.process(packet)
-
     def process_packet_batch(self, batch) -> None:
         """Classify and act on a columnar batch.
 
-        The default materializes the scalar view and runs the burst path;
-        :class:`~repro.core.authority.DifaneSwitch` overrides this with
-        fully vectorized classification.
+        The default materializes the scalar view and runs :meth:`process`
+        per packet; :class:`~repro.core.authority.DifaneSwitch` overrides
+        this with fully vectorized classification.
         """
-        self.process_batch(batch.packets())
+        for packet in batch.packets():
+            self.process(packet)
 
     # -- action execution ---------------------------------------------------------------
     def execute(self, packet: Packet, actions: ActionList) -> None:

@@ -10,7 +10,7 @@ authority switch needs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -180,21 +180,6 @@ class Tcam:
                 for hook in self._hit_hooks:
                     hook(winner, 1, now)
         return winner
-
-    def lookup_batch(
-        self, packets: Sequence[Packet], now: Optional[float] = None
-    ) -> List[Optional[Rule]]:
-        """Batch :meth:`lookup`: one engine dispatch for a packet burst."""
-        winners = self.table.batch_lookup(packet.header_bits for packet in packets)
-        self.lookups += len(packets)
-        for packet, winner in zip(packets, winners):
-            if winner is not None:
-                self.hits += 1
-                winner.record_hit(packet, now)
-                if self._hit_hooks:
-                    for hook in self._hit_hooks:
-                        hook(winner, 1, now)
-        return winners
 
     def match_batch(
         self, batch, now: Optional[float] = None

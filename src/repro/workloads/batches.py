@@ -44,7 +44,7 @@ class TimedBatch:
         One :class:`TimedPacket` per packet, all at this burst's instant;
         ``source_host`` is the ingress switch because batches are injected
         switch-side (:meth:`SimNetwork.inject_batch_at_switch`), skipping
-        the host hop like :meth:`inject_burst_at_switch` workloads do.
+        the host hop.
         """
         return [
             TimedPacket(self.time, self.switch, packet)

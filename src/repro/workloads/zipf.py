@@ -8,7 +8,6 @@ deterministic for a given seed.
 
 from __future__ import annotations
 
-import random
 from typing import List
 
 import numpy as np

@@ -27,10 +27,10 @@ from repro.flowspace import (
     get_default_engine,
     set_default_engine,
 )
+from repro.flowspace.batch import PacketBatch, set_columnar
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.tuplespace import _TupleGroup
-from repro.switch.pipeline import DifanePipeline
-from repro.switch.tcam import Tcam
+from repro.obs import context as obs_context
 from repro.workloads.classbench import generate_classbench
 
 L = TWO_FIELD_LAYOUT
@@ -267,6 +267,13 @@ def _five_tuple_packets(count, seed=0):
 
 
 class TestBatchPaths:
+    @pytest.fixture(autouse=True)
+    def _scalar_mode_after(self):
+        previous = obs_context.current()
+        yield
+        set_columnar(False)
+        obs_context.install(previous)
+
     @pytest.mark.parametrize("engine", ENGINE_CHOICES)
     def test_table_batch_matches_sequential(self, engine):
         layout = FIVE_TUPLE_LAYOUT
@@ -276,84 +283,84 @@ class TestBatchPaths:
         bits = [p.header_bits for p in packets]
         assert table.batch_lookup(bits) == [table.lookup_bits(b) for b in bits]
 
-    def test_tcam_lookup_batch_counters(self):
-        layout = FIVE_TUPLE_LAYOUT
-        rules = generate_classbench("acl", count=80, seed=5, layout=layout)
-        packets = _five_tuple_packets(40, seed=6)
-        sequential, batched = Tcam(layout), Tcam(layout)
-        for r in rules:
-            sequential.install(r)
-            batched.install(r)
-        expected = [sequential.lookup(p, now=1.0) for p in packets]
-        got = batched.lookup_batch(packets, now=1.0)
-        assert got == expected
-        assert (batched.lookups, batched.hits) == (
-            sequential.lookups,
-            sequential.hits,
-        )
-
-    def test_pipeline_lookup_batch_matches_sequential(self):
-        layout = FIVE_TUPLE_LAYOUT
-        rules = generate_classbench("acl", count=60, seed=7, layout=layout)
-        packets = _five_tuple_packets(40, seed=8)
-        sequential, batched = DifanePipeline(layout), DifanePipeline(layout)
-        for pipeline in (sequential, batched):
-            for index, r in enumerate(rules):
-                # Spread the policy across the three stages.
-                stage = (pipeline.cache, pipeline.authority, pipeline.partition)[
-                    index % 3
-                ]
-                stage.install(r)
-        expected = [sequential.lookup(p) for p in packets]
-        got = batched.lookup_batch(packets)
-        assert [(r.rule, r.stage) for r in got] == [
-            (r.rule, r.stage) for r in expected
-        ]
-        assert batched.misses == sequential.misses
-
-    def test_burst_injection_equals_per_packet(self):
+    @staticmethod
+    def _three_switch_run(inject, columnar=False, lossy=False):
+        """Two same-instant 20-packet bursts into ``s0`` of a 3-switch line
+        (the first is redirected and installs cache rules, the second hits
+        them); ``inject(network, batch)`` picks the entry point."""
         from repro.core import DifaneNetwork
         from repro.net import TopologyBuilder
+        from repro.obs import fresh_run_context
         from repro.workloads.policies import routing_policy_for_topology
 
-        def build():
-            topo = TopologyBuilder.linear(3, hosts_per_switch=1)
-            rules, host_ips = routing_policy_for_topology(topo, FIVE_TUPLE_LAYOUT)
-            dn = DifaneNetwork.build(
-                topo,
-                rules,
-                FIVE_TUPLE_LAYOUT,
-                authority_switches=["s1"],
-                redirect_rate=None,
-            )
-            return dn, host_ips
+        set_columnar(columnar)
+        context = fresh_run_context(trace=True)
+        topo = TopologyBuilder.linear(3, hosts_per_switch=1)
+        rules, host_ips = routing_policy_for_topology(topo, FIVE_TUPLE_LAYOUT)
+        dn = DifaneNetwork.build(
+            topo, rules, FIVE_TUPLE_LAYOUT,
+            authority_switches=["s1"], redirect_rate=None,
+        )
+        if lossy:
+            # fabric_is_clean() turns false: even with columnar on, the
+            # batch must take the per-packet fallback.
+            dn.network.set_link_faults("s1", "s2", loss_probability=0.3)
+        for _ in range(2):
+            inject(dn.network, PacketBatch.from_fields(
+                FIVE_TUPLE_LAYOUT, 20, flow_ids=range(20),
+                nw_src=[0x0A000000 | i for i in range(20)],
+                nw_dst=host_ips["h2"], nw_proto=6,
+                tp_src=[1024 + i for i in range(20)], tp_dst=80,
+            ))
+            dn.network.run()
+        kinds = {}
+        for event in context.tracer.events():
+            kinds.setdefault(event.flow_id, []).append(event.kind)
+        counters = {
+            name: (sw.cache_hits, sw.authority_hits, sw.redirects_out, sw.packets_seen)
+            for name, sw in ((n, dn.switch(n)) for n in ("s0", "s1", "s2"))
+        }
+        return counters, len(dn.network.delivered()), kinds
 
-        def packets(host_ips):
-            return [
-                Packet.from_fields(
-                    FIVE_TUPLE_LAYOUT,
-                    flow_id=i,
-                    nw_src=0x0A000000 | i,
-                    nw_dst=host_ips["h2"],
-                    nw_proto=6,
-                    tp_src=1024 + i,
-                    tp_dst=80,
-                )
-                for i in range(20)
-            ]
+    @staticmethod
+    def _inject_batch(network, batch):
+        network.inject_batch_at_switch("s0", batch)
 
-        burst_dn, host_ips = build()
-        burst_dn.network.inject_burst_at_switch("s0", packets(host_ips))
-        burst_dn.network.run()
+    @staticmethod
+    def _inject_per_packet(network, batch):
+        for packet in batch.packets():
+            network.inject_at_switch("s0", packet)
 
-        seq_dn, host_ips = build()
-        for packet in packets(host_ips):
-            seq_dn.network.inject_at_switch("s0", packet)
-        seq_dn.network.run()
+    def _assert_batch_equals_per_packet(self, columnar, lossy):
+        batch = self._three_switch_run(self._inject_batch, columnar, lossy)
+        sequential = self._three_switch_run(self._inject_per_packet, False, lossy)
+        counters, delivered, _ = sequential
+        assert counters["s0"][0] > 0 and counters["s0"][2] > 0  # hits and redirects
+        assert (delivered < 40) == lossy
+        assert batch == sequential
 
-        assert len(burst_dn.network.delivered()) == len(seq_dn.network.delivered())
-        for name in ("s0", "s1", "s2"):
-            burst_sw, seq_sw = burst_dn.switch(name), seq_dn.switch(name)
-            assert burst_sw.cache_hits == seq_sw.cache_hits, name
-            assert burst_sw.authority_hits == seq_sw.authority_hits, name
-            assert burst_sw.redirects_out == seq_sw.redirects_out, name
+    def test_burst_injection_equals_per_packet(self):
+        """Columnar off: ``inject_batch_at_switch`` is N x ``inject_at_switch``."""
+        self._assert_batch_equals_per_packet(columnar=False, lossy=False)
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy-link"])
+    def test_columnar_batch_injection_equals_per_packet(self, lossy):
+        """Columnar on: the batch path on a clean fabric, the per-packet
+        fallback when one link draws randomness."""
+        self._assert_batch_equals_per_packet(columnar=True, lossy=lossy)
+
+    def test_batch_into_unregistered_switch_drops_every_packet(self):
+        from repro.net import SimNetwork, TopologyBuilder
+        from repro.obs import fresh_run_context
+
+        context = fresh_run_context()
+        network = SimNetwork(TopologyBuilder.linear(2, hosts_per_switch=1))
+        network.inject_batch_at_switch(
+            "s0", PacketBatch.from_fields(FIVE_TUPLE_LAYOUT, 5, nw_proto=6)
+        )
+        network.run()
+        assert [r.drop_reason for r in network.dropped()] == (
+            ["no behaviour registered"] * 5
+        )
+        assert not network.delivered()
+        assert context.metrics.counter("packets_injected_total").value == 5

@@ -1,75 +1,15 @@
-"""Tests for shadow pruning, fat-tree topologies and load rebalancing."""
+"""Tests for fat-tree topologies and load rebalancing."""
 
 import random
 
 import pytest
 
 from repro.core import DifaneNetwork
-from repro.core.optimize import prune_shadowed_rules, shadow_report
-from repro.flowspace import (
-    Drop,
-    FIVE_TUPLE_LAYOUT,
-    Forward,
-    Match,
-    Packet,
-    Rule,
-    RuleTable,
-    TWO_FIELD_LAYOUT,
-)
+from repro.flowspace import FIVE_TUPLE_LAYOUT, Packet
 from repro.net import TopologyBuilder
-from repro.workloads.classbench import generate_classbench
 from repro.workloads.policies import routing_policy_for_topology
 
-L2 = TWO_FIELD_LAYOUT
 L5 = FIVE_TUPLE_LAYOUT
-
-
-class TestShadowPruning:
-    def test_detects_single_cover(self):
-        wide = Rule(Match.build(L2, f1="0000xxxx"), 10, Forward("a"))
-        hidden = Rule(Match.build(L2, f1="00001xxx"), 5, Forward("b"))
-        live, dead = prune_shadowed_rules([wide, hidden], L2)
-        assert live == [wide]
-        assert dead == [hidden]
-
-    def test_detects_union_cover(self):
-        left = Rule(Match.build(L2, f1="0xxxxxxx"), 10, Forward("l"))
-        right = Rule(Match.build(L2, f1="1xxxxxxx"), 9, Forward("r"))
-        below = Rule(Match.any(L2), 1, Drop())
-        live, dead = prune_shadowed_rules([left, right, below], L2)
-        assert dead == [below]
-
-    def test_pruning_preserves_semantics(self):
-        rules = generate_classbench("fw", count=150, seed=51, layout=L5)
-        # Inject some certainly-shadowed rules.
-        clone = rules[0].derive(priority=0)
-        with_dead = rules[:1] + [clone] + rules[1:]
-        live, dead = prune_shadowed_rules(with_dead, L5)
-        assert clone in dead
-        original = RuleTable(L5, with_dead)
-        pruned = RuleTable(L5, live)
-        rng = random.Random(0)
-        for _ in range(200):
-            bits = rng.getrandbits(L5.width)
-            a = original.lookup_bits(bits)
-            b = pruned.lookup_bits(bits)
-            if a is None:
-                assert b is None
-            else:
-                assert b is not None and (
-                    a is b or a.actions == b.actions
-                )
-
-    def test_report(self):
-        wide = Rule(Match.any(L2), 10, Forward("a"))
-        hidden = Rule(Match.build(L2, f1=1), 5, Forward("b"))
-        report = shadow_report([wide, hidden], L2)
-        assert report == {
-            "total": 2, "live": 1, "shadowed": 1, "shadowed_fraction": 0.5,
-        }
-
-    def test_empty_policy(self):
-        assert shadow_report([], L2)["shadowed_fraction"] == 0.0
 
 
 class TestFatTree:
