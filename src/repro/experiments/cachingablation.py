@@ -8,8 +8,8 @@ the PR-8 streaming workloads — steady Zipf, flash crowds, mobility churn
 — sweeping eviction policy × per-switch cache capacity and reporting
 
 * miss rate (redirects / ingress classifications),
-* the miss-penalty CDF percentiles from the flow tracer
-  (:class:`repro.obs.flowtrace.FlowTraceAnalysis`),
+* the miss-penalty percentiles, read from the delivery log
+  (:func:`repro.obs.flowtrace.miss_penalty_summary`),
 * redirect load absorbed by the authority switches,
 * install-message overhead (messages, batched messages, receives), and
 * the eviction-churn split (capacity evictions / expirations / flushes).
@@ -34,7 +34,7 @@ from repro.experiments.common import ExperimentResult, resolve_engine
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.obs import context as _obs_context
 from repro.obs import fresh_run_context
-from repro.obs.flowtrace import FlowTraceAnalysis
+from repro.obs.flowtrace import miss_penalty_summary
 from repro.switch.cache import EvictionPolicy
 from repro.workloads.streaming import (
     StreamSpec,
@@ -80,10 +80,10 @@ def _ablation_point(
     """One sweep point: a full event-driven soak at one (workload, policy,
     capacity) combination, returning plain scalars.
 
-    The point installs its own fresh observability context (trace on, for
-    the miss-penalty CDF) and restores the ambient one afterwards, so the
-    caller's registry/telemetry never see point-local state — in workers
-    and in the serial path alike.
+    The point installs its own fresh observability context (tracer off:
+    the miss penalty comes from the delivery log) and restores the ambient
+    one afterwards, so the caller's registry/telemetry never see
+    point-local state — in workers and in the serial path alike.
     """
     spec = StreamSpec(
         hosts=hosts,
@@ -111,7 +111,7 @@ def _ablation_point(
         else None
     )
     previous = _obs_context.current()
-    fresh_run_context(trace=True)
+    fresh_run_context()
     try:
         topo = streaming_topology(spec)
         rules = streaming_policy(spec, LAYOUT)
@@ -148,9 +148,11 @@ def _ablation_point(
         hits = sum(s.cache_hits for s in switches)
         local = sum(s.authority_hits for s in switches)
         misses = sum(s.redirects_out for s in switches)
-        total_cls = hits + local + misses
-        analysis = FlowTraceAnalysis.from_tracer(dn.network.tracer)
-        summary = analysis.summary()
+        if local:
+            # A delivery record carries no flag for an authority-local miss.
+            raise ValueError(f"{local} authority-local hits at an ingress")
+        total_cls = hits + misses
+        summary = miss_penalty_summary(dn.network.deliveries)
         breakdown = {"evicted": 0, "expired": 0, "invalidated": 0}
         for switch in switches:
             for key, value in switch.cache.eviction_breakdown().items():

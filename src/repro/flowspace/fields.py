@@ -73,6 +73,8 @@ class HeaderLayout:
             offsets[field.name] = cursor
         self._offsets = offsets
         self._by_name = {f.name: f for f in self._fields}
+        # Every Match hash folds in its layout's; hash the fields once.
+        self._hash = hash(self._fields)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -106,7 +108,12 @@ class HeaderLayout:
         return self._fields == other._fields
 
     def __hash__(self) -> int:
-        return hash(self._fields)
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: ``_hash`` covers ``str`` hashes,
+        # which differ per interpreter, so it must not cross a pickle.
+        return (HeaderLayout, (self._fields,))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{f.name}:{f.width}" for f in self._fields)

@@ -29,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis.series import Series
 from repro.obs.trace import TraceEvent, TraceKind
 
-__all__ = ["PacketSpan", "FlowTrace", "FlowTraceAnalysis", "STAGE_OF_KIND", "STAGES"]
+__all__ = ["PacketSpan", "FlowTrace", "FlowTraceAnalysis", "STAGE_OF_KIND", "STAGES",
+           "miss_penalty_summary"]
 
 #: Stage charged for the segment *starting* at an event of this kind.
 #: Kinds absent here (terminal events, install-received) never start a
@@ -141,6 +142,8 @@ class FlowTraceAnalysis:
     def __init__(self, spans: List[PacketSpan], unattributed: int = 0):
         self.spans = spans
         self.unattributed = unattributed
+        #: Events the source ring evicted (:meth:`from_tracer`): non-zero = partial.
+        self.evicted = 0
         self.flows: Dict[Optional[int], FlowTrace] = {}
         for span in spans:
             trace = self.flows.get(span.flow_id)
@@ -168,7 +171,9 @@ class FlowTraceAnalysis:
 
     @classmethod
     def from_tracer(cls, tracer) -> "FlowTraceAnalysis":
-        return cls.from_events(tracer.events())
+        analysis = cls.from_events(tracer.events())
+        analysis.evicted = tracer.evicted
+        return analysis
 
     @staticmethod
     def _fold_packet(
@@ -262,6 +267,7 @@ class FlowTraceAnalysis:
             "packets": len(self.spans),
             "flows": len(self.flows),
             "unattributed_events": self.unattributed,
+            "evicted_events": self.evicted,
             "paths": dict(sorted(paths.items())),
             "stage_totals_s": {
                 stage: round(total, 9) for stage, total in self.stage_totals().items()
@@ -270,6 +276,29 @@ class FlowTraceAnalysis:
             "miss_penalty_p50_ms": _percentile(cdf.x, 0.5),
             "miss_penalty_p99_ms": _percentile(cdf.x, 0.99),
         }
+
+
+def miss_penalty_summary(records: Iterable) -> Dict[str, object]:
+    """:meth:`FlowTraceAnalysis.summary`'s ``miss_penalty_*`` keys from delivery records.
+
+    Same definition as :meth:`FlowTraceAnalysis.miss_penalty_cdf` — per flow,
+    the lowest-packet-id delivered packet that detoured (``via_authority``:
+    redirect; ``via_controller``: degraded or NOX punt), latency
+    ``finished_at - created_at`` — with no tracer running.  An
+    *authority-local* ingress hit sets neither flag: callers rule it out.
+    """
+    first: Dict[Optional[int], Tuple[int, float]] = {}
+    for record in records:
+        if record.delivered and (record.via_authority or record.via_controller):
+            seen = first.get(record.flow_id)
+            if seen is None or record.packet_id < seen[0]:
+                first[record.flow_id] = (record.packet_id, record.delay)
+    latencies = sorted(latency * 1e3 for _, latency in first.values())
+    return {
+        "miss_penalty_samples": len(latencies),
+        "miss_penalty_p50_ms": _percentile(latencies, 0.5),
+        "miss_penalty_p99_ms": _percentile(latencies, 0.99),
+    }
 
 
 def _percentile(sorted_values: List[float], q: float) -> Optional[float]:

@@ -1,11 +1,20 @@
 """Unit tests for header layouts and IP notation helpers."""
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.flowspace import (
     FieldSpec,
     FIVE_TUPLE_LAYOUT,
     HeaderLayout,
+    Match,
     OPENFLOW_10_LAYOUT,
     Ternary,
     TWO_FIELD_LAYOUT,
@@ -54,6 +63,30 @@ class TestLayoutBasics:
         clone = HeaderLayout([FieldSpec("f1", 8), FieldSpec("f2", 8)])
         assert clone == TWO_FIELD_LAYOUT
         assert hash(clone) == hash(TWO_FIELD_LAYOUT)
+
+    def test_unpickled_layout_hashes_like_a_fresh_one_in_another_interpreter(self):
+        # The layout caches its hash, and field-name hashes differ per
+        # interpreter: a sweep worker must not inherit the parent's value.
+        spec = [("src", 32), ("dst", 32), ("port", 16)]
+        layout = HeaderLayout([FieldSpec(name, width) for name, width in spec])
+        payload = pickle.dumps((layout, Match.build(layout, dst=7, port=80)))
+        child = textwrap.dedent(f"""
+            import pickle, sys
+            from repro.flowspace import FieldSpec, HeaderLayout, Match
+            layout, match = pickle.loads(sys.stdin.buffer.read())
+            fresh = HeaderLayout([FieldSpec(n, w) for n, w in {spec!r}])
+            assert hash(layout) == hash(fresh), "stale layout hash"
+            assert {{Match.build(fresh, dst=7, port=80): "hit"}}[match] == "hit"
+        """)
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", child], input=payload, env=env,
+            capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestPacking:

@@ -4,8 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.flowtrace import MISS_PATHS, STAGES, FlowTraceAnalysis
-from repro.obs.trace import TraceEvent, TraceKind
+from repro.baselines.nox import NoxNetwork
+from repro.core import DifaneNetwork
+from repro.flowspace import FIVE_TUPLE_LAYOUT, Packet
+from repro.flowspace.batch import set_columnar
+from repro.net import TopologyBuilder
+from repro.net.failures import FailureInjector
+from repro.net.simnet import DeliveryRecord
+from repro.obs import context as obs_context
+from repro.obs import fresh_run_context
+from repro.obs.flowtrace import (
+    MISS_PATHS,
+    STAGES,
+    FlowTraceAnalysis,
+    miss_penalty_summary,
+)
+from repro.obs.trace import PacketTracer, TraceEvent, TraceKind
+from repro.workloads.policies import routing_policy_for_topology
+from repro.workloads.traffic import host_pair_packets
 
 
 def _event(time, kind, packet_id=1, flow_id=10, node="a1", **extra):
@@ -171,6 +187,16 @@ class TestAggregates:
         assert summary["paths"] == {"cache-hit": 1, "redirect": 1}
         assert summary["miss_penalty_samples"] == 1
         assert summary["miss_penalty_p50_ms"] == pytest.approx(6.0)
+        assert summary["evicted_events"] == 0
+
+    def test_ring_truncation_is_reported(self):
+        tracer = PacketTracer(capacity=8, enabled=True)
+        for packet_id in range(1, 5):
+            for event in _miss(packet_id, flow_id=packet_id, start=0.01 * packet_id):
+                tracer.record(event.time, event.kind, event, node=event.node)
+        analysis = FlowTraceAnalysis.from_tracer(tracer)
+        assert tracer.evicted == 4 * 5 - 8
+        assert analysis.summary()["evicted_events"] == tracer.evicted
 
 
 # -- property: the stage decomposition telescopes ---------------------------
@@ -222,3 +248,142 @@ def test_telescoping_holds_across_many_packets(histories):
     assert len(analysis.spans) == len(histories)
     for span in analysis.spans:
         assert sum(span.stages.values()) == pytest.approx(span.latency, abs=1e-12)
+
+
+# -- the delivery-log miss penalty, against the trace oracle -------------------
+
+L = FIVE_TUPLE_LAYOUT
+_PENALTY_KEYS = ("miss_penalty_samples", "miss_penalty_p50_ms", "miss_penalty_p99_ms")
+
+
+def _trace_oracle(tracer):
+    analysis = FlowTraceAnalysis.from_tracer(tracer)
+    assert analysis.evicted == 0
+    summary = analysis.summary()
+    return {key: summary[key] for key in _PENALTY_KEYS}
+
+
+@pytest.fixture
+def traced_context():
+    previous = obs_context.current()
+    yield fresh_run_context(trace=True)
+    obs_context.install(previous)
+
+
+class TestMissPenaltyFromRecords:
+    def test_first_flagged_delivered_packet_per_flow(self):
+        def record(packet_id, flow_id, delay, delivered=True, authority=True):
+            return DeliveryRecord(
+                packet_id, flow_id, created_at=1.0, finished_at=1.0 + delay,
+                delivered=delivered, hops=2, via_authority=authority,
+                via_controller=False, ingress_switch="e0", endpoint="h0",
+            )
+        records = [
+            record(3, 10, 0.009),                       # a later miss of flow 10
+            record(2, 10, 0.002),                       # flow 10's first miss
+            record(1, 10, 0.001, authority=False),      # a cache hit
+            record(4, 11, 0.008, delivered=False),      # dropped: never counted
+            record(5, 11, 0.004),
+            record(6, 12, 0.006),
+        ]
+        assert miss_penalty_summary(records) == {
+            "miss_penalty_samples": 3,
+            "miss_penalty_p50_ms": 4.0,
+            "miss_penalty_p99_ms": 6.0,
+        }
+        assert miss_penalty_summary([]) == {
+            "miss_penalty_samples": 0,
+            "miss_penalty_p50_ms": None,
+            "miss_penalty_p99_ms": None,
+        }
+
+    @pytest.mark.parametrize("columnar", [False, True], ids=["scalar", "columnar"])
+    def test_every_e8c_point_matches_the_trace_oracle(self, columnar, monkeypatch):
+        """Every golden-scale E8C point, rerun with its tracer on: the
+        log-derived miss penalty equals the trace-derived one exactly."""
+        from repro.experiments import cachingablation
+
+        compared = []
+
+        def checked(records):
+            got = miss_penalty_summary(records)
+            compared.append((got, _trace_oracle(obs_context.current().tracer)))
+            return got
+
+        monkeypatch.setattr(
+            cachingablation, "fresh_run_context",
+            lambda: fresh_run_context(trace=True),
+        )
+        monkeypatch.setattr(cachingablation, "miss_penalty_summary", checked)
+        set_columnar(columnar)
+        try:
+            cachingablation.run_caching_ablation(jobs=1)
+        finally:
+            set_columnar(False)
+        assert len(compared) == 3 * 5 * 2
+        for got, expected in compared:
+            assert got == expected
+        assert all(got["miss_penalty_samples"] > 0 for got, _ in compared)
+
+    def test_degraded_controller_fallback_matches_the_trace_oracle(
+        self, traced_context
+    ):
+        topo = TopologyBuilder.star(4, hosts_per_leaf=1)
+        rules, host_ips = routing_policy_for_topology(topo, L)
+        dn = DifaneNetwork.build(
+            topo, rules, L, authority_switches=["s0", "s1"], replication=2,
+            cache_capacity=64, redirect_rate=None,
+        )
+        dn.controller.connect_control_plane(max_retries=None)
+        src, dst = [
+            next(h for h in host_ips if topo.host_attachment(h) == switch)
+            for switch in ("s2", "s3")
+        ]
+        injector = FailureInjector(dn.network)
+        injector.fail_switch("s0")
+        injector.fail_switch("s1")
+        for flow in range(8):
+            for k in range(3):
+                packet = Packet.from_fields(
+                    L, flow_id=flow, nw_src=0x0A0A0A0A, nw_dst=host_ips[dst],
+                    nw_proto=6, tp_src=4000 + flow, tp_dst=80,
+                )
+                dn.send_at(0.001 * flow + 0.004 * k, src, packet)
+        dn.run()
+        assert any(r.via_controller for r in dn.network.delivered())
+        got = miss_penalty_summary(dn.network.deliveries)
+        assert got["miss_penalty_samples"] == 8
+        assert got == _trace_oracle(dn.network.tracer)
+
+    def test_nox_punts_match_the_trace_oracle(self, traced_context):
+        topo = TopologyBuilder.star(4, hosts_per_leaf=2)
+        rules, host_ips = routing_policy_for_topology(topo, L)
+        nox = NoxNetwork.build(topo, rules, L)
+        # Three back-to-back packets per flow all punt; the same flows
+        # again 0.1 s later hit the installed microflows.
+        for offset in (0.0, 0.1):
+            for timed in host_pair_packets(
+                topo, host_ips, L, count=30, rate=2000.0, seed=3, flow_packets=3
+            ):
+                nox.send_at(timed.time + offset, timed.source_host, timed.packet)
+        nox.run()
+        punted = [r.via_controller for r in nox.network.delivered()]
+        assert any(punted) and not all(punted)
+        got = miss_penalty_summary(nox.network.deliveries)
+        assert got["miss_penalty_samples"] > 0
+        assert got == _trace_oracle(nox.network.tracer)
+
+    def test_e8c_point_refuses_authority_local_hits(self, monkeypatch):
+        """The one miss path a record cannot see: an ingress switch that is
+        its own authority must stop the point, not shrink its samples."""
+        from repro.experiments.cachingablation import run_caching_ablation
+        from repro.workloads.streaming import StreamSpec
+
+        monkeypatch.setattr(
+            StreamSpec, "authority_names", lambda self: [self.edge_name(0)]
+        )
+        with pytest.raises(ValueError, match="authority-local"):
+            run_caching_ablation(
+                workloads=["zipf-steady"], policies=["lru"], capacities=(16,),
+                hosts=64, epochs=2, burst_size=8, jobs=1,
+            )
