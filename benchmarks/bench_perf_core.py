@@ -110,37 +110,11 @@ def test_perf_cache_rule_generation(benchmark, classifier, lookup_table):
     assert result == len(cases)
 
 
-def test_perf_tuple_space_vs_linear(benchmark, classifier, lookup_table):
-    """Tuple-space search vs linear scan on the same probes.
-
-    The benchmark times the tuple-space lookups; the assertion verifies
-    winner-for-winner equivalence with the linear table on the side.
-    """
-    from repro.flowspace.tuplespace import TupleSpaceTable
-
-    tss = TupleSpaceTable(LAYOUT, classifier)
-    rng = random.Random(4)
-    probes = [rule.match.ternary.sample(rng) for rule in classifier[:512]]
-
-    def run():
-        winners = 0
-        for bits in probes:
-            if tss.lookup_bits(bits) is not None:
-                winners += 1
-        return winners
-
-    result = benchmark(run)
-    assert result == len(probes)
-    for bits in probes[:64]:
-        assert tss.lookup_bits(bits) is lookup_table.lookup_bits(bits)
-
-
 def test_perf_engine_comparison(benchmark, archive):
     """Lookup throughput of every match engine at 1K and 10K rules.
 
     The engine layer's reason to exist: on large classifiers the
-    tuple-space and decision-tree backends must beat the linear oracle by
-    a wide margin (the gate below requires ≥3× at 10K rules) while
+    decision-tree backend must beat the linear oracle by a wide margin (the gate below requires ≥3× at 10K rules) while
     returning the identical winners.  Results are archived as text and as
     ``perf-engines.json`` for machine consumption.
     """
@@ -160,8 +134,7 @@ def test_perf_engine_comparison(benchmark, archive):
                 engine.lookup_bits(probes[0])  # dtree builds lazily: force it
                 build_s = time.perf_counter() - started
                 # One-at-a-time adds on a second instance: the install
-                # path a live switch takes (and the path whose per-insert
-                # re-sorting used to blow up tuple-space construction).
+                # path a live switch takes.
                 incremental = create_engine(name, LAYOUT)
                 started = time.perf_counter()
                 for rule in rules:
@@ -206,11 +179,8 @@ def test_perf_engine_comparison(benchmark, archive):
     (RESULTS_DIR / "perf-engines.json").write_text(json.dumps(report, indent=2) + "\n")
 
     at_10k = next(row for row in report if row["rules"] == 10_000)
-    best = max(
-        at_10k["engines"][name]["speedup_vs_linear"]
-        for name in ("tuplespace", "dtree")
-    )
-    assert best >= 3.0, f"best alternative engine only {best}x at 10K rules"
+    best = at_10k["engines"]["dtree"]["speedup_vs_linear"]
+    assert best >= 3.0, f"dtree only {best}x at 10K rules"
 
 
 def test_perf_obs_overhead(benchmark, archive):
@@ -469,7 +439,6 @@ def test_perf_columnar_throughput(benchmark, archive):
         rows = []
         for label, columnar, engine in (
             ("scalar/linear", False, "linear"),
-            ("scalar/tuplespace", False, "tuplespace"),
             ("scalar/dtree", False, "dtree"),
             ("columnar", True, "linear"),
         ):

@@ -42,7 +42,6 @@ from repro.flowspace import (
     SetField,
     Ternary,
     ternary_to_ip_prefix,
-    TupleSpaceTable,
     TWO_FIELD_LAYOUT,
 )
 from repro.flowspace.engine import (
@@ -50,7 +49,6 @@ from repro.flowspace.engine import (
     DecisionTreeEngine,
     LinearEngine,
     MatchEngine,
-    TupleSpaceEngine,
     create_engine,
     get_default_engine,
     set_default_engine,
@@ -112,8 +110,8 @@ __version__ = "1.0.0"
 __all__ = [
     # flowspace
     "Ternary", "HeaderLayout", "FieldSpec", "Match", "Rule", "RuleKind",
-    "RuleTable", "TupleSpaceTable", "Packet", "HeaderSpace", "Action", "ActionList", "Forward",
-    "MatchEngine", "LinearEngine", "TupleSpaceEngine", "DecisionTreeEngine",
+    "RuleTable", "Packet", "HeaderSpace", "Action", "ActionList", "Forward",
+    "MatchEngine", "LinearEngine", "DecisionTreeEngine",
     "ENGINE_CHOICES", "create_engine", "get_default_engine", "set_default_engine",
     "Drop", "Encapsulate", "SendToController", "SetField",
     "OPENFLOW_10_LAYOUT", "FIVE_TUPLE_LAYOUT", "TWO_FIELD_LAYOUT",

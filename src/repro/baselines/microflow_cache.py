@@ -116,11 +116,18 @@ def simulate_wildcard_cache(
     and die with this call.
 
     ``eviction`` selects the replacement policy: ``"lru"`` (the paper) or
-    ``"cost"``, a GreedyDual-Size-Frequency-style score — frequency times
-    a coverage bonus on top of an inflation clock — mirroring the
-    event-driven :class:`repro.switch.cache.CacheManager` COST policy in
-    this trace-driven setting (where every re-fetch costs the same, so
-    coverage is the benefit proxy).
+    ``"cost"``, a GreedyDual-Size-Frequency-style score — ``clock + freq ×
+    bonus``, frequency times a coverage bonus on top of an inflation
+    clock, with the victim found by a scan of the cache.  That is *not*
+    :class:`repro.switch.cache.EvictionPolicy` ``COST`` (EWMA hit rate ×
+    re-fetch penalty × coverage bonus): a trace replay has no clock for
+    an EWMA and every re-fetch costs the same, so coverage is the only
+    benefit proxy left.
+
+    The fragment comes from the sequence :func:`win_fragment` over the
+    ordered policy, not the engine's mask index, on purpose: the
+    ClassBench ACL this replays has 855 masks in 1000 rules, where a
+    probe per mask costs more than the scan.
     """
     if eviction not in ("lru", "cost"):
         raise ValueError(f"unknown eviction policy {eviction!r}")

@@ -6,7 +6,7 @@ Usage::
     python -m repro.cli run E2            # full-size experiment
     python -m repro.cli run E5 --quick    # scaled-down version
     python -m repro.cli run all --quick
-    python -m repro.cli run E2 --quick --engine tuplespace
+    python -m repro.cli run E2 --quick --engine dtree
 
 Each run prints the experiment's table and/or an ASCII rendering of its
 figure, mirroring what the benchmark harness archives under

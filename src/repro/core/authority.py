@@ -31,7 +31,7 @@ from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
 from repro.core.cachegen import (
     WinRegionTooLarge,
-    generate_cache_rule,
+    cache_rule,
     generate_cache_rules,
 )
 from repro.net.events import ServiceStation
@@ -534,7 +534,7 @@ class DifaneSwitch(DataPlaneSwitch):
 
         Terminal forwards leave per egress, like ingress classification.
         Install decisions are made **per unique flow**: the win-fragment
-        computation (:func:`generate_cache_rule`) runs once per distinct
+        computation (:meth:`_cache_rules_for`) runs once per distinct
         (ingress, winner, header), while the install messages and
         counters stay per packet — each ingress is sent one sequence of
         ``(packet id, fragment groups)`` and applies it in packet order
@@ -775,12 +775,12 @@ class DifaneSwitch(DataPlaneSwitch):
 
     def _cache_rules_for(self, rule: Rule, packet_bits: int) -> List[Rule]:
         """The cache rule(s) one miss generates (fragment + prefetch)."""
-        authority_rules = self.pipeline.authority.table.rules
+        authority = self.pipeline.authority.table
         cached_rules: Optional[List[Rule]] = None
         if self.prefetch_fragments > 1:
             try:
                 cached_rules = generate_cache_rules(
-                    authority_rules,
+                    authority.rules,
                     rule,
                     packet_bits=packet_bits,
                     max_fragments=self.prefetch_fragments,
@@ -789,8 +789,8 @@ class DifaneSwitch(DataPlaneSwitch):
             except WinRegionTooLarge:
                 cached_rules = None  # fall back to the single-fragment path
         if cached_rules is None:
-            cached = generate_cache_rule(authority_rules, rule, packet_bits)
-            cached_rules = [] if cached is None else [cached]
+            fragment = authority.engine.win_fragment(rule, packet_bits)
+            cached_rules = [] if fragment is None else [cache_rule(rule, fragment)]
         if self._qos is not None and cached_rules:
             # Stamp the class the *missed packet* belongs to — the single
             # chokepoint every install path (scalar, batch, local) funnels

@@ -23,8 +23,10 @@ from typing import List, Optional, Sequence
 
 from repro.flowspace.headerspace import HeaderSpace
 from repro.flowspace.rule import Match, Rule, RuleKind
+from repro.flowspace.ternary import Ternary
 
 __all__ = [
+    "cache_rule",
     "generate_cache_rule",
     "generate_cache_rules",
     "win_region",
@@ -132,8 +134,11 @@ def generate_cache_rule(
         region (which indicates the caller passed a non-winning rule).
     """
     fragment = win_fragment(rules, matched_rule, packet_bits)
-    if fragment is None:
-        return None
+    return None if fragment is None else cache_rule(matched_rule, fragment)
+
+
+def cache_rule(matched_rule: Rule, fragment: Ternary) -> Rule:
+    """The :attr:`RuleKind.CACHE` rule installing one win-region fragment."""
     return matched_rule.derive(
         match=Match(matched_rule.match.layout, fragment),
         kind=RuleKind.CACHE,
@@ -166,10 +171,4 @@ def generate_cache_rules(
         )
     if max_fragments is not None:
         fragments = fragments[:max_fragments]
-    return [
-        matched_rule.derive(
-            match=Match(matched_rule.match.layout, fragment),
-            kind=RuleKind.CACHE,
-        )
-        for fragment in fragments
-    ]
+    return [cache_rule(matched_rule, fragment) for fragment in fragments]

@@ -46,13 +46,11 @@ from repro.flowspace.engine import (
     DecisionTreeEngine,
     LinearEngine,
     MatchEngine,
-    TupleSpaceEngine,
     create_engine,
     get_default_engine,
     set_default_engine,
 )
 from repro.flowspace.table import RuleTable
-from repro.flowspace.tuplespace import TupleSpaceTable
 from repro.flowspace.headerspace import HeaderSpace
 
 __all__ = [
@@ -80,10 +78,8 @@ __all__ = [
     "Match",
     "Rule",
     "RuleTable",
-    "TupleSpaceTable",
     "MatchEngine",
     "LinearEngine",
-    "TupleSpaceEngine",
     "DecisionTreeEngine",
     "ENGINE_CHOICES",
     "create_engine",

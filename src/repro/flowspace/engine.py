@@ -4,16 +4,16 @@ DIFANE's core argument is that packet classification belongs in the data
 plane at hardware speed.  In this reproduction every classifier owner
 (:class:`~repro.flowspace.table.RuleTable`, the TCAM model, the pipeline,
 the baselines) used to carry its own linear scan; this module extracts the
-lookup substrate into a single :class:`MatchEngine` interface with three
+lookup substrate into a single :class:`MatchEngine` interface with two
 conforming backends so the storage/lookup strategy is a deployment knob
 rather than a code path:
 
-* :class:`LinearEngine` — the priority-ordered linear scan.  Semantics
+* :class:`LinearEngine` — the priority-ordered rule list (semantics
   oracle: every other engine is property-tested winner-for-winner
-  equivalent to it.
-* :class:`TupleSpaceEngine` — tuple-space search (Srinivasan et al.; the
+  equivalent to it) plus a tuple-space index (Srinivasan et al.; the
   structure behind Open vSwitch megaflows): rules grouped by mask shape,
-  one hash probe per group.
+  one hash probe per group.  Lookups probe or scan, whichever the table's
+  shape favours.
 * :class:`DecisionTreeEngine` — a HiCuts-style binary decision tree over
   header bits, reusing the partitioner's cut-selection machinery from
   :mod:`repro.core.partition`; lookups walk the tree and scan a small leaf.
@@ -27,16 +27,17 @@ the CLI's ``--engine`` flag) is managed by :func:`set_default_engine`.
 
 from __future__ import annotations
 
+from bisect import insort
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.rule import Rule
-from repro.flowspace.tuplespace import TupleSpaceTable
+from repro.flowspace.ternary import Ternary
 
 __all__ = [
     "MatchEngine",
     "LinearEngine",
-    "TupleSpaceEngine",
     "DecisionTreeEngine",
     "ENGINE_CHOICES",
     "create_engine",
@@ -48,6 +49,28 @@ __all__ = [
 #: insertion sequence ascending.  Smaller key = wins lookup.
 _Key = Tuple[int, int]
 
+#: :class:`LinearEngine` answers lookups and win fragments from its mask
+#: index while it holds more than this many rules per distinct mask, and
+#: by scanning its ordered list otherwise.  A probe costs one ``dict.get``
+#: per mask, a scan one ternary test per rule up to the winner (all of
+#: them on a miss).  Timing both on random five-tuple tables of 1-64 masks
+#: at 1-8 rules per mask, half the probes drawn from the rules, put the
+#: break-even between three and six rules per mask (CPython 3.11); the
+#: C2 soak's 3-9-rule authority tables, whose winners sit in the first
+#: two slots, still scanned faster at four, hence eight.  Churned cache
+#: tables (one or two masks, ~200 rules) probe; the ClassBench ACL (855
+#: masks in 1000 rules) and small tables scan.
+PROBE_RULES_PER_MASK = 8
+
+
+@lru_cache(maxsize=None)
+def _cachegen():
+    """:mod:`repro.core.cachegen`, imported on first use (core depends on
+    flowspace) and then at the cost of a cache hit, not an import."""
+    from repro.core import cachegen
+
+    return cachegen
+
 
 class MatchEngine:
     """The interface every lookup backend implements.
@@ -55,12 +78,15 @@ class MatchEngine:
     An engine owns rule *storage* and *lookup*; policy concerns (capacity,
     eviction, counters, analysis) stay with the owner.  Subclasses must
     implement :meth:`add`, :meth:`remove`, :meth:`lookup_bits`,
-    :meth:`rules`, :meth:`clear` and :meth:`__len__`; :meth:`batch_lookup`
-    and :meth:`remove_if` have generic implementations they may override.
+    :meth:`win_fragment`, :meth:`rules`, :meth:`clear` and
+    :meth:`__len__`; :meth:`batch_lookup` and :meth:`remove_if` have
+    generic implementations they may override.
     """
 
     #: Registry name (set by subclasses; used in reprs and errors).
     name = "abstract"
+
+    __slots__ = ("layout",)
 
     def __init__(self, layout: HeaderLayout):
         self.layout = layout
@@ -110,6 +136,12 @@ class MatchEngine:
         lookup = self.lookup_bits
         return [lookup(bits) for bits in header_bits_seq]
 
+    def win_fragment(self, target: Rule, packet_bits: int) -> Optional[Ternary]:
+        """The fragment of ``target``'s win region holding the packet: the
+        contract of :func:`repro.core.cachegen.win_fragment` over
+        :meth:`rules`."""
+        raise NotImplementedError
+
     # -- views -------------------------------------------------------------
     def rules(self) -> List[Rule]:
         """Every stored rule, in lookup (priority, then insertion) order."""
@@ -131,15 +163,33 @@ class MatchEngine:
 
 
 class LinearEngine(MatchEngine):
-    """Priority-ordered list with linear-scan lookup (the semantics oracle).
+    """Priority-ordered list plus a mask-indexed hash (the semantics oracle).
 
-    Identical behaviour to the historical ``RuleTable`` internals, plus a
-    ``rule_id → rule`` index so removal no longer identity-scans the whole
-    list: membership is O(1) and locating the list slot is a binary search
-    on the (unique) ordering key.
+    Two views of one rule set:
+
+    * ``_rules`` — every rule in lookup order, with a ``rule_id → rule``
+      index so membership is O(1) and removal locates the list slot by a
+      binary search on the (unique) ordering key;
+    * ``_groups`` — tuple-space search (Srinivasan et al.; the structure
+      behind Open vSwitch megaflows): ``{mask: {value: [(key, rule), ...]}}``
+      with every bucket in key order, so a lookup is one hash probe per
+      distinct mask and the best bucket head wins.  Built the first time
+      the table probes and maintained from then on; a table that only
+      ever scans (a 1000-rule ACL with 855 masks) never pays for it.
+
+    :meth:`lookup_bits` and :meth:`win_fragment` answer from whichever
+    view is cheaper for the table's current shape, chosen when the table
+    changes (see :data:`PROBE_RULES_PER_MASK`); both views give identical
+    answers.  :meth:`batch_lookup` (the columnar path's fallback for
+    tables over 512 rules) always scans.
     """
 
     name = "linear"
+
+    # Slots, not a ``__dict__``: CPython turns an instance's inline
+    # attribute values into a real dict on its first ``__class__``
+    # assignment, which slows every attribute load after it.
+    __slots__ = ("_rules", "_sequence", "_order", "_by_id", "_masks", "_groups")
 
     def __init__(self, layout: HeaderLayout, rules: Optional[Iterable[Rule]] = None):
         super().__init__(layout)
@@ -149,6 +199,15 @@ class LinearEngine(MatchEngine):
         self._order: Dict[int, int] = {}
         #: rule_id -> rule, for O(1) identity membership.
         self._by_id: Dict[int, Rule] = {}
+        #: mask -> rules with that mask (the probe/scan decision's input).
+        self._masks: Dict[int, int] = {}
+        #: mask -> masked value -> [(key, rule)] in key order, or ``None``
+        #: until the table first probes.  Invariant once built: a rule is
+        #: in ``_rules`` iff it sits in exactly one bucket, the one at its
+        #: own ``(mask, value)``, under its ``_key``; no bucket or group is
+        #: empty.  ``add`` insorts the entry, ``remove`` deletes it by
+        #: identity and drops the bucket and group it empties.
+        self._groups: Optional[Dict[int, Dict[int, List[Tuple[_Key, Rule]]]]] = None
         if rules:
             for rule in rules:
                 self.add(rule)
@@ -162,7 +221,26 @@ class LinearEngine(MatchEngine):
         self._order[rule.rule_id] = self._sequence
         self._by_id[rule.rule_id] = rule
         self._sequence += 1
-        self._rules.insert(self._bisect(self._key(rule)), rule)
+        key = self._key(rule)
+        self._rules.insert(self._bisect(key), rule)
+        mask = rule.match.ternary.mask
+        self._masks[mask] = self._masks.get(mask, 0) + 1
+        if self._groups is not None:
+            self._index(key, rule)
+        self._rebind()
+
+    def _index(self, key: _Key, rule: Rule) -> None:
+        ternary = rule.match.ternary
+        buckets = self._groups.setdefault(ternary.mask, {})
+        # Keys are unique, so the tuple compare never reaches the rule.
+        insort(buckets.setdefault(ternary.value, []), (key, rule))
+
+    def _ensure_index(self) -> None:
+        """Build ``_groups`` from ``_rules`` if it does not exist yet."""
+        if self._groups is None:
+            self._groups = {}
+            for rule in self._rules:
+                self._index(self._key(rule), rule)
 
     def _bisect(self, key: _Key) -> int:
         """First index whose key is greater than ``key``."""
@@ -183,29 +261,70 @@ class LinearEngine(MatchEngine):
         # is the rule itself.
         assert self._rules[index] is rule
         del self._rules[index]
+        ternary = rule.match.ternary
+        if self._masks[ternary.mask] == 1:
+            del self._masks[ternary.mask]
+        else:
+            self._masks[ternary.mask] -= 1
+        if self._groups is not None:
+            buckets = self._groups[ternary.mask]
+            bucket = buckets[ternary.value]
+            for slot, (_, existing) in enumerate(bucket):
+                if existing is rule:
+                    del bucket[slot]
+                    break
+            if not bucket:
+                del buckets[ternary.value]
+                if not buckets:
+                    del self._groups[ternary.mask]
         del self._order[rule.rule_id]
         del self._by_id[rule.rule_id]
+        self._rebind()
         return True
 
     def clear(self) -> None:
         self._rules.clear()
         self._order.clear()
         self._by_id.clear()
+        self._masks.clear()
+        self._groups = None
         self._sequence = 0
+        self._rebind()
+
+    def _rebind(self) -> None:
+        """Point the lookup entry points at the probe or the scan.
+
+        Decided here, on mutation, so a lookup pays no strategy branch:
+        the instance switches between this class (scan) and
+        :class:`_ProbingLinearEngine`.  Binding methods onto the instance
+        instead would make every engine a reference cycle, freed only by
+        the cyclic collector.
+        """
+        if len(self._rules) > PROBE_RULES_PER_MASK * len(self._masks):
+            self._ensure_index()
+            cls = _ProbingLinearEngine
+        else:
+            cls = LinearEngine
+        if self.__class__ is not cls:
+            self.__class__ = cls
 
     # -- lookup ------------------------------------------------------------
+    # ``lookup_bits`` / ``win_fragment`` are the scan here and the probe on
+    # :class:`_ProbingLinearEngine` (see :meth:`_rebind`).
+    #
     # The scans test ``(bits & mask) == value`` on the rule's own ternary
     # inline: two Python calls per rule (``matches_bits`` -> ``matches``)
-    # were most of a 1000-rule lookup, and parallel mask/value arrays
-    # would have to be kept in sync under cache-table churn.
-    def lookup_bits(self, header_bits: int) -> Optional[Rule]:
+    # were most of a 1000-rule lookup.  The probe reads the same rules
+    # through ``_groups``, which every mutation updates with ``_rules``
+    # once it is built.
+    def _scan_bits(self, header_bits: int) -> Optional[Rule]:
         for rule in self._rules:
             ternary = rule.match.ternary
             if (header_bits & ternary.mask) == ternary.value:
                 return rule
         return None
 
-    def batch_lookup(self, header_bits_seq: Iterable[int]) -> List[Optional[Rule]]:
+    def _scan_batch(self, header_bits_seq: Iterable[int]) -> List[Optional[Rule]]:
         rules = self._rules
         results: List[Optional[Rule]] = []
         append = results.append
@@ -218,6 +337,65 @@ class LinearEngine(MatchEngine):
                     break
             append(winner)
         return results
+
+    lookup_bits = _scan_bits
+    batch_lookup = _scan_batch
+
+    def _probe_bits(self, header_bits: int) -> Optional[Rule]:
+        # Each bucket head is its group's best match; the smallest key
+        # among the heads is the scan's first match.
+        best = None
+        for mask, buckets in self._groups.items():
+            bucket = buckets.get(header_bits & mask)
+            if bucket is not None and (best is None or bucket[0] < best):
+                best = bucket[0]
+        return None if best is None else best[1]
+
+    def _scan_fragment(self, target: Rule, packet_bits: int) -> Optional[Ternary]:
+        return _cachegen().win_fragment(self._rules, target, packet_bits)
+
+    win_fragment = _scan_fragment
+
+    def _probe_fragment(self, target: Rule, packet_bits: int) -> Optional[Ternary]:
+        """Indexed :func:`repro.core.cachegen.win_fragment` over this table.
+
+        A rule keyed ahead of ``target`` that matches the packet is the
+        head of its group's packet bucket, so one probe per group settles
+        "did ``target`` win?".  Only rules overlapping ``target``'s match
+        can clip it.  In a group whose mask is a subset of ``target``'s
+        those all sit in bucket ``value & mask`` — the packet's own, which
+        the probe just showed holds nothing ahead of ``target`` — so only
+        the other groups are walked.  Applying what they yield in key
+        order is the scan, because a rule that misses ``target``'s match
+        cannot overlap any piece of it.
+        """
+        region = target.match.ternary
+        mask, value = region.mask, region.value
+        if (packet_bits & mask) != value:
+            return None
+        if self._by_id.get(target.rule_id) is not target:
+            raise ValueError("target rule is not present in the rule sequence")
+        target_key = self._key(target)
+        ahead: List[Tuple[_Key, Rule]] = []
+        for group_mask, buckets in self._groups.items():
+            bucket = buckets.get(packet_bits & group_mask)
+            if bucket is not None and bucket[0][0] < target_key:
+                return None  # a rule ahead of target matches the packet
+            if group_mask & ~mask:
+                for bucket in buckets.values():
+                    for entry in bucket:
+                        if entry[0] >= target_key:
+                            break
+                        other = entry[1].match.ternary
+                        if not (value ^ other.value) & mask & group_mask:
+                            ahead.append(entry)
+        ahead.sort()
+        for _, rule in ahead:
+            other = rule.match.ternary
+            if not (value ^ other.value) & mask & other.mask:
+                region = region.subtract_containing(other, packet_bits)
+                mask, value = region.mask, region.value
+        return region
 
     # -- views -------------------------------------------------------------
     def rules(self) -> List[Rule]:
@@ -234,49 +412,14 @@ class LinearEngine(MatchEngine):
         return self._by_id.get(rule.rule_id) is rule
 
 
-class TupleSpaceEngine(TupleSpaceTable, MatchEngine):
-    """Tuple-space search behind the :class:`MatchEngine` interface.
+class _ProbingLinearEngine(LinearEngine):
+    """A :class:`LinearEngine` whose table shape favours the mask index;
+    :meth:`LinearEngine._rebind` moves instances in and out of it."""
 
-    Adopts :class:`~repro.flowspace.tuplespace.TupleSpaceTable` (which was
-    previously dead code) and adds the interface surface the engine layer
-    needs: ordered :meth:`rules`, :meth:`clear` and batch lookup.
-    """
+    __slots__ = ()
 
-    name = "tuplespace"
-
-    def __init__(self, layout: HeaderLayout, rules: Optional[Iterable[Rule]] = None):
-        TupleSpaceTable.__init__(self, layout, rules)
-
-    def add_all(self, rules: Iterable[Rule]) -> None:
-        self._bulk_load(rules)
-
-    def clear(self) -> None:
-        self._groups.clear()
-        self._scan_order = []
-        self._scan_dirty = False
-        self._size = 0
-        self._sequence = 0
-
-    def batch_lookup(self, header_bits_seq: Iterable[int]) -> List[Optional[Rule]]:
-        lookup = self.lookup_bits
-        return [lookup(bits) for bits in header_bits_seq]
-
-    def rules(self) -> List[Rule]:
-        entries = [
-            (key, rule)
-            for group in self._groups.values()
-            for bucket in group.buckets.values()
-            for key, rule in bucket
-        ]
-        entries.sort(key=lambda item: item[0])
-        return [rule for _, rule in entries]
-
-    def __contains__(self, rule: Rule) -> bool:
-        group = self._groups.get(rule.match.ternary.mask)
-        if group is None:
-            return False
-        bucket = group.buckets.get(rule.match.ternary.value)
-        return any(existing is rule for _, existing in bucket or ())
+    lookup_bits = LinearEngine._probe_bits
+    win_fragment = LinearEngine._probe_fragment
 
 
 class DecisionTreeEngine(MatchEngine):
@@ -459,6 +602,9 @@ class DecisionTreeEngine(MatchEngine):
         lookup = self._lookup_built
         return [lookup(bits) for bits in header_bits_seq]
 
+    def win_fragment(self, target: Rule, packet_bits: int) -> Optional[Ternary]:
+        return self._base.win_fragment(target, packet_bits)
+
     # -- views -------------------------------------------------------------
     def rules(self) -> List[Rule]:
         return self._base.rules()
@@ -476,7 +622,6 @@ class DecisionTreeEngine(MatchEngine):
 
 _ENGINES: Dict[str, type] = {
     "linear": LinearEngine,
-    "tuplespace": TupleSpaceEngine,
     "dtree": DecisionTreeEngine,
 }
 

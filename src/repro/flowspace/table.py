@@ -8,8 +8,8 @@ detection, overlap enumeration, and randomized semantic-equivalence
 checking.
 
 Storage and lookup are delegated to a pluggable
-:class:`~repro.flowspace.engine.MatchEngine` (linear scan, tuple-space
-search, or decision tree — see :mod:`repro.flowspace.engine`); the table
+:class:`~repro.flowspace.engine.MatchEngine` (mask-indexed priority list
+or decision tree — see :mod:`repro.flowspace.engine`); the table
 keeps the analysis layer and the stable public API.
 """
 
@@ -41,9 +41,9 @@ class RuleTable:
     rules:
         Initial rules, inserted in iteration order.
     engine:
-        Lookup backend: an engine name (``"linear"``, ``"tuplespace"``,
-        ``"dtree"``), a :class:`~repro.flowspace.engine.MatchEngine`
-        instance, a factory, or ``None`` for the process default.
+        Lookup backend: an engine name (``"linear"``, ``"dtree"``), a
+        :class:`~repro.flowspace.engine.MatchEngine` instance, a factory,
+        or ``None`` for the process default.
     """
 
     def __init__(

@@ -5,6 +5,8 @@ and every other backend must return the *identical* winning rule object —
 same priority order, same first-installed-wins tie-break — on any policy
 and any packet.  Randomized policies (both unstructured hypothesis rules
 and ClassBench ACL/FW/IPC classifiers) drive that equivalence here.
+``LinearEngine`` itself answers from a mask index or a scan; both, and
+its indexed win fragment, are checked against a pure-scan model.
 """
 
 import random
@@ -21,7 +23,7 @@ from repro.flowspace import (
     Packet,
     Rule,
     RuleTable,
-    TupleSpaceEngine,
+    Ternary,
     TWO_FIELD_LAYOUT,
     create_engine,
     get_default_engine,
@@ -29,7 +31,8 @@ from repro.flowspace import (
 )
 from repro.flowspace.batch import PacketBatch, set_columnar
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
-from repro.flowspace.tuplespace import _TupleGroup
+from repro.core.cachegen import win_fragment as scan_win_fragment
+from repro.flowspace.engine import PROBE_RULES_PER_MASK
 from repro.obs import context as obs_context
 from repro.workloads.classbench import generate_classbench
 
@@ -189,28 +192,246 @@ class TestLinearEngineBookkeeping:
 
 
 # ---------------------------------------------------------------------------
-# Tuple-space invariant (regression: mask/group-key agreement)
+# Tuple-space invariant: every rule sits in the bucket of its own mask/value
 # ---------------------------------------------------------------------------
 
+def assert_index_consistent(engine):
+    """``_groups`` holds exactly ``_rules``, each under its own
+    ``(mask, value)``, every bucket key-sorted and non-empty; ``_masks``
+    counts the rules per mask."""
+    assert sum(engine._masks.values()) == len(engine)
+    assert all(engine._masks.values())
+    if engine._groups is None:
+        return
+    assert engine._groups.keys() == engine._masks.keys()
+    indexed = []
+    for mask, buckets in engine._groups.items():
+        assert buckets, "empty group left behind"
+        for value, bucket in buckets.items():
+            assert bucket, "empty bucket left behind"
+            assert [key for key, _ in bucket] == sorted(key for key, _ in bucket)
+            for key, r in bucket:
+                assert (r.match.ternary.mask, r.match.ternary.value) == (mask, value)
+                assert key == engine._key(r)
+                indexed.append((key, r))
+    assert [r for _, r in sorted(indexed, key=lambda e: e[0])] == engine.rules()
+
+
 class TestTupleGroupInvariant:
-    def test_mismatched_mask_rejected(self):
-        grouped = rule(1, f1="00000000")  # mask covers f1 only
-        group = _TupleGroup(grouped.match.ternary.mask)
-        group.insert((-1, 0), grouped)
-        intruder = rule(1, f2="00000000")  # different mask shape
-        with pytest.raises(ValueError, match="does not agree"):
-            group.insert((-1, 1), intruder)
-        # The failed insert must not have corrupted the group.
-        assert len(group) == 1
+    def test_index_keys_agree_with_rule_masks(self):
+        engine = LinearEngine(L)
+        rules = [rule(i % 3, f1="0000xxxx" if i % 2 else "00000001") for i in range(9)]
+        rules.append(rule(1, f2="00000001"))  # a third mask shape
+        for r in rules[:5]:
+            engine.add(r)
+        assert engine._groups is None  # 5 rules in 2 masks: scanning
+        engine._ensure_index()
+        for r in rules[5:]:
+            engine.add(r)
+        assert_index_consistent(engine)
+        for r in rules[::2]:
+            engine.remove(r)
+        assert_index_consistent(engine)
+        engine.clear()
+        assert engine._groups is None and not engine._masks
 
     def test_engine_routes_masks_to_matching_groups(self):
-        engine = TupleSpaceEngine(L)
+        engine = LinearEngine(L)
         a, b = rule(1, f1="00000001"), rule(1, f2="00000001")
         engine.add(a)
         engine.add(b)
-        assert engine.tuple_count == 2
-        assert engine.lookup_bits(0x01FF) is a
-        assert engine.lookup_bits(0xFF01) is b
+        engine._ensure_index()
+        assert len(engine._groups) == 2
+        assert engine._probe_bits(0x01FF) is a
+        assert engine._probe_bits(0xFF01) is b
+
+
+# ---------------------------------------------------------------------------
+# Probe / scan / indexed win fragment against a pure-scan oracle
+# ---------------------------------------------------------------------------
+
+W = L.width
+#: Few shapes → tables cross into probing; many → they stay on the scan.
+FEW_MASKS = [0xFF00, 0xFFF0]
+MANY_MASKS = [0xFF00, 0xFFF0, 0xF000, 0x00FF, 0x0F0F, 0xFFFF, 0x0000, 0xF0F0,
+              0x3C3C, 0x8001, 0x7FFE, 0x00F0]
+#: Few values, so duplicate (mask, value) rules and overlaps are common.
+VALUES = [0x0000, 0x1010, 0x1111, 0x0101, 0xFFFF]
+
+
+class ScanModel:
+    """The pure-scan oracle: rules with their insertion sequence, the
+    winner being the smallest ``(-priority, sequence)`` that matches."""
+
+    def __init__(self):
+        self.entries = []
+        self.sequence = 0
+
+    def add(self, r):
+        self.entries.append(((-r.priority, self.sequence), r))
+        self.sequence += 1
+
+    def remove(self, r):
+        before = len(self.entries)
+        self.entries = [e for e in self.entries if e[1] is not r]
+        return len(self.entries) != before
+
+    def clear(self):
+        self.entries = []
+        self.sequence = 0
+
+    def ordered(self):
+        return [r for _, r in sorted(self.entries, key=lambda e: e[0])]
+
+    def winner(self, bits):
+        for r in self.ordered():
+            if r.match.ternary.matches(bits):
+                return r
+        return None
+
+
+def masked_rule(mask, value, priority):
+    return Rule(Match(L, Ternary(value & mask, mask, W)), priority, Forward("out"))
+
+
+def indexed_engine(*rules):
+    """A small (scanning) engine with its mask index built."""
+    engine = LinearEngine(L, rules)
+    engine._ensure_index()
+    return engine
+
+
+def assert_same_fragment(got, expected):
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.mask, got.value) == (expected.mask, expected.value)
+
+
+def check_engine(engine, model, probes, rng):
+    assert engine.rules() == model.ordered()
+    assert_index_consistent(engine)
+    probe_side = len(engine) > PROBE_RULES_PER_MASK * len(engine._masks)
+    assert probe_side <= (engine._groups is not None)
+    engine._ensure_index()  # drive the probe paths on scanning tables too
+    assert_index_consistent(engine)
+    assert engine.lookup_bits == (engine._probe_bits if probe_side else engine._scan_bits)
+    assert engine.win_fragment == (
+        engine._probe_fragment if probe_side else engine._scan_fragment
+    )
+    for bits in probes:
+        expected = model.winner(bits)
+        assert engine._probe_bits(bits) is expected
+        assert engine._scan_bits(bits) is expected
+        assert engine.lookup_bits(bits) is expected
+    assert engine.batch_lookup(probes) == [model.winner(b) for b in probes]
+    ordered = engine.rules()
+    for target in ordered:
+        for bits in [target.match.ternary.sample(rng) for _ in range(3)] + probes[:3]:
+            expected = scan_win_fragment(ordered, target, bits)
+            assert_same_fragment(engine._probe_fragment(target, bits), expected)
+            assert_same_fragment(engine.win_fragment(target, bits), expected)
+
+
+add_op = st.tuples(st.just("add"), st.integers(0, 11), st.sampled_from(VALUES),
+                  st.integers(0, 2))
+op = st.one_of(
+    add_op,
+    st.tuples(st.just("remove"), st.integers(0, 40)),
+    st.tuples(st.just("remove_if"), st.integers(0, 2)),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestProbeDifferential:
+    @pytest.mark.parametrize("masks", [FEW_MASKS, MANY_MASKS], ids=["probe", "scan"])
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.lists(add_op, max_size=40), ops=st.lists(op, max_size=30),
+           seed=st.integers(0, 2**16))
+    def test_random_mutation_sequences(self, masks, base, ops, seed):
+        rng = random.Random(seed)
+        engine, model, pool = LinearEngine(L), ScanModel(), []
+        for step in base + ops:
+            if step[0] == "add":
+                _, index, value, priority = step
+                r = masked_rule(masks[index % len(masks)], value, priority)
+                pool.append(r)
+                engine.add(r)
+                model.add(r)
+            elif step[0] == "remove" and pool:
+                victim = pool[step[1] % len(pool)]
+                assert engine.remove(victim) == model.remove(victim)
+            elif step[0] == "remove_if":
+                doomed = engine.remove_if(lambda r, p=step[1]: r.priority == p)
+                assert doomed == [r for r in model.ordered() if r.priority == step[1]]
+                for r in doomed:
+                    model.remove(r)
+            elif step[0] == "clear":
+                engine.clear()
+                model.clear()
+        probes = [rng.getrandbits(W) for _ in range(8)]
+        probes += [r.match.ternary.sample(rng) for r in engine.rules()[:8]]
+        check_engine(engine, model, probes, rng)
+
+    def test_probe_side_reached(self):
+        engine = LinearEngine(L)
+        assert engine.lookup_bits == engine._scan_bits  # empty: scan
+        for i in range(2 * PROBE_RULES_PER_MASK + 1):
+            engine.add(masked_rule(FEW_MASKS[i % 2], VALUES[i % 5], 1))
+        assert engine.lookup_bits == engine._probe_bits
+        assert engine.win_fragment == engine._probe_fragment
+        engine.remove(engine.rules()[0])  # back to exactly 8 per mask
+        assert engine.lookup_bits == engine._scan_bits
+        assert engine.win_fragment == engine._scan_fragment
+
+    def test_clipped_fragment(self):
+        """A higher, more specific rule (a non-subset group: the fallback
+        walk) clips the target to the piece holding the packet.  The
+        tables below are small enough to scan, so the indexed path is
+        called directly."""
+        specific = masked_rule(0xFFFF, 0x1234, 9)
+        target = masked_rule(0xFF00, 0x1200, 1)
+        engine = indexed_engine(target, specific)
+        got = engine._probe_fragment(target, 0x1200)
+        expected = scan_win_fragment(engine.rules(), target, 0x1200)
+        assert got is not None and got != target.match.ternary
+        assert_same_fragment(got, expected)
+        assert got.matches(0x1200) and not got.matches(0x1234)
+
+    def test_shadowed_target(self):
+        cover = masked_rule(0xF000, 0x1000, 5)  # subset mask, covers target
+        target = masked_rule(0xFF00, 0x1200, 1)
+        engine = indexed_engine(target, cover)
+        assert engine._probe_fragment(target, 0x1234) is None
+        assert scan_win_fragment(engine.rules(), target, 0x1234) is None
+
+    def test_unclipped_target_is_its_own_ternary(self):
+        target = masked_rule(0xFF00, 0x1200, 1)
+        # Same group, other bucket.
+        engine = indexed_engine(masked_rule(0xFF00, 0x3400, 5), target)
+        assert engine._probe_fragment(target, 0x1234) is target.match.ternary
+
+    def test_packet_outside_target_and_absent_target(self):
+        target = masked_rule(0xFF00, 0x1200, 1)
+        engine = indexed_engine(target)
+        assert engine._probe_fragment(target, 0x3400) is None
+        stranger = masked_rule(0xFF00, 0x1200, 1)
+        with pytest.raises(ValueError, match="not present"):
+            engine._probe_fragment(stranger, 0x1234)
+
+    def test_dtree_delegates_to_the_index(self):
+        rules = [masked_rule(m, v, p) for m in MANY_MASKS[:4] for v in VALUES
+                 for p in (0, 2)]
+        engine = DecisionTreeEngine(L, rules)
+        ordered = engine.rules()
+        rng = random.Random(1)
+        for target in ordered:
+            bits = target.match.ternary.sample(rng)
+            assert_same_fragment(
+                engine.win_fragment(target, bits),
+                scan_win_fragment(ordered, target, bits),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +441,26 @@ class TestTupleGroupInvariant:
 class TestEngineSelection:
     def test_create_engine_by_name_and_default(self):
         assert isinstance(create_engine("linear", L), LinearEngine)
-        assert isinstance(create_engine("tuplespace", L), TupleSpaceEngine)
         assert isinstance(create_engine("dtree", L), DecisionTreeEngine)
+        assert ENGINE_CHOICES == ("linear", "dtree")
         with pytest.raises(ValueError, match="unknown engine"):
             create_engine("bogus", L)
         previous = get_default_engine()
         try:
-            set_default_engine("tuplespace")
-            assert isinstance(create_engine(None, L), TupleSpaceEngine)
+            set_default_engine("dtree")
+            assert isinstance(create_engine(None, L), DecisionTreeEngine)
         finally:
             set_default_engine(previous)
         with pytest.raises(ValueError, match="unknown engine"):
             set_default_engine("bogus")
 
     def test_rule_table_threads_engine(self):
-        table = RuleTable(L, engine="tuplespace")
-        assert isinstance(table.engine, TupleSpaceEngine)
+        table = RuleTable(L, engine="dtree")
+        assert isinstance(table.engine, DecisionTreeEngine)
         r = rule(1, f1="0000xxxx")
         table.add(r)
         assert table.lookup_bits(0x00FF) is r
-        assert "tuplespace" in repr(table)
+        assert "dtree" in repr(table)
 
     def test_instance_spec_is_used_as_is(self):
         engine = LinearEngine(L)

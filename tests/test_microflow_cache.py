@@ -204,7 +204,7 @@ _coarse = st.builds(
     picks=st.lists(st.integers(0, 11), min_size=20, max_size=80),
     cache_size=st.sampled_from([0, 1, 2, 8]),
     eviction=st.sampled_from(["lru", "cost"]),
-    engine=st.sampled_from(["linear", "tuplespace", "dtree"]),
+    engine=st.sampled_from(["linear", "dtree"]),
 )
 def test_prop_replay_equals_scan_oracle(
     specs, default_rule, flows, picks, cache_size, eviction, engine
