@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional, Sequence
 
-from repro.flowspace.action import Drop, Forward, SetField
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Match, Rule, RuleKind
@@ -94,7 +93,7 @@ class NoxSwitch(DataPlaneSwitch):
                     del self.flow_table[key]
 
     def _apply_packet_out(self, message: PacketOut) -> None:
-        self._execute_verdict(message.packet, message.actions)
+        self.execute(message.packet, message.actions)
 
     # -- data plane --------------------------------------------------------------------
     def process(self, packet: Packet) -> None:
@@ -109,7 +108,7 @@ class NoxSwitch(DataPlaneSwitch):
             self.flow_hits += 1
             self.flow_table.move_to_end(packet.header_bits)
             rule.record_hit(packet, self.network.scheduler.now)
-            self._execute_verdict(packet, rule.actions)
+            self.execute(packet, rule.actions)
             return
         # Miss: punt to the controller; the packet rides inside the message
         # and waits in the controller queue (tail drop = packet loss).
@@ -121,19 +120,6 @@ class NoxSwitch(DataPlaneSwitch):
                 self.network.scheduler.now, TraceKind.PUNT, packet, node=self.name
             )
         self.channel.send_to_controller(PacketIn(switch=self.name, packet=packet))
-
-    def _execute_verdict(self, packet: Packet, actions) -> None:
-        for action in actions:
-            if isinstance(action, SetField):
-                self._apply_rewrite(packet, action)
-            elif isinstance(action, Drop):
-                self.network.record_drop(packet, self.name, "policy drop")
-                return
-            elif isinstance(action, Forward):
-                packet.encapsulate(action.port)
-                self.network.forward_toward(self.name, action.port, packet)
-                return
-        self.network.record_drop(packet, self.name, "no terminal action")
 
     def expire_flows(self, now: float) -> int:
         """Age out microflow entries whose idle/hard timeout elapsed.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.flowspace.action import Drop, Forward, SetField
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule
@@ -49,17 +48,7 @@ class ProactiveSwitch(DataPlaneSwitch):
             self.network.record_drop(packet, self.name, "no matching rule")
             return
         self.policy_hits += 1
-        for action in rule.actions:
-            if isinstance(action, SetField):
-                self._apply_rewrite(packet, action)
-            elif isinstance(action, Drop):
-                self.network.record_drop(packet, self.name, "policy drop")
-                return
-            elif isinstance(action, Forward):
-                packet.encapsulate(action.port)
-                self.network.forward_toward(self.name, action.port, packet)
-                return
-        self.network.record_drop(packet, self.name, "no terminal action")
+        self.execute(packet, rule.actions)
 
     @property
     def tcam_footprint(self) -> int:

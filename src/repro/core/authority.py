@@ -23,28 +23,19 @@ saturate.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.flowspace.action import Drop, Forward, SetField
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
-from repro.core.cachegen import (
-    WinRegionTooLarge,
-    cache_rule,
-    generate_cache_rules,
-)
+from repro.core.cachegen import WinRegionTooLarge, cache_rule, generate_cache_rules
 from repro.net.events import ServiceStation
 from repro.obs.qos import current_qos
 from repro.obs.registry import NULL_METRIC
 from repro.obs.trace import TraceKind
 from repro.openflow.messages import (
-    FlowMod,
-    FlowModCommand,
-    Heartbeat,
-    Message,
-    PacketIn,
-    PacketOut,
+    FlowMod, FlowModCommand, Heartbeat, Message, PacketIn, PacketOut,
 )
 from repro.switch.cache import CacheManager, EvictionPolicy
 from repro.switch.pipeline import DifanePipeline, PipelineStage
@@ -59,19 +50,9 @@ DEFAULT_REDIRECT_RATE = 800_000.0
 #: Ingress stage -> (switch statistic, per-class QoS statistic, trace kind).
 _STAGE_ACCOUNTING = {
     PipelineStage.CACHE: ("cache_hits", "cache_hits", TraceKind.CACHE_HIT),
-    PipelineStage.AUTHORITY: (
-        "authority_hits", "authority_hits", TraceKind.AUTHORITY_HIT,
-    ),
+    PipelineStage.AUTHORITY: ("authority_hits", "authority_hits", TraceKind.AUTHORITY_HIT),
     PipelineStage.PARTITION: ("redirects_out", "redirects", TraceKind.REDIRECT),
 }
-
-
-def _sole_forward_port(rule: Rule) -> Optional[str]:
-    """The port when ``rule``'s whole action list is one ``Forward``."""
-    actions = rule.actions.actions
-    if len(actions) == 1 and isinstance(actions[0], Forward):
-        return actions[0].port
-    return None
 
 
 class DifaneSwitch(DataPlaneSwitch):
@@ -98,21 +79,20 @@ class DifaneSwitch(DataPlaneSwitch):
         routed path delay (models TCAM write time at the ingress switch).
     prefetch_fragments:
         Cache fragments installed per miss.  1 (the paper's behaviour)
-        installs just the fragment covering the missed packet; higher
-        values also push sibling win-region fragments — a prefetch
-        extension evaluated by the ablation bench.  Decompositions that
-        would exceed the budget fall back to the single fragment.
+        installs the fragment covering the missed packet; higher values
+        also push sibling win-region fragments (an ablation-bench
+        extension), falling back to one fragment past the budget.
     engine:
         Match-engine backend for the pipeline's TCAM regions (see
         :mod:`repro.flowspace.engine`); ``None`` uses the process default.
     """
 
     #: Per-switch statistics mirrored into the metrics registry as
-    #: ``difane_<stat>_total{switch=...}`` counters.
+    #: ``difane_<stat>_total{switch=...}`` counters (bumped only through
+    #: :meth:`_count`, so an attribute and its counter cannot diverge).
     _MIRRORED_STATS = (
-        "cache_hits", "authority_hits", "redirects_out",
-        "redirects_handled", "cache_installs_sent",
-        "cache_installs_received", "failovers", "unmatched",
+        "cache_hits", "authority_hits", "redirects_out", "redirects_handled",
+        "cache_installs_sent", "cache_installs_received", "failovers", "unmatched",
         "degraded_packets",
     )
 
@@ -136,9 +116,7 @@ class DifaneSwitch(DataPlaneSwitch):
         if prefetch_fragments < 1:
             raise ValueError("prefetch_fragments must be >= 1")
         super().__init__(
-            name,
-            processing_rate=processing_rate,
-            forwarding_delay_s=forwarding_delay_s,
+            name, processing_rate=processing_rate, forwarding_delay_s=forwarding_delay_s
         )
         self.layout = layout
         self.pipeline = DifanePipeline(layout, engine=engine)
@@ -155,40 +133,26 @@ class DifaneSwitch(DataPlaneSwitch):
         self.install_latency_s = install_latency_s
         self.prefetch_fragments = prefetch_fragments
         self._redirect_station: Optional[ServiceStation] = None
-        #: Control session to the DIFANE controller; ``None`` until the
-        #: controller wires a control plane (see
-        #: :meth:`DifaneController.connect_control_plane`).  With a channel
-        #: attached, orphaned-partition packets degrade to a NOX-style
-        #: packet-in instead of being dropped.
+        #: Control session to the DIFANE controller; ``None`` until
+        #: :meth:`DifaneController.connect_control_plane` wires one.  With a
+        #: channel, orphaned-partition packets degrade to a packet-in.
         self.control_channel = None
         self._heartbeat_interval: Optional[float] = None
         self._beat = 0
-        # Statistics the experiments read.
-        self.cache_hits = 0
-        self.authority_hits = 0
-        self.redirects_out = 0
-        self.redirects_handled = 0
+        # Statistics the experiments read: the mirrored ones, then the rest.
+        for stat in self._MIRRORED_STATS:
+            setattr(self, stat, 0)
         self.redirects_dropped = 0
-        #: Redirects refused by QoS admission control (unprotected classes
-        #: shed while the redirect queue is above the threshold).  Not in
-        #: ``_MIRRORED_STATS`` — the per-class ``qos_shed_total`` counters
-        #: carry it to the registry, and only when a QoS policy is active.
+        #: Redirects refused by QoS admission control.  Not mirrored: the
+        #: per-class ``qos_shed_total`` counters carry it, QoS on only.
         self.redirects_shed = 0
-        self.cache_installs_sent = 0
         #: In-band install messages that carried more than one sibling
         #: fragment (dependency-aware batching at prefetch > 1).
         self.cache_install_batches_sent = 0
-        self.cache_installs_received = 0
-        self.failovers = 0
-        self.unmatched = 0
-        self.degraded_packets = 0
-        self.heartbeats_sent = 0
-        #: Registry children keyed by statistic name; null until
-        #: attach() binds the network's registry (keeps directly-driven
-        #: switches working in unit tests).
+        #: Registry children keyed by statistic name; null until attach()
+        #: binds the network's registry (directly driven unit-test switches).
         self._m: dict = {stat: NULL_METRIC for stat in self._MIRRORED_STATS}
-        #: QoS wiring — bound in attach() when a policy is installed;
-        #: ``None``/empty otherwise so the hot path stays a cheap test.
+        #: QoS wiring — bound in attach() when a policy is installed.
         self._qos = None
         self._qc: dict = {}
         #: arrival instant -> in-band install entries awaiting that event
@@ -200,9 +164,7 @@ class DifaneSwitch(DataPlaneSwitch):
         """Wire the redirect-capacity queue when the network binds us."""
         super().attach(network)
         # Mirror the per-switch statistics into the run's registry so
-        # experiments read one canonical snapshot instead of scraping
-        # switch attributes.  Children are bound once; increments are
-        # a single += on the hot path.
+        # experiments read one canonical snapshot, not switch attributes.
         registry = network.metrics
         for stat in self._MIRRORED_STATS:
             self._m[stat] = registry.counter(f"difane_{stat}_total", switch=self.name)
@@ -225,11 +187,9 @@ class DifaneSwitch(DataPlaneSwitch):
                 name=f"{self.name}.redirect",
                 metrics=network.metrics,
             )
-        # Per-class QoS wiring: bind one counter per (statistic, class) so
-        # hot-path increments are dict lookups, apply the cache-residency
-        # knobs, and remember the policy for classification.  All of it is
-        # gated on a policy being installed — with QoS off (the default) no
-        # qos_* counter is ever bound and the goldens stay byte-identical.
+        # Per-class QoS: one counter per (statistic, class) and the
+        # cache-residency knobs.  With QoS off (the default) no qos_*
+        # counter is ever bound and the goldens stay byte-identical.
         policy = current_qos()
         self._qos = policy
         if policy is not None:
@@ -248,27 +208,21 @@ class DifaneSwitch(DataPlaneSwitch):
 
     def _telemetry_probe(self) -> dict:
         """Per-window level samples for the telemetry recorder."""
-        samples = {
-            f"difane_cache_occupancy{{switch={self.name}}}": float(
-                self.cache.occupancy()
-            ),
-            f"difane_cache_evictions{{switch={self.name}}}": float(self.cache.evicted),
+        cache = self.cache
+        levels = {"occupancy": cache.occupancy(), "evictions": cache.evicted}
+        if cache.policy is EvictionPolicy.COST:
+            # The churn split and the measured re-fetch penalty only matter
+            # to cost-aware eviction; gating them on the policy keeps the
+            # default-LRU goldens byte-identical.
+            penalty = cache.refetch_penalty_ewma
+            levels.update(
+                expirations=cache.expired, invalidations=cache.invalidated,
+                refetch_penalty_s=0.0 if penalty is None else penalty,
+            )
+        return {
+            f"difane_cache_{level}{{switch={self.name}}}": float(value)
+            for level, value in levels.items()
         }
-        if self.cache.policy is EvictionPolicy.COST:
-            # The churn split and the measured re-fetch penalty only
-            # matter to cost-aware eviction; gating the extra probe keys
-            # on the policy keeps the default-LRU goldens byte-identical.
-            samples[f"difane_cache_expirations{{switch={self.name}}}"] = float(
-                self.cache.expired
-            )
-            samples[f"difane_cache_invalidations{{switch={self.name}}}"] = float(
-                self.cache.invalidated
-            )
-            ewma = self.cache.refetch_penalty_ewma
-            samples[f"difane_cache_refetch_penalty_s{{switch={self.name}}}"] = (
-                float(ewma) if ewma is not None else 0.0
-            )
-        return samples
 
     # -- control plane (optional; wired by connect_control_plane) -----------------
     def connect_control(self, channel) -> None:
@@ -278,11 +232,10 @@ class DifaneSwitch(DataPlaneSwitch):
     def enable_heartbeats(self, interval_s: float) -> None:
         """Start emitting periodic liveness beacons over the control channel.
 
-        Beats are fire-and-forget (never retransmitted): a lost or late
-        heartbeat is exactly the signal the controller's failure detector
-        integrates.  A dead switch (``alive = False``) skips beats but the
-        timer keeps ticking, so beats resume on repair.  Note the timer
-        keeps the event loop alive — run the simulation with ``until=``.
+        Beats are fire-and-forget: a lost or late heartbeat is exactly what
+        the controller's failure detector integrates.  A dead switch skips
+        beats but keeps the timer (and the event loop — run with
+        ``until=``) ticking, so beats resume on repair.
         """
         if interval_s <= 0:
             raise ValueError(f"heartbeat interval must be positive, got {interval_s}")
@@ -294,7 +247,6 @@ class DifaneSwitch(DataPlaneSwitch):
             return
         if self.alive and self.control_channel is not None:
             self._beat += 1
-            self.heartbeats_sent += 1
             self.control_channel.send_to_controller(
                 Heartbeat(switch=self.name, beat=self._beat,
                           sent_at=self.network.scheduler.now),
@@ -305,7 +257,7 @@ class DifaneSwitch(DataPlaneSwitch):
     def receive_control(self, message: Message) -> None:
         """Handle a controller-to-switch message (degraded path / installs)."""
         if isinstance(message, PacketOut):
-            self._execute_actions(message.packet, message.actions)
+            self.execute(message.packet, message.actions)
         elif isinstance(message, FlowMod) and message.rule is not None:
             if message.command is FlowModCommand.ADD:
                 self.install_rule(message.rule)
@@ -329,8 +281,7 @@ class DifaneSwitch(DataPlaneSwitch):
 
     def install_cache_rule(self, rule: Rule) -> None:
         """Receive an in-band cache install from an authority switch."""
-        self.cache_installs_received += 1
-        self._m["cache_installs_received"].inc()
+        self._count("cache_installs_received")
         now = self._now()
         if self.network is not None and self.network.tracer.enabled:
             self.network.tracer.record(
@@ -338,6 +289,12 @@ class DifaneSwitch(DataPlaneSwitch):
             )
         self.cache.expire(now)
         self.cache.install(rule, now)
+
+    def install_cache_rules(self, rules: List[Rule]) -> None:
+        """Receive a batched in-band install: sibling win-region fragments
+        of one policy rule, carried in a single message."""
+        for rule in rules:
+            self.install_cache_rule(rule)
 
     def flush_cache_where(self, predicate) -> List[Rule]:
         """Evict cache rules matching ``predicate`` (policy-change path)."""
@@ -348,13 +305,11 @@ class DifaneSwitch(DataPlaneSwitch):
     def purge_stale_authority_rules(self, expected: List[Rule]) -> List[Rule]:
         """Evict authority fragments not in the controller's ``expected`` set.
 
-        A switch that died and came back still holds the authority
-        fragments of partitions that were re-homed elsewhere while it was
-        down.  Left in place, they shadow freshly installed copies (same
-        priority, earlier insertion order wins), inflate the TCAM
-        footprint and silently zero the load measurements the rebalancer
-        depends on.  Identity (``is``) comparison is deliberate: the
-        controller tracks the exact fragment objects it installed.
+        A revived switch still holds fragments of partitions re-homed while
+        it was down; left in place they shadow the fresh copies (earlier
+        install wins ties), inflate the TCAM and zero the rebalancer's load
+        readings.  Identity comparison: the controller tracks the exact
+        fragment objects it installed.
         """
         expected_ids = {id(rule) for rule in expected}
         return self.pipeline.authority.evict_if(
@@ -362,6 +317,18 @@ class DifaneSwitch(DataPlaneSwitch):
         )
 
     # -- the data plane ------------------------------------------------------------
+    # Everything after the lookup is decided from (stage, rule, routes,
+    # control channel), never from the packet: ``_STAGE_ACCOUNTING``,
+    # :meth:`_redirect_target`, :meth:`_install_costs` / :meth:`_install_plan`.
+    # The scalar executor (:meth:`process`, :meth:`_handle_redirect`,
+    # :meth:`execute`) applies them to one packet; the columnar one once per
+    # (stage, rule) group, handing rare outcomes to the scalar executor.
+
+    def _count(self, stat: str, count: int = 1) -> None:
+        """Bump a mirrored statistic and its ``difane_<stat>_total`` counter."""
+        self.__dict__[stat] += count
+        self._m[stat].inc(count)
+
     def process(self, packet: Packet) -> None:
         """Ingress classification / transit tunnelling / authority entry."""
         tunnel_end = packet.encap_destination
@@ -369,97 +336,117 @@ class DifaneSwitch(DataPlaneSwitch):
             if tunnel_end != self.name:
                 # Transit: tunnel forwarding only, no reclassification.
                 self.network.forward_toward(self.name, tunnel_end, packet)
-                return
-            # Redirected to this authority switch.
-            if self._redirect_station is not None:
-                if not self._admission_shed(packet):
-                    self._redirect_station.submit(packet)
-            else:
+            elif self._redirect_station is None:
                 self._handle_redirect(packet)
+            elif not self._admission_shed(packet):
+                self._redirect_station.submit(packet)
             return
 
         # Ingress classification: the only branch that reads the clock.
         network = self.network
         now = network.scheduler.now
         result = self.pipeline.lookup(packet, now)
-        tracer = network.tracer
-        if result.stage is PipelineStage.CACHE:
-            self.cache_hits += 1
-            self._m["cache_hits"].inc()
-            if self._qos is not None:
-                self._qos_count("cache_hits", (packet.header_bits,))
-            if tracer.enabled:
-                tracer.record(now, TraceKind.CACHE_HIT, packet, node=self.name)
-            self._terminal(packet, result.rule)
-        elif result.stage is PipelineStage.AUTHORITY:
-            # This switch is itself the authority for the packet's
-            # partition: handle locally, no redirect needed.
-            self.authority_hits += 1
-            self._m["authority_hits"].inc()
-            if self._qos is not None:
-                self._qos_count("authority_hits", (packet.header_bits,))
-            if tracer.enabled:
-                tracer.record(now, TraceKind.AUTHORITY_HIT, packet, node=self.name)
-            self._terminal(packet, result.rule)
-        elif result.stage is PipelineStage.PARTITION:
-            self.redirects_out += 1
-            self._m["redirects_out"].inc()
-            if self._qos is not None:
-                self._qos_count("redirects", (packet.header_bits,))
-            packet.via_authority = True
-            if tracer.enabled:
-                tracer.record(now, TraceKind.REDIRECT, packet, node=self.name)
-            self._redirect_via_partition(packet, result.rule)
-        else:
-            self.unmatched += 1
-            self._m["unmatched"].inc()
+        stage = result.stage
+        if stage is PipelineStage.MISS:
+            self._count("unmatched")
             network.record_drop(packet, self.name, "no matching rule")
+            return
+        stat, qos_stat, kind = _STAGE_ACCOUNTING[stage]
+        self._count(stat)
+        if self._qos is not None:
+            self._qos_count(qos_stat, (packet.header_bits,))
+        tracer = network.tracer
+        if stage is not PipelineStage.PARTITION:
+            # A cache hit, or this switch is itself the authority for the
+            # packet's partition: handle locally, no redirect needed.
+            if tracer.enabled:
+                tracer.record(now, kind, packet, node=self.name)
+            self.execute(packet, result.rule.actions.actions)
+            return
+        packet.via_authority = True
+        if tracer.enabled:
+            tracer.record(now, kind, packet, node=self.name)
+        destination, failed_over = self._redirect_target(result.rule)
+        if destination is None:
+            self._orphaned(packet)
+            return
+        if failed_over:
+            self._count("failovers")
+            if tracer.enabled:
+                tracer.record(
+                    now, TraceKind.FAILOVER, packet, node=self.name, detail=destination
+                )
+        packet.encapsulate(destination)
+        network.forward_toward(self.name, destination, packet)
 
-    # -- the columnar data plane ---------------------------------------------------
+    def _redirect_target(self, rule: Rule) -> Tuple[Optional[str], bool]:
+        """The authority a partition rule tunnels to: ``(switch, failed_over)``.
+
+        Paper §4.3: partition rules carry the replica list, so the ingress
+        fails over to a live backup **without contacting the controller**.
+        ``(None, False)``: the partition is orphaned (:meth:`_orphaned`).
+        """
+        action = rule.actions.actions[0]
+        reachable = self.network.routes.reachable
+        if reachable(self.name, action.destination):
+            return action.destination, False
+        for backup in getattr(action, "backups", ()):
+            if reachable(self.name, backup):
+                return backup, True
+        return None, False
+
+    def _orphaned(self, packet: Packet) -> None:
+        """No replica is reachable: degrade to a NOX-style packet-in so the
+        controller classifies the packet, or drop without a channel."""
+        if self.control_channel is None:
+            self.network.record_drop(packet, self.name, "authority unreachable")
+            return
+        self._count("degraded_packets")
+        packet.via_controller = True
+        if self.network.tracer.enabled:
+            self.network.tracer.record(
+                self._now(), TraceKind.DEGRADED, packet, node=self.name
+            )
+        self.control_channel.send_to_controller(
+            PacketIn(switch=self.name, packet=packet)
+        )
+
     def process_packet_batch(self, batch) -> None:
         """Columnar :meth:`process`: classify and act on a whole batch.
 
         Counters, rule statistics, delivery records and traces land as
         per-packet :meth:`process` calls would.  Accounting is per
-        (stage, rule) group, but forwarding is per *egress*: every group
-        whose action list is one ``Forward`` — or one redirect — toward
-        the same destination leaves as a single sub-batch in packet
-        order, so a burst stays a burst on its next link however many
-        rules it matched.  Capacity-bounded paths (the redirect station)
-        are defined per packet and degrade to the scalar path.
+        (stage, rule) group, but forwarding is per *egress*: groups that
+        leave by one ``Forward`` or one redirect toward the same
+        destination go as a single sub-batch in packet order, so a burst
+        stays a burst on its next link however many rules it matched.  The
+        redirect station is defined per packet and takes the scalar view.
         """
-        now = self._now()
-        if batch.encap_destination is not None:
-            if batch.encap_destination != self.name:
+        tunnel_end = batch.encap_destination
+        if tunnel_end is not None:
+            if tunnel_end != self.name:
                 # Transit: tunnel the whole batch one hop, no reclassify.
-                self.network.forward_batch_toward(
-                    self.name, batch.encap_destination, batch
-                )
-                return
-            if self._redirect_station is not None:
-                # The redirect budget is per packet; feed the station the
-                # scalar view so queueing/loss behaviour is unchanged.
+                self.network.forward_batch_toward(self.name, tunnel_end, batch)
+            elif self._redirect_station is None:
+                self._handle_redirect_batch(batch)
+            else:
                 for packet in batch.packets():
                     if not self._admission_shed(packet):
                         self._redirect_station.submit(packet)
-                return
-            self._handle_redirect_batch(batch)
             return
-
+        now = self._now()
         tracer = self.network.tracer
         egress: dict = {}
         for stage, rule, indices in self.pipeline.classify_batch(batch, now):
             count = len(indices)
             if stage is PipelineStage.MISS:
-                self.unmatched += count
-                self._m["unmatched"].inc(count)
+                self._count("unmatched", count)
                 self.network.record_drop_batch(
                     batch.select(indices), self.name, "no matching rule"
                 )
                 continue
             stat, qos_stat, kind = _STAGE_ACCOUNTING[stage]
-            setattr(self, stat, getattr(self, stat) + count)
-            self._m[stat].inc(count)
+            self._count(stat, count)
             if stage is PipelineStage.PARTITION:
                 batch.via_authority[indices] = True
             if self._qos is not None or tracer.enabled:
@@ -468,15 +455,51 @@ class DifaneSwitch(DataPlaneSwitch):
                     self._qos_count(qos_stat, sub.header_bits_list())
                 if tracer.enabled:
                     tracer.record_batch(now, kind, sub.packets(), node=self.name)
-            if stage is PipelineStage.PARTITION:
-                destination = self._batch_redirect_destination(batch, indices, rule)
-            else:
-                destination = _sole_forward_port(rule)
-                if destination is None:
-                    self._terminal_batch(batch.select(indices), rule)
-            if destination is not None:
-                egress.setdefault(destination, []).extend(indices.tolist())
+            if stage is not PipelineStage.PARTITION:
+                self._terminal_batch(batch, indices.tolist(), rule, egress)
+                continue
+            destination, failed_over = self._redirect_target(rule)
+            if destination is None:
+                for packet in batch.select(indices).packets():
+                    self._orphaned(packet)
+                continue
+            if failed_over:
+                self._count("failovers", count)
+                if tracer.enabled:
+                    tracer.record_batch(
+                        now, TraceKind.FAILOVER, batch.select(indices).packets(),
+                        node=self.name, detail=destination,
+                    )
+            egress.setdefault(destination, []).extend(indices.tolist())
         self._forward_by_egress(batch, egress)
+
+    def _terminal_batch(self, batch, indices: list, rule: Rule, egress: dict) -> None:
+        """Columnar :meth:`execute` of ``rule`` on ``batch[indices]``.
+
+        A sole ``Forward`` joins its egress bucket; otherwise ``SetField``,
+        ``Drop`` and ``Forward`` apply to the sub-batch, and any other
+        action hands its packets (rewrites applied) to the scalar executor.
+        """
+        actions = rule.actions.actions
+        if len(actions) == 1 and isinstance(actions[0], Forward):
+            egress.setdefault(actions[0].port, []).extend(indices)
+            return
+        batch = batch.select(indices)
+        for position, action in enumerate(actions):
+            if isinstance(action, SetField):
+                batch.set_field(action.field_name, action.value)
+            elif isinstance(action, Drop):
+                self.network.record_drop_batch(batch, self.name, "policy drop")
+                return
+            elif isinstance(action, Forward):
+                batch.encapsulate(action.port)
+                self.network.forward_batch_toward(self.name, action.port, batch)
+                return
+            else:
+                for packet in batch.packets():
+                    self.execute(packet, actions[position:])
+                return
+        self.network.record_drop_batch(batch, self.name, "no terminal action")
 
     def _forward_by_egress(self, batch, egress: dict) -> None:
         """Tunnel one sub-batch per destination, each in packet order."""
@@ -486,95 +509,79 @@ class DifaneSwitch(DataPlaneSwitch):
             sub.encapsulate(destination)
             self.network.forward_batch_toward(self.name, destination, sub)
 
-    def _batch_redirect_destination(self, batch, indices, rule: Rule) -> Optional[str]:
-        """Batch analogue of :meth:`_redirect_via_partition`: the authority
-        switch the group at ``indices`` tunnels to.
-
-        Destination resolution (primary reachability, backup failover)
-        depends only on the partition rule and current routes, so it is
-        computed once per group.  ``None`` means the group was consumed
-        here: the rare degraded path (orphaned partition → controller
-        punt) is inherently per packet and materializes the scalar view.
-        """
-        action = rule.actions.actions[0]
-        reachable = self.network.routes.reachable
-        if reachable(self.name, action.destination):
-            return action.destination
-        count = len(indices)
-        sub = batch.select(indices)
-        tracer = self.network.tracer
-        for backup in getattr(action, "backups", ()):
-            if reachable(self.name, backup):
-                self.failovers += count
-                self._m["failovers"].inc(count)
-                if tracer.enabled:
-                    tracer.record_batch(
-                        self._now(), TraceKind.FAILOVER, sub.packets(),
-                        node=self.name, detail=backup,
-                    )
-                return backup
-        if self.control_channel is None:
-            self.network.record_drop_batch(sub, self.name, "authority unreachable")
-            return None
-        self.degraded_packets += count
-        self._m["degraded_packets"].inc(count)
-        for packet in sub.packets():
-            packet.via_controller = True
-            if tracer.enabled:
-                tracer.record(
-                    self._now(), TraceKind.DEGRADED, packet, node=self.name
-                )
-            self.control_channel.send_to_controller(
-                PacketIn(switch=self.name, packet=packet)
+    # -- the authority path ----------------------------------------------------------
+    def _handle_redirect(self, packet: Packet) -> None:
+        """Authority-path processing of one redirected packet."""
+        self._count("redirects_handled")
+        packet.decapsulate()
+        now = self.network.scheduler.now
+        if self.network.tracer.enabled:
+            self.network.tracer.record(
+                now, TraceKind.AUTHORITY_HANDLE, packet, node=self.name
             )
-        return None
+        rule = self.pipeline.authority.lookup(packet, now)
+        if rule is None:
+            self._count("unmatched")
+            self.network.record_drop(packet, self.name, "authority miss")
+            return
+        ingress = packet.ingress_switch
+        # Snapshot the header before terminal actions: SetField rewrites
+        # would otherwise corrupt the win-fragment computation (the cache
+        # rule must match packets as they arrive at the ingress switch).
+        original_bits = packet.header_bits
+        self.execute(packet, rule.actions.actions)
+        if ingress is not None:
+            self._install_at(ingress, rule, original_bits, packet)
+
+    def _install_at(
+        self, ingress: str, rule: Rule, packet_bits: int, packet: Packet
+    ) -> None:
+        """Scalar install executor: one in-band message per fragment group."""
+        delay, penalty = self._install_costs(ingress)
+        groups = self._install_plan(rule, packet_bits, penalty)
+        target = self.network.node(ingress)
+        if target is self:
+            # Degenerate single-switch case: cache locally, no message.
+            self._install_in_packet_order([(packet.packet_id, groups)])
+            return
+        self._installs_sent(groups, packet, ingress)
+        schedule = self.network.scheduler.schedule
+        for group in groups:
+            if len(group) == 1:
+                schedule(delay, target.install_cache_rule, group[0])
+            else:
+                schedule(delay, target.install_cache_rules, group)
 
     def _handle_redirect_batch(self, batch) -> None:
-        """Authority-path processing of a redirected batch.
+        """Columnar :meth:`_handle_redirect`.
 
-        Terminal forwards leave per egress, like ingress classification.
-        Install decisions are made **per unique flow**: the win-fragment
-        computation (:meth:`_cache_rules_for`) runs once per distinct
-        (ingress, winner, header), while the install messages and
-        counters stay per packet — each ingress is sent one sequence of
-        ``(packet id, fragment groups)`` and applies it in packet order
-        (:meth:`queue_cache_installs`), exactly what the scalar path
-        produces, minus the redundant recomputation and the per-message
-        events.
+        Install plans are made once per distinct (ingress, winner, header);
+        messages and counters stay per packet: each ingress gets one
+        sequence of ``(packet id, fragment groups)`` and applies it in
+        packet order (:meth:`queue_cache_installs`) — the scalar path's
+        installs, minus the recomputation and the per-message events.
         """
-        count = len(batch)
-        self.redirects_handled += count
-        self._m["redirects_handled"].inc(count)
+        self._count("redirects_handled", len(batch))
         batch.decapsulate()
         now = self._now()
         tracer = self.network.tracer
         packets = batch.packets() if tracer.enabled else None
         if tracer.enabled:
-            tracer.record_batch(
-                now, TraceKind.AUTHORITY_HANDLE, packets, node=self.name
-            )
+            tracer.record_batch(now, TraceKind.AUTHORITY_HANDLE, packets, node=self.name)
         winners, rules = self.pipeline.authority.match_batch(batch, now)
         winners = winners.tolist()
-        # Snapshot headers before terminal actions (SetField rewrites
-        # would corrupt the win-fragment computation — the cache rule
-        # must match packets as they arrived at the ingress switch).
+        # Header snapshot before terminal actions (see _handle_redirect).
         original_bits = batch.header_bits_list()
         groups: dict = {}
         for i, winner in enumerate(winners):
             groups.setdefault(winner, []).append(i)
         missed = groups.pop(-1, None)
         if missed:
-            self.unmatched += len(missed)
-            self.network.record_drop_batch(
-                batch.select(missed), self.name, "authority miss"
-            )
+            self._count("unmatched", len(missed))
+            self.network.record_drop_batch(batch.select(missed), self.name, "authority miss")
         egress: dict = {}
         for winner, indices in groups.items():
-            destination = _sole_forward_port(rules[winner])
-            if destination is None:
-                self._terminal_batch(batch.select(indices), rules[winner])
-            else:
-                egress.setdefault(destination, []).extend(indices)
+            self._terminal_batch(batch, indices, rules[winner], egress)
         self._forward_by_egress(batch, egress)
 
         by_ingress: dict = {}
@@ -582,48 +589,70 @@ class DifaneSwitch(DataPlaneSwitch):
             if ingress is not None and winners[i] >= 0:
                 by_ingress.setdefault(ingress, []).append(i)
         packet_ids = batch.packet_ids.tolist()
-        distance = self.network.routes.distance
         for ingress, indices in by_ingress.items():
-            delay = self.install_latency_s + distance(self.name, ingress)
-            # The full miss penalty the ingress pays to re-fetch an entry
-            # (see :meth:`_send_cache_install`).
-            penalty = distance(ingress, self.name) + delay
-            flows: dict = {}  # (winner, header) -> fragment groups
+            delay, penalty = self._install_costs(ingress)
+            plans: dict = {}  # (winner, header) -> fragment groups
             entries = []
             for i in indices:
                 key = (winners[i], original_bits[i])
-                fragment_groups = flows.get(key)
-                if fragment_groups is None:
-                    fragment_groups = flows[key] = self._fragment_groups(
-                        self._cache_rules_for(rules[key[0]], key[1]), penalty
-                    )
-                entries.append((packet_ids[i], fragment_groups))
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = self._install_plan(rules[key[0]], key[1], penalty)
+                entries.append((packet_ids[i], plan))
             target = self.network.node(ingress)
             if target is self:
-                # Degenerate single-switch case: cache locally, no message.
                 self._install_in_packet_order(entries)
                 continue
-            for i, (_, fragment_groups) in zip(indices, entries):
-                for group in fragment_groups:
-                    self.cache_installs_sent += len(group)
-                    self._m["cache_installs_sent"].inc(len(group))
-                    if len(group) > 1:
-                        self.cache_install_batches_sent += 1
-                    if tracer.enabled:
-                        for _ in group:
-                            tracer.record(
-                                now, TraceKind.INSTALL_SENT, packets[i],
-                                node=self.name, detail=ingress,
-                            )
+            for i, (_, plan) in zip(indices, entries):
+                self._installs_sent(plan, packets[i] if packets else None, ingress)
             target.queue_cache_installs(delay, entries)
+
+    def _install_costs(self, ingress: str) -> Tuple[float, float]:
+        """``(message delay, re-fetch penalty)`` of installs to ``ingress``;
+        the penalty (redirect here plus the install path back) is what
+        cost-aware eviction reads."""
+        distance = self.network.routes.distance
+        delay = self.install_latency_s + distance(self.name, ingress)
+        return delay, distance(ingress, self.name) + delay
+
+    def _install_plan(
+        self, rule: Rule, packet_bits: int, penalty: float
+    ) -> List[List[Rule]]:
+        """The cache rules one miss installs, one group per message.
+
+        Fragments of the same policy rule travel together (dependency-aware
+        batching at ``prefetch_fragments > 1``); at prefetch=1 — the
+        goldens' configuration — every message carries one rule.
+        """
+        groups: dict = {}
+        for cached in self._cache_rules_for(rule, packet_bits):
+            cached.refetch_penalty_s = penalty
+            groups.setdefault(id(cached.root_origin()), []).append(cached)
+        return list(groups.values())
+
+    def _installs_sent(self, groups: List[List[Rule]], packet, ingress: str) -> None:
+        """Count and trace one redirected packet's install messages, traced
+        against the packet so the flow-causal analyzer can attribute the
+        install stage to its span (a rule carries no flow identity)."""
+        tracer = self.network.tracer
+        for group in groups:
+            size = len(group)
+            self._count("cache_installs_sent", size)
+            if size > 1:
+                self.cache_install_batches_sent += 1
+            if tracer.enabled:
+                for _ in group:
+                    tracer.record(
+                        self._now(), TraceKind.INSTALL_SENT, packet,
+                        node=self.name, detail=ingress,
+                    )
 
     def queue_cache_installs(self, delay: float, entries: list) -> None:
         """Receive one authority's in-band installs for a redirected batch.
 
-        ``entries`` is ``[(packet id, fragment groups), ...]``, one entry
-        per redirected packet.  Sequences that arrive at the same instant
-        — several authorities answering one burst — share one event and
-        are applied together in packet order.
+        ``entries`` is ``[(packet id, fragment groups), ...]``, one per
+        redirected packet.  Sequences arriving at one instant (several
+        authorities answering one burst) share one event, in packet order.
         """
         arrival = self._now() + delay
         pending = self._pending_installs.get(arrival)
@@ -649,99 +678,30 @@ class DifaneSwitch(DataPlaneSwitch):
                 for rule in group:
                     self.install_cache_rule(rule)
 
-    def install_cache_rules(self, rules: List[Rule]) -> None:
-        """Receive a batched in-band install: sibling win-region fragments
-        of one policy rule, carried in a single message."""
-        for rule in rules:
-            self.install_cache_rule(rule)
-
-    def _terminal_batch(self, batch, rule: Rule) -> None:
-        """Batch analogue of :meth:`_terminal` (same action semantics)."""
-        for action in rule.actions:
-            if isinstance(action, SetField):
-                batch.set_field(action.field_name, action.value)
-            elif isinstance(action, Drop):
-                self.network.record_drop_batch(batch, self.name, "policy drop")
-                return
-            elif isinstance(action, Forward):
-                batch.encapsulate(action.port)
-                self.network.forward_batch_toward(self.name, action.port, batch)
-                return
-            else:
-                break
-        self.network.record_drop_batch(batch, self.name, "no terminal action")
-
-    def _redirect_via_partition(self, packet: Packet, rule: Rule) -> None:
-        """Tunnel a miss to its authority switch, failing over to backups.
-
-        Paper §4.3: partition rules carry the replica list, so when the
-        primary authority switch is unreachable the ingress switch picks a
-        live backup **without contacting the controller**.
-        """
-        action = rule.actions.actions[0]
-        destination = action.destination
-        if not self.network.routes.reachable(self.name, destination):
-            for backup in getattr(action, "backups", ()):
-                if self.network.routes.reachable(self.name, backup):
-                    destination = backup
-                    self.failovers += 1
-                    self._m["failovers"].inc()
-                    if self.network.tracer.enabled:
-                        self.network.tracer.record(
-                            self._now(), TraceKind.FAILOVER, packet,
-                            node=self.name, detail=backup,
-                        )
-                    break
-            else:
-                # Partition orphaned: primary and every replicated backup
-                # are unreachable.  Degrade to a NOX-style packet-in so the
-                # controller classifies the packet, instead of dropping.
-                if self.control_channel is not None:
-                    self.degraded_packets += 1
-                    self._m["degraded_packets"].inc()
-                    packet.via_controller = True
-                    if self.network.tracer.enabled:
-                        self.network.tracer.record(
-                            self._now(), TraceKind.DEGRADED, packet, node=self.name
-                        )
-                    self.control_channel.send_to_controller(
-                        PacketIn(switch=self.name, packet=packet)
-                    )
-                    return
-                self.network.record_drop(packet, self.name, "authority unreachable")
-                return
-        packet.encapsulate(destination)
-        self.network.forward_toward(self.name, destination, packet)
-
-    def _handle_redirect(self, packet: Packet) -> None:
-        """Authority-path processing of one redirected packet."""
-        self.redirects_handled += 1
-        self._m["redirects_handled"].inc()
-        packet.decapsulate()
-        now = self._now()
-        if self.network.tracer.enabled:
-            self.network.tracer.record(
-                now, TraceKind.AUTHORITY_HANDLE, packet, node=self.name
-            )
-        rule = self.pipeline.authority.lookup(packet, now)
-        if rule is None:
-            self.unmatched += 1
-            self.network.record_drop(packet, self.name, "authority miss")
-            return
-        ingress = packet.ingress_switch
-        # Snapshot the header before terminal actions: SetField rewrites
-        # would otherwise corrupt the win-fragment computation (the cache
-        # rule must match packets as they arrive at the ingress switch).
-        original_bits = packet.header_bits
-        self._terminal(packet, rule)
-        if ingress is not None and ingress != self.name:
-            self._send_cache_install(ingress, rule, original_bits, packet)
-        elif ingress == self.name:
-            # Degenerate single-switch case: cache locally.
-            cached_rules = self._cache_rules_for(rule, original_bits)
-            self._fragment_groups(cached_rules, self.install_latency_s)
+    def _cache_rules_for(self, rule: Rule, packet_bits: int) -> List[Rule]:
+        """The cache rule(s) one miss generates (fragment + prefetch)."""
+        authority = self.pipeline.authority.table
+        cached_rules: Optional[List[Rule]] = None
+        if self.prefetch_fragments > 1:
+            try:
+                cached_rules = generate_cache_rules(
+                    authority.rules, rule, packet_bits=packet_bits,
+                    max_fragments=self.prefetch_fragments,
+                    max_members=max(64, 8 * self.prefetch_fragments),
+                )
+            except WinRegionTooLarge:
+                pass  # fall back to the single-fragment path
+        if cached_rules is None:
+            fragment = authority.engine.win_fragment(rule, packet_bits)
+            cached_rules = [] if fragment is None else [cache_rule(rule, fragment)]
+        if self._qos is not None and cached_rules:
+            # Stamp the class the *missed packet* belongs to — the single
+            # chokepoint every install path (scalar, batch, local) funnels
+            # through, so residency protection sees every cache rule.
+            name = self._qos.classifier.classify_bits(packet_bits)
             for cached in cached_rules:
-                self.install_cache_rule(cached)
+                cached.flow_class = name
+        return cached_rules
 
     def _qos_count(self, stat: str, header_bits_iter) -> None:
         """Increment the per-class counter for ``stat`` per packed header."""
@@ -753,12 +713,10 @@ class DifaneSwitch(DataPlaneSwitch):
     def _admission_shed(self, packet: Packet) -> bool:
         """Shed an unprotected-class redirect when the queue is deep.
 
-        Threshold admission control (armed by the QoS policy): once the
-        redirect station's queue is at least ``admission_threshold`` deep,
-        redirects of unprotected classes are refused on arrival — with
-        exact drop attribution — instead of queueing behind (and ahead of)
-        protected traffic.  Protected classes always pass; the station's
-        own tail-drop limit still backstops them.
+        Threshold admission control (armed by the QoS policy): while the
+        redirect queue is at least ``admission_threshold`` deep, redirects
+        of unprotected classes are refused on arrival, with exact drop
+        attribution; protected classes meet only the station's tail drop.
         """
         qos = self._qos
         if qos is None or qos.admission_threshold is None:
@@ -773,116 +731,9 @@ class DifaneSwitch(DataPlaneSwitch):
         self.network.record_drop(packet, self.name, f"admission shed {cls}")
         return True
 
-    def _cache_rules_for(self, rule: Rule, packet_bits: int) -> List[Rule]:
-        """The cache rule(s) one miss generates (fragment + prefetch)."""
-        authority = self.pipeline.authority.table
-        cached_rules: Optional[List[Rule]] = None
-        if self.prefetch_fragments > 1:
-            try:
-                cached_rules = generate_cache_rules(
-                    authority.rules,
-                    rule,
-                    packet_bits=packet_bits,
-                    max_fragments=self.prefetch_fragments,
-                    max_members=max(64, 8 * self.prefetch_fragments),
-                )
-            except WinRegionTooLarge:
-                cached_rules = None  # fall back to the single-fragment path
-        if cached_rules is None:
-            fragment = authority.engine.win_fragment(rule, packet_bits)
-            cached_rules = [] if fragment is None else [cache_rule(rule, fragment)]
-        if self._qos is not None and cached_rules:
-            # Stamp the class the *missed packet* belongs to — the single
-            # chokepoint every install path (scalar, batch, local) funnels
-            # through, so residency protection sees every cache rule.
-            name = self._qos.classifier.classify_bits(packet_bits)
-            for cached in cached_rules:
-                cached.flow_class = name
-        return cached_rules
-
-    def _send_cache_install(
-        self, ingress: str, rule: Rule, packet_bits: int, packet: Optional[Packet] = None
-    ) -> None:
-        cached_rules = self._cache_rules_for(rule, packet_bits)
-        if not cached_rules:
-            return
-        target = self.network.node(ingress)
-        delay = self.install_latency_s + self.network.routes.distance(self.name, ingress)
-        tracer = self.network.tracer
-        # The full miss penalty the ingress pays to re-fetch this entry:
-        # redirect to the authority plus the install path back.  Cost-aware
-        # eviction reads this stamp; other policies ignore it.
-        penalty = self.network.routes.distance(ingress, self.name) + delay
-        for group in self._fragment_groups(cached_rules, penalty):
-            for cached in group:
-                self.cache_installs_sent += 1
-                self._m["cache_installs_sent"].inc()
-                if tracer.enabled:
-                    # Trace against the triggering packet (when known) so
-                    # the flow-causal analyzer can attribute the install
-                    # stage to the first packet's span; the rule itself
-                    # carries no packet/flow identity.
-                    tracer.record(
-                        self._now(), TraceKind.INSTALL_SENT,
-                        packet if packet is not None else cached,
-                        node=self.name, detail=ingress,
-                    )
-            if len(group) == 1:
-                self.network.scheduler.schedule(
-                    delay, target.install_cache_rule, group[0]
-                )
-            else:
-                self.cache_install_batches_sent += 1
-                self.network.scheduler.schedule(
-                    delay, target.install_cache_rules, group
-                )
-
-    def _fragment_groups(
-        self, cached_rules: List[Rule], penalty: Optional[float] = None
-    ) -> List[List[Rule]]:
-        """Stamp re-fetch penalties and group sibling fragments for batching.
-
-        Fragments deriving from the same policy rule travel in one install
-        message (dependency-aware batching at ``prefetch_fragments > 1``);
-        a single-fragment group keeps the legacy one-rule message so the
-        event stream at prefetch=1 — the goldens' configuration — is
-        byte-identical.
-        """
-        groups: dict = {}
-        for cached in cached_rules:
-            if penalty is not None:
-                cached.refetch_penalty_s = penalty
-            groups.setdefault(id(cached.root_origin()), []).append(cached)
-        return list(groups.values())
-
     def _redirect_overload(self, packet: Packet) -> None:
         self.redirects_dropped += 1
         self.network.record_drop(packet, self.name, "authority overloaded")
-
-    # -- terminal action execution ----------------------------------------------------
-    def _terminal(self, packet: Packet, rule: Rule) -> None:
-        """Apply a classification verdict: rewrite, drop, or tunnel onward.
-
-        Forwarded packets are encapsulated to their destination so transit
-        switches never reclassify — DIFANE classifies once, at the edge.
-        """
-        self._execute_actions(packet, rule.actions)
-
-    def _execute_actions(self, packet: Packet, actions) -> None:
-        """Terminal-action execution shared by lookups and PacketOut."""
-        for action in actions:
-            if isinstance(action, SetField):
-                self._apply_rewrite(packet, action)
-            elif isinstance(action, Drop):
-                self.network.record_drop(packet, self.name, "policy drop")
-                return
-            elif isinstance(action, Forward):
-                packet.encapsulate(action.port)
-                self.network.forward_toward(self.name, action.port, packet)
-                return
-            else:
-                break
-        self.network.record_drop(packet, self.name, "no terminal action")
 
     # -- misc -----------------------------------------------------------------------------
     def tick(self) -> None:

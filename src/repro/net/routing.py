@@ -9,7 +9,7 @@ all-pairs next-hop tables computed from the current topology by Dijkstra
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -25,6 +25,9 @@ class RoutingTable:
     def __init__(self, next_hops: Dict[str, Dict[str, str]], distances: Dict[str, Dict[str, float]]):
         self._next_hops = next_hops
         self._distances = distances
+        #: (source, destination) -> reachable.  A table never changes (a
+        #: topology change builds a new one), so an answer never goes stale.
+        self._reachable: Dict[Tuple[str, str], bool] = {}
 
     def next_hop(self, at_node: str, destination: str) -> Optional[str]:
         """The neighbor to forward to at ``at_node`` toward ``destination``.
@@ -69,8 +72,12 @@ class RoutingTable:
         return len(path) - 1 if path else -1
 
     def reachable(self, source: str, destination: str) -> bool:
-        """True when a path exists."""
-        return bool(self.path(source, destination))
+        """True when a path exists (every redirect asks; memoized)."""
+        key = (source, destination)
+        known = self._reachable.get(key)
+        if known is None:
+            known = self._reachable[key] = bool(self.path(source, destination))
+        return known
 
 
 def compute_routes(topology) -> RoutingTable:

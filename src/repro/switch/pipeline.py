@@ -41,6 +41,11 @@ class PipelineStage(Enum):
     PARTITION = "partition"
     MISS = "miss"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # exact; it keeps the per-packet stage-keyed lookups (stage counters,
+    # DifaneSwitch's stage accounting) off Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
 
 class LookupResult:
     """The outcome of a pipeline lookup.

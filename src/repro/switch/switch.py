@@ -19,9 +19,11 @@ order).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
-from repro.flowspace.action import ActionList, Drop, Encapsulate, Forward, SendToController, SetField
+from repro.flowspace.action import (
+    Action, Drop, Encapsulate, Forward, SendToController, SetField,
+)
 from repro.flowspace.packet import Packet
 from repro.net.events import ServiceStation
 from repro.obs.registry import NULL_METRIC
@@ -156,13 +158,18 @@ class DataPlaneSwitch:
             self.process(packet)
 
     # -- action execution ---------------------------------------------------------------
-    def execute(self, packet: Packet, actions: ActionList) -> None:
-        """Apply an action list to ``packet`` at this switch.
+    def execute(self, packet: Packet, actions: Iterable[Action]) -> None:
+        """Apply an action list (an :class:`ActionList` or its ``actions``
+        tuple, which hot paths pass to skip ``ActionList.__iter__``) to
+        ``packet`` at this switch.
 
-        ``Forward`` targets are destinations (hosts or switches); the
-        packet moves one hop toward the target through the routing table.
-        ``Encapsulate`` tunnels toward an authority switch.  Non-terminal
-        actions (``SetField``) apply in order before the terminal one.
+        The one scalar action executor every behaviour shares.  ``Forward``
+        targets are destinations (hosts or switches); the packet is
+        encapsulated to the target and moves one hop toward it, so transit
+        switches never reclassify — classification happens once, at the
+        edge.  ``Encapsulate`` tunnels toward an authority switch.
+        Non-terminal actions (``SetField``) apply in order before the
+        terminal one.
         """
         network = self.network
         for action in actions:
@@ -172,6 +179,7 @@ class DataPlaneSwitch:
                 network.record_drop(packet, self.name, "policy drop")
                 return
             elif isinstance(action, Forward):
+                packet.encapsulate(action.port)
                 network.forward_toward(self.name, action.port, packet)
                 return
             elif isinstance(action, Encapsulate):
@@ -179,7 +187,8 @@ class DataPlaneSwitch:
                 network.forward_toward(self.name, action.destination, packet)
                 return
             elif isinstance(action, SendToController):
-                # Only meaningful for the NOX baseline, which overrides this.
+                # A policy verdict cannot punt: the packet is already past
+                # its controller (NOX) or has none to reach (DIFANE).
                 network.record_drop(packet, self.name, "punt without controller")
                 return
         # An action list with no terminal action means implicit drop.

@@ -24,7 +24,10 @@ from repro.cli import main as cli_main
 from repro.core.controller import DifaneNetwork
 from repro.flowspace.batch import PacketBatch, layout_vectorizes, set_columnar
 from repro.flowspace.bits import mask_of_width
-from repro.flowspace import Forward, Match, Rule, RuleTable, Ternary
+from repro.flowspace import (
+    ActionList, Drop, Forward, Match, Rule, RuleTable, SendToController, SetField,
+    Ternary,
+)
 from repro.flowspace.fields import (
     FIVE_TUPLE_LAYOUT,
     IPV6_FIVE_TUPLE_LAYOUT,
@@ -33,6 +36,7 @@ from repro.flowspace.fields import (
 from repro.flowspace.packet import Packet
 from repro.flowspace.vectormatch import VectorMatcher
 from repro.net.events import EventScheduler
+from repro.net.failures import FailureInjector
 from repro.net.links import Link, LinkSpec
 from repro.net.simnet import _BatchBlock
 from repro.net.topology import TopologyBuilder
@@ -63,24 +67,63 @@ def _scalar_mode_after():
 
 # -- the equivalence property -------------------------------------------------------
 
+def _vary_actions(rules):
+    """The routing policy with its host rules cycled through SetField +
+    Forward, Drop, no terminal action and SetField + SendToController (an
+    action a batch cannot apply); the trailing default drop is kept."""
+    variants = (
+        lambda port: ActionList(SetField("tp_src", 7), Forward(port)),
+        lambda port: ActionList(Drop()),
+        lambda port: ActionList(SetField("tp_dst", 8080)),
+        lambda port: ActionList(SetField("tp_dst", 443), SendToController()),
+    )
+    return [
+        Rule(rule.match, rule.priority,
+             variants[index % len(variants)](rule.actions.final_forward().port))
+        for index, rule in enumerate(rules[:-1])
+    ] + rules[-1:]
+
+
 def _run_workload(columnar, seed, leaf_count, hosts_per_leaf, hot_flows,
-                  redirect_rate=None, loss=0.0):
-    """One full DIFANE run; returns (metrics snapshot, outcomes, trace)."""
+                  redirect_rate=None, loss=0.0, replication=1, kill=False,
+                  control=False, authority_miss=False, actions=False):
+    """One full DIFANE run; returns (metrics snapshot, outcomes, trace).
+
+    ``kill`` places the authorities on leaves s0 and s1 and fails s0 before
+    the first burst: its partitions fail over (``replication=2``), punt to
+    the controller (``control``) or drop as unreachable.
+    ``authority_miss`` strips every authority's default-drop fragments and
+    the rules for every other host, so those redirects miss there.
+    """
     set_columnar(columnar)
     context = fresh_run_context(trace=True, telemetry=True)
     topo = TopologyBuilder.star(leaf_count=leaf_count, hosts_per_leaf=hosts_per_leaf)
     rules, host_ips = routing_policy_for_topology(topo, LAYOUT, seed=seed)
+    if actions:
+        rules = _vary_actions(rules)
+    placement = {"authority_switches": ["s0", "s1"]} if kill else {"authority_count": 2}
     facade = DifaneNetwork.build(
-        topo, rules, LAYOUT, authority_count=2, cache_capacity=64,
-        redirect_rate=redirect_rate,
+        topo, rules, LAYOUT, cache_capacity=64, redirect_rate=redirect_rate,
+        replication=replication, **placement,
     )
-    if loss:
-        for link in facade.network._links.values():
-            link.loss_probability = loss
     schedule = host_pair_batches(
         topo, host_ips, LAYOUT, bursts=4, burst_size=40,
         hot_flows=hot_flows, alpha=1.0, seed=seed,
     )
+    if control:
+        facade.controller.connect_control_plane()
+    if kill:
+        FailureInjector(facade.network).fail_switch("s0")
+    if authority_miss:
+        stripped = {None} | set(list(host_ips)[::2])
+        for switch in facade.switches():
+            for rule in list(switch.pipeline.authority.table.rules):
+                forward = rule.actions.final_forward()
+                if (forward and forward.port) in stripped:
+                    switch.uninstall_rule(rule)
+    if loss:
+        for link in facade.network._links.values():
+            link.loss_probability = loss
     for timed in schedule:
         facade.send_batch_at(timed.time, timed.switch, timed.batch)
     facade.run()
@@ -96,8 +139,33 @@ def _run_workload(columnar, seed, leaf_count, hosts_per_leaf, hot_flows,
     return snapshot, outcomes, context.tracer.accounting()
 
 
+def _assert_modes_agree(config, *draw):
+    """Run ``draw`` scalar and columnar under ``config``; return the scalar
+    run after checking the columnar one reproduces it."""
+    scalar = _run_workload(False, *draw, **config)
+    columnar = _run_workload(True, *draw, **config)
+    for name, expected, actual in zip(
+        ("metrics snapshot", "delivery outcomes", "trace accounting"),
+        scalar, columnar,
+    ):
+        assert expected == actual, f"{name} diverged under {config or 'clean fabric'}"
+    return scalar
+
+
+#: The rare decisions both executors share, with the counters or drop
+#: reasons that show a run took them.
+_BRANCHES = [
+    ({"replication": 2, "kill": True}, ("difane_failovers_total",)),
+    ({"kill": True, "control": True}, ("difane_degraded_packets_total",)),
+    ({"kill": True}, ("authority unreachable",)),
+    ({"authority_miss": True}, ("authority miss", "difane_unmatched_total")),
+    ({"actions": True},
+     ("policy drop", "no terminal action", "punt without controller")),
+]
+
+
 @settings(
-    max_examples=8,
+    max_examples=24,
     deadline=None,
     suppress_health_check=[
         HealthCheck.too_slow,
@@ -113,20 +181,21 @@ def _run_workload(columnar, seed, leaf_count, hosts_per_leaf, hot_flows,
         {},                              # clean fabric: the fast path engages
         {"redirect_rate": 800_000.0},    # redirect stations queue per packet
         {"loss": 0.02},                  # faulty fabric: must degrade to oracle
-    ]),
+    ] + [config for config, _ in _BRANCHES]),
 )
 def test_columnar_equals_scalar(seed, leaf_count, hosts_per_leaf, hot_flows, config):
-    scalar = _run_workload(
-        False, seed, leaf_count, hosts_per_leaf, hot_flows, **config
-    )
-    columnar = _run_workload(
-        True, seed, leaf_count, hosts_per_leaf, hot_flows, **config
-    )
-    for name, expected, actual in zip(
-        ("metrics snapshot", "delivery outcomes", "trace accounting"),
-        scalar, columnar,
-    ):
-        assert expected == actual, f"{name} diverged under {config or 'clean fabric'}"
+    _assert_modes_agree(config, seed, leaf_count, hosts_per_leaf, hot_flows)
+
+
+@pytest.mark.parametrize(
+    "config, evidence", _BRANCHES, ids=[",".join(c) for c, _ in _BRANCHES]
+)
+def test_columnar_equals_scalar_on_rare_branches(config, evidence):
+    """Each rare branch, on a draw known to take it."""
+    snapshot, outcomes, _ = _assert_modes_agree(config, 11, 4, 2, 24)
+    taken = {reason for *_, reason in outcomes}
+    taken |= {key.split("{")[0] for key, value in snapshot["counters"].items() if value}
+    assert set(evidence) <= taken
 
 
 # -- PacketBatch --------------------------------------------------------------------

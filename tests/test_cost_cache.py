@@ -516,7 +516,7 @@ class TestInstallBatching:
         assert winner is not None
         fragments = authority._cache_rules_for(winner, bits)
         assert len(fragments) > 1              # the default rule shatters
-        authority._send_cache_install("s0", winner, bits)
+        authority._install_at("s0", winner, bits, Packet(L, bits))
         dn.run()
         # One flow miss, k sibling fragments: k installs counted on both
         # ends, but only ONE batched message crossed the network.
@@ -535,7 +535,7 @@ class TestInstallBatching:
         authority = dn.switch("s1")
         bits = L.pack_values(f1=200, f2=200)
         winner = authority.pipeline.authority.table.lookup_bits(bits)
-        authority._send_cache_install("s0", winner, bits)
+        authority._install_at("s0", winner, bits, Packet(L, bits))
         dn.run()
         assert authority.cache_installs_sent == 1
         assert authority.cache_install_batches_sent == 0

@@ -1,10 +1,16 @@
 """Behavioural tests for the DIFANE switch (ingress / transit / authority)."""
 
+import numpy as np
 import pytest
 
 from repro.core import DifaneNetwork
+from repro.core.authority import DifaneSwitch
 from repro.flowspace import FIVE_TUPLE_LAYOUT, Packet
+from repro.flowspace.batch import PacketBatch, set_columnar
 from repro.net import TopologyBuilder
+from repro.net.failures import FailureInjector
+from repro.obs import context as obs_context
+from repro.obs import fresh_run_context
 from repro.workloads.policies import routing_policy_for_topology
 
 L = FIVE_TUPLE_LAYOUT
@@ -164,3 +170,65 @@ class TestCapacityAndStats:
         dn.network.scheduler.schedule(1.0, ingress.tick)
         dn.run()
         assert len(ingress.pipeline.cache) == 0
+
+
+class TestMirroredStats:
+    """Every ``_MIRRORED_STATS`` attribute equals its registry counter."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_mode(self):
+        previous = obs_context.current()
+        yield
+        set_columnar(False)
+        obs_context.install(previous)
+
+    @staticmethod
+    def _burst(host_ips, count=64, seed=0):
+        rng = np.random.default_rng(seed)
+        addresses = list(host_ips.values())
+        return PacketBatch.from_fields(
+            L, count, flow_ids=list(range(count)),
+            nw_src=rng.integers(0, 2**32, count),
+            nw_dst=[addresses[i % len(addresses)] for i in range(count)],
+            nw_proto=6, tp_src=rng.integers(0, 2**16, count), tp_dst=80,
+        )
+
+    @pytest.mark.parametrize("columnar", [False, True], ids=["scalar", "columnar"])
+    def test_attributes_equal_counters_after_miss_failover_and_punt(self, columnar):
+        """Partitions are owned by the pairs (s0, s1) and (s2, s3).  With
+        s0, s1 and s2 dead, the (s2, s3) partitions fail over to s3 and the
+        (s0, s1) ones are orphaned and punted to the controller; s3 lost
+        its authority rules for h3, so those redirects miss there."""
+        set_columnar(columnar)
+        fresh_run_context(trace=True)
+        topo = TopologyBuilder.star(5, hosts_per_leaf=1)
+        rules, host_ips = routing_policy_for_topology(topo, L)
+        dn = DifaneNetwork.build(
+            topo, rules, L, authority_switches=["s0", "s1", "s2", "s3"],
+            replication=2, cache_capacity=16, redirect_rate=None,
+        )
+        dn.controller.connect_control_plane()
+        backup = dn.switch("s3")
+        for rule in list(backup.pipeline.authority.table.rules):
+            forward = rule.actions.final_forward()
+            if forward is None or forward.port == "h3":
+                backup.uninstall_rule(rule)
+        injector = FailureInjector(dn.network)
+        for name in ("s0", "s1", "s2"):
+            injector.fail_switch(name)
+        for epoch in range(2):
+            dn.send_batch_at(epoch * 1e-2, "s4", self._burst(host_ips))
+        dn.run()
+
+        totals = {stat: 0 for stat in DifaneSwitch._MIRRORED_STATS}
+        for switch in dn.switches():
+            for stat in DifaneSwitch._MIRRORED_STATS:
+                counter = dn.network.metrics.counter(
+                    f"difane_{stat}_total", switch=switch.name
+                )
+                assert getattr(switch, stat) == counter.value, (switch.name, stat)
+                totals[stat] += getattr(switch, stat)
+        assert dn.switch("s3").unmatched > 0             # authority miss
+        assert totals["failovers"] > 0
+        assert totals["degraded_packets"] > 0
+        assert totals["cache_hits"] > 0

@@ -12,6 +12,10 @@ from repro.flowspace import (
     SetField,
     TWO_FIELD_LAYOUT,
 )
+from repro.baselines.nox import NoxNetwork
+from repro.baselines.proactive import ProactiveNetwork
+from repro.core import DifaneNetwork
+from repro.flowspace import Match, Rule
 from repro.net import SimNetwork, TopologyBuilder
 from repro.switch.switch import DataPlaneSwitch
 
@@ -91,6 +95,59 @@ class TestActionExecution:
         net.inject_from_host("h0", Packet.from_fields(L))
         net.run()
         assert net.dropped()[0].drop_reason == "no terminal action"
+
+
+class TestOneExecutor:
+    """``execute`` is the one scalar action executor: Forward tunnels to
+    its target, the first terminal action ends the list, and every
+    behaviour (DIFANE, NOX, proactive) applies its verdicts through it."""
+
+    def test_forward_encapsulates_to_the_target(self):
+        net, switch = build(ActionList(Forward("h1")))
+        packet = Packet.from_fields(L)
+        net.inject_from_host("h0", packet)
+        net.run()
+        assert packet.encap_destination == "h1"
+        assert net.delivered()[0].endpoint == "h1"
+
+    def test_first_terminal_action_wins(self):
+        net, switch = build(ActionList(Drop(), Forward("h1")))
+        net.inject_from_host("h0", Packet.from_fields(L))
+        net.run()
+        assert not net.delivered()
+        assert net.dropped()[0].drop_reason == "policy drop"
+
+    def test_rewrite_applies_before_encapsulate(self):
+        net, switch = build(ActionList(SetField("f1", 0x5A), Encapsulate("s1")))
+        packet = Packet.from_fields(L, f1=1)
+        net.inject_from_host("h0", packet)
+        net.run()
+        assert packet.field("f1") == 0x5A
+        assert net.delivered()[0].endpoint == "h1"
+
+    @pytest.mark.parametrize("architecture", ["difane", "nox", "proactive"])
+    def test_every_behaviour_executes_through_it(self, architecture):
+        """A verdict that punts cannot reach a controller from here: each
+        architecture drops it the way ``execute`` does, after rewriting."""
+        topo = TopologyBuilder.linear(2, hosts_per_switch=1)
+        policy = [Rule(
+            Match.any(L), 1, ActionList(SetField("f1", 0x5A), SendToController())
+        )]
+        if architecture == "difane":
+            facade = DifaneNetwork.build(
+                topo, policy, L, authority_switches=["s1"], redirect_rate=None
+            )
+        elif architecture == "nox":
+            facade = NoxNetwork.build(topo, policy, L)
+        else:
+            facade = ProactiveNetwork.build(topo, policy, L)
+        packet = Packet.from_fields(L, f1=1)
+        facade.send("h0", packet)
+        facade.run()
+        assert [r.drop_reason for r in facade.network.deliveries] == [
+            "punt without controller"
+        ]
+        assert packet.field("f1") == 0x5A
 
 
 class TestCapacity:
