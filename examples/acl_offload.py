@@ -18,7 +18,7 @@ Run:  python examples/acl_offload.py
 
 from repro import FIVE_TUPLE_LAYOUT, partition_policy
 from repro.analysis.report import render_table
-from repro.baselines import simulate_microflow_cache, simulate_wildcard_cache
+from repro.baselines import ReplayTrace, simulate_microflow_cache, simulate_wildcard_cache
 from repro.workloads.classbench import generate_classbench
 from repro.workloads.traffic import flow_headers_for_policy, packet_sequence
 
@@ -46,11 +46,13 @@ def partition_budget_table(policy):
 
 def cache_comparison(policy):
     flows = flow_headers_for_policy(policy, 1000, seed=7)
-    sequence = packet_sequence(flows, 10_000, alpha=1.0, seed=8)
+    trace = ReplayTrace(
+        policy, LAYOUT, packet_sequence(flows, 10_000, alpha=1.0, seed=8)
+    )
     rows = []
     for size in (20, 100, 400):
-        wildcard = simulate_wildcard_cache(policy, LAYOUT, sequence, size)
-        microflow = simulate_microflow_cache(policy, LAYOUT, sequence, size)
+        wildcard = simulate_wildcard_cache(trace, size)
+        microflow = simulate_microflow_cache(trace, size)
         rows.append([
             size,
             f"{wildcard.miss_rate:.2%}",

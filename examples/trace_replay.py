@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro import DifaneNetwork, FIVE_TUPLE_LAYOUT, Trace, TopologyBuilder
 from repro.analysis.report import render_table
-from repro.baselines import simulate_microflow_cache, simulate_wildcard_cache
+from repro.baselines import ReplayTrace, simulate_microflow_cache, simulate_wildcard_cache
 from repro.flowspace import Packet
 from repro.workloads.classbench import generate_classbench
 from repro.workloads.traffic import flow_headers_for_policy, packet_sequence
@@ -41,14 +41,11 @@ def main():
         print(f"trace: {len(loaded)} packets over {loaded.duration():.2f}s, "
               f"saved {path.stat().st_size / 1024:.0f} KiB\n")
 
+        replay = ReplayTrace(policy, LAYOUT, loaded.header_sequence())
         rows = []
         for size in (10, 50, 200):
-            wildcard = simulate_wildcard_cache(
-                policy, LAYOUT, loaded.header_sequence(), size
-            )
-            microflow = simulate_microflow_cache(
-                policy, LAYOUT, loaded.header_sequence(), size
-            )
+            wildcard = simulate_wildcard_cache(replay, size)
+            microflow = simulate_microflow_cache(replay, size)
             rows.append([size, f"{wildcard.miss_rate:.2%}", f"{microflow.miss_rate:.2%}"])
         print(render_table(
             ["cache size", "wildcard miss", "microflow miss"],

@@ -92,6 +92,7 @@ from repro.baselines import (
     NoxNetwork,
     NoxSwitch,
     ProactiveNetwork,
+    ReplayTrace,
     simulate_microflow_cache,
     simulate_wildcard_cache,
 )
@@ -130,7 +131,7 @@ __all__ = [
     "choose_authority_switches", "ChurnWorkload",
     # baselines
     "NoxController", "NoxSwitch", "NoxNetwork", "ProactiveNetwork",
-    "simulate_microflow_cache", "simulate_wildcard_cache",
+    "ReplayTrace", "simulate_microflow_cache", "simulate_wildcard_cache",
     # workloads
     "generate_classbench", "campus_policy", "vpn_policy",
     "routing_policy_for_topology", "packet_sequence", "ZipfSampler", "Trace",

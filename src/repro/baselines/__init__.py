@@ -14,6 +14,7 @@ from repro.baselines.nox import NoxController, NoxNetwork, NoxSwitch
 from repro.baselines.proactive import ProactiveNetwork, ProactiveSwitch
 from repro.baselines.microflow_cache import (
     CacheSimResult,
+    ReplayTrace,
     simulate_microflow_cache,
     simulate_wildcard_cache,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "ProactiveSwitch",
     "ProactiveNetwork",
     "CacheSimResult",
+    "ReplayTrace",
     "simulate_microflow_cache",
     "simulate_wildcard_cache",
 ]

@@ -19,7 +19,11 @@ import random
 from typing import Optional, Sequence
 
 from repro.analysis.series import Series
-from repro.baselines.microflow_cache import simulate_microflow_cache, simulate_wildcard_cache
+from repro.baselines.microflow_cache import (
+    ReplayTrace,
+    simulate_microflow_cache,
+    simulate_wildcard_cache,
+)
 from repro.core.controller import DifaneNetwork
 from repro.core.partition import partition_policy
 from repro.experiments.common import ExperimentResult
@@ -197,17 +201,18 @@ def _zipf_point(
 
     The policy and packet sequence come from the artifact cache keyed by
     their generating parameters — a memory hit per point in the serial
-    path, one build per worker process in the parallel path.
+    path, one build per worker process in the parallel path — and both
+    replays share one trace, resolved once.
     """
     from repro.parallel.cache import classbench_ruleset, zipf_packet_sequence
 
     policy_params = {"profile": "acl", "count": 1000, "seed": seed}
     policy = classbench_ruleset(layout=LAYOUT, **policy_params)
-    sequence = zipf_packet_sequence(
+    trace = ReplayTrace(policy, LAYOUT, zipf_packet_sequence(
         policy_params, LAYOUT, n_flows, seed + 1, n_packets, alpha, seed + 2
-    )
-    w = simulate_wildcard_cache(policy, LAYOUT, sequence, cache_size)
-    m = simulate_microflow_cache(policy, LAYOUT, sequence, cache_size)
+    ))
+    w = simulate_wildcard_cache(trace, cache_size)
+    m = simulate_microflow_cache(trace, cache_size)
     return w.miss_rate, m.miss_rate
 
 

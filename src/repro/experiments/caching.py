@@ -6,8 +6,8 @@ one entry per distinct 5-tuple.  Under Zipf traffic the fragment cache
 therefore reaches a given miss rate with a far smaller TCAM.
 
 The replay is trace-driven (no event simulation): one packet-header
-sequence with Zipf flow popularity, pushed through both cache simulators
-at each cache size.
+sequence with Zipf flow popularity, resolved once as a ``ReplayTrace``
+and pushed through both cache simulators at each cache size.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.series import Series
 from repro.baselines.microflow_cache import (
+    ReplayTrace,
     simulate_microflow_cache,
     simulate_wildcard_cache,
 )
 from repro.experiments.common import ExperimentResult, resolve_engine
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.rule import Rule
-from repro.parallel.cache import classbench_ruleset, zipf_packet_sequence
+from repro.parallel.cache import classbench_ruleset, zipf_replay_trace
 from repro.workloads.traffic import flow_headers_for_policy, packet_sequence
 
 __all__ = ["run_cache_miss"]
@@ -36,8 +37,7 @@ _DEFAULT_POLICY_PARAMS = {"profile": "acl", "count": 1000, "seed": 3}
 
 def _cache_point(
     size: int,
-    policy: Optional[List[Rule]],
-    sequence: Optional[List[int]],
+    trace: Optional[ReplayTrace],
     policy_params: Optional[Dict[str, Any]],
     n_flows: int,
     n_packets: int,
@@ -45,23 +45,21 @@ def _cache_point(
     seed: int,
     engine: str,
 ) -> Tuple[float, float, float, int, int, int]:
-    """One sweep point: both cache simulators at one cache ``size``.
+    """One sweep point: the three cache replays at one cache ``size``.
 
-    When driven by generating parameters (``policy is None``) the policy
-    and packet sequence come from the artifact cache — a memory hit in
-    the serial path, one build per worker process in the parallel path.
-    An explicit policy ships with the point instead.
+    When driven by generating parameters (``trace is None``) the trace
+    comes from the artifact cache's memory tier — one trace, resolved
+    once, for every point of the serial path, one per worker process in
+    the parallel path.  An explicit policy's trace ships with the point.
     """
-    if policy is None:
-        policy = classbench_ruleset(layout=LAYOUT, **policy_params)
-        sequence = zipf_packet_sequence(
-            policy_params, LAYOUT, n_flows, seed, n_packets, zipf_alpha, seed + 1
+    if trace is None:
+        trace = zipf_replay_trace(
+            policy_params, LAYOUT, n_flows, seed, n_packets, zipf_alpha,
+            seed + 1, engine,
         )
-    w = simulate_wildcard_cache(policy, LAYOUT, sequence, size, engine=engine)
-    c = simulate_wildcard_cache(
-        policy, LAYOUT, sequence, size, engine=engine, eviction="cost"
-    )
-    m = simulate_microflow_cache(policy, LAYOUT, sequence, size, engine=engine)
+    w = simulate_wildcard_cache(trace, size)
+    c = simulate_wildcard_cache(trace, size, eviction="cost")
+    m = simulate_microflow_cache(trace, size)
     return w.miss_rate, c.miss_rate, m.miss_rate, w.installs, c.installs, m.installs
 
 
@@ -86,23 +84,26 @@ def run_cache_miss(
 
     engine = resolve_engine(engine)
     policy_params: Optional[Dict[str, Any]] = None
-    sequence: Optional[List[int]] = None
+    trace: Optional[ReplayTrace] = None
     if policy is None:
         policy_params = dict(_DEFAULT_POLICY_PARAMS)
         policy_size = len(classbench_ruleset(layout=LAYOUT, **policy_params))
     else:
         policy_size = len(policy)
         flows = flow_headers_for_policy(policy, n_flows, seed=seed)
-        sequence = packet_sequence(flows, n_packets, alpha=zipf_alpha, seed=seed + 1)
+        trace = ReplayTrace(
+            policy, LAYOUT,
+            packet_sequence(flows, n_packets, alpha=zipf_alpha, seed=seed + 1),
+            engine=engine,
+        )
     if cache_sizes is None:
         base = max(policy_size // 100, 1)
         cache_sizes = [base, 2 * base, 5 * base, 10 * base, 20 * base, 50 * base]
 
-    point_policy = None if policy_params is not None else policy
     results = SweepRunner(jobs).map(
         _cache_point,
         [
-            dict(size=size, policy=point_policy, sequence=sequence,
+            dict(size=size, trace=trace,
                  policy_params=policy_params, n_flows=n_flows,
                  n_packets=n_packets, zipf_alpha=zipf_alpha,
                  seed=seed, engine=engine)

@@ -234,11 +234,17 @@ class Ternary:
             yield bits
 
     def sample(self, rng: random.Random) -> int:
-        """Return a uniformly random concrete string matched by this ternary."""
+        """Return a uniformly random concrete string matched by this ternary.
+
+        One ``rng.random()`` per wildcard bit, lowest bit first.
+        """
         bits = self.value
-        for position in range(self.width):
-            if not bit_at(self.mask, position) and rng.random() < 0.5:
-                bits |= 1 << position
+        free = ~self.mask & mask_of_width(self.width)
+        while free:
+            low = free & -free
+            if rng.random() < 0.5:
+                bits |= low
+            free ^= low
         return bits
 
     # -- structure helpers -----------------------------------------------------

@@ -41,6 +41,7 @@ __all__ = [
     "classbench_ruleset",
     "flow_headers",
     "zipf_packet_sequence",
+    "zipf_replay_trace",
 ]
 
 #: Default disk location when caching is enabled without an explicit dir.
@@ -223,9 +224,9 @@ def zipf_packet_sequence(
     """Cached Zipf packet sequence over cached flow headers."""
     from repro.workloads.traffic import packet_sequence
 
-    params = {"policy": dict(policy_params), "layout": _layout_key(layout),
-              "n_flows": n_flows, "flows_seed": flows_seed,
-              "n_packets": n_packets, "alpha": alpha, "seed": seed}
+    params = _zipf_params(
+        policy_params, layout, n_flows, flows_seed, n_packets, alpha, seed
+    )
     sequence = _cache.get(
         "zipf-sequence",
         params,
@@ -235,3 +236,48 @@ def zipf_packet_sequence(
         ),
     )
     return list(sequence)
+
+
+def zipf_replay_trace(
+    policy_params: Dict[str, Any],
+    layout,
+    n_flows: int,
+    flows_seed: int,
+    n_packets: int,
+    alpha: float,
+    seed: int,
+    engine: str,
+):
+    """The cached Zipf sequence under its cached policy as one
+    :class:`~repro.baselines.microflow_cache.ReplayTrace` per process.
+
+    Keyed by the sequence's generating parameters plus the engine, so
+    every replay in the process shares the trace, resolved by the first.
+    Memory tier only: on disk it would repeat the policy and sequence.
+    """
+    from repro.baselines.microflow_cache import ReplayTrace
+
+    params = _zipf_params(
+        policy_params, layout, n_flows, flows_seed, n_packets, alpha, seed
+    )
+    return _cache.get(
+        "replay-trace",
+        {**params, "engine": engine},
+        lambda: ReplayTrace(
+            classbench_ruleset(layout=layout, **policy_params),
+            layout,
+            zipf_packet_sequence(
+                policy_params, layout, n_flows, flows_seed, n_packets, alpha, seed
+            ),
+            engine=engine,
+        ),
+        disk=False,
+    )
+
+
+def _zipf_params(
+    policy_params, layout, n_flows, flows_seed, n_packets, alpha, seed
+) -> Dict[str, Any]:
+    return {"policy": dict(policy_params), "layout": _layout_key(layout),
+            "n_flows": n_flows, "flows_seed": flows_seed,
+            "n_packets": n_packets, "alpha": alpha, "seed": seed}

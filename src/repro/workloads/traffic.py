@@ -16,6 +16,7 @@ Three levels, matching what each experiment needs:
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Dict, List, Sequence
 
 from repro.flowspace.fields import HeaderLayout
@@ -88,9 +89,11 @@ def flow_headers_for_policy(
         ]
     else:
         weights = [1.0] * len(candidates)
+    # Accumulated once: ``choices`` would redo it per flow, with the same draws.
+    cum_weights = list(accumulate(weights))
     headers = []
     for _ in range(count):
-        rule = rng.choices(candidates, weights=weights, k=1)[0]
+        rule = rng.choices(candidates, cum_weights=cum_weights, k=1)[0]
         headers.append(rule.match.ternary.sample(rng))
     return headers
 

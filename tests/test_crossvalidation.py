@@ -12,7 +12,7 @@ Two pairs of implementations must agree:
 
 import pytest
 
-from repro.baselines import ProactiveNetwork, simulate_wildcard_cache
+from repro.baselines import ProactiveNetwork, ReplayTrace, simulate_wildcard_cache
 from repro.core import DifaneNetwork
 from repro.flowspace import (
     Drop,
@@ -38,7 +38,7 @@ class TestCacheSimulatorVsEventDriven:
         flows = flow_headers_for_policy(policy, 300, seed=30)
         headers = packet_sequence(flows, 1500, alpha=1.0, seed=31)
 
-        predicted = simulate_wildcard_cache(policy, L, headers, cache_size)
+        predicted = simulate_wildcard_cache(ReplayTrace(policy, L, headers), cache_size)
 
         topo = TopologyBuilder.star(2, hosts_per_leaf=1)
         dn = DifaneNetwork.build(

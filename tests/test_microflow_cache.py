@@ -5,7 +5,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import simulate_microflow_cache, simulate_wildcard_cache
+from repro.baselines import ReplayTrace, simulate_microflow_cache, simulate_wildcard_cache
 from repro.baselines.microflow_cache import CacheSimResult
 from repro.core.cachegen import win_fragment
 from repro.flowspace import (
@@ -29,33 +29,33 @@ class TestMicroflowCache:
     def test_repeat_flow_hits(self):
         policy = tiny_policy()
         sequence = [0x0101, 0x0101, 0x0101]
-        result = simulate_microflow_cache(policy, L, sequence, cache_size=4)
+        result = simulate_microflow_cache(ReplayTrace(policy, L, sequence), cache_size=4)
         assert result.misses == 1
         assert result.hits == 2
 
     def test_distinct_flows_each_miss(self):
         policy = tiny_policy()
         sequence = [0x0101, 0x0202, 0x0303]
-        result = simulate_microflow_cache(policy, L, sequence, cache_size=4)
+        result = simulate_microflow_cache(ReplayTrace(policy, L, sequence), cache_size=4)
         assert result.misses == 3
         assert result.hits == 0
 
     def test_lru_eviction(self):
         policy = tiny_policy()
         sequence = [0x0101, 0x0202, 0x0303, 0x0101]  # cache of 2: 0x0101 evicted
-        result = simulate_microflow_cache(policy, L, sequence, cache_size=2)
+        result = simulate_microflow_cache(ReplayTrace(policy, L, sequence), cache_size=2)
         assert result.misses == 4
         assert result.evictions == 2
 
     def test_zero_cache(self):
         policy = tiny_policy()
-        result = simulate_microflow_cache(policy, L, [0x0101] * 5, cache_size=0)
+        result = simulate_microflow_cache(ReplayTrace(policy, L, [0x0101] * 5), cache_size=0)
         assert result.misses == 5
         assert result.miss_rate == 1.0
 
     def test_unmatched_counted_separately(self):
         policy = tiny_policy()[:2]  # no default rule
-        result = simulate_microflow_cache(policy, L, [0xFFFF], cache_size=4)
+        result = simulate_microflow_cache(ReplayTrace(policy, L, [0xFFFF]), cache_size=4)
         assert result.unmatched == 1
         assert result.misses == 0
 
@@ -65,7 +65,7 @@ class TestWildcardCache:
         policy = tiny_policy()
         # All these hit rule a (f1=0000xxxx, f2 outside 0000xxxx).
         sequence = [0x01FF, 0x02FF, 0x03FF, 0x04FF]
-        result = simulate_wildcard_cache(policy, L, sequence, cache_size=4)
+        result = simulate_wildcard_cache(ReplayTrace(policy, L, sequence), cache_size=4)
         # One miss builds the fragment; the siblings all hit it.
         assert result.misses <= 2
         assert result.hits >= 2
@@ -75,8 +75,9 @@ class TestWildcardCache:
         from repro.workloads.traffic import flow_headers_for_policy, packet_sequence
         flows = flow_headers_for_policy(policy, 200, seed=1)
         sequence = packet_sequence(flows, 2000, alpha=1.0, seed=2)
-        wildcard = simulate_wildcard_cache(policy, FIVE_TUPLE_LAYOUT, sequence, 20)
-        microflow = simulate_microflow_cache(policy, FIVE_TUPLE_LAYOUT, sequence, 20)
+        trace = ReplayTrace(policy, FIVE_TUPLE_LAYOUT, sequence)
+        wildcard = simulate_wildcard_cache(trace, 20)
+        microflow = simulate_microflow_cache(trace, 20)
         assert wildcard.miss_rate < microflow.miss_rate
 
     def test_respects_dependency_chains(self):
@@ -86,7 +87,7 @@ class TestWildcardCache:
         a_only = 0x01FF
         b_only = 0xFF01
         result = simulate_wildcard_cache(
-            policy, L, [a_only, b_only, overlap_point], cache_size=8
+            ReplayTrace(policy, L, [a_only, b_only, overlap_point]), cache_size=8
         )
         # All three classified; semantics checked implicitly by construction.
         assert result.packets == 3
@@ -94,7 +95,7 @@ class TestWildcardCache:
 
     def test_zero_cache(self):
         policy = tiny_policy()
-        result = simulate_wildcard_cache(policy, L, [0x01FF] * 5, cache_size=0)
+        result = simulate_wildcard_cache(ReplayTrace(policy, L, [0x01FF] * 5), cache_size=0)
         assert result.miss_rate == 1.0
 
     def test_miss_rate_monotone_in_cache_size(self):
@@ -102,21 +103,44 @@ class TestWildcardCache:
         from repro.workloads.traffic import flow_headers_for_policy, packet_sequence
         flows = flow_headers_for_policy(policy, 150, seed=3)
         sequence = packet_sequence(flows, 1500, alpha=1.0, seed=4)
-        rates = [
-            simulate_wildcard_cache(policy, FIVE_TUPLE_LAYOUT, sequence, size).miss_rate
-            for size in (5, 20, 80)
-        ]
+        trace = ReplayTrace(policy, FIVE_TUPLE_LAYOUT, sequence)
+        rates = [simulate_wildcard_cache(trace, size).miss_rate for size in (5, 20, 80)]
         assert rates[0] >= rates[1] >= rates[2]
 
     def test_result_rates_sum(self):
         policy = tiny_policy()
-        result = simulate_wildcard_cache(policy, L, [0x01FF, 0x01FE], cache_size=4)
+        result = simulate_wildcard_cache(ReplayTrace(policy, L, [0x01FF, 0x01FE]), cache_size=4)
         assert result.hit_rate + result.miss_rate == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the scan-based replay the per-header memos replaced
+# Oracles: the scan-based replays the resolved trace replaced
 # ---------------------------------------------------------------------------
+
+def scan_microflow_cache(policy, layout, header_sequence, cache_size, engine=None):
+    """``simulate_microflow_cache`` as it was first written: every header
+    probes an LRU of exact headers and every miss looks the policy up."""
+    table = RuleTable(layout, policy, engine=engine)
+    cache = OrderedDict()
+    hits = misses = installs = evictions = unmatched = packets = 0
+    for bits in header_sequence:
+        packets += 1
+        if bits in cache:
+            hits += 1
+            cache.move_to_end(bits)
+            continue
+        if table.lookup_bits(bits) is None:
+            unmatched += 1
+            continue
+        misses += 1
+        if cache_size > 0:
+            cache[bits] = True
+            installs += 1
+            if len(cache) > cache_size:
+                cache.popitem(last=False)
+                evictions += 1
+    return CacheSimResult(cache_size, packets, hits, misses, installs, evictions, unmatched)
+
 
 def scan_wildcard_cache(policy, layout, header_sequence, cache_size,
                         engine=None, eviction="lru"):
@@ -201,15 +225,15 @@ _coarse = st.builds(
     specs=st.lists(st.tuples(_coarse, st.integers(0, 3)), min_size=1, max_size=10),
     default_rule=st.booleans(),
     flows=st.lists(st.integers(0, 0xFFFF), min_size=4, max_size=12, unique=True),
-    picks=st.lists(st.integers(0, 11), min_size=20, max_size=80),
-    cache_size=st.sampled_from([0, 1, 2, 8]),
-    eviction=st.sampled_from(["lru", "cost"]),
+    picks=st.lists(st.integers(0, 11), min_size=20, max_size=200),
+    cache_sizes=st.lists(st.sampled_from([0, 1, 2, 3, 8, 16]), min_size=1, max_size=4),
     engine=st.sampled_from(["linear", "dtree"]),
 )
 def test_prop_replay_equals_scan_oracle(
-    specs, default_rule, flows, picks, cache_size, eviction, engine
+    specs, default_rule, flows, picks, cache_sizes, engine
 ):
-    """Resolve-once replay == scan-everything replay, field for field."""
+    """One resolved trace, replayed at every size under every policy ==
+    a fresh scan-everything replay each time, field for field."""
     policy = [
         Rule(Match(L, ternary), priority, Forward(f"p{i}"))
         for i, (ternary, priority) in enumerate(specs)
@@ -217,15 +241,34 @@ def test_prop_replay_equals_scan_oracle(
     if default_rule:
         policy.append(Rule(Match.any(L), 0, Drop()))
     # Few flows, many packets: headers repeat, so hits, re-installs after
-    # eviction and repeated unmatched headers all occur.
+    # eviction, stale heap entries, heap rebuilds and repeated unmatched
+    # headers all occur.
     sequence = [flows[pick % len(flows)] for pick in picks]
-    expected = scan_wildcard_cache(
-        policy, L, sequence, cache_size, engine=engine, eviction=eviction
-    )
-    actual = simulate_wildcard_cache(
-        policy, L, sequence, cache_size, engine=engine, eviction=eviction
-    )
-    assert actual == expected
-    micro = simulate_microflow_cache(policy, L, sequence, cache_size, engine=engine)
-    assert micro.unmatched == expected.unmatched
-    assert micro.packets == expected.packets == len(sequence)
+    trace = ReplayTrace(policy, L, sequence, engine=engine)
+    for cache_size in cache_sizes:
+        for eviction in ("lru", "cost"):
+            expected = scan_wildcard_cache(
+                policy, L, sequence, cache_size, engine=engine, eviction=eviction
+            )
+            assert simulate_wildcard_cache(trace, cache_size, eviction) == expected
+        assert simulate_microflow_cache(trace, cache_size) == scan_microflow_cache(
+            policy, L, sequence, cache_size, engine=engine
+        )
+
+
+def test_cost_tie_evicts_least_recently_used():
+    """Equal scores go to the least-recently-used entry, not the first
+    inserted: ``min`` over an LRU-ordered cache, replayed by the heap."""
+    # Four disjoint fragments with the same coverage bonus (1.5).
+    policy = [
+        Rule(Match.build(L, f1=format(tag, "08b")), 1, Forward(f"p{tag}"))
+        for tag in (1, 2, 3, 4)
+    ]
+    a, b, c, d = 0x0100, 0x0200, 0x0300, 0x0400
+    # A and B reach score 3.0, B hit first; C (1.5) evicts itself and
+    # lifts the clock to 1.5, so D enters at 3.0: A, B and D tie and B,
+    # the least recently used, goes.  The last A then hits.
+    sequence = [a, b, b, a, c, d, a]
+    result = simulate_wildcard_cache(ReplayTrace(policy, L, sequence), 2, eviction="cost")
+    assert (result.hits, result.misses, result.evictions) == (3, 4, 2)
+    assert result == scan_wildcard_cache(policy, L, sequence, 2, eviction="cost")

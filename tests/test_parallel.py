@@ -132,6 +132,18 @@ class TestArtifactCache:
         assert events["artifact_cache_events_total{kind=k,outcome=memory}"] == 1
         assert events["artifact_cache_events_total{kind=k,outcome=disk}"] == 1
 
+    def test_replay_trace_shared_per_engine_never_on_disk(self, tmp_path):
+        from repro.parallel.cache import zipf_replay_trace
+
+        configure_artifact_cache(str(tmp_path))
+        args = ({"profile": "acl", "count": 50, "seed": 9}, _LAYOUT, 40, 1, 200, 1.0, 2)
+        trace = zipf_replay_trace(*args, "linear")
+        assert zipf_replay_trace(*args, "linear") is trace
+        assert zipf_replay_trace(*args, "dtree") is not trace
+        assert trace._resolved is None  # the first replay resolves, not the build
+        assert (tmp_path / "zipf-sequence").is_dir()
+        assert not (tmp_path / "replay-trace").exists()
+
     def test_classbench_builder_returns_fresh_list(self):
         first = classbench_ruleset("acl", count=50, seed=9, layout=_LAYOUT)
         second = classbench_ruleset("acl", count=50, seed=9, layout=_LAYOUT)

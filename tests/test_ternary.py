@@ -219,6 +219,27 @@ class TestSampling:
         assert t.sample(rng) == 0x5A
 
 
+def sample_per_position(ternary, rng):
+    """``Ternary.sample`` as it was: a walk over every bit position,
+    drawing once per wildcard one."""
+    bits = ternary.value
+    for position in range(ternary.width):
+        if not (ternary.mask >> position) & 1 and rng.random() < 0.5:
+            bits |= 1 << position
+    return bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
+def test_prop_sample_draws_like_the_position_walk(data, width, seed):
+    """Same value and the same ``rng`` state after: workloads drawn with
+    either walk are identical, draw for draw."""
+    ternary = data.draw(ternaries(width))
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert ternary.sample(fast) == sample_per_position(ternary, slow)
+    assert fast.getstate() == slow.getstate()
+
+
 # ---------------------------------------------------------------------------
 # Property-based tests
 # ---------------------------------------------------------------------------
