@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-import networkx as nx
+from repro.net.graph import Graph, bfs_lengths, closeness_centrality
 
 __all__ = ["choose_authority_switches", "choose_spare_switches"]
 
@@ -48,7 +48,7 @@ def choose_authority_switches(
         return ranked[:count]
 
     if strategy == "central":
-        centrality = nx.closeness_centrality(graph)
+        centrality = closeness_centrality(graph)
         ranked = sorted(switches, key=lambda s: (-centrality.get(s, 0.0), s))
         return ranked[:count]
 
@@ -82,11 +82,11 @@ def choose_spare_switches(
     return [name for name in ranked if name not in taken][:count]
 
 
-def _k_center(graph: nx.Graph, switches: List[str], count: int) -> List[str]:
+def _k_center(graph: Graph, switches: List[str], count: int) -> List[str]:
     """Greedy k-center: start from the most central node, then repeatedly
     add the switch farthest (in hops) from the chosen set."""
-    lengths = dict(nx.all_pairs_shortest_path_length(graph))
-    centrality = nx.closeness_centrality(graph)
+    lengths = {node: bfs_lengths(graph, node) for node in graph}
+    centrality = closeness_centrality(graph)
     chosen = [max(switches, key=lambda s: (centrality.get(s, 0.0), s))]
     while len(chosen) < count:
         def distance_to_chosen(switch: str) -> int:

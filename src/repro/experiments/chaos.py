@@ -137,13 +137,9 @@ def run_chaos_soak(
     # source is ever stranded; one authority dies (and comes back) too.
     injector = FailureInjector(network)
     spec = spec or ChaosSpec(seed=seed, duration_s=duration)
+    edge = set(topo.edge_switches())
     hostless = [
-        name for name in topo.switches()
-        if name not in authorities
-        and not any(
-            topo.graph.nodes[n].get("role") == "host"
-            for n in topo.graph.neighbors(name)
-        )
+        name for name in topo.switches() if name not in authorities and name not in edge
     ]
     schedule = ChaosSchedule.randomized(
         network, injector, spec,

@@ -7,8 +7,11 @@ This subpackage provides the "testbed" the DIFANE paper ran on:
   controller CPUs and switch redirect capacity).
 * :mod:`repro.net.links` — point-to-point links with propagation and
   serialization delay.
+* :mod:`repro.net.graph` — an insertion-ordered undirected graph with
+  Dijkstra, BFS, closeness centrality and connected components, whose
+  results (equal-cost tie-breaks included) equal networkx's.
 * :mod:`repro.net.topology` — topology builders (linear, star, three-tier
-  campus, Waxman random) over :mod:`networkx`.
+  campus, Waxman random) over :class:`~repro.net.graph.Graph`.
 * :mod:`repro.net.routing` — link-state shortest-path next-hop tables.
 * :mod:`repro.net.simnet` — the harness binding switches, links and the
   scheduler into a runnable network.

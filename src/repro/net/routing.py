@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
+from repro.net.graph import Graph, dijkstra
 
 __all__ = ["RoutingTable", "UNREACHABLE", "compute_routes"]
 
@@ -84,11 +84,15 @@ def compute_routes(topology) -> RoutingTable:
     """Build all-pairs next-hop tables for ``topology``.
 
     Edge weight is the link's one-way propagation delay, matching what a
-    latency-optimizing IGP would converge to.  Deterministic: ties are
-    broken by neighbor name so repeated runs route identically.
+    latency-optimizing IGP would converge to.  Deterministic: equal-cost
+    ties follow :func:`~repro.net.graph.dijkstra`'s contract (adjacency
+    insertion order, then heap push order), so repeated runs route
+    identically.
     """
     graph = topology.graph
-    weighted = nx.Graph()
+    # The weighted copy is built from the edge list, so its adjacency order
+    # (which the tie-breaks follow) is the edge order, not the topology's.
+    weighted = Graph()
     for a, b, data in graph.edges(data=True):
         weighted.add_edge(a, b, weight=data["spec"].propagation_s)
     for node in graph.nodes:
@@ -97,11 +101,5 @@ def compute_routes(topology) -> RoutingTable:
     next_hops: Dict[str, Dict[str, str]] = {}
     distances: Dict[str, Dict[str, float]] = {}
     for source in sorted(weighted.nodes):
-        lengths, paths = nx.single_source_dijkstra(weighted, source, weight="weight")
-        table: Dict[str, str] = {}
-        for destination, path in paths.items():
-            if len(path) >= 2:
-                table[destination] = path[1]
-        next_hops[source] = table
-        distances[source] = lengths
+        distances[source], next_hops[source] = dijkstra(weighted, source)
     return RoutingTable(next_hops, distances)

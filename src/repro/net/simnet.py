@@ -268,10 +268,9 @@ class SimNetwork:
         self._q_dropped: Dict[str, object] = {}
         self._q_delay: Dict[Tuple[str, str], object] = {}
         # Hot-path host membership: _arrive runs once per hop for every
-        # packet, and the networkx role lookup it replaced was two dict
-        # chases per call.  Refreshed on every topology change (all of
-        # which funnel through rebuild_routes).
-        self._hosts = self._host_set()
+        # packet.  Refreshed on every topology change (all of which funnel
+        # through rebuild_routes).
+        self._hosts = frozenset(topology.hosts())
         self._build_links()
 
     # -- wiring ---------------------------------------------------------------
@@ -338,7 +337,7 @@ class SimNetwork:
             del self._links[pair]
         self.routes = compute_routes(self.topology)
         self._next_link.clear()
-        self._hosts = self._host_set()
+        self._hosts = frozenset(self.topology.hosts())
 
     # -- packet movement -------------------------------------------------------
     def inject_from_host(self, host: str, packet: Packet) -> None:
@@ -502,13 +501,6 @@ class SimNetwork:
                 link.loss_probability = loss_probability
             if jitter_s is not None:
                 link.jitter_s = jitter_s
-
-    def _host_set(self) -> frozenset:
-        graph = self.topology.graph
-        return frozenset(
-            name for name, data in graph.nodes(data=True)
-            if data.get("role") == "host"
-        )
 
     def _arrive(self, node_name: str, packet: Packet) -> None:
         if node_name in self._hosts:
