@@ -5,14 +5,12 @@
 #
 # Runs `python -m repro.cli run EXP --quick --no-plot [shared flags...]`
 # once with FLAGS_A and once with FLAGS_B (each one word-split string, may
-# be empty), normalizes the wall-clock chatter (`took Xs`), the metrics
-# file names and the echoed engine name (an experiment that records its
-# engine in its notes), and requires byte-identical stdout and metrics
-# documents; then `repro obs diff` must agree the runs are identical.
-# CI runs it for `--jobs 1` vs `--jobs 2`, `--engine linear` vs
-# `--engine dtree` and scalar vs `--columnar`.  Works from an installed
-# package or a plain checkout (src/ is put on PYTHONPATH).  Exits non-zero
-# on the first difference.
+# be empty), normalizes the wall-clock chatter (`took Xs`) and the metrics
+# file names, and requires byte-identical stdout and metrics documents;
+# then `repro obs diff` must agree the runs are identical.  CI runs it
+# for `--jobs 1` vs `--jobs 2` and scalar vs `--columnar`.  Works from an
+# installed package or a plain checkout (src/ is put on PYTHONPATH).
+# Exits non-zero on the first difference.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
@@ -36,10 +34,7 @@ for side in a b; do
     --metrics-out "$out/metrics-$side.json" > "$out/stdout-$side.txt"
 done
 sed -i -e 's/took [0-9.]*s/took Xs/' -e 's/metrics-[ab]\.json/OUT/' \
-  -e "s/'engine': '[a-z]*'/'engine': ENGINE/" \
   "$out/stdout-a.txt" "$out/stdout-b.txt"
-sed -i -e 's/"engine": "[a-z]*"/"engine": "ENGINE"/' \
-  "$out/metrics-a.json" "$out/metrics-b.json"
 diff "$out/stdout-a.txt" "$out/stdout-b.txt"
 diff "$out/metrics-a.json" "$out/metrics-b.json"
 python -m repro.cli obs diff "$out/metrics-a.json" "$out/metrics-b.json"

@@ -7,9 +7,7 @@ statistically meaningful timings.  They guard the hot paths:
 * ternary set operations (the inner loop of everything),
 * rule-table lookup on a ClassBench classifier,
 * per-miss cache-rule generation (the authority switch's critical path),
-* the full partitioner on a 10K-rule policy,
-* the three match-engine backends head to head at 1K and 10K rules
-  (archived as both text and machine-readable JSON).
+* the full partitioner on a 10K-rule policy.
 """
 
 import json
@@ -20,7 +18,7 @@ import pytest
 from conftest import RESULTS_DIR, run_once
 
 from repro.core import generate_cache_rule, partition_policy
-from repro.flowspace import ENGINE_CHOICES, RuleTable, Ternary, create_engine
+from repro.flowspace import RuleTable, Ternary
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.workloads.classbench import generate_classbench
 
@@ -108,79 +106,6 @@ def test_perf_cache_rule_generation(benchmark, classifier, lookup_table):
 
     result = benchmark(run)
     assert result == len(cases)
-
-
-def test_perf_engine_comparison(benchmark, archive):
-    """Lookup throughput of every match engine at 1K and 10K rules.
-
-    The engine layer's reason to exist: on large classifiers the
-    decision-tree backend must beat the linear oracle by a wide margin (the gate below requires ≥3× at 10K rules) while
-    returning the identical winners.  Results are archived as text and as
-    ``perf-engines.json`` for machine consumption.
-    """
-
-    def compare():
-        report = []
-        for count in (1_000, 10_000):
-            rules = generate_classbench("acl", count=count, seed=19, layout=LAYOUT)
-            rng = random.Random(2)
-            probes = [r.match.ternary.sample(rng) for r in rules[:512]]
-            probes += [rng.getrandbits(LAYOUT.width) for _ in range(512)]
-            row = {"rules": count, "probes": len(probes), "engines": {}}
-            for name in ENGINE_CHOICES:
-                engine = create_engine(name, LAYOUT)
-                started = time.perf_counter()
-                engine.add_all(rules)
-                engine.lookup_bits(probes[0])  # dtree builds lazily: force it
-                build_s = time.perf_counter() - started
-                # One-at-a-time adds on a second instance: the install
-                # path a live switch takes.
-                incremental = create_engine(name, LAYOUT)
-                started = time.perf_counter()
-                for rule in rules:
-                    incremental.add(rule)
-                incremental.lookup_bits(probes[0])
-                incremental_s = time.perf_counter() - started
-                started = time.perf_counter()
-                winners = [engine.lookup_bits(bits) for bits in probes]
-                lookup_s = time.perf_counter() - started
-                row["engines"][name] = {
-                    "build_s": round(build_s, 4),
-                    "incremental_build_s": round(incremental_s, 4),
-                    "lookups_per_s": round(len(probes) / lookup_s, 1),
-                    "us_per_lookup": round(lookup_s * 1e6 / len(probes), 2),
-                    "winners": winners,
-                }
-            reference = row["engines"]["linear"]["winners"]
-            for name, stats in row["engines"].items():
-                assert stats.pop("winners") == reference, name
-                stats["speedup_vs_linear"] = round(
-                    stats["lookups_per_s"]
-                    / row["engines"]["linear"]["lookups_per_s"],
-                    2,
-                )
-            report.append(row)
-        return report
-
-    report = run_once(benchmark, compare)
-
-    lines = ["Match-engine lookup comparison (ClassBench ACL, 1024 probes)", ""]
-    lines.append(f"{'rules':>7} {'engine':<12} {'build s':>8} {'incr s':>8} "
-                 f"{'lookups/s':>12} {'us/lookup':>10} {'vs linear':>10}")
-    for row in report:
-        for name, stats in row["engines"].items():
-            lines.append(
-                f"{row['rules']:>7} {name:<12} {stats['build_s']:>8.3f} "
-                f"{stats['incremental_build_s']:>8.3f} "
-                f"{stats['lookups_per_s']:>12.0f} {stats['us_per_lookup']:>10.2f} "
-                f"{stats['speedup_vs_linear']:>9.2f}x"
-            )
-    archive("perf-engines", "\n".join(lines))
-    (RESULTS_DIR / "perf-engines.json").write_text(json.dumps(report, indent=2) + "\n")
-
-    at_10k = next(row for row in report if row["rules"] == 10_000)
-    best = at_10k["engines"]["dtree"]["speedup_vs_linear"]
-    assert best >= 3.0, f"dtree only {best}x at 10K rules"
 
 
 def test_perf_obs_overhead(benchmark, archive):
@@ -392,8 +317,8 @@ def test_perf_columnar_throughput(benchmark, archive):
     """Injected-packet throughput: columnar batch path vs the scalar oracle.
 
     One A6-shaped burst workload (star fabric, Zipf host-pair flows, no
-    redirect-rate cap) runs end to end under every scalar match engine and
-    under the columnar batch path, and the injected-packets/s rates are
+    redirect-rate cap) runs end to end under the scalar path and under
+    the columnar batch path, and the injected-packets/s rates are
     archived as text and as ``perf-columnar.json``.  The gate is the
     columnar refactor's reason to exist: the batch path must clear 5× the
     scalar linear-engine rate (measured speedups land north of 15×; the
@@ -401,7 +326,6 @@ def test_perf_columnar_throughput(benchmark, archive):
     """
     from repro.core.controller import DifaneNetwork
     from repro.flowspace.batch import set_columnar
-    from repro.flowspace.engine import get_default_engine, set_default_engine
     from repro.net.topology import TopologyBuilder
     from repro.obs import context as obs_context
     from repro.obs import fresh_run_context
@@ -410,10 +334,9 @@ def test_perf_columnar_throughput(benchmark, archive):
 
     bursts, burst_size = 40, 2_000
 
-    def run_workload(columnar: bool, engine: str) -> float:
+    def run_workload(columnar: bool) -> float:
         """One full simulation; returns injected packets per second."""
         set_columnar(columnar)
-        set_default_engine(engine)
         fresh_run_context()
         topo = TopologyBuilder.star(leaf_count=4, hosts_per_leaf=2)
         rules, host_ips = routing_policy_for_topology(topo, LAYOUT)
@@ -432,21 +355,15 @@ def test_perf_columnar_throughput(benchmark, archive):
         facade.run()
         return total / (time.perf_counter() - started)
 
-    previous_engine = get_default_engine()
     previous_context = obs_context.current()
 
     def compare():
         rows = []
-        for label, columnar, engine in (
-            ("scalar/linear", False, "linear"),
-            ("scalar/dtree", False, "dtree"),
-            ("columnar", True, "linear"),
-        ):
-            rate = max(run_workload(columnar, engine) for _ in range(2))
+        for label, columnar in (("scalar/linear", False), ("columnar", True)):
+            rate = max(run_workload(columnar) for _ in range(2))
             rows.append({
                 "configuration": label,
                 "columnar": columnar,
-                "engine": engine,
                 "injected_packets_per_s": round(rate, 1),
             })
         baseline = rows[0]["injected_packets_per_s"]
@@ -460,7 +377,6 @@ def test_perf_columnar_throughput(benchmark, archive):
         rows = run_once(benchmark, compare)
     finally:
         set_columnar(False)
-        set_default_engine(previous_engine)
         obs_context.install(previous_context)
 
     report = {

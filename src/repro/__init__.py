@@ -44,15 +44,7 @@ from repro.flowspace import (
     ternary_to_ip_prefix,
     TWO_FIELD_LAYOUT,
 )
-from repro.flowspace.engine import (
-    ENGINE_CHOICES,
-    DecisionTreeEngine,
-    LinearEngine,
-    MatchEngine,
-    create_engine,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.flowspace.engine import LinearEngine
 from repro.flowspace.rule import RuleKind
 from repro.net import (
     EventScheduler,
@@ -112,8 +104,7 @@ __all__ = [
     # flowspace
     "Ternary", "HeaderLayout", "FieldSpec", "Match", "Rule", "RuleKind",
     "RuleTable", "Packet", "HeaderSpace", "Action", "ActionList", "Forward",
-    "MatchEngine", "LinearEngine", "DecisionTreeEngine",
-    "ENGINE_CHOICES", "create_engine", "get_default_engine", "set_default_engine",
+    "LinearEngine",
     "Drop", "Encapsulate", "SendToController", "SetField",
     "OPENFLOW_10_LAYOUT", "FIVE_TUPLE_LAYOUT", "TWO_FIELD_LAYOUT",
     "parse_ip", "format_ip", "ip_prefix_to_ternary", "ternary_to_ip_prefix",

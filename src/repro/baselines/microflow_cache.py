@@ -70,9 +70,7 @@ class ReplayTrace:
 
     Construction only snapshots ``policy`` and ``header_sequence`` as
     tuples.  The first replay that reads the trace builds the policy's
-    :class:`RuleTable` (``engine`` selects its backend, see
-    :mod:`repro.flowspace.engine`) and resolves every distinct header in
-    one pass:
+    :class:`RuleTable` and resolves every distinct header in one pass:
 
     * a flow key per packet — the index of its distinct header, or ``-1``
       when no rule matches it (the microflow cache's entries);
@@ -95,12 +93,10 @@ class ReplayTrace:
         policy: Sequence[Rule],
         layout: HeaderLayout,
         header_sequence: Iterable[int],
-        engine=None,
     ):
         self.policy: Tuple[Rule, ...] = tuple(policy)
         self.layout = layout
         self.headers: Tuple[int, ...] = tuple(header_sequence)
-        self.engine = engine
         self._resolved: Optional[_Resolved] = None
 
     def _keys(self) -> _Resolved:
@@ -110,7 +106,7 @@ class ReplayTrace:
         return self._resolved
 
     def _resolve(self) -> _Resolved:
-        table = RuleTable(self.layout, self.policy, engine=self.engine)
+        table = RuleTable(self.layout, self.policy)
         ordered_rules = table.rules
         #: header -> (flow key, fragment key)
         keys: Dict[int, Tuple[int, int]] = {}

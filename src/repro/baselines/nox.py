@@ -146,7 +146,6 @@ class NoxController(Controller):
         queue_limit: int = 1024,
         microflow_idle_timeout: Optional[float] = 60.0,
         control_latency_s: Optional[float] = None,
-        engine=None,
     ):
         extra = {}
         if control_latency_s is not None:
@@ -156,7 +155,7 @@ class NoxController(Controller):
         )
         self.network = network
         self.layout = layout
-        self.policy = RuleTable(layout, policy, engine=engine)
+        self.policy = RuleTable(layout, policy)
         self.microflow_idle_timeout = microflow_idle_timeout
         self.flow_setups = 0
         self.policy_misses = 0
@@ -207,14 +206,8 @@ class NoxNetwork:
         flow_table_capacity: int = 65536,
         control_latency_s: Optional[float] = None,
         forwarding_delay_s: float = 0.0,
-        engine=None,
     ) -> "NoxNetwork":
-        """Wire a NOX deployment over ``topology``.
-
-        ``engine`` selects the controller's policy-lookup backend (the
-        switches keep their exact-match hash table, which no wildcard
-        engine can beat).
-        """
+        """Wire a NOX deployment over ``topology``."""
         network = SimNetwork(topology)
         controller = NoxController(
             network.scheduler,
@@ -224,7 +217,6 @@ class NoxNetwork:
             processing_rate=controller_rate,
             queue_limit=controller_queue,
             control_latency_s=control_latency_s,
-            engine=engine,
         )
         for name in topology.switches():
             switch = NoxSwitch(

@@ -26,12 +26,10 @@ __all__ = ["ProactiveSwitch", "ProactiveNetwork"]
 class ProactiveSwitch(DataPlaneSwitch):
     """A switch holding the complete policy (unbounded table)."""
 
-    def __init__(
-        self, name: str, layout: HeaderLayout, rules: Sequence[Rule], engine=None
-    ):
+    def __init__(self, name: str, layout: HeaderLayout, rules: Sequence[Rule]):
         super().__init__(name)
         self.layout = layout
-        self.table = RuleTable(layout, [rule.derive() for rule in rules], engine=engine)
+        self.table = RuleTable(layout, [rule.derive() for rule in rules])
         self.policy_hits = 0
         self.policy_misses = 0
 
@@ -68,12 +66,11 @@ class ProactiveNetwork:
         topology: Topology,
         rules: Sequence[Rule],
         layout: HeaderLayout,
-        engine=None,
     ) -> "ProactiveNetwork":
         """Install the full policy on every switch of ``topology``."""
         network = SimNetwork(topology)
         for name in topology.switches():
-            network.register_node(ProactiveSwitch(name, layout, rules, engine=engine))
+            network.register_node(ProactiveSwitch(name, layout, rules))
         return cls(network)
 
     def send(self, host: str, packet: Packet) -> None:

@@ -6,7 +6,6 @@ Usage::
     python -m repro.cli run E2            # full-size experiment
     python -m repro.cli run E5 --quick    # scaled-down version
     python -m repro.cli run all --quick
-    python -m repro.cli run E2 --quick --engine dtree
 
 Each run prints the experiment's table and/or an ASCII rendering of its
 figure, mirroring what the benchmark harness archives under
@@ -26,7 +25,6 @@ from repro.analysis.report import render_series_table, render_table
 from repro.experiments.common import METRICS_SCHEMA, ExperimentResult, metrics_document
 from repro.flowspace.batch import set_columnar
 from repro.obs.sketch import set_sketch_mode
-from repro.flowspace.engine import ENGINE_CHOICES, set_default_engine
 from repro.obs import fresh_run_context
 from repro.parallel.cache import DEFAULT_CACHE_DIR, configure_artifact_cache
 
@@ -255,9 +253,6 @@ def main(argv=None) -> int:
                      help="scaled-down parameters (seconds, not minutes)")
     run.add_argument("--no-plot", action="store_true",
                      help="skip the ASCII figure rendering")
-    run.add_argument("--engine", choices=ENGINE_CHOICES, default=None,
-                     help="match-engine backend for every classifier "
-                          "(default: linear)")
     run.add_argument("--columnar", action="store_true", default=False,
                      help="enable the columnar (struct-of-arrays) burst "
                           "fast path; observable output is identical to "
@@ -368,12 +363,8 @@ def main(argv=None) -> int:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
 
-    if args.engine is not None:
-        # Process-wide default: every classifier the experiments build —
-        # pipelines, policy tables, cache simulators — resolves to this.
-        set_default_engine(args.engine)
-    # Columnar and sketch modes are process-wide like the engine default;
-    # workers inherit them through the sweep runner's initializer.
+    # Columnar and sketch modes are process-wide; workers inherit them
+    # through the sweep runner's initializer.
     set_columnar(args.columnar)
     set_sketch_mode(args.sketch)
 

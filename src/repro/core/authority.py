@@ -82,9 +82,6 @@ class DifaneSwitch(DataPlaneSwitch):
         installs the fragment covering the missed packet; higher values
         also push sibling win-region fragments (an ablation-bench
         extension), falling back to one fragment past the budget.
-    engine:
-        Match-engine backend for the pipeline's TCAM regions (see
-        :mod:`repro.flowspace.engine`); ``None`` uses the process default.
     """
 
     #: Per-switch statistics mirrored into the metrics registry as
@@ -110,7 +107,6 @@ class DifaneSwitch(DataPlaneSwitch):
         processing_rate: Optional[float] = None,
         forwarding_delay_s: float = 0.0,
         prefetch_fragments: int = 1,
-        engine=None,
         cache_options: Optional[dict] = None,
     ):
         if prefetch_fragments < 1:
@@ -119,7 +115,7 @@ class DifaneSwitch(DataPlaneSwitch):
             name, processing_rate=processing_rate, forwarding_delay_s=forwarding_delay_s
         )
         self.layout = layout
-        self.pipeline = DifanePipeline(layout, engine=engine)
+        self.pipeline = DifanePipeline(layout)
         self.cache = CacheManager(
             self.pipeline.cache,
             capacity=cache_capacity,

@@ -151,6 +151,23 @@ class _PartitionState:
     #: object per switch so eviction is precise).
     partition_rules: Dict[str, Rule] = field(default_factory=dict)
 
+    def move_load_history(self, source: str, target: str) -> None:
+        """Move the counters of ``source``'s fragments onto ``target``'s
+        fragments of the same partition rule, zeroing the source.
+
+        Paired by ``origin``, not list position: ``insert_rule`` appends
+        to every owner's list but sorts ``partition.rules``, from which
+        later owners are built.
+        """
+        by_origin = {f.origin: f for f in self.installed.get(target, ())}
+        for old in self.installed.get(source, ()):
+            new = by_origin.get(old.origin)
+            if new is not None:
+                new.packet_count += old.packet_count
+                new.byte_count += old.byte_count
+                old.packet_count = 0
+                old.byte_count = 0
+
 
 class DifaneController:
     """Proactive rule partitioning and distribution, plus dynamics handling."""
@@ -698,40 +715,24 @@ class DifaneController:
             # Build the new owner list: new primary plus enough backups.
             backups = [name for name in old_owners if name != new_primary]
             new_owners = ([new_primary] + backups)[: max(len(old_owners), 1)]
-            # Fragment counters at the old primary are the partition's load
-            # history; MOVE them to the new primary (copy, then zero the
-            # source) so post-move load measurements stay meaningful and
-            # the transparency aggregation never double-counts.
-            old_fragments = state.installed.get(old_owners[0], [])
-            history = [fragment.packet_count for fragment in old_fragments]
-            history_bytes = [fragment.byte_count for fragment in old_fragments]
-            for fragment in old_fragments:
-                fragment.packet_count = 0
-                fragment.byte_count = 0
             # Install fragments at owners that lack them.
             for owner in new_owners:
                 if owner in state.installed:
-                    if owner == new_primary:
-                        # Promoted backup: absorb the moved history.
-                        for fragment, count, size in zip(
-                            state.installed[owner], history, history_bytes
-                        ):
-                            fragment.packet_count += count
-                            fragment.byte_count += size
                     continue
                 fragments = [
                     rule.derive(kind=RuleKind.AUTHORITY)
                     for rule in state.partition.rules
                 ]
-                if owner == new_primary:
-                    for fragment, count, size in zip(fragments, history, history_bytes):
-                        fragment.packet_count = count
-                        fragment.byte_count = size
                 switch = self._switch(owner)
                 for fragment in fragments:
                     switch.install_rule(fragment)
                     self.control_messages += 1
                 state.installed[owner] = fragments
+            # Fragment counters at the old primary are the partition's load
+            # history; MOVE them to the new primary so post-move load
+            # measurements stay meaningful and the transparency aggregation
+            # never double-counts.
+            state.move_load_history(old_owners[0], new_primary)
             # Withdraw from owners no longer used.
             for owner in old_owners:
                 if owner in new_owners:
@@ -877,14 +878,11 @@ class DifaneNetwork:
         cut_strategy: str = "split-aware",
         forwarding_delay_s: float = 0.0,
         prefetch_fragments: int = 1,
-        engine=None,
         loss_seed: int = 0,
         cache_options: Optional[dict] = None,
     ) -> "DifaneNetwork":
         """Construct switches, controller and partitions over ``topology``.
 
-        ``engine`` selects every switch's match-engine backend (see
-        :mod:`repro.flowspace.engine`); ``None`` uses the process default.
         ``loss_seed`` seeds per-link loss/jitter draws (only consulted on
         links whose spec enables faults).
         """
@@ -902,7 +900,6 @@ class DifaneNetwork:
                     eviction=eviction,
                     forwarding_delay_s=forwarding_delay_s,
                     prefetch_fragments=prefetch_fragments,
-                    engine=engine,
                     cache_options=cache_options,
                 )
             )

@@ -768,13 +768,7 @@ class PartitionMigrator:
         if state.owners and state.owners[0] == source:
             # Move the load history so post-migration measurements stay
             # meaningful and transparency counters never double-count.
-            old_fragments = state.installed.get(source, [])
-            new_fragments = state.installed.get(migration.target, [])
-            for old, new in zip(old_fragments, new_fragments):
-                new.packet_count += old.packet_count
-                new.byte_count += old.byte_count
-                old.packet_count = 0
-                old.byte_count = 0
+            state.move_load_history(source, migration.target)
         state.owners = [migration.target] + [
             owner for owner in state.owners
             if owner not in (migration.target, source)

@@ -20,7 +20,7 @@ from repro.baselines.microflow_cache import (
     simulate_microflow_cache,
     simulate_wildcard_cache,
 )
-from repro.experiments.common import ExperimentResult, resolve_engine
+from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.rule import Rule
 from repro.parallel.cache import classbench_ruleset, zipf_replay_trace
@@ -43,7 +43,6 @@ def _cache_point(
     n_packets: int,
     zipf_alpha: float,
     seed: int,
-    engine: str,
 ) -> Tuple[float, float, float, int, int, int]:
     """One sweep point: the three cache replays at one cache ``size``.
 
@@ -54,8 +53,7 @@ def _cache_point(
     """
     if trace is None:
         trace = zipf_replay_trace(
-            policy_params, LAYOUT, n_flows, seed, n_packets, zipf_alpha,
-            seed + 1, engine,
+            policy_params, LAYOUT, n_flows, seed, n_packets, zipf_alpha, seed + 1
         )
     w = simulate_wildcard_cache(trace, size)
     c = simulate_wildcard_cache(trace, size, eviction="cost")
@@ -70,7 +68,6 @@ def run_cache_miss(
     n_packets: int = 30_000,
     zipf_alpha: float = 1.0,
     seed: int = 5,
-    engine: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep cache sizes; return miss-rate series for both cache kinds.
@@ -82,7 +79,6 @@ def run_cache_miss(
     """
     from repro.parallel.runner import SweepRunner
 
-    engine = resolve_engine(engine)
     policy_params: Optional[Dict[str, Any]] = None
     trace: Optional[ReplayTrace] = None
     if policy is None:
@@ -94,7 +90,6 @@ def run_cache_miss(
         trace = ReplayTrace(
             policy, LAYOUT,
             packet_sequence(flows, n_packets, alpha=zipf_alpha, seed=seed + 1),
-            engine=engine,
         )
     if cache_sizes is None:
         base = max(policy_size // 100, 1)
@@ -106,7 +101,7 @@ def run_cache_miss(
             dict(size=size, trace=trace,
                  policy_params=policy_params, n_flows=n_flows,
                  n_packets=n_packets, zipf_alpha=zipf_alpha,
-                 seed=seed, engine=engine)
+                 seed=seed)
             for size in cache_sizes
         ],
     )

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.series import Series
 from repro.core.controller import DifaneNetwork
-from repro.experiments.common import ExperimentResult, resolve_engine
+from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.obs import context as _obs_context
 from repro.obs import fresh_run_context
@@ -75,7 +75,6 @@ def _ablation_point(
     idle_epochs: int,
     cost_tau_epochs: int,
     budget_every_epochs: int,
-    engine: str,
 ) -> Dict[str, object]:
     """One sweep point: a full event-driven soak at one (workload, policy,
     capacity) combination, returning plain scalars.
@@ -124,7 +123,6 @@ def _ablation_point(
             idle_timeout=idle_timeout,
             eviction=eviction,
             loss_seed=seed,
-            engine=engine,
             cache_options=cache_options,
         )
         scheduler = dn.network.scheduler
@@ -211,7 +209,6 @@ def run_caching_ablation(
     idle_epochs: int = 8,
     cost_tau_epochs: int = 8,
     budget_every_epochs: int = 8,
-    engine: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep eviction policy × capacity under streaming traffic shapes.
@@ -222,7 +219,6 @@ def run_caching_ablation(
     """
     from repro.parallel.runner import SweepRunner
 
-    engine = resolve_engine(engine)
     workloads = list(workloads) if workloads is not None else list(WORKLOADS)
     policies = list(policies) if policies is not None else list(POLICIES)
     for workload in workloads:
@@ -238,7 +234,7 @@ def run_caching_ablation(
              burst_size=burst_size, rules_per_switch=rules_per_switch,
              alpha=alpha, seed=seed, idle_epochs=idle_epochs,
              cost_tau_epochs=cost_tau_epochs,
-             budget_every_epochs=budget_every_epochs, engine=engine)
+             budget_every_epochs=budget_every_epochs)
         for workload in workloads
         for policy in policies
         for capacity in capacities
@@ -300,7 +296,6 @@ def run_caching_ablation(
         "idle_epochs": idle_epochs,
         "cost_tau_epochs": cost_tau_epochs,
         "budget_every_epochs": budget_every_epochs,
-        "engine": engine,
         "points": by_key,
         "cost_minus_lru_miss_rate": cost_vs_lru,
     }

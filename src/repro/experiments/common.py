@@ -17,37 +17,19 @@ counts tractable and report rates already normalized back to full scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.series import Series
-from repro.flowspace.engine import ENGINE_CHOICES, get_default_engine
 
 __all__ = [
     "Calibration",
     "CALIBRATION",
     "ExperimentResult",
     "metrics_document",
-    "resolve_engine",
 ]
 
 #: Version tag of the metrics JSON emitted for every experiment run.
 METRICS_SCHEMA = "difane-metrics/1"
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an experiment's ``engine`` argument to a concrete name.
-
-    ``None`` means "whatever the process default is" (the CLI's
-    ``--engine`` flag sets that default); anything else must be a valid
-    engine name.  Experiments thread the resolved name into every
-    network/table constructor they create so a whole run classifies with
-    one consistent backend.
-    """
-    if engine is None:
-        return get_default_engine()
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_CHOICES}")
-    return engine
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from repro.experiments.common import (
     CALIBRATION,
     Calibration,
     ExperimentResult,
-    resolve_engine,
 )
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.net.topology import TopologyBuilder
@@ -59,7 +58,6 @@ def _delay_point(
     rate: float,
     calibration: Calibration,
     seed: int,
-    engine: str,
 ) -> Dict[str, List[float]]:
     """One sweep point: first/subsequent delay populations for one system.
 
@@ -83,7 +81,6 @@ def _delay_point(
             cache_capacity=4096,
             redirect_rate=calibration.authority_redirect_rate,
             forwarding_delay_s=hop_delay,
-            engine=engine,
         )
     elif system == "nox":
         facade = NoxNetwork.build(
@@ -93,7 +90,6 @@ def _delay_point(
             controller_rate=calibration.controller_rate,
             control_latency_s=calibration.control_latency_s,
             forwarding_delay_s=hop_delay,
-            engine=engine,
         )
     else:
         raise ValueError(f"unknown system {system!r}")
@@ -119,7 +115,6 @@ def run_delay(
     rate: float = 2_000.0,
     calibration: Calibration = CALIBRATION,
     seed: int = 7,
-    engine: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Measure first- and subsequent-packet delay under both architectures.
@@ -131,12 +126,11 @@ def run_delay(
     """
     from repro.parallel.runner import SweepRunner
 
-    engine = resolve_engine(engine)
     difane, nox = SweepRunner(jobs).map(
         _delay_point,
         [
             dict(system=system, flows=flows, rate=rate,
-                 calibration=calibration, seed=seed, engine=engine)
+                 calibration=calibration, seed=seed)
             for system in ("difane", "nox")
         ],
     )

@@ -19,11 +19,11 @@ exactly like the single-table original.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.core.controller import DifaneNetwork
 from repro.core.dynamics import ChurnWorkload
-from repro.experiments.common import ExperimentResult, resolve_engine
+from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.table import RuleTable
 from repro.net.topology import TopologyBuilder
@@ -39,19 +39,16 @@ def run_dynamics(
     churn_steps: int = 40,
     warm_flows: int = 150,
     seed: int = 23,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Run the dynamics scenario; returns a cost table per event class."""
     topo = TopologyBuilder.three_tier_campus(
         core_count=2, distribution_count=3, access_per_distribution=3,
         hosts_per_access=2,
     )
-    engine = resolve_engine(engine)
     rules, host_ips = routing_policy_for_topology(topo, LAYOUT, acl_rules=20, seed=seed)
     dn = DifaneNetwork.build(
         topo, rules, LAYOUT,
         authority_count=3, replication=2, cache_capacity=256,
-        engine=engine,
     )
     controller = dn.controller
 

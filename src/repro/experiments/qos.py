@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.series import Series
 from repro.core.controller import DifaneNetwork
-from repro.experiments.common import ExperimentResult, resolve_engine
+from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.rule import Match
 from repro.flowspace.ternary import Ternary
@@ -115,7 +115,6 @@ def _qos_point(
     miss_rate_target: float,
     latency_target_s: float,
     telemetry_interval_s: float,
-    engine: str,
 ) -> Dict[str, object]:
     """One sweep point: a flash-crowd soak at one protection mode.
 
@@ -182,7 +181,6 @@ def _qos_point(
             redirect_rate=redirect_rate,
             redirect_queue=redirect_queue,
             loss_seed=seed,
-            engine=engine,
         )
         scheduler = dn.network.scheduler
         for epoch in range(spec.epochs):
@@ -239,7 +237,6 @@ def run_qos_slo(
     miss_rate_target: float = 0.25,
     latency_target_s: float = 1e-3,
     telemetry_interval_s: float = 2e-3,
-    engine: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep QoS protection modes under the flash-crowd workload.
@@ -249,7 +246,6 @@ def run_qos_slo(
     """
     from repro.parallel.runner import SweepRunner
 
-    engine = resolve_engine(engine)
     modes = list(modes) if modes is not None else list(MODES)
     for mode in modes:
         if mode not in MODES:
@@ -266,7 +262,7 @@ def run_qos_slo(
              gold_weight=gold_weight, gold_reserved=gold_reserved,
              gold_slice=gold_slice, miss_rate_target=miss_rate_target,
              latency_target_s=latency_target_s,
-             telemetry_interval_s=telemetry_interval_s, engine=engine)
+             telemetry_interval_s=telemetry_interval_s)
         for mode in modes
     ]
     results = SweepRunner(jobs).map(_qos_point, points)
@@ -344,7 +340,6 @@ def run_qos_slo(
         "miss_rate_target": miss_rate_target,
         "latency_target_s": latency_target_s,
         "telemetry_interval_s": telemetry_interval_s,
-        "engine": engine,
         "points": {mode: by_mode[mode] for mode in modes},
         "gold_slo_by_mode": gold_slo_by_mode,
     }

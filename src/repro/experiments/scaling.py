@@ -26,7 +26,6 @@ from repro.experiments.common import (
     CALIBRATION,
     Calibration,
     ExperimentResult,
-    resolve_engine,
 )
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.packet import Packet
@@ -90,7 +89,6 @@ def _scaling_point(
     n_ingress: int,
     scale: float,
     calibration: Calibration,
-    engine: str,
 ) -> tuple:
     """One sweep point: saturated goodput of both architectures at ``k``.
 
@@ -110,7 +108,6 @@ def _scaling_point(
         cache_capacity=0,
         partitions_per_authority=4,
         redirect_rate=calibration.authority_redirect_rate * scale,
-        engine=engine,
     )
     _inject_unique_flows(dn, host_ips, n_ingress, flows_per_point, offered_scaled, seed=k)
     dn.run()
@@ -125,7 +122,6 @@ def _scaling_point(
         controller_rate=calibration.controller_rate * scale,
         controller_queue=calibration.controller_queue,
         control_latency_s=calibration.control_latency_s,
-        engine=engine,
     )
     _inject_unique_flows(nn, host_ips, n_ingress, flows_per_point, offered_scaled, seed=k)
     nn.run()
@@ -138,7 +134,6 @@ def run_scaling(
     n_ingress: int = 4,
     scale: float = 0.01,
     calibration: Calibration = CALIBRATION,
-    engine: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Measure saturated goodput as authority switches are added.
@@ -151,7 +146,6 @@ def run_scaling(
     from repro.parallel.runner import SweepRunner
 
     authority_counts = list(authority_counts) if authority_counts else [1, 2, 3, 4]
-    engine = resolve_engine(engine)
     difane_series = Series(
         "DIFANE", x_label="# authority switches", y_label="goodput (flows/s)"
     )
@@ -163,7 +157,7 @@ def run_scaling(
         _scaling_point,
         [
             dict(k=k, flows_per_point=flows_per_point, n_ingress=n_ingress,
-                 scale=scale, calibration=calibration, engine=engine)
+                 scale=scale, calibration=calibration)
             for k in authority_counts
         ],
     )

@@ -31,7 +31,6 @@ from repro.experiments.common import (
     CALIBRATION,
     Calibration,
     ExperimentResult,
-    resolve_engine,
 )
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.packet import Packet
@@ -102,7 +101,6 @@ def run_throughput(
     flows_per_point: int = 1500,
     scale: float = 0.01,
     calibration: Calibration = CALIBRATION,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Sweep offered load; return DIFANE and NOX goodput series.
 
@@ -115,12 +113,8 @@ def run_throughput(
         Distinct single-packet flows injected per rate point.
     scale:
         Rate scaling factor (see module docstring).
-    engine:
-        Match-engine backend for every classifier in the run (``None``
-        uses the process default; see :func:`resolve_engine`).
     """
     rates = list(rates) if rates is not None else list(DEFAULT_RATES)
-    engine = resolve_engine(engine)
     difane_series = Series(
         "DIFANE", x_label="offered load (flows/s)", y_label="goodput (flows/s)"
     )
@@ -145,7 +139,6 @@ def run_throughput(
             authority_switches=["auth"],
             cache_capacity=0,  # every flow is new: isolate the miss path
             redirect_rate=calibration.authority_redirect_rate * scale,
-            engine=engine,
         )
         packets = _unique_flow_packets(flows_per_point, host_ips["hdst"])
         difane_series.append(rate, _measure_goodput(dn, topo, packets, rate_scaled, scale))
@@ -160,7 +153,6 @@ def run_throughput(
             controller_rate=calibration.controller_rate * scale,
             controller_queue=calibration.controller_queue,
             control_latency_s=calibration.control_latency_s,
-            engine=engine,
         )
         packets = _unique_flow_packets(flows_per_point, host_ips["hdst"])
         nox_series.append(rate, _measure_goodput(nn, topo, packets, rate_scaled, scale))

@@ -41,15 +41,7 @@ from repro.flowspace.action import (
     ActionList,
 )
 from repro.flowspace.rule import Match, Rule
-from repro.flowspace.engine import (
-    ENGINE_CHOICES,
-    DecisionTreeEngine,
-    LinearEngine,
-    MatchEngine,
-    create_engine,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.flowspace.engine import LinearEngine
 from repro.flowspace.table import RuleTable
 from repro.flowspace.headerspace import HeaderSpace
 
@@ -78,12 +70,6 @@ __all__ = [
     "Match",
     "Rule",
     "RuleTable",
-    "MatchEngine",
     "LinearEngine",
-    "DecisionTreeEngine",
-    "ENGINE_CHOICES",
-    "create_engine",
-    "get_default_engine",
-    "set_default_engine",
     "HeaderSpace",
 ]

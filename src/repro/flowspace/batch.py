@@ -23,11 +23,10 @@ kept as Python ints and classification falls back to the engine's
 
 Mode flag
 ---------
-The columnar fast path is opt-in per process (CLI ``--columnar``),
-mirroring :func:`repro.flowspace.engine.set_default_engine`.  With the
-flag off (the default), batch entry points degrade to the scalar oracle
-path with identical observable behaviour — that equivalence is pinned by
-``tests/test_columnar.py`` and the golden CI job.
+The columnar fast path is opt-in per process (CLI ``--columnar``).  With
+the flag off (the default), batch entry points degrade to the scalar
+oracle path with identical observable behaviour — that equivalence is
+pinned by ``tests/test_columnar.py`` and the golden CI job.
 """
 
 from __future__ import annotations

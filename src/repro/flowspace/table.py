@@ -7,10 +7,9 @@ helpers the DIFANE algorithms and the test oracles rely on: shadow
 detection, overlap enumeration, and randomized semantic-equivalence
 checking.
 
-Storage and lookup are delegated to a pluggable
-:class:`~repro.flowspace.engine.MatchEngine` (mask-indexed priority list
-or decision tree — see :mod:`repro.flowspace.engine`); the table
-keeps the analysis layer and the stable public API.
+Storage and lookup are delegated to a
+:class:`~repro.flowspace.engine.LinearEngine` (mask-indexed priority
+list); the table keeps the analysis layer and the stable public API.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.flowspace.engine import EngineSpec, create_engine
+from repro.flowspace.engine import LinearEngine
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.headerspace import HeaderSpace
 from repro.flowspace.packet import Packet
@@ -30,9 +29,8 @@ __all__ = ["RuleTable"]
 class RuleTable:
     """An ordered wildcard-rule classifier.
 
-    Lookup visits rules in ``(-priority, insertion sequence)`` order
-    regardless of the backing engine; :attr:`rules` exposes exactly that
-    order.
+    Lookup visits rules in ``(-priority, insertion sequence)`` order;
+    :attr:`rules` exposes exactly that order.
 
     Parameters
     ----------
@@ -40,20 +38,15 @@ class RuleTable:
         Header layout shared by every rule.
     rules:
         Initial rules, inserted in iteration order.
-    engine:
-        Lookup backend: an engine name (``"linear"``, ``"dtree"``), a
-        :class:`~repro.flowspace.engine.MatchEngine` instance, a factory,
-        or ``None`` for the process default.
     """
 
     def __init__(
         self,
         layout: HeaderLayout,
         rules: Optional[Iterable[Rule]] = None,
-        engine: EngineSpec = None,
     ):
         self.layout = layout
-        self.engine = create_engine(engine, layout)
+        self.engine = LinearEngine(layout)
         #: Monotonic mutation stamp: bumped on every add/remove/clear so
         #: derived structures (the TCAM's compiled vector matcher) know
         #: when their compiled view of the rule list went stale.
@@ -203,10 +196,7 @@ class RuleTable:
         return rule in self.engine
 
     def __repr__(self) -> str:
-        return (
-            f"RuleTable({len(self.engine)} rules, engine={self.engine.name}, "
-            f"layout={self.layout!r})"
-        )
+        return f"RuleTable({len(self.engine)} rules, layout={self.layout!r})"
 
 
 def _same_outcome(mine: Optional[Rule], theirs: Optional[Rule]) -> bool:

@@ -246,14 +246,13 @@ def zipf_replay_trace(
     n_packets: int,
     alpha: float,
     seed: int,
-    engine: str,
 ):
     """The cached Zipf sequence under its cached policy as one
     :class:`~repro.baselines.microflow_cache.ReplayTrace` per process.
 
-    Keyed by the sequence's generating parameters plus the engine, so
-    every replay in the process shares the trace, resolved by the first.
-    Memory tier only: on disk it would repeat the policy and sequence.
+    Keyed by the sequence's generating parameters, so every replay in
+    the process shares the trace, resolved by the first.  Memory tier
+    only: on disk it would repeat the policy and sequence.
     """
     from repro.baselines.microflow_cache import ReplayTrace
 
@@ -262,14 +261,13 @@ def zipf_replay_trace(
     )
     return _cache.get(
         "replay-trace",
-        {**params, "engine": engine},
+        params,
         lambda: ReplayTrace(
             classbench_ruleset(layout=layout, **policy_params),
             layout,
             zipf_packet_sequence(
                 policy_params, layout, n_flows, flows_seed, n_packets, alpha, seed
             ),
-            engine=engine,
         ),
         disk=False,
     )

@@ -19,7 +19,7 @@ to ``jobs=1`` — holds because:
   the simulator emits no gauges, whose max-merge would not).
 
 The pool propagates the process-wide knobs every worker needs — the
-default match engine, the artifact-cache directory, and the caller's
+artifact-cache directory, the columnar and sketch modes, and the caller's
 observability configuration — through a worker initializer, because a
 ``spawn``-start pool (macOS/Windows) inherits none of them.
 
@@ -59,7 +59,6 @@ _WORKER_OBS: Dict[str, Any] = {
 
 
 def _init_worker(
-    engine_name: str,
     cache_dir: Optional[str],
     metrics_enabled: bool,
     profile: bool,
@@ -69,11 +68,9 @@ def _init_worker(
 ) -> None:
     """Propagate process-wide knobs into a freshly started worker."""
     from repro.flowspace.batch import set_columnar
-    from repro.flowspace.engine import set_default_engine
     from repro.obs.sketch import set_sketch_mode
     from repro.parallel.cache import configure_artifact_cache
 
-    set_default_engine(engine_name)
     configure_artifact_cache(cache_dir)
     set_columnar(columnar)
     set_sketch_mode(sketch)
@@ -134,14 +131,12 @@ class SweepRunner:
             return [fn(**params) for params in param_sets]
 
         from repro.flowspace.batch import columnar_enabled
-        from repro.flowspace.engine import get_default_engine
         from repro.obs.sketch import sketch_enabled
         from repro.parallel.cache import artifact_cache
 
         parent = obs_context.current()
         cache_dir = artifact_cache().cache_dir
         init_args = (
-            get_default_engine(),
             str(cache_dir) if cache_dir is not None else None,
             parent.metrics.enabled,
             parent.profiler.enabled,

@@ -24,7 +24,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.flowspace.engine import EngineSpec
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
@@ -85,9 +84,6 @@ class DifanePipeline:
     partition_capacity:
         Entry budget for partition rules — small by design (one per
         partition; the paper's point is that this is tiny).
-    engine:
-        Lookup backend shared by all three regions (see
-        :mod:`repro.flowspace.engine`); ``None`` uses the process default.
     """
 
     def __init__(
@@ -96,12 +92,11 @@ class DifanePipeline:
         cache_capacity: Optional[int] = None,
         authority_capacity: Optional[int] = None,
         partition_capacity: Optional[int] = None,
-        engine: EngineSpec = None,
     ):
         self.layout = layout
-        self.cache = Tcam(layout, cache_capacity, engine=engine)
-        self.authority = Tcam(layout, authority_capacity, engine=engine)
-        self.partition = Tcam(layout, partition_capacity, engine=engine)
+        self.cache = Tcam(layout, cache_capacity)
+        self.authority = Tcam(layout, authority_capacity)
+        self.partition = Tcam(layout, partition_capacity)
         self.misses = 0
         # Observability: bound at attach time (the network, and hence
         # the run's registry, is unknown at construction).  Until then

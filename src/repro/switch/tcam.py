@@ -14,7 +14,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.flowspace.engine import EngineSpec
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
@@ -43,22 +42,18 @@ class Tcam:
     capacity:
         Maximum number of entries; ``None`` means unbounded (used to model
         software tables, which trade capacity for lookup speed).
-    engine:
-        Lookup backend for the backing table (see
-        :mod:`repro.flowspace.engine`); ``None`` uses the process default.
     """
 
     def __init__(
         self,
         layout: HeaderLayout,
         capacity: Optional[int] = None,
-        engine: EngineSpec = None,
     ):
         if capacity is not None and capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.layout = layout
         self.capacity = capacity
-        self.table = RuleTable(layout, engine=engine)
+        self.table = RuleTable(layout)
         self.high_water = 0
         self.installs = 0
         self.evictions = 0

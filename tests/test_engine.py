@@ -1,12 +1,12 @@
-"""Tests for the pluggable match-engine layer.
+"""Tests for the match engine.
 
-The load-bearing property: :class:`LinearEngine` is the semantics oracle,
-and every other backend must return the *identical* winning rule object —
-same priority order, same first-installed-wins tie-break — on any policy
-and any packet.  Randomized policies (both unstructured hypothesis rules
-and ClassBench ACL/FW/IPC classifiers) drive that equivalence here.
-``LinearEngine`` itself answers from a mask index or a scan; both, and
-its indexed win fragment, are checked against a pure-scan model.
+The load-bearing property: :class:`LinearEngine` returns the winner a
+pure scan would — highest priority, first-installed-wins on ties — on any
+policy and any packet.  Randomized policies (both unstructured hypothesis
+rules and ClassBench ACL/FW/IPC classifiers) drive that equivalence
+against :class:`ScanModel` here.  ``LinearEngine`` answers from a mask
+index or a scan; both, and its indexed win fragment, are checked against
+the same model.
 """
 
 import random
@@ -15,8 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flowspace import (
-    DecisionTreeEngine,
-    ENGINE_CHOICES,
     Forward,
     LinearEngine,
     Match,
@@ -25,9 +23,6 @@ from repro.flowspace import (
     RuleTable,
     Ternary,
     TWO_FIELD_LAYOUT,
-    create_engine,
-    get_default_engine,
-    set_default_engine,
 )
 from repro.flowspace.batch import PacketBatch, set_columnar
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
@@ -37,36 +32,57 @@ from repro.obs import context as obs_context
 from repro.workloads.classbench import generate_classbench
 
 L = TWO_FIELD_LAYOUT
-ALT_ENGINES = [name for name in ENGINE_CHOICES if name != "linear"]
 
 
 def rule(priority, f1="xxxxxxxx", f2="xxxxxxxx"):
     return Rule(Match.build(L, f1=f1, f2=f2), priority, Forward("out"))
 
 
-def engines_with(rules):
-    oracle = LinearEngine(L)
-    others = {name: create_engine(name, L) for name in ALT_ENGINES}
-    for r in rules:
-        oracle.add(r)
-        for engine in others.values():
-            engine.add(r)
-    return oracle, others
+class ScanModel:
+    """The pure-scan oracle: rules with their insertion sequence, the
+    winner being the smallest ``(-priority, sequence)`` that matches."""
+
+    def __init__(self, rules=()):
+        self.entries = []
+        self.sequence = 0
+        for r in rules:
+            self.add(r)
+
+    def add(self, r):
+        self.entries.append(((-r.priority, self.sequence), r))
+        self.sequence += 1
+
+    def remove(self, r):
+        before = len(self.entries)
+        self.entries = [e for e in self.entries if e[1] is not r]
+        return len(self.entries) != before
+
+    def clear(self):
+        self.entries = []
+        self.sequence = 0
+
+    def ordered(self):
+        return [r for _, r in sorted(self.entries, key=lambda e: e[0])]
+
+    def winner(self, bits):
+        for r in self.ordered():
+            if r.match.ternary.matches(bits):
+                return r
+        return None
 
 
-def assert_equivalent(oracle, others, probes):
+def assert_equivalent(engine, model, probes):
     for bits in probes:
-        expected = oracle.lookup_bits(bits)
-        for name, engine in others.items():
-            got = engine.lookup_bits(bits)
-            assert got is expected, (
-                f"{name} returned {got!r}, oracle returned {expected!r} "
-                f"for bits {bits:#x}"
-            )
+        expected = model.winner(bits)
+        got = engine.lookup_bits(bits)
+        assert got is expected, (
+            f"engine returned {got!r}, model returned {expected!r} "
+            f"for bits {bits:#x}"
+        )
 
 
 # ---------------------------------------------------------------------------
-# Oracle equivalence (the shared property every backend must satisfy)
+# Oracle equivalence
 # ---------------------------------------------------------------------------
 
 pattern = st.text(alphabet="01x", min_size=8, max_size=8)
@@ -83,20 +99,19 @@ class TestOracleEquivalence:
         probes=st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=24),
     )
     def test_random_policies(self, specs, probes):
-        """All engines agree with the oracle, including priority ties.
+        """The engine agrees with the scan, including priority ties.
 
         Priorities are drawn from {0..3} so most examples contain ties:
         the tie-break (first installed wins) is exercised constantly.
         """
         rules = [rule(priority, f1, f2) for f1, f2, priority in specs]
-        oracle, others = engines_with(rules)
-        assert_equivalent(oracle, others, probes)
+        engine, model = LinearEngine(L, rules), ScanModel(rules)
+        assert_equivalent(engine, model, probes)
         # Removing a slice must not disturb equivalence either.
         for doomed in rules[::3]:
-            assert oracle.remove(doomed)
-            for engine in others.values():
-                assert engine.remove(doomed)
-        assert_equivalent(oracle, others, probes)
+            assert engine.remove(doomed)
+            assert model.remove(doomed)
+        assert_equivalent(engine, model, probes)
 
     @pytest.mark.parametrize("kind", ["acl", "fw", "ipc"])
     @settings(max_examples=4, deadline=None)
@@ -107,45 +122,17 @@ class TestOracleEquivalence:
         rng = random.Random(seed)
         probes = [rng.getrandbits(layout.width) for _ in range(100)]
         probes += [r.match.ternary.sample(rng) for r in rules[::5]]
-        oracle = LinearEngine(layout)
-        others = {name: create_engine(name, layout) for name in ALT_ENGINES}
-        for r in rules:
-            oracle.add(r)
-            for engine in others.values():
-                engine.add(r)
-        for bits in probes:
-            expected = oracle.lookup_bits(bits)
-            for name, engine in others.items():
-                assert engine.lookup_bits(bits) is expected, (name, bits)
-        for name, engine in others.items():
-            assert engine.batch_lookup(probes) == oracle.batch_lookup(probes), name
-            assert engine.rules() == oracle.rules(), name
+        engine, model = LinearEngine(layout, rules), ScanModel(rules)
+        assert_equivalent(engine, model, probes)
+        assert engine.batch_lookup(probes) == [model.winner(b) for b in probes]
+        assert engine.rules() == model.ordered()
 
     def test_priority_tie_first_installed_wins(self):
         first = rule(5, f1="0000xxxx")
         second = rule(5, f1="0000xxxx")
         probe = 0x00FF  # f1=0x00 matches both
-        for name in ENGINE_CHOICES:
-            engine = create_engine(name, L)
-            engine.add(first)
-            engine.add(second)
-            assert engine.lookup_bits(probe) is first, name
-
-    def test_mutation_after_dtree_build(self):
-        """Adds/removes after a tree build hit the overlay, not stale data."""
-        engine = DecisionTreeEngine(L)
-        base = [rule(1, f1=f"{i:08b}") for i in range(32)]
-        for r in base:
-            engine.add(r)
-        engine.build()
-        shadow = rule(9, f1="000000xx")
-        engine.add(shadow)  # lands in the overlay
-        probe = 0x01FF  # f1=0x01: matched by base[1] and shadow
-        assert engine.lookup_bits(probe) is shadow
-        assert engine.remove(shadow)
-        assert engine.lookup_bits(probe) is base[1]
-        assert engine.remove(base[1])  # tombstones a tree entry
-        assert engine.lookup_bits(probe) is None
+        engine = LinearEngine(L, [first, second])
+        assert engine.lookup_bits(probe) is first
 
 
 # ---------------------------------------------------------------------------
@@ -257,37 +244,6 @@ MANY_MASKS = [0xFF00, 0xFFF0, 0xF000, 0x00FF, 0x0F0F, 0xFFFF, 0x0000, 0xF0F0,
               0x3C3C, 0x8001, 0x7FFE, 0x00F0]
 #: Few values, so duplicate (mask, value) rules and overlaps are common.
 VALUES = [0x0000, 0x1010, 0x1111, 0x0101, 0xFFFF]
-
-
-class ScanModel:
-    """The pure-scan oracle: rules with their insertion sequence, the
-    winner being the smallest ``(-priority, sequence)`` that matches."""
-
-    def __init__(self):
-        self.entries = []
-        self.sequence = 0
-
-    def add(self, r):
-        self.entries.append(((-r.priority, self.sequence), r))
-        self.sequence += 1
-
-    def remove(self, r):
-        before = len(self.entries)
-        self.entries = [e for e in self.entries if e[1] is not r]
-        return len(self.entries) != before
-
-    def clear(self):
-        self.entries = []
-        self.sequence = 0
-
-    def ordered(self):
-        return [r for _, r in sorted(self.entries, key=lambda e: e[0])]
-
-    def winner(self, bits):
-        for r in self.ordered():
-            if r.match.ternary.matches(bits):
-                return r
-        return None
 
 
 def masked_rule(mask, value, priority):
@@ -420,53 +376,6 @@ class TestProbeDifferential:
         with pytest.raises(ValueError, match="not present"):
             engine._probe_fragment(stranger, 0x1234)
 
-    def test_dtree_delegates_to_the_index(self):
-        rules = [masked_rule(m, v, p) for m in MANY_MASKS[:4] for v in VALUES
-                 for p in (0, 2)]
-        engine = DecisionTreeEngine(L, rules)
-        ordered = engine.rules()
-        rng = random.Random(1)
-        for target in ordered:
-            bits = target.match.ternary.sample(rng)
-            assert_same_fragment(
-                engine.win_fragment(target, bits),
-                scan_win_fragment(ordered, target, bits),
-            )
-
-
-# ---------------------------------------------------------------------------
-# Engine selection plumbing
-# ---------------------------------------------------------------------------
-
-class TestEngineSelection:
-    def test_create_engine_by_name_and_default(self):
-        assert isinstance(create_engine("linear", L), LinearEngine)
-        assert isinstance(create_engine("dtree", L), DecisionTreeEngine)
-        assert ENGINE_CHOICES == ("linear", "dtree")
-        with pytest.raises(ValueError, match="unknown engine"):
-            create_engine("bogus", L)
-        previous = get_default_engine()
-        try:
-            set_default_engine("dtree")
-            assert isinstance(create_engine(None, L), DecisionTreeEngine)
-        finally:
-            set_default_engine(previous)
-        with pytest.raises(ValueError, match="unknown engine"):
-            set_default_engine("bogus")
-
-    def test_rule_table_threads_engine(self):
-        table = RuleTable(L, engine="dtree")
-        assert isinstance(table.engine, DecisionTreeEngine)
-        r = rule(1, f1="0000xxxx")
-        table.add(r)
-        assert table.lookup_bits(0x00FF) is r
-        assert "dtree" in repr(table)
-
-    def test_instance_spec_is_used_as_is(self):
-        engine = LinearEngine(L)
-        table = RuleTable(L, engine=engine)
-        assert table.engine is engine
-
 
 # ---------------------------------------------------------------------------
 # Batch lookup paths
@@ -495,11 +404,10 @@ class TestBatchPaths:
         set_columnar(False)
         obs_context.install(previous)
 
-    @pytest.mark.parametrize("engine", ENGINE_CHOICES)
-    def test_table_batch_matches_sequential(self, engine):
+    def test_table_batch_matches_sequential(self):
         layout = FIVE_TUPLE_LAYOUT
         rules = generate_classbench("acl", count=80, seed=3, layout=layout)
-        table = RuleTable(layout, rules, engine=engine)
+        table = RuleTable(layout, rules)
         packets = _five_tuple_packets(50, seed=4)
         bits = [p.header_bits for p in packets]
         assert table.batch_lookup(bits) == [table.lookup_bits(b) for b in bits]

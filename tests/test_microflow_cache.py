@@ -117,10 +117,10 @@ class TestWildcardCache:
 # Oracles: the scan-based replays the resolved trace replaced
 # ---------------------------------------------------------------------------
 
-def scan_microflow_cache(policy, layout, header_sequence, cache_size, engine=None):
+def scan_microflow_cache(policy, layout, header_sequence, cache_size):
     """``simulate_microflow_cache`` as it was first written: every header
     probes an LRU of exact headers and every miss looks the policy up."""
-    table = RuleTable(layout, policy, engine=engine)
+    table = RuleTable(layout, policy)
     cache = OrderedDict()
     hits = misses = installs = evictions = unmatched = packets = 0
     for bits in header_sequence:
@@ -142,12 +142,11 @@ def scan_microflow_cache(policy, layout, header_sequence, cache_size, engine=Non
     return CacheSimResult(cache_size, packets, hits, misses, installs, evictions, unmatched)
 
 
-def scan_wildcard_cache(policy, layout, header_sequence, cache_size,
-                        engine=None, eviction="lru"):
+def scan_wildcard_cache(policy, layout, header_sequence, cache_size, eviction="lru"):
     """``simulate_wildcard_cache`` as it was: every header scans the cache
     MRU -> LRU, every miss looks the policy up and scans every fragment
     generated so far.  Relies on nothing but fragments being disjoint."""
-    table = RuleTable(layout, policy, engine=engine)
+    table = RuleTable(layout, policy)
     ordered_rules = list(table.rules)
     cost = eviction == "cost"
     fragment_memo = {}
@@ -227,11 +226,8 @@ _coarse = st.builds(
     flows=st.lists(st.integers(0, 0xFFFF), min_size=4, max_size=12, unique=True),
     picks=st.lists(st.integers(0, 11), min_size=20, max_size=200),
     cache_sizes=st.lists(st.sampled_from([0, 1, 2, 3, 8, 16]), min_size=1, max_size=4),
-    engine=st.sampled_from(["linear", "dtree"]),
 )
-def test_prop_replay_equals_scan_oracle(
-    specs, default_rule, flows, picks, cache_sizes, engine
-):
+def test_prop_replay_equals_scan_oracle(specs, default_rule, flows, picks, cache_sizes):
     """One resolved trace, replayed at every size under every policy ==
     a fresh scan-everything replay each time, field for field."""
     policy = [
@@ -244,15 +240,13 @@ def test_prop_replay_equals_scan_oracle(
     # eviction, stale heap entries, heap rebuilds and repeated unmatched
     # headers all occur.
     sequence = [flows[pick % len(flows)] for pick in picks]
-    trace = ReplayTrace(policy, L, sequence, engine=engine)
+    trace = ReplayTrace(policy, L, sequence)
     for cache_size in cache_sizes:
         for eviction in ("lru", "cost"):
-            expected = scan_wildcard_cache(
-                policy, L, sequence, cache_size, engine=engine, eviction=eviction
-            )
+            expected = scan_wildcard_cache(policy, L, sequence, cache_size, eviction)
             assert simulate_wildcard_cache(trace, cache_size, eviction) == expected
         assert simulate_microflow_cache(trace, cache_size) == scan_microflow_cache(
-            policy, L, sequence, cache_size, engine=engine
+            policy, L, sequence, cache_size
         )
 
 

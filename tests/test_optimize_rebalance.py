@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import DifaneNetwork
-from repro.flowspace import FIVE_TUPLE_LAYOUT, Packet
+from repro.flowspace import FIVE_TUPLE_LAYOUT, Forward, Match, Packet, Rule
 from repro.net import TopologyBuilder
 from repro.workloads.policies import routing_policy_for_topology
 
@@ -121,6 +121,32 @@ class TestRebalancing:
             s.packets for s in dn.controller.collect_policy_counters().values()
         )
         assert total_after == 150
+
+    def test_rebalance_moves_history_by_rule_not_position(self):
+        """An inserted rule's fragment is appended to each owner's list
+        but sorted to the front of the partition's rules, so the move
+        must pair fragments by the rule they came from, not by slot."""
+        dn, topo, host_ips = self.build()
+        hosts = sorted(host_ips)
+        hot = hosts[-1]
+        dn.controller.insert_rule(Rule(
+            Match.build(L5, nw_dst=host_ips[hot], tp_dst=80), 10**7, Forward(hot)
+        ))
+        for index in range(200):
+            dn.send(hosts[0], Packet.from_fields(
+                L5, nw_dst=host_ips[hot], nw_proto=6, tp_src=1024 + index,
+                tp_dst=80 if index % 2 else 443,
+            ))
+        dn.run()
+
+        def per_rule():
+            counters = dn.controller.collect_policy_counters()
+            return {rule: snap.packets for rule, snap in counters.items() if snap.packets}
+
+        before = per_rule()
+        assert sorted(before.values()) == [100, 100]
+        assert dn.controller.rebalance() >= 1
+        assert per_rule() == before
 
     def test_rebalance_with_replication_promotes_backup(self):
         topo = TopologyBuilder.star(4, hosts_per_leaf=1)

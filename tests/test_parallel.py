@@ -137,9 +137,8 @@ class TestArtifactCache:
 
         configure_artifact_cache(str(tmp_path))
         args = ({"profile": "acl", "count": 50, "seed": 9}, _LAYOUT, 40, 1, 200, 1.0, 2)
-        trace = zipf_replay_trace(*args, "linear")
-        assert zipf_replay_trace(*args, "linear") is trace
-        assert zipf_replay_trace(*args, "dtree") is not trace
+        trace = zipf_replay_trace(*args)
+        assert zipf_replay_trace(*args) is trace
         assert trace._resolved is None  # the first replay resolves, not the build
         assert (tmp_path / "zipf-sequence").is_dir()
         assert not (tmp_path / "replay-trace").exists()

@@ -9,7 +9,7 @@ from repro.core.shards import (
     ShardedControlPlane,
     attach_sharded_control_plane,
 )
-from repro.flowspace import FIVE_TUPLE_LAYOUT
+from repro.flowspace import FIVE_TUPLE_LAYOUT, Forward, Match, Packet, Rule
 from repro.net import TopologyBuilder
 from repro.net.failures import FailureInjector
 from repro.workloads.policies import routing_policy_for_topology
@@ -235,6 +235,37 @@ class TestTwoPhaseMigration:
         assert new_fragments[0].packet_count == 42
         assert new_fragments[0].byte_count == 4200
         assert old_fragments[0].packet_count == 0
+
+    def test_flip_moves_history_by_rule_not_position(self):
+        """The inserted rule's fragment sits last in the source's list but
+        first in the target's (built from the sorted partition rules), so
+        the flip must pair fragments by the rule they came from."""
+        dn, _, host_ips = build_star(replication=1)
+        controller = dn.controller
+        hosts = sorted(host_ips)
+        hot = hosts[-1]
+        controller.insert_rule(Rule(
+            Match.build(L, nw_dst=host_ips[hot], tp_dst=80), 10**7, Forward(hot)
+        ))
+        for index in range(200):
+            dn.send(hosts[0], Packet.from_fields(
+                L, nw_dst=host_ips[hot], nw_proto=6, tp_src=1024 + index,
+                tp_dst=80 if index % 2 else 443,
+            ))
+        dn.run()
+
+        def per_rule():
+            counters = controller.collect_policy_counters()
+            return {rule: snap.packets for rule, snap in counters.items() if snap.packets}
+
+        before = per_rule()
+        assert sorted(before.values()) == [100, 100]
+        loads = controller.partition_loads()
+        hot_pid = max(loads, key=loads.get)
+        migration = PartitionMigrator(controller).migrate(hot_pid, "s2")
+        dn.run(until=dn.network.scheduler.now + 0.5)
+        assert migration.phase == "done"
+        assert per_rule() == before
 
     def test_migration_to_current_primary_is_a_noop(self):
         dn, _, _ = build_star(replication=1)

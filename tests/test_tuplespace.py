@@ -99,7 +99,7 @@ class TestBasics:
 
     def test_lookup_packet(self):
         r = rule(1, Ternary.wildcard(16))
-        table = RuleTable(L, [r], engine="linear")
+        table = RuleTable(L, [r])
         assert table.lookup(Packet.from_fields(L, f1=1)) is r
 
 
