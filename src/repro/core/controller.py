@@ -27,6 +27,7 @@ from repro.core.partition import (
     Partition,
     PartitionResult,
     assign_partitions,
+    greedy_pack,
     partition_policy,
 )
 from repro.core.placement import choose_authority_switches
@@ -128,7 +129,7 @@ class HeartbeatMonitor:
                 if name != switch
             ]
             if switch in self.controller.authority_switches and survivors:
-                repointed = self.controller.dispatch_authority_failure(switch)
+                repointed = self.controller.handle_authority_failure(switch)
                 # Reconverged: give the caller its hook (e.g. invariant
                 # checks).  When nothing was repointed — the switch owned
                 # nothing, or no failover target was IGP-reachable — the
@@ -150,6 +151,15 @@ class _PartitionState:
     #: The partition rule (per ingress switch they are clones; we keep one
     #: object per switch so eviction is precise).
     partition_rules: Dict[str, Rule] = field(default_factory=dict)
+
+    @property
+    def primary(self) -> Optional[str]:
+        """The first owner, or ``None`` while the partition is unowned."""
+        return self.owners[0] if self.owners else None
+
+    def fresh_fragments(self) -> List[Rule]:
+        """New authority fragments for every partition rule, in rule order."""
+        return [rule.derive(kind=RuleKind.AUTHORITY) for rule in self.partition.rules]
 
     def move_load_history(self, source: str, target: str) -> None:
         """Move the counters of ``source``'s fragments onto ``target``'s
@@ -312,12 +322,7 @@ class DifaneController:
         """
         if name in self.authority_switches:
             return False
-        behaviour = self.network.maybe_node(name)
-        if behaviour is not None and hasattr(behaviour, "purge_stale_authority_rules"):
-            expected: List[Rule] = []
-            for state in self._states.values():
-                expected.extend(state.installed.get(name, ()))
-            behaviour.purge_stale_authority_rules(expected)
+        self._purge_stale_fragments(name)
         self.authority_switches.append(name)
         return True
 
@@ -344,8 +349,7 @@ class DifaneController:
                     problems.append(
                         f"partition {pid}: owner {owner!r} is not an authority switch"
                     )
-                behaviour = self.network.maybe_node(owner)
-                if behaviour is not None and not getattr(behaviour, "alive", True):
+                if not self.network.switch_alive(owner):
                     problems.append(f"partition {pid}: owner {owner!r} is dead")
                 if state.partition.rules and not state.installed.get(owner):
                     problems.append(
@@ -398,15 +402,9 @@ class DifaneController:
         self._states.clear()
 
         for partition in result.partitions:
-            owners = assignment[partition.partition_id]
-            state = _PartitionState(partition=partition, owners=list(owners))
-            for owner in owners:
-                switch = self._switch(owner)
-                fragments = [rule.derive(kind=RuleKind.AUTHORITY) for rule in partition.rules]
-                for fragment in fragments:
-                    switch.install_rule(fragment)
-                    self.control_messages += 1
-                state.installed[owner] = fragments
+            state = _PartitionState(partition, list(assignment[partition.partition_id]))
+            for owner in state.owners:
+                self._install_fragments(state, owner)
             self._states[partition.partition_id] = state
 
         # Partition rules go to every switch (any switch can be an ingress).
@@ -556,26 +554,17 @@ class DifaneController:
         are never promoted.  A partition with no IGP-reachable candidate
         at all is left untouched — the data plane degrades to
         controller packet-in until a repair — rather than re-pointed at
-        a switch known to be unreachable.
+        a switch known to be unreachable.  With a shard plane attached,
+        partitions of a dead shard wait for its lease takeover instead.
         """
+        if self.shard_plane is not None:
+            return self.shard_plane.handle_authority_failure(failed)
         self._retire_authority(failed)
         repointed = 0
         for pid in sorted(self._states):
             if self.failover_partition(pid, failed):
                 repointed += 1
         return repointed
-
-    def dispatch_authority_failure(self, failed: str) -> int:
-        """Route an authority failure through the shard plane when attached.
-
-        With a :class:`~repro.core.shards.ShardedControlPlane` wired,
-        only partitions whose owning shard is alive fail over now; the
-        rest wait for the lease takeover.  Without one this is exactly
-        :meth:`handle_authority_failure`.
-        """
-        if self.shard_plane is not None:
-            return self.shard_plane.handle_authority_failure(failed)
-        return self.handle_authority_failure(failed)
 
     def _retire_authority(self, failed: str) -> None:
         """Drop ``failed`` from the authority candidate pool."""
@@ -601,16 +590,8 @@ class DifaneController:
             replacement = self._least_loaded_authority()
             if replacement is None:
                 return False  # nothing reachable to fail over to
-            fragments = [
-                rule.derive(kind=RuleKind.AUTHORITY)
-                for rule in state.partition.rules
-            ]
-            switch = self._switch(replacement)
-            for fragment in fragments:
-                switch.install_rule(fragment)
-                self.control_messages += 1
+            self._install_fragments(state, replacement)
             state.owners = [replacement]
-            state.installed[replacement] = fragments
         elif not self._igp_reachable(state.owners[0]):
             # Rotate the first reachable backup into the primary slot.
             best = next(o for o in state.owners if self._igp_reachable(o))
@@ -641,6 +622,10 @@ class DifaneController:
         unreachable immediately, without waiting on a heartbeat deadline."""
         return bool(self.network.topology.links_of(name))
 
+    def serviceable(self, name: str) -> bool:
+        """Whether ``name`` is alive and IGP-reachable: fit to own a partition."""
+        return self.network.switch_alive(name) and self._igp_reachable(name)
+
     def _least_loaded_authority(self) -> Optional[str]:
         """Least-loaded IGP-reachable authority switch, or ``None``."""
         load = {
@@ -661,12 +646,12 @@ class DifaneController:
 
         Authority-rule counters at the primary owner count exactly the
         redirected traffic of that partition (cache hits never reach the
-        authority switch), which is the load metric rebalancing uses.
+        authority switch), which is the load metric rebalancing uses.  An
+        unowned partition has no primary and load 0.
         """
         loads: Dict[int, int] = {}
         for pid, state in self._states.items():
-            primary = state.owners[0]
-            fragments = state.installed.get(primary, [])
+            fragments = state.installed.get(state.primary, [])
             loads[pid] = sum(fragment.packet_count for fragment in fragments)
         return loads
 
@@ -674,7 +659,7 @@ class DifaneController:
         """``max / mean`` primary load across authority switches (>= 1)."""
         per_switch: Dict[str, int] = {name: 0 for name in self.authority_switches}
         for pid, load in self.partition_loads().items():
-            primary = self._states[pid].owners[0]
+            primary = self._states[pid].primary
             if primary in per_switch:
                 per_switch[primary] += load
         values = list(per_switch.values())
@@ -697,52 +682,64 @@ class DifaneController:
         authority locations, so no flush is needed.
         """
         loads = self.partition_loads()
-        # Greedy: heaviest partitions first onto the least-loaded switch.
-        order = sorted(self._states, key=lambda pid: (-loads[pid], pid))
-        switch_load = {name: 0 for name in self.authority_switches}
+        # Greedy: heaviest partitions first onto the least-loaded switch;
+        # the assignment iterates in that placement order.
+        assignment, _ = greedy_pack(loads, self.authority_switches)
         moved = 0
-        for pid in order:
+        for pid, (new_primary,) in assignment.items():
             state = self._states[pid]
-            ranked = sorted(
-                self.authority_switches, key=lambda name: (switch_load[name], name)
-            )
-            new_primary = ranked[0]
-            switch_load[new_primary] += max(loads[pid], 1)
-            old_owners = list(state.owners)
-            if new_primary == old_owners[0]:
+            if new_primary == state.primary:
                 continue
             moved += 1
-            # Build the new owner list: new primary plus enough backups.
-            backups = [name for name in old_owners if name != new_primary]
-            new_owners = ([new_primary] + backups)[: max(len(old_owners), 1)]
-            # Install fragments at owners that lack them.
-            for owner in new_owners:
-                if owner in state.installed:
-                    continue
-                fragments = [
-                    rule.derive(kind=RuleKind.AUTHORITY)
-                    for rule in state.partition.rules
-                ]
-                switch = self._switch(owner)
-                for fragment in fragments:
-                    switch.install_rule(fragment)
-                    self.control_messages += 1
-                state.installed[owner] = fragments
-            # Fragment counters at the old primary are the partition's load
-            # history; MOVE them to the new primary so post-move load
-            # measurements stay meaningful and the transparency aggregation
-            # never double-counts.
-            state.move_load_history(old_owners[0], new_primary)
-            # Withdraw from owners no longer used.
-            for owner in old_owners:
-                if owner in new_owners:
-                    continue
-                for fragment in state.installed.pop(owner, []):
-                    self._switch(owner).uninstall_rule(fragment)
-                    self.control_messages += 1
-            state.owners = new_owners
-            self._repoint_partition_rules(state)
+            # The new primary plus the old owners as backups, same length.
+            backups = [name for name in state.owners if name != new_primary]
+            self.move_partition(pid, ([new_primary] + backups)[: max(len(state.owners), 1)])
         return moved
+
+    def move_partition(self, pid: int, new_owners: Sequence[str]) -> None:
+        """Re-home ``pid`` onto ``new_owners`` (primary first) at once; the
+        old owner list may be empty.  The synchronous counterpart of
+        :class:`~repro.core.shards.PartitionMigrator`."""
+        state = self._states[pid]
+        for owner in new_owners:
+            if owner not in state.installed:
+                self._install_fragments(state, owner)
+        if state.primary not in (None, new_owners[0]):
+            # Fragment counters at the old primary are the partition's load
+            # history; MOVE them so post-move load measurements stay
+            # meaningful and the transparency aggregation never double-counts.
+            state.move_load_history(state.primary, new_owners[0])
+        for owner in state.owners:
+            if owner not in new_owners:
+                self._withdraw(owner, state.installed.pop(owner, []))
+        state.owners = list(new_owners)
+        self._repoint_partition_rules(state)
+
+    def _install_fragments(self, state: _PartitionState, owner: str) -> None:
+        """Install fresh fragments of ``state``'s partition at ``owner`` on
+        the configuration-time path and record them as ``owner``'s."""
+        fragments = state.installed[owner] = state.fresh_fragments()
+        switch = self._switch(owner)
+        for fragment in fragments:
+            switch.install_rule(fragment)
+            self.control_messages += 1
+
+    def _withdraw(self, owner: str, fragments: Sequence[Rule]) -> None:
+        """Uninstall ``fragments`` from ``owner`` on the configuration-time path."""
+        switch = self._switch(owner)
+        for fragment in fragments:
+            switch.uninstall_rule(fragment)
+            self.control_messages += 1
+
+    def _purge_stale_fragments(self, name: str) -> None:
+        """Drop authority fragments ``name`` holds that no partition's
+        ``installed`` record lists (left from before it was cut off)."""
+        behaviour = self.network.maybe_node(name)
+        if behaviour is not None and hasattr(behaviour, "purge_stale_authority_rules"):
+            expected: List[Rule] = []
+            for state in self._states.values():
+                expected.extend(state.installed.get(name, ()))
+            behaviour.purge_stale_authority_rules(expected)
 
     # -- cache budget partitioning (cost-aware caching) ---------------------------------
     def partition_cache_budgets(

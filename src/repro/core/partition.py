@@ -44,6 +44,7 @@ __all__ = [
     "PartitionResult",
     "partition_policy",
     "assign_partitions",
+    "greedy_pack",
     "assign_partitions_to_shards",
     "build_partition_rules",
 ]
@@ -380,6 +381,22 @@ def _clip_rules(rules: Sequence[Rule], leaf: _Node, matrix: np.ndarray) -> List[
 # Assignment and partition rules
 # ---------------------------------------------------------------------------
 
+def greedy_pack(weights: Dict[int, float], candidates: Sequence[str], replication: int = 1
+                ) -> Tuple[Dict[int, List[str]], Dict[str, float]]:
+    """Greedy bin packing: partitions in ``(-weight, pid)`` order, each onto
+    the ``replication`` candidates least by ``(load, name)``, adding
+    ``max(weight, 1)`` to each.  Returns (pid -> chosen, candidate -> load).
+    """
+    load = {name: 0 for name in candidates}
+    assignment: Dict[int, List[str]] = {}
+    for pid in sorted(weights, key=lambda p: (-weights[p], p)):
+        chosen = sorted(load, key=lambda name: (load[name], name))[:replication]
+        assignment[pid] = chosen
+        for name in chosen:
+            load[name] += max(weights[pid], 1)
+    return assignment, load
+
+
 def assign_partitions(
     partitions: Sequence[Partition],
     authority_switches: Sequence[str],
@@ -397,16 +414,8 @@ def assign_partitions(
     replication = min(replication, len(authority_switches))
     if replication < 1:
         raise ValueError("replication must be >= 1")
-    load = {name: 0 for name in authority_switches}
-    assignment: Dict[int, List[str]] = {}
-    ordered = sorted(partitions, key=lambda p: (-p.entry_count, p.partition_id))
-    for partition in ordered:
-        ranked = sorted(load, key=lambda name: (load[name], name))
-        chosen = ranked[:replication]
-        assignment[partition.partition_id] = chosen
-        for name in chosen:
-            load[name] += max(partition.entry_count, 1)
-    return assignment
+    weights = {p.partition_id: p.entry_count for p in partitions}
+    return greedy_pack(weights, authority_switches, replication)[0]
 
 
 def assign_partitions_to_shards(

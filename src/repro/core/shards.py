@@ -46,14 +46,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.partition import assign_partitions_to_shards
+from repro.core.partition import assign_partitions_to_shards, greedy_pack
 from repro.obs.health import (
     IMBALANCE_FAIRNESS_THRESHOLD,
     evaluate_telemetry,
     jain_fairness,
 )
 from repro.obs.trace import TraceKind
-from repro.flowspace.rule import Rule, RuleKind
+from repro.flowspace.rule import Rule
 from repro.openflow.channel import (
     ChannelFaultModel,
     ControlChannel,
@@ -632,9 +632,7 @@ class PartitionMigrator:
         state = controller._states.get(pid)
         if state is None or pid in self.active:
             return None
-        if state.owners and state.owners[0] == target:
-            return None
-        if not self.network.switch_alive(target) or not controller._igp_reachable(target):
+        if state.primary == target or not controller.serviceable(target):
             return None
         if target not in controller.authority_switches:
             # Promote the spare into the pool (also purges any stale
@@ -646,17 +644,12 @@ class PartitionMigrator:
             # was dead, so no retire FlowMods could reach it).  Left in
             # place they would shadow the fresh install below — purge
             # against the controller's installed records first.
-            behaviour = self.network.maybe_node(target)
-            if behaviour is not None and hasattr(behaviour, "purge_stale_authority_rules"):
-                expected = []
-                for other in controller._states.values():
-                    expected.extend(other.installed.get(target, ()))
-                behaviour.purge_stale_authority_rules(expected)
+            controller._purge_stale_fragments(target)
         now = self.network.scheduler.now
         # A partition can be fully unowned (every replica died and no
         # failover target was reachable): the migration is then a pure
         # adoption with nothing to retire.
-        source = state.owners[0] if state.owners else "(none)"
+        source = state.primary or "(none)"
         migration = Migration(
             pid=pid, source=source, target=target,
             reason=reason, started_at=now,
@@ -674,19 +667,13 @@ class PartitionMigrator:
             # Already a backup: fragments are in place, flip directly.
             self._flip(migration)
             return migration
-        fragments = [
-            rule.derive(kind=RuleKind.AUTHORITY) for rule in state.partition.rules
-        ]
-        state.installed[target] = fragments
         state.owners.append(target)  # joins as backup: never unowned
         channel = controller.channels.get(target)
-        if channel is None or not fragments:
-            switch = controller._switch(target)
-            for fragment in fragments:
-                switch.install_rule(fragment)
-                controller.control_messages += 1
+        if channel is None or not state.partition.rules:
+            controller._install_fragments(state, target)
             self._flip(migration)
             return migration
+        fragments = state.installed[target] = state.fresh_fragments()
         migration.awaiting = len(fragments)
         # Install watchdog: a target killed mid-install never acks (its
         # channel deliveries are swallowed and drained), which would
@@ -734,8 +721,7 @@ class PartitionMigrator:
         if (
             stalled
             or migration.target not in state.owners
-            or not self.network.switch_alive(migration.target)
-            or not controller._igp_reachable(migration.target)
+            or not controller.serviceable(migration.target)
         ):
             self._abort(migration)
             return
@@ -752,11 +738,7 @@ class PartitionMigrator:
         state = controller._states[migration.pid]
         if migration.phase != "install":
             return
-        if (
-            migration.target not in state.owners
-            or not self.network.switch_alive(migration.target)
-            or not controller._igp_reachable(migration.target)
-        ):
+        if migration.target not in state.owners or not controller.serviceable(migration.target):
             # The target was lost mid-install (failover or chaos kill).
             self._abort(migration)
             return
@@ -765,7 +747,7 @@ class PartitionMigrator:
             migration.deadline = None
         now = self.network.scheduler.now
         source = migration.source
-        if state.owners and state.owners[0] == source:
+        if state.primary == source:
             # Move the load history so post-migration measurements stay
             # meaningful and transparency counters never double-count.
             state.move_load_history(source, migration.target)
@@ -803,10 +785,7 @@ class PartitionMigrator:
             return
         channel = controller.channels.get(source)
         if channel is None:
-            switch = controller._switch(source)
-            for fragment in migration.retire_fragments:
-                switch.uninstall_rule(fragment)
-                controller.control_messages += 1
+            controller._withdraw(source, migration.retire_fragments)
             self._complete(migration)
             return
         migration.awaiting = len(migration.retire_fragments)
@@ -1033,10 +1012,7 @@ class Rebalancer:
         healed: List[str] = []
         for pid in sorted(controller._states):
             state = controller._states[pid]
-            if any(
-                self.network.switch_alive(owner) and controller._igp_reachable(owner)
-                for owner in state.owners
-            ):
+            if any(controller.serviceable(owner) for owner in state.owners):
                 continue
             target = self._pick_target(exclude=set(state.owners))
             if target is None:
@@ -1052,9 +1028,7 @@ class Rebalancer:
             for name in dict.fromkeys(
                 list(controller.authority_switches) + self.spares
             )
-            if name not in exclude
-            and self.network.switch_alive(name)
-            and controller._igp_reachable(name)
+            if name not in exclude and controller.serviceable(name)
         ]
         if not candidates:
             return None
@@ -1070,20 +1044,20 @@ class Rebalancer:
         controller = self.controller
         candidates = [
             name for name in controller.authority_switches
-            if self.network.switch_alive(name) and controller._igp_reachable(name)
+            if controller.serviceable(name)
         ]
         if not candidates:
             return []
-        assignment, projected = self._pack(window_loads, candidates)
         spares_left = [
             name for name in self.spares
-            if name not in candidates
-            and self.network.switch_alive(name)
-            and controller._igp_reachable(name)
+            if name not in candidates and controller.serviceable(name)
         ]
-        while projected < self.fairness_threshold and spares_left:
+        while True:
+            assignment, packed = greedy_pack(window_loads, candidates)
+            projected = jain_fairness(list(packed.values()))
+            if projected >= self.fairness_threshold or not spares_left:
+                break
             candidates = candidates + [spares_left.pop(0)]
-            assignment, projected = self._pack(window_loads, candidates)
         # Only move when the repack genuinely improves on the current
         # assignment: the detector can keep firing on a load profile no
         # repack can fix (e.g. an inherently dominant partition, or a
@@ -1091,28 +1065,17 @@ class Rebalancer:
         # re-shuffling partitions then is pure thrash.
         current = {name: 0.0 for name in candidates}
         for pid, load in window_loads.items():
-            owners = controller._states[pid].owners
-            if owners and owners[0] in current:
-                current[owners[0]] += max(load, 1.0)
+            primary = controller._states[pid].primary
+            if primary in current:
+                current[primary] += max(load, 1.0)
         if projected <= jain_fairness(list(current.values())) + 1e-9:
             return []
-        order = sorted(assignment, key=lambda pid: (-window_loads.get(pid, 0.0), pid))
+        # The assignment iterates in placement order: (-load, pid).
         return [
-            (pid, assignment[pid])
-            for pid in order
-            if assignment[pid] != controller._states[pid].owners[0]
+            (pid, target)
+            for pid, (target,) in assignment.items()
+            if target != controller._states[pid].primary
         ]
-
-    @staticmethod
-    def _pack(window_loads: Dict[int, float], candidates: List[str]
-              ) -> Tuple[Dict[int, str], float]:
-        packed = {name: 0.0 for name in candidates}
-        assignment: Dict[int, str] = {}
-        for pid in sorted(window_loads, key=lambda p: (-window_loads[p], p)):
-            best = min(sorted(packed), key=lambda name: packed[name])
-            assignment[pid] = best
-            packed[best] += max(window_loads[pid], 1.0)
-        return assignment, jain_fairness(list(packed.values()))
 
     # -- action routing ---------------------------------------------------------------
     def _request(self, pid: int, target: str, reason: str, now: float) -> bool:

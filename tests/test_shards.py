@@ -136,7 +136,7 @@ class TestDeferredFailover:
         def kill_authority():
             victim_switch = dn.controller._states[follower_pids[0]].owners[0]
             injector.fail_switch(victim_switch)
-            dn.controller.dispatch_authority_failure(victim_switch)
+            dn.controller.handle_authority_failure(victim_switch)
 
         scheduler.schedule_at(0.05, plane.kill_shard, "shard1")
         scheduler.schedule_at(0.06, kill_authority)
@@ -159,7 +159,7 @@ class TestDeferredFailover:
         )
         injector = FailureInjector(dn.network)
         injector.fail_switch("s0")
-        repointed = dn.controller.dispatch_authority_failure("s0")
+        repointed = dn.controller.handle_authority_failure("s0")
         assert repointed > 0
         assert plane.pending_failovers == []
         assert dn.controller.assert_all_partitions_owned() > 0
@@ -317,6 +317,46 @@ class TestTwoPhaseMigration:
         assert migration.completed_at == migration.flipped_at
         assert state.owners == ["s2"]
         assert controller.assert_all_partitions_owned() > 0
+
+
+class TestOrphanHeal:
+    def test_unowned_partition_heals_to_a_spare(self):
+        # s0 fails while s1 and s2 are cut off: s0's partition has no
+        # reachable replacement and is left with no owners at all.  The
+        # rebalancer must still run and re-home every partition on s3.
+        topo = TopologyBuilder.star(5, hosts_per_leaf=1)
+        rules, host_ips = routing_policy_for_topology(topo, L)
+        dn = DifaneNetwork.build(
+            topo, rules, L,
+            authority_switches=["s0", "s1", "s2"],
+            partitions_per_authority=1,
+            cache_capacity=0,
+            redirect_rate=None,
+        )
+        controller = dn.controller
+        controller.connect_control_plane()
+        plane = attach_sharded_control_plane(controller, n_shards=2, spares=["s3"])
+        for name in ("s1", "s2"):
+            for _, neighbour, _ in topo.links_of(name):
+                topo.remove_link(name, neighbour)
+        dn.network.rebuild_routes()
+        controller.handle_authority_failure("s0")
+        assert [pid for pid, state in controller._states.items() if not state.owners]
+        for index in range(400):
+            dst = f"h{index % 5}"
+            if dst == "h3":
+                continue
+            dn.send("h3", Packet.from_fields(
+                L, nw_dst=host_ips[dst], nw_proto=6, tp_src=1024 + index, tp_dst=80,
+            ))
+        dn.run(until=0.2)
+        healed = [
+            (action["partition"], action["target"])
+            for action in plane.rebalancer.actions
+            if action["reason"] == "orphan" and action["outcome"] == "migrating"
+        ]
+        assert sorted(healed) == [(0, "s3"), (1, "s3"), (2, "s3")]
+        assert [controller.owners_of(pid) for pid in range(3)] == [["s3"]] * 3
 
 
 class TestExportShape:

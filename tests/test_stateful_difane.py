@@ -1,9 +1,10 @@
 """Stateful property test: DIFANE under arbitrary operation interleavings.
 
 Hypothesis drives a random sequence of policy inserts, deletes, host
-moves and packets against a live DIFANE deployment; after every packet
-the observed outcome (delivered endpoint / policy drop) must match a
-single-table oracle maintained in parallel.  This is the correctness
+moves, partition moves (rebalance, migration) and packets against a live
+DIFANE deployment; after every packet the observed outcome (delivered
+endpoint / policy drop) must match a single-table oracle maintained in
+parallel, and no partition move may change a per-policy-rule counter.  This is the correctness
 contract under *composition* of dynamics, which individual tests can't
 cover exhaustively.
 """
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.core import DifaneNetwork
+from repro.core.shards import PartitionMigrator
 from repro.flowspace import (
     Drop,
     FIVE_TUPLE_LAYOUT,
@@ -42,8 +44,15 @@ class DifaneMachine(RuleBasedStateMachine):
             cache_capacity=32,
             redirect_rate=None,
         )
+        self.migrator = PartitionMigrator(self.dn.controller)
         self.inserted = []
         self.hosts = sorted(self.host_ips)
+
+    def policy_counters(self):
+        return {
+            rule: (snapshot.packets, snapshot.bytes)
+            for rule, snapshot in self.dn.controller.collect_policy_counters().items()
+        }
 
     # -- operations --------------------------------------------------------
     @rule(
@@ -81,6 +90,23 @@ class DifaneMachine(RuleBasedStateMachine):
         new_home = f"s{switch_index}"
         if self.topo.host_attachment(host) != new_home:
             self.dn.controller.handle_host_move(host, new_home)
+
+    @rule()
+    def rebalance(self):
+        before = self.policy_counters()
+        self.dn.controller.rebalance()
+        assert self.policy_counters() == before
+
+    @rule(
+        pid=st.integers(min_value=0, max_value=3),
+        destination=st.sampled_from(["s0", "s2"]),
+    )
+    def migrate(self, pid, destination):
+        before = self.policy_counters()
+        self.migrator.migrate(pid, destination)
+        self.dn.run()  # the retire lands after its grace period
+        assert not self.migrator.active
+        assert self.policy_counters() == before
 
     @rule(
         src_index=st.integers(min_value=0, max_value=5),
@@ -122,6 +148,22 @@ class DifaneMachine(RuleBasedStateMachine):
         k = len(self.dn.controller.partitions())
         for switch in self.dn.switches():
             assert len(switch.pipeline.partition) == k
+
+    @invariant()
+    def partitions_owned(self):
+        self.dn.controller.assert_all_partitions_owned()
+
+    @invariant()
+    def authority_tables_hold_the_installed_fragments(self):
+        controller = self.dn.controller
+        for name in controller.authority_switches:
+            expected = [
+                id(fragment)
+                for state in controller._states.values()
+                for fragment in state.installed.get(name, ())
+            ]
+            held = [id(r) for r in self.dn.switch(name).pipeline.authority.rules()]
+            assert sorted(held) == sorted(expected)
 
 
 DifaneMachine.TestCase.settings = settings(
