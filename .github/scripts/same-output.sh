@@ -8,8 +8,9 @@
 # be empty), normalizes the wall-clock chatter (`took Xs`) and the metrics
 # file names, and requires byte-identical stdout and metrics documents;
 # then `repro obs diff` must agree the runs are identical.  CI runs it
-# for `--jobs 1` vs `--jobs 2` and scalar vs `--columnar`.  Works from an
-# installed package or a plain checkout (src/ is put on PYTHONPATH).
+# for `--jobs 1` vs `--jobs 2` and for a cold vs a warm `--cache-dir`.
+# Works from an installed package or a plain checkout (src/ is put on
+# PYTHONPATH).
 # Exits non-zero on the first difference.
 set -euo pipefail
 

@@ -313,99 +313,6 @@ def test_perf_partitioner_10k(benchmark):
     assert result.duplication_factor < 8.0
 
 
-def test_perf_columnar_throughput(benchmark, archive):
-    """Injected-packet throughput: columnar batch path vs the scalar oracle.
-
-    One A6-shaped burst workload (star fabric, Zipf host-pair flows, no
-    redirect-rate cap) runs end to end under the scalar path and under
-    the columnar batch path, and the injected-packets/s rates are
-    archived as text and as ``perf-columnar.json``.  The gate is the
-    columnar refactor's reason to exist: the batch path must clear 5× the
-    scalar linear-engine rate (measured speedups land north of 15×; the
-    gate is set low to be robust to shared-machine noise).
-    """
-    from repro.core.controller import DifaneNetwork
-    from repro.flowspace.batch import set_columnar
-    from repro.net.topology import TopologyBuilder
-    from repro.obs import context as obs_context
-    from repro.obs import fresh_run_context
-    from repro.workloads.batches import host_pair_batches
-    from repro.workloads.policies import routing_policy_for_topology
-
-    bursts, burst_size = 40, 2_000
-
-    def run_workload(columnar: bool) -> float:
-        """One full simulation; returns injected packets per second."""
-        set_columnar(columnar)
-        fresh_run_context()
-        topo = TopologyBuilder.star(leaf_count=4, hosts_per_leaf=2)
-        rules, host_ips = routing_policy_for_topology(topo, LAYOUT)
-        facade = DifaneNetwork.build(
-            topo, rules, LAYOUT, authority_count=2, cache_capacity=256,
-            redirect_rate=None,
-        )
-        schedule = host_pair_batches(
-            topo, host_ips, LAYOUT, bursts=bursts, burst_size=burst_size,
-            hot_flows=32, alpha=1.0, seed=7,
-        )
-        total = sum(len(tb) for tb in schedule)
-        started = time.perf_counter()
-        for tb in schedule:
-            facade.send_batch_at(tb.time, tb.switch, tb.batch)
-        facade.run()
-        return total / (time.perf_counter() - started)
-
-    previous_context = obs_context.current()
-
-    def compare():
-        rows = []
-        for label, columnar in (("scalar/linear", False), ("columnar", True)):
-            rate = max(run_workload(columnar) for _ in range(2))
-            rows.append({
-                "configuration": label,
-                "columnar": columnar,
-                "injected_packets_per_s": round(rate, 1),
-            })
-        baseline = rows[0]["injected_packets_per_s"]
-        for row in rows:
-            row["speedup_vs_scalar_linear"] = round(
-                row["injected_packets_per_s"] / baseline, 2
-            )
-        return rows
-
-    try:
-        rows = run_once(benchmark, compare)
-    finally:
-        set_columnar(False)
-        obs_context.install(previous_context)
-
-    report = {
-        "workload": (
-            f"star-4 DIFANE, {bursts} bursts x {burst_size} packets, "
-            "32 hot flows, cache_capacity=256, redirect_rate=None"
-        ),
-        "rows": rows,
-    }
-    lines = [
-        "Injected-packet throughput: columnar batch path vs scalar oracle",
-        "",
-        f"workload: {report['workload']}",
-        f"{'configuration':<20} {'pkts/s':>12} {'vs scalar/linear':>17}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['configuration']:<20} {row['injected_packets_per_s']:>12,.0f} "
-            f"{row['speedup_vs_scalar_linear']:>16.2f}x"
-        )
-    archive("perf-columnar", "\n".join(lines))
-    (RESULTS_DIR / "perf-columnar.json").write_text(json.dumps(report, indent=2) + "\n")
-
-    columnar_speedup = rows[-1]["speedup_vs_scalar_linear"]
-    assert columnar_speedup >= 5.0, (
-        f"columnar path only {columnar_speedup}x over scalar/linear"
-    )
-
-
 def test_perf_slots_structs(benchmark):
     """Construction cost of the per-packet hot structs after __slots__.
 

@@ -23,7 +23,6 @@ from typing import Callable, Dict, Tuple
 from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.report import render_series_table, render_table
 from repro.experiments.common import METRICS_SCHEMA, ExperimentResult, metrics_document
-from repro.flowspace.batch import set_columnar
 from repro.obs.sketch import set_sketch_mode
 from repro.obs import fresh_run_context
 from repro.parallel.cache import DEFAULT_CACHE_DIR, configure_artifact_cache
@@ -253,13 +252,6 @@ def main(argv=None) -> int:
                      help="scaled-down parameters (seconds, not minutes)")
     run.add_argument("--no-plot", action="store_true",
                      help="skip the ASCII figure rendering")
-    run.add_argument("--columnar", action="store_true", default=False,
-                     help="enable the columnar (struct-of-arrays) burst "
-                          "fast path; observable output is identical to "
-                          "the scalar default")
-    run.add_argument("--no-columnar", dest="columnar", action="store_false",
-                     help="force the scalar per-packet oracle path "
-                          "(the default)")
     run.add_argument("--sketch", action="store_true", default=False,
                      help="memory-bounded observability: stream delivery "
                           "outcomes into fixed-size sketches (quantiles, "
@@ -363,9 +355,8 @@ def main(argv=None) -> int:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
 
-    # Columnar and sketch modes are process-wide; workers inherit them
-    # through the sweep runner's initializer.
-    set_columnar(args.columnar)
+    # The sketch mode is process-wide; workers inherit it through the
+    # sweep runner's initializer.
     set_sketch_mode(args.sketch)
 
     if args.chaos_seed is not None:

@@ -22,10 +22,8 @@ saturate.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from repro.flowspace.action import Drop, Forward, SetField
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
@@ -151,9 +149,6 @@ class DifaneSwitch(DataPlaneSwitch):
         #: QoS wiring — bound in attach() when a policy is installed.
         self._qos = None
         self._qc: dict = {}
-        #: arrival instant -> in-band install entries awaiting that event
-        #: (see :meth:`queue_cache_installs`).
-        self._pending_installs: dict = {}
 
     # -- wiring ---------------------------------------------------------------
     def attach(self, network) -> None:
@@ -316,9 +311,8 @@ class DifaneSwitch(DataPlaneSwitch):
     # Everything after the lookup is decided from (stage, rule, routes,
     # control channel), never from the packet: ``_STAGE_ACCOUNTING``,
     # :meth:`_redirect_target`, :meth:`_install_costs` / :meth:`_install_plan`.
-    # The scalar executor (:meth:`process`, :meth:`_handle_redirect`,
-    # :meth:`execute`) applies them to one packet; the columnar one once per
-    # (stage, rule) group, handing rare outcomes to the scalar executor.
+    # :meth:`process`, :meth:`_handle_redirect` and :meth:`execute` apply
+    # them to one packet at a time.
 
     def _count(self, stat: str, count: int = 1) -> None:
         """Bump a mirrored statistic and its ``difane_<stat>_total`` counter."""
@@ -407,104 +401,6 @@ class DifaneSwitch(DataPlaneSwitch):
             PacketIn(switch=self.name, packet=packet)
         )
 
-    def process_packet_batch(self, batch) -> None:
-        """Columnar :meth:`process`: classify and act on a whole batch.
-
-        Counters, rule statistics, delivery records and traces land as
-        per-packet :meth:`process` calls would.  Accounting is per
-        (stage, rule) group, but forwarding is per *egress*: groups that
-        leave by one ``Forward`` or one redirect toward the same
-        destination go as a single sub-batch in packet order, so a burst
-        stays a burst on its next link however many rules it matched.  The
-        redirect station is defined per packet and takes the scalar view.
-        """
-        tunnel_end = batch.encap_destination
-        if tunnel_end is not None:
-            if tunnel_end != self.name:
-                # Transit: tunnel the whole batch one hop, no reclassify.
-                self.network.forward_batch_toward(self.name, tunnel_end, batch)
-            elif self._redirect_station is None:
-                self._handle_redirect_batch(batch)
-            else:
-                for packet in batch.packets():
-                    if not self._admission_shed(packet):
-                        self._redirect_station.submit(packet)
-            return
-        now = self._now()
-        tracer = self.network.tracer
-        egress: dict = {}
-        for stage, rule, indices in self.pipeline.classify_batch(batch, now):
-            count = len(indices)
-            if stage is PipelineStage.MISS:
-                self._count("unmatched", count)
-                self.network.record_drop_batch(
-                    batch.select(indices), self.name, "no matching rule"
-                )
-                continue
-            stat, qos_stat, kind = _STAGE_ACCOUNTING[stage]
-            self._count(stat, count)
-            if stage is PipelineStage.PARTITION:
-                batch.via_authority[indices] = True
-            if self._qos is not None or tracer.enabled:
-                sub = batch.select(indices)
-                if self._qos is not None:
-                    self._qos_count(qos_stat, sub.header_bits_list())
-                if tracer.enabled:
-                    tracer.record_batch(now, kind, sub.packets(), node=self.name)
-            if stage is not PipelineStage.PARTITION:
-                self._terminal_batch(batch, indices.tolist(), rule, egress)
-                continue
-            destination, failed_over = self._redirect_target(rule)
-            if destination is None:
-                for packet in batch.select(indices).packets():
-                    self._orphaned(packet)
-                continue
-            if failed_over:
-                self._count("failovers", count)
-                if tracer.enabled:
-                    tracer.record_batch(
-                        now, TraceKind.FAILOVER, batch.select(indices).packets(),
-                        node=self.name, detail=destination,
-                    )
-            egress.setdefault(destination, []).extend(indices.tolist())
-        self._forward_by_egress(batch, egress)
-
-    def _terminal_batch(self, batch, indices: list, rule: Rule, egress: dict) -> None:
-        """Columnar :meth:`execute` of ``rule`` on ``batch[indices]``.
-
-        A sole ``Forward`` joins its egress bucket; otherwise ``SetField``,
-        ``Drop`` and ``Forward`` apply to the sub-batch, and any other
-        action hands its packets (rewrites applied) to the scalar executor.
-        """
-        actions = rule.actions.actions
-        if len(actions) == 1 and isinstance(actions[0], Forward):
-            egress.setdefault(actions[0].port, []).extend(indices)
-            return
-        batch = batch.select(indices)
-        for position, action in enumerate(actions):
-            if isinstance(action, SetField):
-                batch.set_field(action.field_name, action.value)
-            elif isinstance(action, Drop):
-                self.network.record_drop_batch(batch, self.name, "policy drop")
-                return
-            elif isinstance(action, Forward):
-                batch.encapsulate(action.port)
-                self.network.forward_batch_toward(self.name, action.port, batch)
-                return
-            else:
-                for packet in batch.packets():
-                    self.execute(packet, actions[position:])
-                return
-        self.network.record_drop_batch(batch, self.name, "no terminal action")
-
-    def _forward_by_egress(self, batch, egress: dict) -> None:
-        """Tunnel one sub-batch per destination, each in packet order."""
-        for destination, indices in egress.items():
-            indices.sort()
-            sub = batch.select(indices)
-            sub.encapsulate(destination)
-            self.network.forward_batch_toward(self.name, destination, sub)
-
     # -- the authority path ----------------------------------------------------------
     def _handle_redirect(self, packet: Packet) -> None:
         """Authority-path processing of one redirected packet."""
@@ -532,13 +428,16 @@ class DifaneSwitch(DataPlaneSwitch):
     def _install_at(
         self, ingress: str, rule: Rule, packet_bits: int, packet: Packet
     ) -> None:
-        """Scalar install executor: one in-band message per fragment group."""
+        """Install the miss's cache rules at ``ingress``: one in-band message
+        per fragment group."""
         delay, penalty = self._install_costs(ingress)
         groups = self._install_plan(rule, packet_bits, penalty)
         target = self.network.node(ingress)
         if target is self:
             # Degenerate single-switch case: cache locally, no message.
-            self._install_in_packet_order([(packet.packet_id, groups)])
+            for group in groups:
+                for cached in group:
+                    self.install_cache_rule(cached)
             return
         self._installs_sent(groups, packet, ingress)
         schedule = self.network.scheduler.schedule
@@ -547,61 +446,6 @@ class DifaneSwitch(DataPlaneSwitch):
                 schedule(delay, target.install_cache_rule, group[0])
             else:
                 schedule(delay, target.install_cache_rules, group)
-
-    def _handle_redirect_batch(self, batch) -> None:
-        """Columnar :meth:`_handle_redirect`.
-
-        Install plans are made once per distinct (ingress, winner, header);
-        messages and counters stay per packet: each ingress gets one
-        sequence of ``(packet id, fragment groups)`` and applies it in
-        packet order (:meth:`queue_cache_installs`) — the scalar path's
-        installs, minus the recomputation and the per-message events.
-        """
-        self._count("redirects_handled", len(batch))
-        batch.decapsulate()
-        now = self._now()
-        tracer = self.network.tracer
-        packets = batch.packets() if tracer.enabled else None
-        if tracer.enabled:
-            tracer.record_batch(now, TraceKind.AUTHORITY_HANDLE, packets, node=self.name)
-        winners, rules = self.pipeline.authority.match_batch(batch, now)
-        winners = winners.tolist()
-        # Header snapshot before terminal actions (see _handle_redirect).
-        original_bits = batch.header_bits_list()
-        groups: dict = {}
-        for i, winner in enumerate(winners):
-            groups.setdefault(winner, []).append(i)
-        missed = groups.pop(-1, None)
-        if missed:
-            self._count("unmatched", len(missed))
-            self.network.record_drop_batch(batch.select(missed), self.name, "authority miss")
-        egress: dict = {}
-        for winner, indices in groups.items():
-            self._terminal_batch(batch, indices, rules[winner], egress)
-        self._forward_by_egress(batch, egress)
-
-        by_ingress: dict = {}
-        for i, ingress in enumerate(batch.ingress_switch.tolist()):
-            if ingress is not None and winners[i] >= 0:
-                by_ingress.setdefault(ingress, []).append(i)
-        packet_ids = batch.packet_ids.tolist()
-        for ingress, indices in by_ingress.items():
-            delay, penalty = self._install_costs(ingress)
-            plans: dict = {}  # (winner, header) -> fragment groups
-            entries = []
-            for i in indices:
-                key = (winners[i], original_bits[i])
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = self._install_plan(rules[key[0]], key[1], penalty)
-                entries.append((packet_ids[i], plan))
-            target = self.network.node(ingress)
-            if target is self:
-                self._install_in_packet_order(entries)
-                continue
-            for i, (_, plan) in zip(indices, entries):
-                self._installs_sent(plan, packets[i] if packets else None, ingress)
-            target.queue_cache_installs(delay, entries)
 
     def _install_costs(self, ingress: str) -> Tuple[float, float]:
         """``(message delay, re-fetch penalty)`` of installs to ``ingress``;
@@ -643,37 +487,6 @@ class DifaneSwitch(DataPlaneSwitch):
                         node=self.name, detail=ingress,
                     )
 
-    def queue_cache_installs(self, delay: float, entries: list) -> None:
-        """Receive one authority's in-band installs for a redirected batch.
-
-        ``entries`` is ``[(packet id, fragment groups), ...]``, one per
-        redirected packet.  Sequences arriving at one instant (several
-        authorities answering one burst) share one event, in packet order.
-        """
-        arrival = self._now() + delay
-        pending = self._pending_installs.get(arrival)
-        if pending is not None:
-            pending.extend(entries)
-            return
-        self._pending_installs[arrival] = entries
-        self.network.scheduler.schedule_batch(
-            delay, self._apply_cache_installs, arrival
-        )
-
-    def _apply_cache_installs(self, arrival: float) -> None:
-        self._install_in_packet_order(self._pending_installs.pop(arrival))
-
-    def _install_in_packet_order(self, entries: list) -> None:
-        """One :meth:`install_cache_rule` per packet per fragment, sorted by
-        packet id: the order the scalar path's per-packet install messages
-        arrive in, which LRU relies on when it breaks equal-activity ties
-        by install order."""
-        entries.sort(key=itemgetter(0))
-        for _, fragment_groups in entries:
-            for group in fragment_groups:
-                for rule in group:
-                    self.install_cache_rule(rule)
-
     def _cache_rules_for(self, rule: Rule, packet_bits: int) -> List[Rule]:
         """The cache rule(s) one miss generates (fragment + prefetch)."""
         authority = self.pipeline.authority.table
@@ -692,7 +505,7 @@ class DifaneSwitch(DataPlaneSwitch):
             cached_rules = [] if fragment is None else [cache_rule(rule, fragment)]
         if self._qos is not None and cached_rules:
             # Stamp the class the *missed packet* belongs to — the single
-            # chokepoint every install path (scalar, batch, local) funnels
+            # chokepoint every install path (in-band or local) funnels
             # through, so residency protection sees every cache rule.
             name = self._qos.classifier.classify_bits(packet_bits)
             for cached in cached_rules:

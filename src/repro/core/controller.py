@@ -927,12 +927,11 @@ class DifaneNetwork:
         )
 
     def send_batch_at(self, time: float, switch: str, batch) -> None:
-        """Schedule a columnar batch injection at ``switch`` at ``time``.
+        """Schedule a same-instant burst's injection at ``switch`` at ``time``.
 
-        One scheduler event carries the whole same-instant burst (see
-        :meth:`SimNetwork.inject_batch_at_switch`); with columnar mode off
-        the batch degrades to the per-packet scalar path at fire time, so the
-        same workload schedule drives either mode.
+        One scheduler event carries the whole burst; at fire time every
+        packet of it takes the per-packet path (see
+        :meth:`SimNetwork.inject_batch_at_switch`).
         """
         self.network.scheduler.schedule_at(
             time, self.network.inject_batch_at_switch, switch, batch

@@ -71,8 +71,7 @@ class LinearEngine:
     :meth:`lookup_bits` and :meth:`win_fragment` answer from whichever
     view is cheaper for the table's current shape, chosen when the table
     changes (see :data:`PROBE_RULES_PER_MASK`); both views give identical
-    answers.  :meth:`batch_lookup` (the columnar path's fallback for
-    tables over 512 rules) always scans.
+    answers.
     """
 
     # Slots, not a ``__dict__``: CPython turns an instance's inline
@@ -228,22 +227,7 @@ class LinearEngine:
                 return rule
         return None
 
-    def _scan_batch(self, header_bits_seq: Iterable[int]) -> List[Optional[Rule]]:
-        rules = self._rules
-        results: List[Optional[Rule]] = []
-        append = results.append
-        for bits in header_bits_seq:
-            winner = None
-            for rule in rules:
-                ternary = rule.match.ternary
-                if (bits & ternary.mask) == ternary.value:
-                    winner = rule
-                    break
-            append(winner)
-        return results
-
     lookup_bits = _scan_bits
-    batch_lookup = _scan_batch
 
     def _probe_bits(self, header_bits: int) -> Optional[Rule]:
         # Each bucket head is its group's best match; the smallest key

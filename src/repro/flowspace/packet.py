@@ -23,9 +23,9 @@ _packet_ids = itertools.count()
 def reserve_packet_ids(count: int) -> list:
     """Draw ``count`` consecutive ids from the global packet counter.
 
-    The columnar batch path reserves ids at batch-construction time so a
-    batch and its scalar materialization carry identical packet ids —
-    the equivalence tests compare them directly.
+    A :class:`~repro.flowspace.batch.PacketBatch` reserves its ids when
+    it is built, so the ids a burst consumes do not depend on when it is
+    injected.
     """
     ids = _packet_ids
     return [next(ids) for _ in range(count)]

@@ -47,10 +47,6 @@ class RuleTable:
     ):
         self.layout = layout
         self.engine = LinearEngine(layout)
-        #: Monotonic mutation stamp: bumped on every add/remove/clear so
-        #: derived structures (the TCAM's compiled vector matcher) know
-        #: when their compiled view of the rule list went stale.
-        self.version = 0
         if rules:
             for rule in rules:
                 self.add(rule)
@@ -61,26 +57,18 @@ class RuleTable:
         if rule.match.layout != self.layout:
             raise ValueError("rule layout differs from table layout")
         self.engine.add(rule)
-        self.version += 1
 
     def remove(self, rule: Rule) -> bool:
         """Remove ``rule`` (by identity); returns whether it was present."""
-        removed = self.engine.remove(rule)
-        if removed:
-            self.version += 1
-        return removed
+        return self.engine.remove(rule)
 
     def remove_if(self, predicate: Callable[[Rule], bool]) -> List[Rule]:
         """Remove and return every rule satisfying ``predicate``."""
-        removed = self.engine.remove_if(predicate)
-        if removed:
-            self.version += 1
-        return removed
+        return self.engine.remove_if(predicate)
 
     def clear(self) -> None:
         """Remove every rule (insertion-sequence state resets too)."""
         self.engine.clear()
-        self.version += 1
 
     # -- lookup ------------------------------------------------------------------
     def lookup(self, packet: Packet) -> Optional[Rule]:
@@ -90,10 +78,6 @@ class RuleTable:
     def lookup_bits(self, header_bits: int) -> Optional[Rule]:
         """The highest-priority rule matching the packed ``header_bits``."""
         return self.engine.lookup_bits(header_bits)
-
-    def batch_lookup(self, header_bits_seq: Iterable[int]) -> List[Optional[Rule]]:
-        """Element-wise :meth:`lookup_bits` over a burst of headers."""
-        return self.engine.batch_lookup(header_bits_seq)
 
     def classify(self, packet: Packet) -> Optional[Rule]:
         """Like :meth:`lookup` but also updates the winning rule's counters."""

@@ -33,17 +33,11 @@ class ScheduledEvent(list):
     """Handle for a scheduled callback; supports cancellation.
 
     The handle *is* the heap entry: a list ``[time, sequence, callback,
-    args, kind]`` with no ``__lt__`` of its own, so the heap orders
-    entries by C list comparison.  ``sequence`` is unique per scheduler,
-    which means a comparison is decided by ``(time, sequence)`` and never
-    reaches the callback or its arguments.  Read the fields through the
-    properties; only the scheduler indexes the list.
-
-    ``kind`` distinguishes per-packet events (``"call"``) from
-    burst-granular batch events (``"batch"``, one callback moving a whole
-    :class:`~repro.flowspace.batch.PacketBatch`); the loop treats both
-    identically — the kind exists so tooling and benchmarks can account
-    how much of a run rode the columnar path.
+    args]`` with no ``__lt__`` of its own, so the heap orders entries by
+    C list comparison.  ``sequence`` is unique per scheduler, which means
+    a comparison is decided by ``(time, sequence)`` and never reaches the
+    callback or its arguments.  Read the fields through the properties;
+    only the scheduler indexes the list.
     """
 
     __slots__ = ()
@@ -67,11 +61,6 @@ class ScheduledEvent(list):
     def args(self) -> Tuple:
         """Positional arguments the callback fires with."""
         return self[3]
-
-    @property
-    def kind(self) -> str:
-        """``"call"`` or ``"batch"``."""
-        return self[4]
 
     @property
     def cancelled(self) -> bool:
@@ -114,9 +103,6 @@ class EventScheduler:
         #: simulations in one run never sample each other's state.
         self.telemetry_probes: List[Callable[[], dict]] = []
         self._telemetry_index = 0
-        #: Batch (burst-granular) events scheduled so far; the columnar
-        #: benchmark asserts this grows like hops-per-burst, not packets.
-        self.batch_events_scheduled = 0
 
     def add_probe(self, probe: Callable[[], dict]) -> None:
         """Register a telemetry probe sampled at every window close."""
@@ -137,7 +123,7 @@ class EventScheduler:
         if not delay >= 0:  # also rejects NaN, which would poison the heap order
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         event = ScheduledEvent(
-            (self._now + delay, next(self._sequence), callback, args, "call")
+            (self._now + delay, next(self._sequence), callback, args)
         )
         _heappush(self._heap, event)
         return event
@@ -146,23 +132,8 @@ class EventScheduler:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if not time >= self._now:  # also rejects NaN
             raise ValueError(f"cannot schedule at {time} < now {self._now}")
-        event = ScheduledEvent((time, next(self._sequence), callback, args, "call"))
+        event = ScheduledEvent((time, next(self._sequence), callback, args))
         _heappush(self._heap, event)
-        return event
-
-    def schedule_batch(
-        self, delay: float, callback: Callable, *args: Any
-    ) -> ScheduledEvent:
-        """Schedule a burst-granular event: one callback for a whole batch.
-
-        Identical loop semantics to :meth:`schedule`; the event is marked
-        ``kind="batch"`` and counted in :attr:`batch_events_scheduled` so
-        runs can report how many per-packet events the columnar path
-        collapsed.
-        """
-        event = self.schedule(delay, callback, *args)
-        event[4] = "batch"
-        self.batch_events_scheduled += 1
         return event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.flowspace.batch import PacketBatch, columnar_enabled
+from repro.flowspace.batch import PacketBatch
 from repro.flowspace.packet import Packet
 from repro.net.events import EventScheduler
 from repro.net.links import Link
@@ -90,74 +90,33 @@ class DeliveryRecord:
         )
 
 
-class _BatchBlock:
-    """A recorded batch outcome awaiting per-packet materialization."""
-
-    __slots__ = ("batch", "endpoint", "finished_at", "delivered", "drop_reason")
-
-    def __init__(self, batch, endpoint, finished_at, delivered, drop_reason=None):
-        self.batch = batch
-        self.endpoint = endpoint
-        self.finished_at = finished_at
-        self.delivered = delivered
-        self.drop_reason = drop_reason
-
-    def materialize(self) -> List[DeliveryRecord]:
-        batch = self.batch
-        created_at = batch.created_at or 0.0
-        # tolist() converts each column to Python objects in one C pass;
-        # per-element numpy indexing dominated the delivery hot path.
-        return [
-            DeliveryRecord(
-                packet_id, flow_id, created_at, self.finished_at,
-                self.delivered, hop, via_a, via_c, ingress,
-                self.endpoint, self.drop_reason,
-            )
-            for packet_id, flow_id, hop, via_a, via_c, ingress in zip(
-                batch.packet_ids.tolist(),
-                batch.flow_ids.tolist(),
-                batch.hops.tolist(),
-                batch.via_authority.tolist(),
-                batch.via_controller.tolist(),
-                batch.ingress_switch.tolist(),
-            )
-        ]
-
-
 class DeliveryLog:
-    """The network's outcome log — a lazy list of :class:`DeliveryRecord`.
+    """The network's outcome log — a list of :class:`DeliveryRecord`.
 
-    Scalar paths append records eagerly, exactly like the plain list this
-    replaces.  The columnar path appends one :class:`_BatchBlock` per
-    terminal batch and defers the per-packet row construction until the
-    log is actually read (experiments read it once, after the run), so
-    recording a delivered batch costs O(1) on the hot path.  Reads
-    (``len``, iteration, indexing) flatten pending blocks in arrival
-    order, preserving the exact rows eager recording would have produced.
+    Records are appended eagerly, one per terminal packet.
 
     **Streaming mode** (:meth:`stream_into`) replaces retention entirely:
-    every outcome is handed to an observer (scalar records via
-    ``observer.record``, columnar blocks via ``observer.block``) and then
-    forgotten, so a million-packet soak holds zero per-packet rows.  Only
-    the outcome *count* survives (``len`` still works — ``SimNetwork``'s
-    repr relies on it); per-packet reads raise, loudly, rather than
-    return partial data.
+    every outcome is handed to an observer (records via
+    ``observer.record``, record-free deliveries via
+    ``observer.observe_delivery``) and then forgotten, so a million-packet
+    soak holds zero per-packet rows.  Only the outcome *count* survives
+    (``len`` still works — ``SimNetwork``'s repr relies on it); per-packet
+    reads raise, loudly, rather than return partial data.
     """
 
-    __slots__ = ("_entries", "_dirty", "_observer", "_streamed")
+    __slots__ = ("_entries", "_observer", "_streamed")
 
     def __init__(self):
-        self._entries: List[object] = []
-        self._dirty = False
+        self._entries: List[DeliveryRecord] = []
         self._observer = None
         self._streamed = 0
 
     def stream_into(self, observer) -> None:
         """Forward all future outcomes to ``observer``; retain nothing.
 
-        The observer needs ``record(DeliveryRecord)``,
-        ``observe_delivery(delay, hops)`` and ``block(_BatchBlock)``
-        (:class:`DeliverySketchObserver` implements all three).  Must be
+        The observer needs ``record(DeliveryRecord)`` and
+        ``observe_delivery(delay, hops)`` (:class:`DeliverySketchObserver`
+        implements both).  Must be
         enabled before any outcome lands — retroactive streaming would
         silently split the log in two.
         """
@@ -177,41 +136,24 @@ class DeliveryLog:
         self._streamed += 1
         self._observer.observe_delivery(delay, hops)
 
-    def append_block(self, block: _BatchBlock) -> None:
-        if self._observer is not None:
-            self._streamed += len(block.batch)
-            self._observer.block(block)
-            return
-        self._entries.append(block)
-        self._dirty = True
-
-    def _flush(self) -> List[DeliveryRecord]:
+    def _records(self) -> List[DeliveryRecord]:
         if self._observer is not None:
             raise RuntimeError(
                 "delivery log is streaming into an observer; "
                 "per-packet records were not retained"
             )
-        if self._dirty:
-            flat: List[DeliveryRecord] = []
-            for entry in self._entries:
-                if type(entry) is _BatchBlock:
-                    flat.extend(entry.materialize())
-                else:
-                    flat.append(entry)
-            self._entries = flat
-            self._dirty = False
         return self._entries
 
     def __len__(self) -> int:
         if self._observer is not None:
             return self._streamed
-        return len(self._flush())
+        return len(self._entries)
 
     def __iter__(self):
-        return iter(self._flush())
+        return iter(self._records())
 
     def __getitem__(self, index):
-        return self._flush()[index]
+        return self._records()[index]
 
     def __bool__(self) -> bool:
         return bool(self._entries) or self._streamed > 0
@@ -278,7 +220,6 @@ class SimNetwork:
         return Link(
             a, b, spec, self.scheduler, self._arrive,
             on_loss=self._link_loss, seed=self.loss_seed,
-            deliver_batch=self._arrive_batches,
         )
 
     def _build_links(self) -> None:
@@ -360,36 +301,22 @@ class SimNetwork:
         self._arrive(switch, packet)
 
     def inject_batch_at_switch(self, switch: str, batch: PacketBatch) -> None:
-        """Hand a columnar same-instant batch directly to ``switch``.
+        """Hand a same-instant burst directly to ``switch``.
 
-        With columnar mode off, a behaviour without batch support or a
-        fabric that draws randomness (:meth:`fabric_is_clean`), the batch
-        is materialized and every packet takes the scalar path
-        (``handle_packet`` → ``process``) — identical packet ids, counters
-        and outcomes.
+        The burst becomes :class:`Packet` objects (with the ids reserved
+        when it was built) and every packet takes ``handle_packet`` in
+        packet order; every INGRESS is traced before the first packet is
+        processed.
         """
         now = self.scheduler.now
         batch.created_at = now
-        batch.ingress_switch[:] = switch
+        batch.ingress_switch = switch
         self._m_injected.inc(len(batch))
-        behaviour = self._nodes.get(switch)
-        if (
-            columnar_enabled()
-            and behaviour is not None
-            and hasattr(behaviour, "handle_batch")
-            and self.fabric_is_clean()
-        ):
-            if self.tracer.enabled:
-                self.tracer.record_batch(
-                    now, TraceKind.INGRESS, batch.packets(), node=switch
-                )
-            behaviour.handle_batch(self, batch)
-            return
-        # The scalar view carries the batch's stamps; every INGRESS is
-        # traced before the first packet is processed.
         packets = batch.packets()
         if self.tracer.enabled:
-            self.tracer.record_batch(now, TraceKind.INGRESS, packets, node=switch)
+            for packet in packets:
+                self.tracer.record(now, TraceKind.INGRESS, packet, node=switch)
+        behaviour = self._nodes.get(switch)
         if behaviour is None:
             for packet in packets:
                 self.record_drop(packet, switch, "no behaviour registered")
@@ -426,56 +353,6 @@ class SimNetwork:
             self._next_link[(at_node, destination)] = link
         self.transmit(at_node, hop, packet)
 
-    def transmit_batch(self, from_node: str, to_node: str, batch: PacketBatch) -> None:
-        """Send a whole batch over the ``from_node`` → ``to_node`` link."""
-        link = self._links.get((from_node, to_node))
-        if link is None:
-            self.record_drop_batch(batch, from_node, f"no link {from_node}->{to_node}")
-            return
-        batch.hops += 1
-        link.send_batch(batch)
-
-    def forward_batch_toward(
-        self, at_node: str, destination: str, batch: PacketBatch
-    ) -> None:
-        """Forward a batch one hop along the shortest path to ``destination``.
-
-        One routing lookup covers the whole batch (all packets share the
-        location and destination), where the scalar path repeats it per
-        packet with the same answer.
-        """
-        link = self._next_link.get((at_node, destination))
-        if link is not None:
-            batch.hops += 1
-            link.send_batch(batch)
-            return
-        if at_node == destination:
-            self._arrive_batch(destination, batch)
-            return
-        hop = self.routes.next_hop(at_node, destination)
-        if hop is None:
-            self.record_drop_batch(batch, at_node, f"unreachable {destination}")
-            return
-        link = self._links.get((at_node, hop))
-        if link is not None:
-            self._next_link[(at_node, destination)] = link
-        self.transmit_batch(at_node, hop, batch)
-
-    def fabric_is_clean(self) -> bool:
-        """True when no live link draws randomness (no loss, no jitter).
-
-        The columnar fast path engages only on a clean fabric: per-link
-        loss/jitter draws happen in *processing order*, and batch
-        classification regroups same-instant packets, so a faulty link
-        would consume its RNG stream in a different order than the scalar
-        oracle and lose different packets.  Fault runs therefore keep the
-        per-packet path — bit-identical in either mode by construction.
-        """
-        for link in self._links.values():
-            if link.loss_probability > 0.0 or link.jitter_s > 0.0:
-                return False
-        return True
-
     def _link_loss(self, link: Link, packet: Packet) -> None:
         """A lossy link ate ``packet``: attribute it distinctly from routing
         black-holes so timelines can separate loss from unreachability."""
@@ -511,40 +388,6 @@ class SimNetwork:
             self.record_drop(packet, node_name, "no behaviour registered")
             return
         behaviour.handle_packet(self, packet)
-
-    def _arrive_batches(self, node_name: str, batches: List[PacketBatch]) -> None:
-        """Everything one link delivers to ``node_name`` at one instant.
-
-        Batches that share tunnel destination and creation time (the
-        sub-batches a switch forwarded the same way, or several ingresses'
-        traffic converging on one next hop) continue as one batch, so the
-        node classifies, forwards and records per (link, instant), not per
-        upstream send.
-        """
-        if len(batches) > 1:
-            merged: Dict[tuple, List[PacketBatch]] = {}
-            for batch in batches:
-                merged.setdefault(
-                    (batch.encap_destination, batch.created_at), []
-                ).append(batch)
-            batches = [PacketBatch.concat(parts) for parts in merged.values()]
-        for batch in batches:
-            self._arrive_batch(node_name, batch)
-
-    def _arrive_batch(self, node_name: str, batch: PacketBatch) -> None:
-        if node_name in self._hosts:
-            self.record_delivery_batch(batch, node_name)
-            return
-        behaviour = self._nodes.get(node_name)
-        if behaviour is None:
-            self.record_drop_batch(batch, node_name, "no behaviour registered")
-            return
-        handle_batch = getattr(behaviour, "handle_batch", None)
-        if handle_batch is not None:
-            handle_batch(self, batch)
-            return
-        for packet in batch.packets():
-            behaviour.handle_packet(self, packet)
 
     # -- control-plane messaging ---------------------------------------------------
     def send_control(self, from_node: str, to_node: str, handler: Callable, *args) -> None:
@@ -658,51 +501,6 @@ class SimNetwork:
                 drop_reason=reason,
             )
         )
-
-    def record_delivery_batch(self, batch: PacketBatch, endpoint: str) -> None:
-        """Record a whole batch delivered at ``endpoint``.
-
-        The delivered counter takes one bulk increment (eagerly, so
-        telemetry windows see it at the right instant); the per-packet
-        :class:`DeliveryRecord` rows the delay and timeline analyses read
-        are deferred — :class:`DeliveryLog` materializes them from the
-        columns when the log is first read, off the hot path.
-        """
-        count = len(batch)
-        self._m_delivered.inc(count)
-        now = self.scheduler.now
-        if self._qos is not None:
-            delay = now - (batch.created_at or 0.0)
-            for bits, via in zip(
-                batch.header_bits_list(), batch.via_authority.tolist()
-            ):
-                self._qos_outcome(bits, True, via, delay)
-        if self.tracer.enabled:
-            self.tracer.record_batch(
-                now, TraceKind.DELIVERED, batch.packets(), node=endpoint
-            )
-        self.deliveries.append_block(_BatchBlock(batch, endpoint, now, True))
-
-    def record_drop_batch(self, batch: PacketBatch, where: str, reason: str) -> None:
-        """Record a whole batch lost at ``where`` for one ``reason``."""
-        count = len(batch)
-        if self._qos is not None:
-            for bits, via in zip(
-                batch.header_bits_list(), batch.via_authority.tolist()
-            ):
-                self._qos_outcome(bits, False, via, 0.0)
-        bucket = attribute_reason(reason)
-        child = self._m_dropped.get(bucket)
-        if child is None:
-            child = self.metrics.counter("packets_dropped_total", reason=bucket)
-            self._m_dropped[bucket] = child
-        child.inc(count)
-        now = self.scheduler.now
-        if self.tracer.enabled:
-            self.tracer.record_batch(
-                now, TraceKind.DROPPED, batch.packets(), node=where, detail=reason
-            )
-        self.deliveries.append_block(_BatchBlock(batch, where, now, False, reason))
 
     # -- convenience --------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:

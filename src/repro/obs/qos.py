@@ -14,7 +14,7 @@ of the stack threads through:
   latency quantile, cache miss rate, delivery rate) evaluated over
   telemetry windows by :mod:`repro.obs.health`;
 * :class:`QosPolicy` — the run-wide bundle, installed process-wide via
-  :func:`set_qos` exactly like the columnar/sketch mode switches.
+  :func:`set_qos` exactly like the sketch mode switch.
 
 Everything downstream is gated on :func:`current_qos` returning a
 policy: with QoS off (the default) no ``qos_*`` counter is ever bound,
@@ -279,7 +279,7 @@ class QosPolicy:
         return False
 
 
-#: The process-wide policy (mirrors ``set_columnar`` / ``set_sketch_mode``).
+#: The process-wide policy (mirrors ``set_sketch_mode``).
 #: Worker processes do not inherit it automatically — sweeps that need
 #: QoS (the E9 ablation) install a policy inside each point function and
 #: clear it in the ``finally``, exactly like the fresh run context.

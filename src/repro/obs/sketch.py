@@ -28,10 +28,10 @@ compactions actually performed.  :attr:`QuantileSketch.error_weight`
 tracks exactly that sum (merging adds the operands' budgets), and the
 hypothesis suite checks every rank query against an exact oracle.
 
-The process-wide ``--sketch`` flag (:func:`set_sketch_mode`) parallels
-``--columnar``: experiments consult it to decide whether delivery
-outcomes feed sketches via :class:`DeliverySketchObserver` instead of
-accumulating per-packet records.
+The process-wide ``--sketch`` flag (:func:`set_sketch_mode`) tells
+experiments whether delivery outcomes feed sketches via
+:class:`DeliverySketchObserver` instead of accumulating per-packet
+records.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
 #: Quantiles pinned in every :meth:`QuantileSketch.export` (golden surface).
 EXPORT_QUANTILES: Tuple[float, ...] = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
 
-# -- the process-wide mode flag (mirrors flowspace.batch.set_columnar) -------
+# -- the process-wide mode flag ------------------------------------------------
 
 _SKETCH_MODE = False
 
@@ -63,8 +63,8 @@ def set_sketch_mode(enabled: bool) -> None:
     """Toggle memory-bounded observability process-wide (CLI ``--sketch``).
 
     Experiments treat this as the default for their ``sketch`` knob; the
-    sweep runner's worker initializer propagates it into worker processes
-    exactly like the columnar flag.
+    sweep runner's worker initializer propagates it into worker
+    processes.
     """
     global _SKETCH_MODE
     _SKETCH_MODE = bool(enabled)
@@ -123,9 +123,8 @@ class QuantileSketch:
         """Ingest ``count`` copies of ``value``.
 
         Bit-identical to calling :meth:`observe` ``count`` times (same
-        compaction points), so the columnar block path and the scalar
-        record path build the same sketch — the property the streaming
-        delivery observer relies on.
+        compaction points), so a caller may collapse a run of equal
+        values into one call without changing the sketch.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -490,12 +489,8 @@ class DeliverySketchObserver:
     """Bounded-memory consumer for :meth:`DeliveryLog.stream_into`.
 
     Replaces the per-packet :class:`DeliveryRecord` rows a soak would
-    otherwise retain: scalar records and columnar batch blocks feed the
-    same registry-owned sketches (delay quantiles, hop histogram) and
-    exact outcome counters.  A whole delivered block collapses to one
-    ``observe_repeated`` call — every packet in a terminal block shares
-    its creation and finish instants — so observing stays O(1) per block
-    on the columnar hot path.
+    otherwise retain: every outcome feeds registry-owned sketches (delay
+    quantiles, hop histogram) and exact outcome counters.
 
     Heavy-hitter tracking counts *offered* destinations (the workload's
     skew, which exists whether or not packets survive): experiments call
@@ -528,7 +523,7 @@ class DeliverySketchObserver:
 
     # -- DeliveryLog streaming protocol -------------------------------------
     def record(self, record) -> None:
-        """Consume one scalar :class:`DeliveryRecord`."""
+        """Consume one :class:`DeliveryRecord`."""
         if record.delivered:
             self.observe_delivery(record.finished_at - record.created_at, record.hops)
         else:
@@ -539,20 +534,6 @@ class DeliverySketchObserver:
         self.delivered += 1
         self.delay_sketch.observe(delay)
         self.hop_histogram.observe(hops)
-
-    def block(self, block) -> None:
-        """Consume one columnar batch block without materializing rows."""
-        batch = block.batch
-        count = len(batch)
-        if not block.delivered:
-            self.dropped += count
-            return
-        self.delivered += count
-        delay = block.finished_at - (batch.created_at or 0.0)
-        self.delay_sketch.observe_repeated(delay, count)
-        hops, hop_counts = np.unique(batch.hops, return_counts=True)
-        for hop, hop_count in zip(hops.tolist(), hop_counts.tolist()):
-            self.hop_histogram.observe_repeated(hop, hop_count)
 
     # -- workload side -------------------------------------------------------
     def offer_destinations(self, destinations) -> None:

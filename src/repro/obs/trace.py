@@ -111,39 +111,6 @@ class PacketTracer:
             )
         )
 
-    def record_batch(
-        self,
-        time: float,
-        kind: str,
-        packets: Iterable,
-        node: Optional[str] = None,
-        detail: Optional[str] = None,
-    ) -> None:
-        """Append one event per packet of a same-instant burst.
-
-        The columnar path's tracing hook: callers materialize the batch's
-        scalar view only when the tracer is enabled, and the resulting
-        events are element-wise identical to per-packet :meth:`record`
-        calls (the ring sees the same sequence).
-        """
-        if not self.enabled:
-            return
-        append = self._events.append
-        for packet in packets:
-            self.recorded += 1
-            append(
-                TraceEvent(
-                    time=time,
-                    kind=kind,
-                    packet_id=getattr(packet, "packet_id", None),
-                    flow_id=getattr(packet, "flow_id", None),
-                    node=node,
-                    detail=detail,
-                    via_authority=getattr(packet, "via_authority", False),
-                    via_controller=getattr(packet, "via_controller", False),
-                )
-            )
-
     # -- reading --------------------------------------------------------------
     def events(self, kind: Optional[str] = None) -> List[TraceEvent]:
         """Buffered events, optionally filtered by ``kind``."""

@@ -19,7 +19,7 @@ to ``jobs=1`` — holds because:
   the simulator emits no gauges, whose max-merge would not).
 
 The pool propagates the process-wide knobs every worker needs — the
-artifact-cache directory, the columnar and sketch modes, and the caller's
+artifact-cache directory, the sketch mode, and the caller's
 observability configuration — through a worker initializer, because a
 ``spawn``-start pool (macOS/Windows) inherits none of them.
 
@@ -63,16 +63,13 @@ def _init_worker(
     metrics_enabled: bool,
     profile: bool,
     telemetry_interval_s: Optional[float] = None,
-    columnar: bool = False,
     sketch: bool = False,
 ) -> None:
     """Propagate process-wide knobs into a freshly started worker."""
-    from repro.flowspace.batch import set_columnar
     from repro.obs.sketch import set_sketch_mode
     from repro.parallel.cache import configure_artifact_cache
 
     configure_artifact_cache(cache_dir)
-    set_columnar(columnar)
     set_sketch_mode(sketch)
     _WORKER_OBS["metrics_enabled"] = metrics_enabled
     _WORKER_OBS["profile"] = profile
@@ -130,7 +127,6 @@ class SweepRunner:
         if jobs <= 1 or obs_context.current_tracer().enabled:
             return [fn(**params) for params in param_sets]
 
-        from repro.flowspace.batch import columnar_enabled
         from repro.obs.sketch import sketch_enabled
         from repro.parallel.cache import artifact_cache
 
@@ -141,7 +137,6 @@ class SweepRunner:
             parent.metrics.enabled,
             parent.profiler.enabled,
             parent.telemetry.interval_s if parent.telemetry.enabled else None,
-            columnar_enabled(),
             sketch_enabled(),
         )
         try:

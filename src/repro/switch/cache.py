@@ -421,10 +421,10 @@ class CacheManager:
                 else:
                     self._class_occupancy.pop(cls, None)
 
-    def _note_hit(self, rule: Rule, count: int, now: Optional[float]) -> None:
+    def _note_hit(self, rule: Rule, now: Optional[float]) -> None:
         entry = self._entries.get(id(rule))
         if entry is not None:
-            self._observe(entry, count, now)
+            self._observe(entry, 1, now)
 
     def _note_penalty(self, rule: Rule) -> None:
         penalty = rule.refetch_penalty_s

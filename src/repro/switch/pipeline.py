@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import time as _time
 from enum import Enum
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
@@ -49,7 +47,7 @@ class PipelineStage(Enum):
 class LookupResult:
     """The outcome of a pipeline lookup.
 
-    One of these is built per packet on the scalar hot path, so it is a
+    One of these is built per packet on the hot path, so it is a
     ``__slots__`` class rather than a dataclass (no per-instance dict).
     """
 
@@ -138,53 +136,6 @@ class DifanePipeline:
         if started is not None:
             profiler.observe("pipeline-lookup", _time.perf_counter() - started)
         return LookupResult(rule, stage)
-
-    def classify_batch(
-        self, batch, now: Optional[float] = None
-    ) -> List[Tuple[PipelineStage, Optional[Rule], np.ndarray]]:
-        """Columnar :meth:`lookup`: classify a whole batch per stage.
-
-        Returns ``(stage, rule, indices)`` groups — ``indices`` are
-        positions within ``batch`` (ascending within each group), ``rule``
-        is ``None`` only for the trailing MISS group.  Stage counters,
-        ``misses`` and per-rule hit statistics land exactly as per-packet
-        :meth:`lookup` calls would — which is why the caller is free to
-        regroup: :meth:`DifaneSwitch.process_packet_batch` merges the
-        groups that leave by the same egress and forwards each merged
-        sub-batch in packet order (DESIGN.md, "Columnar core").
-        """
-        stages = self._m_stage
-        groups: List[Tuple[PipelineStage, Optional[Rule], np.ndarray]] = []
-        pending = np.arange(len(batch))
-        sub = batch
-        for tcam, stage in (
-            (self.cache, PipelineStage.CACHE),
-            (self.authority, PipelineStage.AUTHORITY),
-            (self.partition, PipelineStage.PARTITION),
-        ):
-            if not pending.size:
-                break
-            winners, rules = tcam.match_batch(sub, now)
-            matched = winners >= 0
-            hit_count = int(matched.sum())
-            if hit_count:
-                if stages is not None:
-                    stages[stage].inc(hit_count)
-                hit_indices = pending[matched]
-                hit_winners = winners[matched]
-                for index in np.unique(hit_winners).tolist():
-                    groups.append(
-                        (stage, rules[index], hit_indices[hit_winners == index])
-                    )
-                pending = pending[~matched]
-                if pending.size:
-                    sub = batch.select(pending)
-        if pending.size:
-            self.misses += int(pending.size)
-            if stages is not None:
-                stages[PipelineStage.MISS].inc(int(pending.size))
-            groups.append((PipelineStage.MISS, None, pending))
-        return groups
 
     def install(self, rule: Rule, now: Optional[float] = None, **kwargs) -> Rule:
         """Install ``rule`` into the region its :class:`RuleKind` selects."""

@@ -109,22 +109,6 @@ class DataPlaneSwitch:
         else:
             self._station.submit(packet)
 
-    def handle_batch(self, network, batch) -> None:
-        """Entry point for a columnar same-instant batch.
-
-        A switch with a per-packet budget or forwarding delay degrades to
-        the scalar path (both are defined packet-by-packet); otherwise the
-        batch flows whole into :meth:`process_packet_batch`.
-        """
-        if self._station is not None or self.forwarding_delay_s > 0:
-            for packet in batch.packets():
-                self.handle_packet(network, packet)
-            return
-        count = len(batch)
-        self.packets_seen += count
-        self._m_seen.inc(count)
-        self.process_packet_batch(batch)
-
     def _enqueue(self, packet: Packet) -> None:
         """Forwarding-delay callback: the second half of :meth:`handle_packet`."""
         if self._station is None:
@@ -147,23 +131,13 @@ class DataPlaneSwitch:
         """Classify and act on one packet.  Subclasses must override."""
         raise NotImplementedError
 
-    def process_packet_batch(self, batch) -> None:
-        """Classify and act on a columnar batch.
-
-        The default materializes the scalar view and runs :meth:`process`
-        per packet; :class:`~repro.core.authority.DifaneSwitch` overrides
-        this with fully vectorized classification.
-        """
-        for packet in batch.packets():
-            self.process(packet)
-
     # -- action execution ---------------------------------------------------------------
     def execute(self, packet: Packet, actions: Iterable[Action]) -> None:
         """Apply an action list (an :class:`ActionList` or its ``actions``
         tuple, which hot paths pass to skip ``ActionList.__iter__``) to
         ``packet`` at this switch.
 
-        The one scalar action executor every behaviour shares.  ``Forward``
+        The one action executor every behaviour shares.  ``Forward``
         targets are destinations (hosts or switches); the packet is
         encapsulated to the target and moves one hop toward it, so transit
         switches never reclassify — classification happens once, at the

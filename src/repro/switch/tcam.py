@@ -10,22 +10,14 @@ authority switch needs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
 from repro.flowspace.table import RuleTable
-from repro.flowspace.vectormatch import VectorMatcher
 
 __all__ = ["Tcam", "TcamFullError"]
-
-#: Above this many rules the compiled vector match (packets x rules per
-#: cared field) yields to the engine's per-packet batch lookup: the columnar
-#: path packs header words and dispatches the engine once for the batch.
-VECTOR_RULE_LIMIT = 512
 
 
 class TcamFullError(Exception):
@@ -60,16 +52,13 @@ class Tcam:
         self.rejected = 0
         self.lookups = 0
         self.hits = 0
-        # Compiled vector matcher, rebuilt lazily when the table mutates.
-        self._matcher: Optional[VectorMatcher] = None
-        self._matcher_version = -1
         # Observer hooks: every mutation and hit is visible to subscribers
         # (the indexed CacheManager keeps its occupancy counter, duplicate
         # map and eviction heap exact even when callers mutate the table
         # directly via evict_if/clear, bypassing the manager).
         self._install_hooks: List[Callable[[Rule], None]] = []
         self._evict_hooks: List[Callable[[Rule], None]] = []
-        self._hit_hooks: List[Callable[[Rule, int, Optional[float]], None]] = []
+        self._hit_hooks: List[Callable[[Rule, Optional[float]], None]] = []
 
     # -- observers ------------------------------------------------------------
     def add_install_hook(self, hook: Callable[[Rule], None]) -> None:
@@ -80,10 +69,8 @@ class Tcam:
         """Call ``hook(rule)`` after every removal (evict/evict_if/clear)."""
         self._evict_hooks.append(hook)
 
-    def add_hit_hook(
-        self, hook: Callable[[Rule, int, Optional[float]], None]
-    ) -> None:
-        """Call ``hook(rule, count, now)`` when a rule wins lookups."""
+    def add_hit_hook(self, hook: Callable[[Rule, Optional[float]], None]) -> None:
+        """Call ``hook(rule, now)`` when a rule wins a lookup."""
         self._hit_hooks.append(hook)
 
     # -- capacity -------------------------------------------------------------
@@ -173,64 +160,8 @@ class Tcam:
             winner.record_hit(packet, now)
             if self._hit_hooks:
                 for hook in self._hit_hooks:
-                    hook(winner, 1, now)
+                    hook(winner, now)
         return winner
-
-    def match_batch(
-        self, batch, now: Optional[float] = None
-    ) -> Tuple[np.ndarray, List[Rule]]:
-        """Columnar batch lookup with aggregated hit accounting.
-
-        Returns ``(winner_indices, rules)`` where ``winner_indices[i]`` is
-        the index into ``rules`` (the table's lookup order) of packet
-        ``i``'s winner, or ``-1`` on a miss.  Statistics — table
-        lookups/hits and per-rule packet/byte counters — end up exactly as
-        ``len(batch)`` sequential :meth:`lookup` calls would leave them:
-        counts and byte totals are aggregated per winning rule and applied
-        once.
-
-        Small tables over vectorizable layouts classify via the compiled
-        :class:`VectorMatcher`; everything else falls back to the engine's
-        ``batch_lookup`` over packed header words (identical winners).
-        """
-        rules = list(self.table.rules)
-        count = len(batch)
-        self.lookups += count
-        if (
-            batch.fields is not None
-            and len(rules) <= VECTOR_RULE_LIMIT
-        ):
-            matcher = self._matcher
-            if matcher is None or self._matcher_version != self.table.version:
-                matcher = VectorMatcher(self.layout, rules)
-                self._matcher = matcher
-                self._matcher_version = self.table.version
-            winners = matcher.match(batch.fields)
-        else:
-            winners = np.full(count, -1, dtype=np.int64)
-            index_of = {id(rule): i for i, rule in enumerate(rules)}
-            for i, winner in enumerate(
-                self.table.batch_lookup(batch.header_bits_list())
-            ):
-                if winner is not None:
-                    winners[i] = index_of[id(winner)]
-        matched = winners >= 0
-        hit_count = int(matched.sum())
-        if hit_count:
-            self.hits += hit_count
-            sizes = batch.size_bytes
-            for index in np.unique(winners[matched]).tolist():
-                selected = winners == index
-                rule = rules[index]
-                rule_hits = int(selected.sum())
-                rule.packet_count += rule_hits
-                rule.byte_count += int(sizes[selected].sum())
-                if now is not None:
-                    rule.last_hit_at = now
-                if self._hit_hooks:
-                    for hook in self._hit_hooks:
-                        hook(rule, rule_hits, now)
-        return winners, rules
 
     def peek(self, packet: Packet) -> Optional[Rule]:
         """Lookup without touching any counters (analysis only)."""

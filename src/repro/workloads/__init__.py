@@ -33,11 +33,7 @@ from repro.workloads.traffic import (
     poisson_arrivals,
     host_pair_packets,
 )
-from repro.workloads.batches import (
-    TimedBatch,
-    host_pair_batches,
-    stream_host_pair_batches,
-)
+from repro.workloads.batches import TimedBatch
 from repro.workloads.streaming import (
     StreamSpec,
     epoch_bursts,
@@ -61,8 +57,6 @@ __all__ = [
     "poisson_arrivals",
     "host_pair_packets",
     "TimedBatch",
-    "host_pair_batches",
-    "stream_host_pair_batches",
     "StreamSpec",
     "epoch_bursts",
     "host_addresses",

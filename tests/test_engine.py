@@ -20,11 +20,10 @@ from repro.flowspace import (
     Match,
     Packet,
     Rule,
-    RuleTable,
     Ternary,
     TWO_FIELD_LAYOUT,
 )
-from repro.flowspace.batch import PacketBatch, set_columnar
+from repro.flowspace.batch import PacketBatch
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.core.cachegen import win_fragment as scan_win_fragment
 from repro.flowspace.engine import PROBE_RULES_PER_MASK
@@ -124,7 +123,6 @@ class TestOracleEquivalence:
         probes += [r.match.ternary.sample(rng) for r in rules[::5]]
         engine, model = LinearEngine(layout, rules), ScanModel(rules)
         assert_equivalent(engine, model, probes)
-        assert engine.batch_lookup(probes) == [model.winner(b) for b in probes]
         assert engine.rules() == model.ordered()
 
     def test_priority_tie_first_installed_wins(self):
@@ -281,7 +279,6 @@ def check_engine(engine, model, probes, rng):
         assert engine._probe_bits(bits) is expected
         assert engine._scan_bits(bits) is expected
         assert engine.lookup_bits(bits) is expected
-    assert engine.batch_lookup(probes) == [model.winner(b) for b in probes]
     ordered = engine.rules()
     for target in ordered:
         for bits in [target.match.ternary.sample(rng) for _ in range(3)] + probes[:3]:
@@ -378,42 +375,18 @@ class TestProbeDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Batch lookup paths
+# Burst injection
 # ---------------------------------------------------------------------------
-
-def _five_tuple_packets(count, seed=0):
-    rng = random.Random(seed)
-    return [
-        Packet.from_fields(
-            FIVE_TUPLE_LAYOUT,
-            nw_src=rng.getrandbits(32),
-            nw_dst=rng.getrandbits(32),
-            nw_proto=6,
-            tp_src=rng.randrange(1024, 65535),
-            tp_dst=rng.choice([80, 443, 22, 8080]),
-        )
-        for _ in range(count)
-    ]
-
 
 class TestBatchPaths:
     @pytest.fixture(autouse=True)
-    def _scalar_mode_after(self):
+    def _restore_context(self):
         previous = obs_context.current()
         yield
-        set_columnar(False)
         obs_context.install(previous)
 
-    def test_table_batch_matches_sequential(self):
-        layout = FIVE_TUPLE_LAYOUT
-        rules = generate_classbench("acl", count=80, seed=3, layout=layout)
-        table = RuleTable(layout, rules)
-        packets = _five_tuple_packets(50, seed=4)
-        bits = [p.header_bits for p in packets]
-        assert table.batch_lookup(bits) == [table.lookup_bits(b) for b in bits]
-
     @staticmethod
-    def _three_switch_run(inject, columnar=False, lossy=False):
+    def _three_switch_run(inject):
         """Two same-instant 20-packet bursts into ``s0`` of a 3-switch line
         (the first is redirected and installs cache rules, the second hits
         them); ``inject(network, batch)`` picks the entry point."""
@@ -422,7 +395,6 @@ class TestBatchPaths:
         from repro.obs import fresh_run_context
         from repro.workloads.policies import routing_policy_for_topology
 
-        set_columnar(columnar)
         context = fresh_run_context(trace=True)
         topo = TopologyBuilder.linear(3, hosts_per_switch=1)
         rules, host_ips = routing_policy_for_topology(topo, FIVE_TUPLE_LAYOUT)
@@ -430,10 +402,6 @@ class TestBatchPaths:
             topo, rules, FIVE_TUPLE_LAYOUT,
             authority_switches=["s1"], redirect_rate=None,
         )
-        if lossy:
-            # fabric_is_clean() turns false: even with columnar on, the
-            # batch must take the per-packet fallback.
-            dn.network.set_link_faults("s1", "s2", loss_probability=0.3)
         for _ in range(2):
             inject(dn.network, PacketBatch.from_fields(
                 FIVE_TUPLE_LAYOUT, 20, flow_ids=range(20),
@@ -460,23 +428,14 @@ class TestBatchPaths:
         for packet in batch.packets():
             network.inject_at_switch("s0", packet)
 
-    def _assert_batch_equals_per_packet(self, columnar, lossy):
-        batch = self._three_switch_run(self._inject_batch, columnar, lossy)
-        sequential = self._three_switch_run(self._inject_per_packet, False, lossy)
+    def test_burst_injection_equals_per_packet(self):
+        """``inject_batch_at_switch`` is N x ``inject_at_switch``."""
+        batch = self._three_switch_run(self._inject_batch)
+        sequential = self._three_switch_run(self._inject_per_packet)
         counters, delivered, _ = sequential
         assert counters["s0"][0] > 0 and counters["s0"][2] > 0  # hits and redirects
-        assert (delivered < 40) == lossy
+        assert delivered == 40
         assert batch == sequential
-
-    def test_burst_injection_equals_per_packet(self):
-        """Columnar off: ``inject_batch_at_switch`` is N x ``inject_at_switch``."""
-        self._assert_batch_equals_per_packet(columnar=False, lossy=False)
-
-    @pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy-link"])
-    def test_columnar_batch_injection_equals_per_packet(self, lossy):
-        """Columnar on: the batch path on a clean fabric, the per-packet
-        fallback when one link draws randomness."""
-        self._assert_batch_equals_per_packet(columnar=True, lossy=lossy)
 
     def test_batch_into_unregistered_switch_drops_every_packet(self):
         from repro.net import SimNetwork, TopologyBuilder

@@ -116,7 +116,7 @@ class TestScheduler:
         assert sched.now == 10.0
         assert sched.pending() == 1
 
-    @pytest.mark.parametrize("entry", ["schedule", "schedule_at", "schedule_batch"])
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at"])
     def test_nan_time_rejected(self, entry):
         """NaN passed ``delay < 0``, fired first and set now = nan."""
         sched = EventScheduler()
@@ -124,7 +124,6 @@ class TestScheduler:
         with pytest.raises(ValueError):
             getattr(sched, entry)(float("nan"), lambda: None)
         assert sched.pending() == 1
-        assert sched.batch_events_scheduled == 0
         sched.run()
         assert sched.now == 1.0
 
@@ -140,7 +139,7 @@ class TestScheduler:
     def test_handle_exposes_the_event_read_only(self):
         sched = EventScheduler()
         handle = sched.schedule(0.5, print, "x", 2)
-        assert (handle.time, handle.sequence, handle.kind) == (0.5, 0, "call")
+        assert (handle.time, handle.sequence) == (0.5, 0)
         assert (handle.callback, handle.args) == (print, ("x", 2))
         assert not handle.cancelled
         with pytest.raises(AttributeError):
@@ -173,7 +172,6 @@ class ReferenceScheduler:
         self.events = []  # every event ever scheduled, in scheduling order
         self.log = []     # (order, time it fired at)
         self.processed = 0
-        self.batches = 0
 
     def add(self, time, spawn_delay=None, cancel_target=None):
         self.events.append(SimpleNamespace(
@@ -218,7 +216,7 @@ MAYBE_TICKS = st.one_of(st.none(), TICKS)
 INDEX = st.integers(0, 63)
 SCHEDULER_OPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["schedule", "schedule_at", "schedule_batch"]),
+        st.tuples(st.sampled_from(["schedule", "schedule_at"]),
                   TICKS, MAYBE_TICKS, st.one_of(st.none(), INDEX)),
         st.tuples(st.just("cancel"), INDEX),
         st.tuples(st.just("run"), MAYBE_TICKS, st.one_of(st.none(), st.integers(0, 4))),
@@ -232,7 +230,7 @@ SCHEDULER_OPS = st.lists(
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=SCHEDULER_OPS)
 def test_scheduler_fires_in_reference_order(ops):
-    """Random interleavings of schedule / schedule_at / schedule_batch /
+    """Random interleavings of schedule / schedule_at /
     cancel / run(until) / run(max_events), with callbacks that schedule
     and cancel from inside the loop."""
     sched, model = EventScheduler(), ReferenceScheduler()
@@ -262,13 +260,10 @@ def test_scheduler_fires_in_reference_order(ops):
             )
             handles.append(handle)
             model.add(model.now + tick, spawn_delay, cancel_target)
-            model.batches += entry == "schedule_batch"
-            assert handle.kind == ("batch" if entry == "schedule_batch" else "call")
         assert log == model.log
         assert before <= sched.now == model.now
         assert sched.pending() == len(model.live())
         assert sched.events_processed == model.processed
-        assert sched.batch_events_scheduled == model.batches
         assert [h.time for h in handles] == [event.time for event in model.events]
         assert [h.sequence for h in handles] == list(range(len(handles)))
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.baselines.nox import NoxNetwork
 from repro.core import DifaneNetwork
 from repro.flowspace import FIVE_TUPLE_LAYOUT, Packet
-from repro.flowspace.batch import set_columnar
 from repro.net import TopologyBuilder
 from repro.net.failures import FailureInjector
 from repro.net.simnet import DeliveryRecord
@@ -297,8 +296,7 @@ class TestMissPenaltyFromRecords:
             "miss_penalty_p99_ms": None,
         }
 
-    @pytest.mark.parametrize("columnar", [False, True], ids=["scalar", "columnar"])
-    def test_every_e8c_point_matches_the_trace_oracle(self, columnar, monkeypatch):
+    def test_every_e8c_point_matches_the_trace_oracle(self, monkeypatch):
         """Every golden-scale E8C point, rerun with its tracer on: the
         log-derived miss penalty equals the trace-derived one exactly."""
         from repro.experiments import cachingablation
@@ -315,11 +313,7 @@ class TestMissPenaltyFromRecords:
             lambda: fresh_run_context(trace=True),
         )
         monkeypatch.setattr(cachingablation, "miss_penalty_summary", checked)
-        set_columnar(columnar)
-        try:
-            cachingablation.run_caching_ablation(jobs=1)
-        finally:
-            set_columnar(False)
+        cachingablation.run_caching_ablation(jobs=1)
         assert len(compared) == 3 * 5 * 2
         for got, expected in compared:
             assert got == expected

@@ -21,7 +21,6 @@ import pathlib
 import pytest
 
 from repro.experiments.common import metrics_document
-from repro.flowspace.batch import set_columnar
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
 
@@ -157,31 +156,6 @@ def _run_e7():
 def test_golden_metrics(runner, run_context, update_goldens):
     result = runner()
     _golden_check(result, run_context, update_goldens)
-
-
-@pytest.mark.parametrize(
-    "runner",
-    [
-        _run_m1, _run_e4, _run_e8c,
-        pytest.param(_run_e9q, marks=pytest.mark.xfail(
-            strict=True,
-            reason="the remaining columnar divergence (ROADMAP item 4): a "
-            "redirect station serves per packet, and a merged batch submits "
-            "its packets in batch-arrival order, not scalar's event order",
-        )),
-    ],
-    ids=["M1-streaming-soak", "E4-delay", "E8-caching-ablation", "E9-qos-slo"],
-)
-def test_columnar_reproduces_the_scalar_golden(runner, run_context):
-    """Cross-mode identity: the columnar path — tracer, telemetry and (E9Q)
-    QoS on, so no fallback hides behind them — must write the document
-    the checked-in *scalar* golden pins."""
-    set_columnar(True)
-    try:
-        result = runner()
-    finally:
-        set_columnar(False)
-    _golden_check(result, run_context, update=False)
 
 
 def test_golden_runs_are_deterministic():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.flowspace import Packet, TWO_FIELD_LAYOUT
-from repro.flowspace.batch import PacketBatch
 from repro.net import SimNetwork, TopologyBuilder
 from repro.net.failures import FailureInjector
 from repro.net.simnet import CONTROL_OVERHEAD_S
@@ -156,17 +155,6 @@ class TestNextLinkMemo:
         assert net.link("a", "c").packets_carried == 1
         assert net.link("a", "b").packets_carried == 1
         assert len(net.delivered()) == 3
-
-    def test_batches_share_the_memo(self):
-        net = build_triangle()
-        self.send(net)
-        batch = PacketBatch.from_fields(TWO_FIELD_LAYOUT, 4, size_bytes=64)
-        net.forward_batch_toward("a", "hc", batch)
-        assert batch.hops.tolist() == [1] * 4
-        assert net.link("a", "c").packets_carried == 5
-        FailureInjector(net).fail_link("a", "c")
-        net.forward_batch_toward("a", "hc", batch)
-        assert net.link("a", "b").packets_carried == 4
 
     def test_unreachable_and_local_destinations_are_not_memoised(self):
         net = build_triangle()

@@ -17,14 +17,10 @@ import pytest
 
 from repro.experiments.common import metrics_document
 from repro.experiments.streaming import run_streaming_soak
-from repro.flowspace.batch import set_columnar
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT, parse_ip
 from repro.net.simnet import DeliveryLog, DeliveryRecord
-from repro.net.topology import TopologyBuilder
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
-from repro.workloads.batches import host_pair_batches, stream_host_pair_batches
-from repro.workloads.policies import routing_policy_for_topology
 from repro.workloads.streaming import (
     BASE_ADDRESS,
     StreamSpec,
@@ -58,21 +54,12 @@ def _burst_key(timed):
     return (
         timed.time,
         timed.switch,
-        timed.batch.header_bits_list(),
+        timed.batch.header_bits,
         list(timed.batch.flow_ids),
     )
 
 
 # -- generator equivalences --------------------------------------------------
-
-
-def test_stream_host_pair_batches_is_the_lazy_view():
-    topo = TopologyBuilder.star(leaf_count=3, hosts_per_leaf=2)
-    _, host_ips = routing_policy_for_topology(topo, LAYOUT)
-    kwargs = dict(bursts=3, burst_size=20, hot_flows=8, alpha=1.0, seed=7)
-    eager = host_pair_batches(topo, host_ips, LAYOUT, **kwargs)
-    lazy = list(stream_host_pair_batches(topo, host_ips, LAYOUT, **kwargs))
-    assert [_burst_key(t) for t in eager] == [_burst_key(t) for t in lazy]
 
 
 def test_epoch_bursts_random_access_equals_sequential():
@@ -277,38 +264,6 @@ def test_m1_jobs_flag_is_inert():
     one, _ = _m1_document(sketch=True, jobs=1)
     two, _ = _m1_document(sketch=True, jobs=2)
     assert one == two
-
-
-def _m1_cache_evictions(result):
-    network = result.notes["_network"]
-    return sum(
-        network.node(name).cache.evicted for name in network.topology.edge_switches()
-    )
-
-
-@pytest.mark.parametrize("epochs", [
-    1,                                  # no cache has filled yet
-    2,                                  # first evictions
-    3,                                  # LRU first breaks a tie by install order
-    10,
-    M1_SMALL["epochs"],
-])
-def test_m1_columnar_equals_scalar_through_evictions(epochs):
-    """Full caches are where install order shows (DESIGN.md, "Equivalence &
-    determinism"): LRU breaks equal-activity ties by it, and columnar
-    applies a burst's installs in packet order like scalar, so the
-    documents stay identical however long the caches have been evicting."""
-    size = dict(epochs=epochs, cache_capacity=16, sketch=True)
-    scalar, scalar_run = _m1_document(**size)
-    set_columnar(True)
-    try:
-        columnar, columnar_run = _m1_document(**size)
-    finally:
-        set_columnar(False)
-    evictions = _m1_cache_evictions(scalar_run)
-    assert (evictions > 0) == (epochs > 1)
-    assert _m1_cache_evictions(columnar_run) == evictions
-    assert columnar == scalar
 
 
 def test_m1_sketch_mode_preserves_outcome_counters():
