@@ -34,8 +34,8 @@ def _run_rebalance_study():
     rng = random.Random(71)
     hosts = sorted(host_ips)
     sampler = ZipfSampler(len(hosts), alpha=1.1, seed=72)
-    for index in range(3000):
-        dst = hosts[sampler.sample()]
+    for rank in sampler.sample_many(3000):
+        dst = hosts[rank]
         src = rng.choice(hosts)
         if src == dst:
             continue

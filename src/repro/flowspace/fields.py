@@ -73,6 +73,8 @@ class HeaderLayout:
             offsets[field.name] = cursor
         self._offsets = offsets
         self._by_name = {f.name: f for f in self._fields}
+        #: name -> (offset, largest value), for pack_values.
+        self._pack_table = {f.name: (offsets[f.name], mask_of_width(f.width)) for f in self._fields}
         # Every Match hash folds in its layout's; hash the fields once.
         self._hash = hash(self._fields)
 
@@ -127,13 +129,17 @@ class HeaderLayout:
         out-of-range values.
         """
         word = 0
+        table = self._pack_table
         for name, value in field_values.items():
-            spec = self._by_name.get(name)
-            if spec is None:
+            entry = table.get(name)
+            if entry is None:
                 raise KeyError(f"unknown field {name!r} (layout has {self.names()})")
-            if value < 0 or value > mask_of_width(spec.width):
-                raise ValueError(f"value {value} out of range for field {name} ({spec.width} bits)")
-            word |= value << self._offsets[name]
+            offset, limit = entry
+            if value < 0 or value > limit:
+                raise ValueError(
+                    f"value {value} out of range for field {name} ({limit.bit_length()} bits)"
+                )
+            word |= value << offset
         return word
 
     def unpack(self, word: int) -> Dict[str, int]:

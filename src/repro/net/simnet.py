@@ -196,6 +196,9 @@ class SimNetwork:
         #: (at node, destination) -> outgoing Link, filled lazily per hop
         #: and valid for one routing epoch (cleared by rebuild_routes).
         self._next_link: Dict[Tuple[str, str], Link] = {}
+        #: host -> attached switch, filled lazily by inject_from_host and
+        #: valid for one routing epoch (cleared by rebuild_routes).
+        self._attachment: Dict[str, str] = {}
         self.deliveries = DeliveryLog()
         self.control_messages_sent = 0
         # Hot-path metric children, bound once.
@@ -278,13 +281,16 @@ class SimNetwork:
             del self._links[pair]
         self.routes = compute_routes(self.topology)
         self._next_link.clear()
+        self._attachment.clear()
         self._hosts = frozenset(self.topology.hosts())
 
     # -- packet movement -------------------------------------------------------
     def inject_from_host(self, host: str, packet: Packet) -> None:
         """Emit ``packet`` from ``host`` toward its attached switch, now."""
         packet.created_at = self.scheduler.now
-        attachment = self.topology.host_attachment(host)
+        attachment = self._attachment.get(host)
+        if attachment is None:
+            attachment = self._attachment[host] = self.topology.host_attachment(host)
         packet.ingress_switch = attachment
         self._m_injected.inc()
         if self.tracer.enabled:

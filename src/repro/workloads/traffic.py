@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
@@ -132,6 +132,48 @@ def poisson_arrivals(
     return times
 
 
+def _start_times(count: int, rate: float, seed: int, deterministic: bool) -> List[float]:
+    if deterministic:
+        return [i / rate for i in range(count)]
+    # Exactly `count` Poisson arrivals: accumulate exponential gaps.
+    gap_rng = random.Random(seed + 1)
+    start_times = []
+    t = 0.0
+    for _ in range(count):
+        t += gap_rng.expovariate(rate)
+        start_times.append(t)
+    return start_times
+
+
+def _timed_flows(
+    layout: HeaderLayout,
+    host_ips: Dict[str, int],
+    rng: random.Random,
+    start_times: Sequence[float],
+    pairs: Iterator[Sequence[str]],
+    flow_packets: int,
+) -> List[TimedPacket]:
+    """One TCP flow of ``flow_packets`` packets per start time.
+
+    ``pairs`` must be lazy: each ``(src, dst)`` draw from ``rng`` has to
+    land before that flow's ``tp_src`` draw, as in a per-flow loop.  The
+    constant fields and each host's address word are packed (and
+    range-checked) once; a flow only ORs in its ephemeral port.
+    """
+    base = layout.pack_values(nw_proto=6, tp_dst=80)
+    layout.pack_values(tp_src=65535)  # the widest port randint can draw
+    tp_offset = layout.offset("tp_src")
+    src_words = {host: layout.pack_values(nw_src=ip) for host, ip in host_ips.items()}
+    dst_words = {host: base | layout.pack_values(nw_dst=ip) for host, ip in host_ips.items()}
+    randint = rng.randint
+    result: List[TimedPacket] = []
+    for flow_id, (start, (src, dst)) in enumerate(zip(start_times, pairs)):
+        bits = src_words[src] | dst_words[dst] | (randint(1024, 65535) << tp_offset)
+        for p_index in range(flow_packets):
+            result.append(TimedPacket(start + p_index * 1e-6, src, Packet(layout, bits, flow_id)))
+    return result
+
+
 def host_pair_packets(
     topology,
     host_ips: Dict[str, int],
@@ -155,30 +197,9 @@ def host_pair_packets(
     hosts = list(host_ips)
     if len(hosts) < 2:
         raise ValueError("need at least two hosts")
-    if deterministic_arrivals:
-        start_times = [i / rate for i in range(count)]
-    else:
-        # Exactly `count` Poisson arrivals: accumulate exponential gaps.
-        gap_rng = random.Random(seed + 1)
-        start_times = []
-        t = 0.0
-        for _ in range(count):
-            t += gap_rng.expovariate(rate)
-            start_times.append(t)
-    result: List[TimedPacket] = []
-    for flow_id, start in enumerate(start_times):
-        src, dst = rng.sample(hosts, 2)
-        header_kwargs = dict(
-            nw_src=host_ips[src],
-            nw_dst=host_ips[dst],
-            nw_proto=6,
-            tp_src=rng.randint(1024, 65535),
-            tp_dst=80,
-        )
-        for p_index in range(flow_packets):
-            packet = Packet.from_fields(layout, flow_id=flow_id, **header_kwargs)
-            result.append(TimedPacket(start + p_index * 1e-6, src, packet))
-    return result
+    start_times = _start_times(count, rate, seed, deterministic_arrivals)
+    pairs = (rng.sample(hosts, 2) for _ in start_times)
+    return _timed_flows(layout, host_ips, rng, start_times, pairs, flow_packets)
 
 
 def zipf_host_pair_packets(
@@ -206,27 +227,10 @@ def zipf_host_pair_packets(
     if len(hosts) < 2:
         raise ValueError("need at least two hosts")
     sampler = ZipfSampler(len(hosts), alpha=alpha, seed=seed, shuffle=False)
-    if deterministic_arrivals:
-        start_times = [i / rate for i in range(count)]
-    else:
-        gap_rng = random.Random(seed + 1)
-        start_times = []
-        t = 0.0
-        for _ in range(count):
-            t += gap_rng.expovariate(rate)
-            start_times.append(t)
-    result: List[TimedPacket] = []
-    for flow_id, start in enumerate(start_times):
-        dst = hosts[sampler.sample()]
-        src = rng.choice([host for host in hosts if host != dst])
-        header_kwargs = dict(
-            nw_src=host_ips[src],
-            nw_dst=host_ips[dst],
-            nw_proto=6,
-            tp_src=rng.randint(1024, 65535),
-            tp_dst=80,
-        )
-        for p_index in range(flow_packets):
-            packet = Packet.from_fields(layout, flow_id=flow_id, **header_kwargs)
-            result.append(TimedPacket(start + p_index * 1e-6, src, packet))
-    return result
+    start_times = _start_times(count, rate, seed, deterministic_arrivals)
+    # The sampler owns its numpy Generator, so one bulk draw yields the
+    # ranks of `count` single draws; `rng` sees the same per-flow calls.
+    dsts = [hosts[rank] for rank in sampler.sample_many(count)]
+    others = {dst: [host for host in hosts if host != dst] for dst in set(dsts)}
+    pairs = ((rng.choice(others[dst]), dst) for dst in dsts)
+    return _timed_flows(layout, host_ips, rng, start_times, pairs, flow_packets)

@@ -80,15 +80,14 @@ class ZipfSampler:
         low = self._cdf[rank - 1] if rank else 0.0
         return float(self._cdf[rank] - low)
 
-    def sample(self) -> int:
-        """One item index."""
-        return int(self._permutation[np.searchsorted(self._cdf, self._rng.random())])
-
     def sample_many(self, count: int) -> List[int]:
-        """``count`` item indices (vectorized)."""
+        """``count`` item indices (vectorized).
+
+        The same indices, in order, as ``count`` one-at-a-time draws from
+        this sampler's Generator.
+        """
         draws = self._rng.random(count)
-        ranks = np.searchsorted(self._cdf, draws)
-        return [int(i) for i in self._permutation[ranks]]
+        return self._permutation[np.searchsorted(self._cdf, draws)].tolist()
 
     def head_mass(self, k: int) -> float:
         """Total probability of the ``k`` most popular items."""

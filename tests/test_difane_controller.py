@@ -15,7 +15,7 @@ from repro.flowspace import (
     RuleTable,
     Ternary,
 )
-from repro.net import TopologyBuilder
+from repro.net import FailureInjector, TopologyBuilder
 from repro.workloads.policies import routing_policy_for_topology
 from repro.workloads.zipf import ZipfSampler
 
@@ -213,6 +213,31 @@ class TestTopologyDynamics:
         assert dn.network.delivered()[-1].endpoint == "h3"
 
 
+    def test_host_move_and_access_link_failure_reach_injection(self):
+        """The network memoizes each host's ingress switch; every topology
+        change must invalidate it."""
+        dn, topo, host_ips = build()
+
+        def inject(host):
+            packet = Packet.from_fields(L, nw_dst=host_ips["h0"], nw_proto=6, tp_dst=80)
+            dn.send_at(dn.network.scheduler.now, host, packet)
+            dn.run()
+            return packet
+
+        assert inject("h3").ingress_switch == "s3"
+        dn.controller.handle_host_move("h3", "s1")
+        assert inject("h3").ingress_switch == "s1"
+        injector = FailureInjector(dn.network)
+        assert injector.fail_link("h3", "s1")
+        with pytest.raises(ValueError, match="^host 'h3' is not attached to any switch$"):
+            dn.send("h3", Packet.from_fields(L, nw_dst=host_ips["h0"]))
+        assert injector.restore_link("h3", "s1")
+        packet = inject("h3")
+        assert packet.ingress_switch == "s1"
+        assert dn.network.deliveries[-1].packet_id == packet.packet_id
+        assert dn.network.deliveries[-1].delivered
+
+
 class TestAuthorityFailover:
     def test_failover_with_replication(self):
         dn, topo, host_ips = build(replication=2)
@@ -289,8 +314,8 @@ class TestRebalance:
         rng = random.Random(71)
         hosts = sorted(host_ips)
         sampler = ZipfSampler(len(hosts), alpha=1.1, seed=72)
-        for _ in range(3000):
-            dst = hosts[sampler.sample()]
+        for rank in sampler.sample_many(3000):
+            dst = hosts[rank]
             src = rng.choice(hosts)
             if src == dst:
                 continue

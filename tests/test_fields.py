@@ -16,6 +16,7 @@ from repro.flowspace import (
     HeaderLayout,
     Match,
     OPENFLOW_10_LAYOUT,
+    Packet,
     Ternary,
     TWO_FIELD_LAYOUT,
     format_ip,
@@ -23,6 +24,8 @@ from repro.flowspace import (
     parse_ip,
     ternary_to_ip_prefix,
 )
+
+LAYOUTS = [OPENFLOW_10_LAYOUT, FIVE_TUPLE_LAYOUT, TWO_FIELD_LAYOUT]
 
 
 class TestLayoutBasics:
@@ -104,6 +107,34 @@ class TestPacking:
     def test_pack_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             FIVE_TUPLE_LAYOUT.pack_values(nw_proto=256)
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["of10", "five_tuple", "two_field"])
+    def test_pack_values_contract(self, layout):
+        assert layout.pack_values() == 0
+        with pytest.raises(KeyError) as unknown:
+            layout.pack_values(bogus=1)
+        assert unknown.value.args == (f"unknown field 'bogus' (layout has {layout.names()})",)
+        for spec in layout.fields:
+            top = 2 ** spec.width - 1
+            assert layout.pack_values(**{spec.name: 0}) == 0
+            assert layout.pack_values(**{spec.name: top}) == top << layout.offset(spec.name)
+            for bad in (-1, 2 ** spec.width):
+                with pytest.raises(ValueError) as out_of_range:
+                    layout.pack_values(**{spec.name: bad})
+                assert str(out_of_range.value) == (
+                    f"value {bad} out of range for field {spec.name} ({spec.width} bits)"
+                )
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["of10", "five_tuple", "two_field"])
+    def test_from_fields_packs_like_pack_values(self, layout):
+        values = {spec.name: (0x5A5A5A5A5A5A >> index) & (2 ** spec.width - 1)
+                  for index, spec in enumerate(layout.fields)}
+        packet = Packet.from_fields(layout, flow_id=3, **values)
+        expected = Packet(layout, layout.pack_values(**values), 3)
+        assert (packet.layout, packet.header_bits, packet.flow_id, packet.size_bytes) == (
+            expected.layout, expected.header_bits, expected.flow_id, expected.size_bytes
+        )
+        assert packet.fields() == {**dict.fromkeys(layout.names(), 0), **values}
 
     def test_field_of_bit(self):
         assert FIVE_TUPLE_LAYOUT.field_of_bit(0) == "tp_dst"

@@ -3,9 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.flowspace import Drop, Forward, RuleTable, FIVE_TUPLE_LAYOUT
+from repro.flowspace import Drop, Forward, Packet, RuleTable, FIVE_TUPLE_LAYOUT
 from repro.net import TopologyBuilder
 from repro.workloads import (
     Trace,
@@ -17,12 +18,49 @@ from repro.workloads import (
     vpn_policy,
 )
 from repro.workloads.traffic import (
+    TimedPacket,
     flow_headers_for_policy,
     host_pair_packets,
     poisson_arrivals,
+    zipf_host_pair_packets,
 )
+from repro.workloads.zipf import zipf_cdf
 
 L = FIVE_TUPLE_LAYOUT
+
+
+def _per_flow_reference(host_ips, count, rate, seed, flow_packets,
+                        deterministic_arrivals, zipf, alpha=1.2):
+    """The one-flow-at-a-time loops the bulk generators replaced: one
+    scalar Zipf draw and one keyword-packed header per flow."""
+    rng = random.Random(seed)
+    hosts = list(host_ips)
+    zipf_rng = np.random.default_rng(seed)
+    cdf = zipf_cdf(len(hosts), alpha)
+    if deterministic_arrivals:
+        start_times = [i / rate for i in range(count)]
+    else:
+        gap_rng = random.Random(seed + 1)
+        start_times = []
+        t = 0.0
+        for _ in range(count):
+            t += gap_rng.expovariate(rate)
+            start_times.append(t)
+    result = []
+    for flow_id, start in enumerate(start_times):
+        if zipf:
+            dst = hosts[int(np.searchsorted(cdf, zipf_rng.random()))]
+            src = rng.choice([host for host in hosts if host != dst])
+        else:
+            src, dst = rng.sample(hosts, 2)
+        header_kwargs = dict(
+            nw_src=host_ips[src], nw_dst=host_ips[dst], nw_proto=6,
+            tp_src=rng.randint(1024, 65535), tp_dst=80,
+        )
+        for p_index in range(flow_packets):
+            packet = Packet.from_fields(L, flow_id=flow_id, **header_kwargs)
+            result.append(TimedPacket(start + p_index * 1e-6, src, packet))
+    return result
 
 
 class TestZipf:
@@ -211,6 +249,32 @@ class TestTraffic:
         for tp in timed:
             assert tp.packet.field("nw_dst") in host_ips.values()
             assert tp.source_host in host_ips
+
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["poisson", "paced"])
+    @pytest.mark.parametrize("flow_packets", [1, 3])
+    @pytest.mark.parametrize("n_hosts", [2, 3, 8, 17])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("zipf", [False, True], ids=["uniform", "zipf"])
+    def test_bulk_generators_keep_per_flow_draws(
+        self, zipf, seed, n_hosts, flow_packets, deterministic
+    ):
+        host_ips = {f"h{i}": 0x0A000000 + 7 * i + 1 for i in range(n_hosts)}
+        kwargs = dict(count=60, rate=500.0, seed=seed, flow_packets=flow_packets,
+                      deterministic_arrivals=deterministic)
+        generator = zipf_host_pair_packets if zipf else host_pair_packets
+        expected = _per_flow_reference(host_ips, zipf=zipf, **kwargs)
+        actual = generator(None, host_ips, L, **kwargs)
+
+        def signature(timed):
+            first = timed[0].packet.packet_id
+            return [
+                (t.time, t.source_host, t.packet.header_bits, t.packet.flow_id,
+                 t.packet.size_bytes, t.packet.packet_id - first)
+                for t in timed
+            ]
+
+        assert len(actual) == 60 * flow_packets
+        assert signature(actual) == signature(expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
