@@ -234,8 +234,8 @@ class NoxNetwork:
         self.network.inject_from_host(host, packet)
 
     def send_at(self, time: float, host: str, packet: Packet) -> None:
-        """Schedule injection at absolute ``time``."""
-        self.network.scheduler.schedule_at(
+        """Schedule injection at absolute ``time`` (the in-order lane)."""
+        self.network.scheduler.schedule_in_order(
             time, self.network.inject_from_host, host, packet
         )
 

@@ -922,7 +922,7 @@ class DifaneNetwork:
 
     def send_at(self, time: float, host: str, packet: Packet) -> None:
         """Schedule ``packet`` injection from ``host`` at absolute ``time``."""
-        self.network.scheduler.schedule_at(
+        self.network.scheduler.schedule_in_order(
             time, self.network.inject_from_host, host, packet
         )
 
@@ -933,7 +933,7 @@ class DifaneNetwork:
         packet of it takes the per-packet path (see
         :meth:`SimNetwork.inject_batch_at_switch`).
         """
-        self.network.scheduler.schedule_at(
+        self.network.scheduler.schedule_in_order(
             time, self.network.inject_batch_at_switch, switch, batch
         )
 

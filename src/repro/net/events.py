@@ -82,6 +82,10 @@ class EventScheduler:
 
     def __init__(self, profiler=None, telemetry=None):
         self._heap: List[ScheduledEvent] = []
+        #: The in-order lane behind its head, and its last entry's time
+        #: (``None`` while no lane head is on the heap).
+        self._lane: Deque[ScheduledEvent] = deque()
+        self._lane_tail: Optional[float] = None
         self._sequence = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -136,6 +140,43 @@ class EventScheduler:
         _heappush(self._heap, event)
         return event
 
+    def schedule_in_order(self, time: float, callback: Callable, *args: Any) -> None:
+        """:meth:`schedule_at` for traffic offered in time order, kept off the heap.
+
+        The entry takes its sequence now but waits in a deque; only the
+        lane's head is on the heap, and it promotes the next entry when it
+        fires, so the fire order is unchanged (DESIGN.md "Event loop").
+        An entry earlier than the lane's tail goes onto the heap.  Lane
+        entries cannot be cancelled, so no handle is returned.
+        """
+        if not time >= self._now:  # also rejects NaN
+            raise ValueError(f"cannot schedule at {time} < now {self._now}")
+        event = ScheduledEvent((time, next(self._sequence), callback, args))
+        tail = self._lane_tail
+        if tail is None:
+            self._lane_tail = time
+            self._promote(event)
+        elif time >= tail:
+            self._lane_tail = time
+            self._lane.append(event)
+        else:
+            _heappush(self._heap, event)
+
+    def _promote(self, event: ScheduledEvent) -> None:
+        """Put lane entry ``event`` on the heap as the lane's head."""
+        event[3] = (event[2], event[3])
+        event[2] = self._fire_lane_head
+        _heappush(self._heap, event)
+
+    def _fire_lane_head(self, callback: Callable, args: Tuple) -> None:
+        """The lane head's callback: promote the next entry, then fire."""
+        lane = self._lane
+        if lane:
+            self._promote(lane.popleft())
+        else:
+            self._lane_tail = None
+        callback(*args)
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the loop; returns the number of callbacks fired.
 
@@ -184,11 +225,13 @@ class EventScheduler:
                 tele_index, tele_deadline = recorder.roll(tele_index, when, probes)
             self._now = when
             if profiling:
+                # A lane head is named after the callback it fires.
+                named = event[3][0] if callback == self._fire_lane_head else callback
                 started = _time.perf_counter()
                 callback(*event[3])
                 profiler.observe(
                     "callback:" + getattr(
-                        callback, "__qualname__", type(callback).__name__
+                        named, "__qualname__", type(named).__name__
                     ),
                     _time.perf_counter() - started,
                 )
@@ -212,7 +255,7 @@ class EventScheduler:
 
     def pending(self) -> int:
         """Number of not-yet-fired (and not cancelled) events."""
-        return sum(1 for event in self._heap if event[2] is not None)
+        return sum(1 for event in self._heap if event[2] is not None) + len(self._lane)
 
 
 class ServiceStation:

@@ -75,7 +75,8 @@ class Link:
         self.destination = destination
         self.spec = spec
         self.scheduler = scheduler
-        #: Callback invoked as ``deliver(destination, packet)`` on arrival.
+        #: Callback invoked as ``deliver(packet)`` on arrival; the network
+        #: binds it to the destination's receiver.
         self.deliver = deliver
         #: Callback invoked as ``on_loss(link, packet)`` when loss eats a packet.
         self.on_loss = on_loss
@@ -109,7 +110,7 @@ class Link:
             delay = self._delays[size] = self.spec.transfer_delay(size)
         if self.jitter_s > 0.0:
             delay += self._rng.uniform(0.0, self.jitter_s)
-        self.scheduler.schedule(delay, self.deliver, self.destination, packet)
+        self.scheduler.schedule(delay, self.deliver, packet)
 
     def __repr__(self) -> str:
         return f"<Link {self.source}->{self.destination} {self.packets_carried}pkts>"

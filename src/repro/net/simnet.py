@@ -4,7 +4,8 @@
 between nodes, delivery/drop accounting, and control-message latency — and
 stays policy-free.  Switch behaviour (DIFANE pipeline, NOX microflow table)
 lives in node objects registered via :meth:`register_node`; each must
-expose ``name`` and ``handle_packet(network, packet)``.
+expose ``name`` and ``handle_packet(network, packet)``; links call its
+``receive(packet)`` directly when it has one.
 
 Forwarding convention
 ---------------------
@@ -17,6 +18,7 @@ flows without touching rules — exactly the separation DIFANE argues for
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.flowspace.batch import PacketBatch
@@ -212,18 +214,27 @@ class SimNetwork:
         self._q_delivered: Dict[str, object] = {}
         self._q_dropped: Dict[str, object] = {}
         self._q_delay: Dict[Tuple[str, str], object] = {}
-        # Hot-path host membership: _arrive runs once per hop for every
-        # packet.  Refreshed on every topology change (all of which funnel
-        # through rebuild_routes).
+        # Host membership, read when a link's receiver is bound.  Refreshed
+        # on every topology change (all of which funnel through
+        # rebuild_routes).
         self._hosts = frozenset(topology.hosts())
         self._build_links()
 
     # -- wiring ---------------------------------------------------------------
     def _make_link(self, a: str, b: str, spec) -> Link:
         return Link(
-            a, b, spec, self.scheduler, self._arrive,
+            a, b, spec, self.scheduler, self._receiver(b),
             on_loss=self._link_loss, seed=self.loss_seed,
         )
+
+    def _receiver(self, name: str) -> Callable:
+        """``deliver(packet)`` for arrivals at ``name``: a host records the
+        delivery, a node with ``receive`` takes the packet, and anything
+        else goes through :meth:`_arrive`, which looks it up per packet."""
+        if name in self._hosts:
+            return partial(self.record_delivery, endpoint=name)
+        receive = getattr(self._nodes.get(name), "receive", None)
+        return receive if receive is not None else partial(self._arrive, name)
 
     def _build_links(self) -> None:
         for a, b, data in self.topology.graph.edges(data=True):
@@ -243,6 +254,11 @@ class SimNetwork:
         attach = getattr(node, "attach", None)
         if attach is not None:
             attach(self)
+        receiver = self._receiver(node.name)
+        for neighbor in self.topology.graph.neighbors(node.name):
+            link = self._links.get((neighbor, node.name))
+            if link is not None:
+                link.deliver = receiver
 
     def node(self, name: str):
         """The behaviour object registered for ``name``."""
@@ -270,6 +286,7 @@ class SimNetwork:
         already in flight on a removed link still arrive — exactly like a
         real wire draining.
         """
+        self._hosts = frozenset(self.topology.hosts())
         current = set()
         for a, b, data in self.topology.graph.edges(data=True):
             current.add((a, b))
@@ -282,7 +299,6 @@ class SimNetwork:
         self.routes = compute_routes(self.topology)
         self._next_link.clear()
         self._attachment.clear()
-        self._hosts = frozenset(self.topology.hosts())
 
     # -- packet movement -------------------------------------------------------
     def inject_from_host(self, host: str, packet: Packet) -> None:
@@ -304,15 +320,15 @@ class SimNetwork:
         self._m_injected.inc()
         if self.tracer.enabled:
             self.tracer.record(self.scheduler.now, TraceKind.INGRESS, packet, node=switch)
-        self._arrive(switch, packet)
+        self._receiver(switch)(packet)
 
     def inject_batch_at_switch(self, switch: str, batch: PacketBatch) -> None:
         """Hand a same-instant burst directly to ``switch``.
 
         The burst becomes :class:`Packet` objects (with the ids reserved
-        when it was built) and every packet takes ``handle_packet`` in
-        packet order; every INGRESS is traced before the first packet is
-        processed.
+        when it was built) and every packet goes to the switch's receiver
+        in packet order; every INGRESS is traced before the first packet
+        is processed.
         """
         now = self.scheduler.now
         batch.created_at = now
@@ -322,14 +338,9 @@ class SimNetwork:
         if self.tracer.enabled:
             for packet in packets:
                 self.tracer.record(now, TraceKind.INGRESS, packet, node=switch)
-        behaviour = self._nodes.get(switch)
-        if behaviour is None:
-            for packet in packets:
-                self.record_drop(packet, switch, "no behaviour registered")
-            return
-        handle_packet = behaviour.handle_packet
+        receive = self._receiver(switch)
         for packet in packets:
-            handle_packet(self, packet)
+            receive(packet)
 
     def transmit(self, from_node: str, to_node: str, packet: Packet) -> None:
         """Send ``packet`` over the ``from_node`` → ``to_node`` link."""
@@ -386,9 +397,7 @@ class SimNetwork:
                 link.jitter_s = jitter_s
 
     def _arrive(self, node_name: str, packet: Packet) -> None:
-        if node_name in self._hosts:
-            self.record_delivery(packet, node_name)
-            return
+        """The fallback receiver for a switch (see :meth:`_receiver`)."""
         behaviour = self._nodes.get(node_name)
         if behaviour is None:
             self.record_drop(packet, node_name, "no behaviour registered")

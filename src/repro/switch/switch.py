@@ -97,29 +97,36 @@ class DataPlaneSwitch:
                 name=f"{self.name}.lookup",
                 metrics=network.metrics,
             )
+            self._admit = self._station.submit
+        elif self.forwarding_delay_s <= 0:
+            self.receive = self._receive_now
 
-    def handle_packet(self, network, packet: Packet) -> None:
-        """Entry point from the network; respects the processing budget."""
+    def receive(self, packet: Packet) -> None:
+        """Entry point from a link: count, then delay, queue or process."""
         self.packets_seen += 1
         self._m_seen.inc()
         if self.forwarding_delay_s > 0:
-            network.scheduler.schedule(self.forwarding_delay_s, self._enqueue, packet)
-        elif self._station is None:
-            self.process(packet)
+            self.network.scheduler.schedule(self.forwarding_delay_s, self._admit, packet)
         else:
-            self._station.submit(packet)
+            self._admit(packet)
 
-    def _enqueue(self, packet: Packet) -> None:
-        """Forwarding-delay callback: the second half of :meth:`handle_packet`."""
-        if self._station is None:
-            self.process(packet)
-        else:
-            self._station.submit(packet)
+    def _receive_now(self, packet: Packet) -> None:
+        """:meth:`receive` bound by :meth:`attach` when nothing delays it."""
+        self.packets_seen += 1
+        self._m_seen.inc()
+        self.process(packet)
+
+    def handle_packet(self, network, packet: Packet) -> None:
+        """Entry point for a caller holding the network: :meth:`receive`."""
+        self.receive(packet)
 
     def _process_now(self, packet: Packet) -> None:
         """Station completion callback; resolves :meth:`process` per call so
         a subclass or a tracer patching it after ``attach`` is still seen."""
         self.process(packet)
+
+    #: :meth:`receive`'s next step; :meth:`attach` puts a station in front.
+    _admit = _process_now
 
     def _overloaded(self, packet: Packet) -> None:
         self.packets_dropped_overload += 1

@@ -159,6 +159,61 @@ class TestScheduler:
         assert registry.value(STAGE_HISTOGRAM, stage="callback:list.append")["count"] == 1
         assert registry.value(STAGE_HISTOGRAM, stage="callback:partial")["count"] == 1
 
+    def test_profiled_lane_entry_is_named_after_its_callback(self):
+        registry = MetricsRegistry()
+        sched = EventScheduler(profiler=Profiler(registry=registry, enabled=True))
+        fired = []
+        sched.schedule_in_order(0.1, fired.append, "a")
+        sched.schedule_in_order(0.2, fired.append, "b")
+        assert sched.run() == 2
+        assert fired == ["a", "b"]
+        assert registry.value(STAGE_HISTOGRAM, stage="callback:list.append")["count"] == 2
+
+
+class TestInOrderLane:
+    def test_entries_fire_in_order_and_count(self):
+        sched = EventScheduler()
+        fired = []
+        for index in range(5):
+            assert sched.schedule_in_order(index * 0.5, fired.append, index) is None
+        assert sched.pending() == 5
+        assert len(sched._heap) == 1  # only the lane's head
+        assert sched.run(max_events=2) == 2
+        assert (fired, sched.pending()) == ([0, 1], 3)
+        assert sched.run() == 3
+        assert fired == [0, 1, 2, 3, 4]
+        assert sched.events_processed == 5
+
+    def test_out_of_order_entry_takes_the_heap(self):
+        sched = EventScheduler()
+        fired = []
+        sched.schedule_in_order(1.0, fired.append, "late")
+        sched.schedule_in_order(2.0, fired.append, "later")
+        sched.schedule_in_order(0.5, fired.append, "early")
+        sched.run()
+        assert fired == ["early", "late", "later"]
+
+    def test_lane_entry_keeps_its_sequence_against_a_later_tie(self):
+        """The entry waiting in the lane was scheduled before the
+        ``schedule_at`` at the same float time, so it fires first (C2's
+        ``sample_degraded`` ties with offered packets)."""
+        sched = EventScheduler()
+        fired = []
+        sched.schedule_in_order(1.0, fired.append, "head")
+        sched.schedule_in_order(2.0, fired.append, "lane")
+        sched.schedule_at(2.0, fired.append, "later")
+        sched.run()
+        assert fired == ["head", "lane", "later"]
+
+    def test_past_and_nan_times_rejected(self):
+        sched = EventScheduler()
+        sched.schedule(1.0, lambda: None)
+        sched.run()
+        for when in (0.5, float("nan")):
+            with pytest.raises(ValueError):
+                sched.schedule_in_order(when, lambda: None)
+        assert sched.pending() == 0
+
 
 # -- the scheduler contract, against a reference model ------------------------
 
@@ -173,14 +228,20 @@ class ReferenceScheduler:
         self.log = []     # (order, time it fired at)
         self.processed = 0
 
-    def add(self, time, spawn_delay=None, cancel_target=None):
+    def add(self, time, spawn_delay=None, cancel_target=None,
+            lane=False, spawn_lane=False):
         self.events.append(SimpleNamespace(
             time=time, order=len(self.events), live=True,
             spawn_delay=spawn_delay, cancel_target=cancel_target,
+            lane=lane, spawn_lane=spawn_lane,
         ))
 
     def cancel(self, index):
-        self.events[index % len(self.events)].live = False
+        """Cancel the ``index``-th event that has a handle (modulo their
+        number); lane entries have none."""
+        handled = [event for event in self.events if not event.lane]
+        if handled:
+            handled[index % len(handled)].live = False
 
     def live(self):
         return [event for event in self.events if event.live]
@@ -199,7 +260,7 @@ class ReferenceScheduler:
             self.log.append((event.order, self.now))
             fired += 1
             if event.spawn_delay is not None:
-                self.add(self.now + event.spawn_delay)
+                self.add(self.now + event.spawn_delay, lane=event.spawn_lane)
             if event.cancel_target is not None:
                 self.cancel(event.cancel_target)
         self.processed += fired
@@ -266,6 +327,75 @@ def test_scheduler_fires_in_reference_order(ops):
         assert sched.events_processed == model.processed
         assert [h.time for h in handles] == [event.time for event in model.events]
         assert [h.sequence for h in handles] == list(range(len(handles)))
+
+
+LANE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "schedule_at", "schedule_in_order"]),
+                  TICKS, st.one_of(st.none(), st.tuples(TICKS, st.booleans())),
+                  st.one_of(st.none(), INDEX)),
+        st.tuples(st.just("cancel"), INDEX),
+        st.tuples(st.just("run"), MAYBE_TICKS, st.one_of(st.none(), st.integers(0, 4))),
+    ),
+    min_size=12,
+    max_size=60,
+)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=LANE_OPS)
+def test_in_order_lane_fires_in_reference_order(ops):
+    """The in-order lane, in and out of order and from inside callbacks,
+    interleaved with schedule / schedule_at / cancel / run(until) /
+    run(max_events): the same contract as the heap alone."""
+    sched, model = EventScheduler(), ReferenceScheduler()
+    handles, log, scheduled = [], [], [0]
+
+    def place(entry, when, spawn, cancel_target):
+        args = (scheduled[0], spawn, cancel_target)
+        scheduled[0] += 1
+        if entry == "schedule_in_order":
+            assert sched.schedule_in_order(when, fire, *args) is None
+        elif entry == "schedule":
+            handles.append(sched.schedule(when - sched.now, fire, *args))
+        else:
+            handles.append(sched.schedule_at(when, fire, *args))
+
+    def fire(order, spawn, cancel_target):
+        log.append((order, sched.now))
+        if spawn is not None:
+            delay, lane = spawn
+            place("schedule_in_order" if lane else "schedule",
+                  sched.now + delay, None, None)
+        if cancel_target is not None and handles:
+            handles[cancel_target % len(handles)].cancel()
+
+    for op in ops:
+        before = sched.now
+        if op[0] == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+            model.cancel(op[1])
+        elif op[0] == "run":
+            until = None if op[1] is None else sched.now + op[1]
+            assert sched.run(until=until, max_events=op[2]) == model.run(until, op[2])
+        else:
+            entry, tick, spawn, cancel_target = op
+            place(entry, sched.now + tick, spawn, cancel_target)
+            model.add(
+                model.now + tick, None if spawn is None else spawn[0], cancel_target,
+                lane=entry == "schedule_in_order",
+                spawn_lane=spawn is not None and spawn[1],
+            )
+        assert log == model.log
+        assert before <= sched.now == model.now
+        assert sched.pending() == len(model.live())
+        assert sched.events_processed == model.processed
+        handled = [event for event in model.events if not event.lane]
+        assert [(h.time, h.sequence) for h in handles] == [
+            (event.time, event.order) for event in handled
+        ]
 
 
 class TestServiceStation:

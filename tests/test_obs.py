@@ -328,6 +328,11 @@ class TestNetworkMetrics:
                 if key.startswith(STAGE_HISTOGRAM)
             ]
             assert profiled, "profiling produced no stage histograms"
+            # Offered packets are named after what they fire, not the lane.
+            injected = context.metrics.value(
+                STAGE_HISTOGRAM, stage="callback:SimNetwork.inject_from_host"
+            )
+            assert injected["count"] == 5
             # And the canonical document excludes them.
             clean = context.metrics.snapshot(exclude_prefixes=("profile_",))
             assert all(

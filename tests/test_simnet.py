@@ -3,6 +3,7 @@
 import pytest
 
 from repro.flowspace import Packet, TWO_FIELD_LAYOUT
+from repro.flowspace.batch import PacketBatch
 from repro.net import SimNetwork, TopologyBuilder
 from repro.net.failures import FailureInjector
 from repro.net.simnet import CONTROL_OVERHEAD_S
@@ -73,6 +74,27 @@ class TestDelivery:
         dropped = net.dropped()
         assert len(dropped) == 1
         assert "no behaviour" in dropped[0].drop_reason
+
+    def test_unregistered_switch_drops_direct_injections(self):
+        topo = TopologyBuilder.linear(2, hosts_per_switch=1)
+        net = SimNetwork(topo)
+        net.inject_at_switch("s0", Packet.from_fields(TWO_FIELD_LAYOUT))
+        net.inject_batch_at_switch("s1", PacketBatch.from_fields(TWO_FIELD_LAYOUT, 2))
+        assert [r.drop_reason for r in net.dropped()] == ["no behaviour registered"] * 3
+
+    def test_duck_typed_node_without_receive_is_reached_by_lookup(self):
+        """A node with only ``handle_packet`` gets the per-packet lookup,
+        which also sees a node registered while packets are in flight."""
+        topo = TopologyBuilder.linear(2, hosts_per_switch=1)
+        net = SimNetwork(topo)
+        net.register_node(EchoSwitch("s0", "h1"))
+        net.inject_from_host("h0", Packet.from_fields(TWO_FIELD_LAYOUT))
+        net.run(until=3e-5)  # forwarded by s0, not yet at s1
+        late = EchoSwitch("s1", "h1")
+        net.register_node(late)
+        net.run()
+        assert late.seen == 1
+        assert net.delivered()[0].endpoint == "h1"
 
     def test_register_unknown_node_rejected(self):
         topo, net = build_net()

@@ -6,6 +6,7 @@ from repro.flowspace import (
     ActionList,
     Drop,
     Encapsulate,
+    FIVE_TUPLE_LAYOUT,
     Forward,
     Packet,
     SendToController,
@@ -16,10 +17,13 @@ from repro.baselines.nox import NoxNetwork
 from repro.baselines.proactive import ProactiveNetwork
 from repro.core import DifaneNetwork
 from repro.flowspace import Match, Rule
-from repro.net import SimNetwork, TopologyBuilder
+from repro.net import FailureInjector, SimNetwork, TopologyBuilder
+from repro.obs.registry import MetricsRegistry
 from repro.switch.switch import DataPlaneSwitch
+from repro.workloads.policies import routing_policy_for_topology
 
 L = TWO_FIELD_LAYOUT
+FIVE_TUPLE = FIVE_TUPLE_LAYOUT
 
 
 class RecorderSwitch(DataPlaneSwitch):
@@ -176,3 +180,95 @@ class TestCapacity:
         net.inject_from_host("h0", Packet.from_fields(L))
         net.run()
         assert switch.processed_at[0] >= 1e-3
+
+
+class TestReceivers:
+    """Links hand each packet to the receiver bound for their destination:
+    a registered ``DataPlaneSwitch``'s ``receive``, chosen at attach time."""
+
+    def build_line(self, **kwargs):
+        topo = TopologyBuilder.linear(3, hosts_per_switch=1)
+        net = SimNetwork(topo, metrics=MetricsRegistry())
+        switches = {
+            name: RecorderSwitch(name, ActionList(Forward("h2")), **kwargs)
+            for name in topo.switches()
+        }
+        for switch in switches.values():
+            net.register_node(switch)
+        return topo, net, switches
+
+    def test_a_switch_registered_after_its_links_receives(self):
+        topo, net, switches = self.build_line()
+        # SimNetwork built every link before any switch registered.
+        assert net.link("s0", "s1").deliver == switches["s1"].receive
+        assert net.link("s1", "s0").deliver == switches["s0"].receive
+        net.inject_from_host("h0", Packet.from_fields(L))
+        net.run()
+        assert [s.packets_seen for s in switches.values()] == [1, 1, 1]
+        assert net.delivered()[0].endpoint == "h2"
+
+    def test_a_restored_switch_receives_on_its_new_links(self):
+        topo, net, switches = self.build_line()
+        faults = FailureInjector(net)
+        old = net.link("s0", "s1")
+        faults.fail_switch("s1")
+        faults.restore_switch("s1")
+        assert net.link("s0", "s1") is not old
+        assert net.link("s0", "s1").deliver == switches["s1"].receive
+        net.inject_from_host("h0", Packet.from_fields(L))
+        net.run()
+        assert switches["s1"].packets_seen == 1
+        assert net.delivered()[0].endpoint == "h2"
+
+    def test_packets_in_flight_on_a_removed_link_still_arrive(self):
+        topo, net, switches = self.build_line()
+        net.inject_at_switch("s0", Packet.from_fields(L))  # now on s0->s1
+        topo.remove_link("s0", "s1")
+        net.rebuild_routes()
+        net.run()
+        assert switches["s1"].packets_seen == 1
+        assert net.delivered()[0].endpoint == "h2"
+
+    def test_a_rehomed_host_receives_on_its_new_link(self):
+        topo = TopologyBuilder.linear(4, hosts_per_switch=1)
+        rules, host_ips = routing_policy_for_topology(topo, FIVE_TUPLE)
+        dn = DifaneNetwork.build(
+            topo, rules, FIVE_TUPLE, authority_switches=["s1"], redirect_rate=None
+        )
+        dn.controller.handle_host_move("h3", "s0")
+        link = dn.network.link("s0", "h3")
+        assert link.deliver.func == dn.network.record_delivery
+        assert link.deliver.keywords == {"endpoint": "h3"}
+        dn.send("h1", Packet.from_fields(
+            FIVE_TUPLE, nw_dst=host_ips["h3"], nw_proto=6, tp_src=9, tp_dst=80
+        ))
+        dn.run()
+        record = dn.network.deliveries[-1]
+        assert (record.delivered, record.endpoint) == (True, "h3")
+        assert link.packets_carried == 1
+
+    def test_forwarding_delay_counts_on_arrival_and_processes_late(self):
+        topo, net, switches = self.build_line(forwarding_delay_s=1e-3)
+        net.inject_from_host("h0", Packet.from_fields(L))
+        net.run(until=5e-4)
+        assert switches["s0"].packets_seen == 1
+        assert switches["s0"].processed_at == []
+        net.run()
+        assert [s.packets_seen for s in switches.values()] == [1, 1, 1]
+        assert net.metrics.value("switch_packets_seen_total", switch="s2") == 1
+        assert len(net.delivered()) == 1
+
+    def test_processing_rate_counts_every_arrival_and_every_overload_drop(self):
+        topo, net, switches = self.build_line(processing_rate=1.0, queue_limit=1)
+        for _ in range(5):
+            net.inject_from_host("h0", Packet.from_fields(L))
+        net.run(until=0.5)
+        s0 = switches["s0"]
+        # One in service, one queued, three tail-dropped.
+        assert (s0.packets_seen, s0.packets_dropped_overload) == (5, 3)
+        assert net.metrics.value("switch_packets_seen_total", switch="s0") == 5
+        assert net.metrics.value("switch_queue_drops_total", switch="s0") == 3
+        assert s0.processed_at == []  # service takes a second
+        net.run()
+        assert s0.processed_at[1] - s0.processed_at[0] == pytest.approx(1.0)
+        assert len(s0.processed_at) == len(net.delivered()) == 2

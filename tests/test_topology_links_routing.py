@@ -22,7 +22,7 @@ class TestLink:
         sched = EventScheduler()
         arrivals = []
         spec = LinkSpec(propagation_s=1e-3, bandwidth_bps=1e9)
-        link = Link("a", "b", spec, sched, lambda dst, pkt: arrivals.append((sched.now, dst)))
+        link = Link("a", "b", spec, sched, lambda pkt: arrivals.append((sched.now, link.destination)))
         packet = Packet.from_fields(TWO_FIELD_LAYOUT)
         link.send(packet)
         sched.run()
