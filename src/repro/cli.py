@@ -9,7 +9,8 @@ Usage::
 
 Each run prints the experiment's table and/or an ASCII rendering of its
 figure, mirroring what the benchmark harness archives under
-``benchmarks/results/``.
+``benchmarks/results/``.  The ids, their runners and both scales are
+declared once, in :mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, Tuple
+from typing import Dict
 
 from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.report import render_series_table, render_table
 from repro.experiments.common import METRICS_SCHEMA, ExperimentResult, metrics_document
+from repro.experiments.registry import SPECS
 from repro.obs.sketch import set_sketch_mode
 from repro.obs import fresh_run_context
 from repro.parallel.cache import DEFAULT_CACHE_DIR, configure_artifact_cache
@@ -55,169 +57,6 @@ def _load_metrics_document(path: str):
     return document
 
 
-def _e1(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.partitioning import default_policies
-    from repro.experiments.policies import run_policy_table
-    return run_policy_table(default_policies(scale=1 if quick else 2))
-
-
-def _e2(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.throughput import run_throughput
-    rates = [25e3, 200e3, 1.2e6] if quick else None
-    return run_throughput(rates=rates, flows_per_point=400 if quick else 1500)
-
-
-def _e3(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.scaling import run_scaling
-    return run_scaling(
-        authority_counts=[1, 2] if quick else [1, 2, 3, 4],
-        flows_per_point=500 if quick else 1200,
-        jobs=jobs,
-    )
-
-
-def _e4(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.delay import run_delay
-    return run_delay(flows=60 if quick else 300, jobs=jobs)
-
-
-def _e5(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.partitioning import default_policies, run_partition_tcam
-    return run_partition_tcam(
-        partition_counts=[1, 4, 16] if quick else None,
-        policies=default_policies(scale=1 if quick else 2),
-    )
-
-
-def _e6(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.partitioning import default_policies, run_partition_overhead
-    return run_partition_overhead(
-        partition_counts=[1, 4, 16] if quick else None,
-        policies=default_policies(scale=1 if quick else 2),
-    )
-
-
-def _e7(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.caching import run_cache_miss
-    if quick:
-        return run_cache_miss(cache_sizes=[10, 50, 200], n_flows=500,
-                              n_packets=5000, jobs=jobs)
-    return run_cache_miss(jobs=jobs)
-
-
-def _e8(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.stretch import run_stretch
-    return run_stretch(
-        switch_count=16 if quick else 32, flows=200 if quick else 800
-    )
-
-
-def _e8c(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.cachingablation import run_caching_ablation
-    if quick:
-        return run_caching_ablation(jobs=jobs)
-    return run_caching_ablation(
-        capacities=(8, 16, 32, 64),
-        hosts=4096,
-        edge_switches=4,
-        epochs=48,
-        burst_size=64,
-        jobs=jobs,
-    )
-
-
-def _e9(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.dynamics import run_dynamics
-    return run_dynamics(
-        churn_steps=15 if quick else 60, warm_flows=60 if quick else 200
-    )
-
-
-def _e9q(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.qos import run_qos_slo
-    if quick:
-        return run_qos_slo(jobs=jobs)
-    return run_qos_slo(
-        hosts=4096,
-        edge_switches=4,
-        epochs=72,
-        burst_size=64,
-        jobs=jobs,
-    )
-
-
-def _e10(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.partitioning import run_cut_ablation
-    return run_cut_ablation(partition_counts=[4, 16] if quick else None)
-
-
-#: Chaos-soak knobs settable from the command line (see ``run`` flags).
-CHAOS_OPTIONS: Dict[str, float] = {}
-
-
-def _c1(quick: bool, jobs=None) -> ExperimentResult:
-    # One soak is a single simulation — nothing to fan out; replicate
-    # sweeps go through ``run_chaos_replicates`` (which does take jobs).
-    from repro.experiments.chaos import run_chaos_soak
-    kwargs = dict(CHAOS_OPTIONS)
-    if quick:
-        kwargs.setdefault("rate", 2000.0)
-        kwargs.setdefault("duration", 0.5)
-    return run_chaos_soak(**kwargs)
-
-
-def _c2_kwargs(quick: bool) -> Dict[str, float]:
-    # C2 shares C1's CLI knobs where they apply; its campus fabric is
-    # lossless by construction, so the --loss knob stays C1-only.
-    kwargs = {k: v for k, v in CHAOS_OPTIONS.items() if k != "loss"}
-    if quick:
-        kwargs.setdefault("rate", 2000.0)
-        kwargs.setdefault("duration", 0.5)
-    return kwargs
-
-
-def _c2(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.chaos import run_rebalance_soak
-    return run_rebalance_soak(rebalance=True, **_c2_kwargs(quick))
-
-
-def _c2_static(quick: bool, jobs=None) -> ExperimentResult:
-    from repro.experiments.chaos import run_rebalance_soak
-    return run_rebalance_soak(rebalance=False, **_c2_kwargs(quick))
-
-
-def _m1(quick: bool, jobs=None) -> ExperimentResult:
-    # Like C1, one soak is a single simulation — nothing to fan out; the
-    # --jobs determinism requirement is therefore structural, and the CI
-    # job pinning jobs=2 == jobs=1 documents exactly that.
-    from repro.experiments.streaming import run_streaming_soak
-    if quick:
-        return run_streaming_soak(
-            hosts=50_000, epochs=120, burst_size=256, jobs=jobs
-        )
-    return run_streaming_soak(jobs=jobs)
-
-
-EXPERIMENTS: Dict[str, Tuple[str, Callable[..., ExperimentResult]]] = {
-    "E1": ("Table 1: evaluated policies", _e1),
-    "E2": ("Fig: setup throughput, DIFANE vs NOX", _e2),
-    "E3": ("Fig: throughput scaling with authority switches", _e3),
-    "E4": ("Fig: first-packet delay", _e4),
-    "E5": ("Fig: TCAM per authority switch vs #partitions", _e5),
-    "E6": ("Fig: rule-split overhead vs #partitions", _e6),
-    "E7": ("Fig: cache miss rate vs cache size", _e7),
-    "E8": ("Fig: stretch by authority placement", _e8),
-    "E8C": ("Ablation: cache eviction policy × capacity, streaming traffic", _e8c),
-    "E9": ("Table: cost of network dynamics", _e9),
-    "E9Q": ("Ablation: per-class QoS SLO protection under flash crowds", _e9q),
-    "E10": ("Ablation: cut-selection heuristic", _e10),
-    "C1": ("Chaos soak: faults, detection, degradation", _c1),
-    "C2": ("Self-healing soak: sharded control plane, migration", _c2),
-    "C2-STATIC": ("C2 baseline: heartbeat-only failover, no shards", _c2_static),
-    "M1": ("Soak: million-host streaming workload, sketch metrics", _m1),
-}
-
-
 def _print_result(result: ExperimentResult, plot: bool) -> None:
     print(f"\n=== {result.name}: {result.title} ===")
     if result.table_rows:
@@ -247,7 +86,7 @@ def main(argv=None) -> int:
     commands.add_parser("list", help="list available experiments")
 
     run = commands.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", help="experiment id (E1..E10) or 'all'")
+    run.add_argument("experiment", help="experiment id (see 'list') or 'all'")
     run.add_argument("--quick", action="store_true",
                      help="scaled-down parameters (seconds, not minutes)")
     run.add_argument("--no-plot", action="store_true",
@@ -268,12 +107,12 @@ def main(argv=None) -> int:
                           f"(default dir when flag given bare: "
                           f"{DEFAULT_CACHE_DIR})")
     run.add_argument("--chaos-seed", type=int, default=None, metavar="N",
-                     help="C1: seed for the randomized fault schedule")
+                     help="C1/C2: seed for the randomized fault schedule")
     run.add_argument("--loss", type=float, default=None, metavar="P",
                      help="C1: baseline per-link drop probability")
     run.add_argument("--heartbeat-interval", type=float, default=None,
                      metavar="SECONDS",
-                     help="C1: authority heartbeat period")
+                     help="C1/C2: authority heartbeat period")
     run.add_argument("--metrics-out", metavar="PATH", default=None,
                      help="write the run's canonical metrics JSON here "
                           "(one document per experiment; a mapping keyed "
@@ -320,8 +159,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for key, (description, _) in EXPERIMENTS.items():
-            print(f"{key:5s} {description}")
+        for spec in SPECS.values():
+            print(f"{spec.id:5s} {spec.title}")
         return 0
 
     if args.command == "report":
@@ -347,10 +186,10 @@ def main(argv=None) -> int:
         print(render_diff(diff), end="")
         return 0 if diff["identical"] else 1
 
-    wanted = list(EXPERIMENTS) if args.experiment.lower() == "all" else [
+    wanted = list(SPECS) if args.experiment.lower() == "all" else [
         args.experiment.upper()
     ]
-    unknown = [key for key in wanted if key not in EXPERIMENTS]
+    unknown = [key for key in wanted if key not in SPECS]
     if unknown:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
@@ -359,12 +198,11 @@ def main(argv=None) -> int:
     # sweep runner's initializer.
     set_sketch_mode(args.sketch)
 
-    if args.chaos_seed is not None:
-        CHAOS_OPTIONS["seed"] = args.chaos_seed
-    if args.loss is not None:
-        CHAOS_OPTIONS["loss"] = args.loss
-    if args.heartbeat_interval is not None:
-        CHAOS_OPTIONS["heartbeat_interval_s"] = args.heartbeat_interval
+    # Per-invocation chaos knobs; each spec takes only those it declares.
+    overrides = {"seed": args.chaos_seed, "loss": args.loss,
+                 "heartbeat_interval_s": args.heartbeat_interval}
+    overrides = {key: value for key, value in overrides.items()
+                 if value is not None}
 
     if args.cache_dir is not None:
         configure_artifact_cache(args.cache_dir)
@@ -386,7 +224,6 @@ def main(argv=None) -> int:
     trace_handle = open(args.trace_out, "w") if args.trace_out else None
     try:
         for key in wanted:
-            _, runner = EXPERIMENTS[key]
             # One fresh observability context per experiment: every
             # network/component built by the runner binds into it, so
             # the emitted document is exactly this experiment's run.
@@ -395,7 +232,7 @@ def main(argv=None) -> int:
                 telemetry=telemetry,
             )
             started = time.time()
-            result = runner(args.quick, args.jobs)
+            result = SPECS[key](args.quick, args.jobs, overrides)
             _print_result(result, plot=not args.no_plot)
             print(f"({key} took {time.time() - started:.1f}s)")
             if args.metrics_out:

@@ -1,7 +1,7 @@
 """Ablation experiments beyond the paper's headline evaluation.
 
 DESIGN.md commits to ablating the design choices the system makes; these
-four quantify them:
+five quantify them:
 
 * :func:`run_eviction_ablation` — LRU vs FIFO vs RANDOM cache eviction
   at the ingress switches (the paper assumes LRU-style behaviour);
@@ -10,7 +10,9 @@ four quantify them:
 * :func:`run_zipf_sensitivity` — how the wildcard-cache advantage moves
   with traffic skew;
 * :func:`run_partition_granularity` — partitions per authority switch:
-  finer partitions balance redirect load at the cost of split overhead.
+  finer partitions balance redirect load at the cost of split overhead;
+* :func:`run_rebalance_ablation` — re-packing partitions on measured
+  redirect load after a traffic hotspot skews it (paper §4).
 """
 
 from __future__ import annotations
@@ -28,17 +30,20 @@ from repro.core.controller import DifaneNetwork
 from repro.core.partition import partition_policy
 from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
+from repro.flowspace.packet import Packet
 from repro.net.topology import TopologyBuilder
 from repro.switch.cache import EvictionPolicy
 from repro.workloads.classbench import generate_classbench
 from repro.workloads.policies import routing_policy_for_topology
 from repro.workloads.traffic import flow_headers_for_policy, host_pair_packets
+from repro.workloads.zipf import ZipfSampler
 
 __all__ = [
     "run_eviction_ablation",
     "run_prefetch_ablation",
     "run_zipf_sensitivity",
     "run_partition_granularity",
+    "run_rebalance_ablation",
 ]
 
 LAYOUT = FIVE_TUPLE_LAYOUT
@@ -138,7 +143,6 @@ def _prefetch_point(level: int, flows: int, seed: int):
     if not destinations:
         destinations = hosts[:3]
     services = [22, 445, 3306, 23, 161]
-    from repro.flowspace.packet import Packet
     for index in range(flows):
         src = rng.choice(hosts)
         dst = rng.choice(destinations)
@@ -301,4 +305,65 @@ def run_partition_granularity(
         table_headers=["partitions/authority", "load imbalance",
                        "dup factor", "max entries/partition"],
         table_rows=rows,
+    )
+
+
+def run_rebalance_ablation(packets: int = 3000, seed: int = 71) -> ExperimentResult:
+    """Load imbalance before and after ``rebalance()`` under a hotspot.
+
+    The initial assignment balances TCAM entries over three authority
+    switches; Zipf-hot destinations then concentrate redirects on one of
+    them, and ``rebalance()`` re-packs partitions on *measured* load.
+    Reports the imbalance on both sides, the partitions moved, the
+    control messages the move cost and the final owners per partition.
+    """
+    topo = TopologyBuilder.star(6, hosts_per_leaf=2)
+    rules, host_ips = routing_policy_for_topology(topo, LAYOUT)
+    dn = DifaneNetwork.build(
+        topo, rules, LAYOUT,
+        authority_switches=["s0", "s1", "s2"],
+        partitions_per_authority=8,
+        cache_capacity=0,
+        redirect_rate=None,
+    )
+    rng = random.Random(seed)
+    hosts = sorted(host_ips)
+    sampler = ZipfSampler(len(hosts), alpha=1.1, seed=seed + 1)
+    for rank in sampler.sample_many(packets):
+        dst = hosts[rank]
+        src = rng.choice(hosts)
+        if src == dst:
+            continue
+        dn.send(src, Packet.from_fields(
+            LAYOUT, nw_src=rng.getrandbits(32), nw_dst=host_ips[dst],
+            nw_proto=6, tp_src=rng.randint(1024, 65535), tp_dst=80,
+        ))
+    dn.run()
+
+    controller = dn.controller
+    before = controller.load_imbalance()
+    messages_before = controller.control_messages
+    moved = controller.rebalance()
+    cost = controller.control_messages - messages_before
+    after = controller.load_imbalance()
+    return ExperimentResult(
+        name="A5-rebalance",
+        title="Load-based repartitioning under Zipf-skewed traffic",
+        table_headers=["metric", "value"],
+        table_rows=[
+            ["load imbalance before", f"{before:.3f}"],
+            ["load imbalance after", f"{after:.3f}"],
+            ["partitions moved", moved],
+            ["control messages", cost],
+        ],
+        notes={
+            "imbalance_before": before,
+            "imbalance_after": after,
+            "partitions_moved": moved,
+            "control_messages": cost,
+            "owners": [
+                controller.owners_of(partition.partition_id)
+                for partition in controller.partitions()
+            ],
+        },
     )

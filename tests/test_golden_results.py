@@ -1,7 +1,8 @@
 """Golden-regression tests: cheap experiment configs vs checked-in metrics.
 
-Each test re-runs a scaled-down configuration of one experiment inside a
-fresh observability context, builds the canonical metrics document
+Each test re-runs the ``quick`` configuration of one experiment with a
+``golden`` name in the experiment table (:mod:`repro.experiments.registry`)
+inside a fresh observability context, builds the canonical metrics document
 (:func:`repro.experiments.common.metrics_document`), and diffs it —
 verbatim, after a JSON round-trip — against ``tests/goldens/``.  Any
 behavioural drift in the simulator (delivery counts, drop attribution,
@@ -21,6 +22,7 @@ import pathlib
 import pytest
 
 from repro.experiments.common import metrics_document
+from repro.experiments.registry import SPECS
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
 
@@ -41,9 +43,9 @@ def run_context():
     obs_context.install(previous)
 
 
-def _golden_check(result, context, update: bool) -> None:
+def _golden_check(result, golden: str, context, update: bool) -> None:
     document = json.loads(json.dumps(metrics_document(result, context=context)))
-    path = GOLDENS_DIR / f"{result.name}-metrics.json"
+    path = GOLDENS_DIR / f"{golden}-metrics.json"
     if update:
         GOLDENS_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
@@ -58,104 +60,23 @@ def _golden_check(result, context, update: bool) -> None:
     )
 
 
-def _run_a6():
-    from repro.experiments.failover import run_failover_transient
-
-    return run_failover_transient(rate=1_500.0, duration=0.3, failure_time=0.15)
-
-
-def _run_c1():
-    from repro.experiments.chaos import run_chaos_soak
-
-    return run_chaos_soak(rate=800.0, duration=0.3)
-
-
-def _run_e4():
-    from repro.experiments.delay import run_delay
-
-    return run_delay(flows=40)
-
-
-def _run_c2():
-    from repro.experiments.chaos import run_rebalance_soak
-
-    return run_rebalance_soak(rate=2_000.0, duration=0.5, rebalance=True)
-
-
-def _run_c2_static():
-    from repro.experiments.chaos import run_rebalance_soak
-
-    return run_rebalance_soak(rate=2_000.0, duration=0.5, rebalance=False)
-
-
-def _run_m1():
-    # The pinned-scale M1 config: sketch observability on, so the golden
-    # also pins the "sketches"/"top_k"/"fixed_histograms" registry
-    # sections and the sketch telemetry probe levels.
-    from repro.experiments.streaming import run_streaming_soak
-
-    return run_streaming_soak(
-        hosts=4096, edge_switches=4, epochs=40, burst_size=64,
-        rules_per_switch=16, sketch=True,
-    )
-
-
-def _run_e8c():
-    # Pinned at the module's default (golden) scale: 3 workloads × 5
-    # policies × 2 capacities of full event-driven soaks.  Pins the
-    # whole ablation surface — miss rates, penalty percentiles, install
-    # overhead, eviction-churn split, and the cost-vs-LRU deltas.
-    from repro.experiments.cachingablation import run_caching_ablation
-
-    return run_caching_ablation()
-
-
-def _run_e9q():
-    # Golden-scale E9: three protection modes over the same flash-crowd
-    # stream.  Pins the per-class counters, SLO summaries and the full
-    # finding sequence — the unprotected run's slo-burn/slo-exhausted
-    # findings and the protected run's clean budget are both part of the
-    # regression surface.
-    from repro.experiments.qos import run_qos_slo
-
-    return run_qos_slo()
-
-
-def _run_e7():
-    # The one trace-driven golden: 1000-rule ClassBench ACL, 600 Zipf
-    # packets over 300 flows replayed through the LRU and COST fragment
-    # caches and the microflow cache at two sizes.  Pins the miss rates
-    # and install counts of the policy-lookup -> win_fragment -> replay
-    # path, which no event-driven golden reaches.
-    #
-    # A replay emits no counters, so the metrics document alone would pin
-    # only the parameters: fold the exact miss-rate series and the install
-    # table into the notes before the document is built.
-    from repro.experiments.caching import run_cache_miss
-
-    result = run_cache_miss(n_packets=600, n_flows=300, cache_sizes=[10, 100])
-    result.notes["miss_rate"] = {s.label: s.points() for s in result.series}
-    result.notes["table"] = [
-        dict(zip(result.table_headers, row)) for row in result.table_rows
-    ]
-    return result
+GOLDEN_SPECS = [spec for spec in SPECS.values() if spec.golden]
 
 
 @pytest.mark.parametrize(
-    "runner",
-    [
-        _run_a6, _run_c1, _run_e4, _run_c2, _run_c2_static, _run_m1,
-        _run_e8c, _run_e9q, _run_e7,
-    ],
-    ids=[
-        "A6-failover-transient", "C1-chaos-soak", "E4-delay",
-        "C2-rebalance-soak", "C2-static-soak", "M1-streaming-soak",
-        "E8-caching-ablation", "E9-qos-slo", "E7-cache-miss",
-    ],
+    "spec", GOLDEN_SPECS, ids=[spec.golden for spec in GOLDEN_SPECS]
 )
-def test_golden_metrics(runner, run_context, update_goldens):
-    result = runner()
-    _golden_check(result, run_context, update_goldens)
+def test_golden_metrics(spec, run_context, update_goldens):
+    result = spec(quick=True)
+    if spec.id == "E7":
+        # The one trace-driven golden.  A replay emits no counters, so the
+        # metrics document alone would pin only the parameters: fold the
+        # exact miss-rate series and the install table into the notes.
+        result.notes["miss_rate"] = {s.label: s.points() for s in result.series}
+        result.notes["table"] = [
+            dict(zip(result.table_headers, row)) for row in result.table_rows
+        ]
+    _golden_check(result, spec.golden, run_context, update_goldens)
 
 
 def test_golden_runs_are_deterministic():
@@ -165,7 +86,7 @@ def test_golden_runs_are_deterministic():
     try:
         for _ in range(2):
             context = fresh_run_context(trace=True, telemetry=True)
-            result = _run_e4()
+            result = SPECS["E4"](quick=True)
             documents.append(
                 json.loads(json.dumps(metrics_document(result, context=context)))
             )
@@ -183,14 +104,12 @@ def test_parallel_telemetry_matches_serial():
     and therefore the serialized document — cannot depend on worker
     scheduling.
     """
-    from repro.experiments.delay import run_delay
-
     texts = []
     previous = obs_context.current()
     try:
         for jobs in (1, 2):
             context = fresh_run_context(trace=True, telemetry=True)
-            result = run_delay(flows=40, jobs=jobs)
+            result = SPECS["E4"](quick=True, jobs=jobs)
             document = metrics_document(result, context=context)
             assert document["telemetry"]["windows"], "telemetry never sampled"
             texts.append(json.dumps(document, indent=2, sort_keys=True))
