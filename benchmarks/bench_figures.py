@@ -31,8 +31,8 @@ def claim(key):
 @claim("E1")
 def _policies(result):
     """Table 1: one row per evaluated policy."""
-    policies = SPECS["E1"].full["policies"]()
-    assert [row[0] for row in result.table_rows] == list(policies)
+    assert [row[0] for row in result.table_rows] == [
+        "campus", "vpn", "classbench-acl"]
 
 
 @claim("E2")
