@@ -41,10 +41,8 @@ import json, resource, sys
 
 from repro.experiments.streaming import run_streaming_soak
 from repro.obs import fresh_run_context
-from repro.obs.sketch import set_sketch_mode
 
 config = json.loads(sys.argv[1])
-set_sketch_mode(True)
 context = fresh_run_context(telemetry=True)
 result = run_streaming_soak(stream=True, sketch=True, **config)
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -25,7 +25,6 @@ from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.report import render_series_table, render_table
 from repro.experiments.common import METRICS_SCHEMA, ExperimentResult, metrics_document
 from repro.experiments.registry import SPECS
-from repro.obs.sketch import set_sketch_mode
 from repro.obs import fresh_run_context
 from repro.parallel.cache import DEFAULT_CACHE_DIR, configure_artifact_cache
 
@@ -91,12 +90,6 @@ def main(argv=None) -> int:
                      help="scaled-down parameters (seconds, not minutes)")
     run.add_argument("--no-plot", action="store_true",
                      help="skip the ASCII figure rendering")
-    run.add_argument("--sketch", action="store_true", default=False,
-                     help="memory-bounded observability: stream delivery "
-                          "outcomes into fixed-size sketches (quantiles, "
-                          "top-k) instead of per-packet records; required "
-                          "for the full-scale M1 soak to run in bounded "
-                          "RAM")
     run.add_argument("--jobs", type=int, default=None, metavar="N",
                      help="fan sweep points out over N worker processes "
                           "(0 = all cores); output is identical to a "
@@ -193,10 +186,6 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
-
-    # The sketch mode is process-wide; workers inherit it through the
-    # sweep runner's initializer.
-    set_sketch_mode(args.sketch)
 
     # Per-invocation chaos knobs; each spec takes only those it declares.
     overrides = {"seed": args.chaos_seed, "loss": args.loss,

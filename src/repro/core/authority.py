@@ -29,7 +29,6 @@ from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
 from repro.core.cachegen import WinRegionTooLarge, cache_rule, generate_cache_rules
 from repro.net.events import ServiceStation
-from repro.obs.qos import current_qos
 from repro.obs.registry import NULL_METRIC
 from repro.obs.trace import TraceKind
 from repro.openflow.messages import (
@@ -181,7 +180,7 @@ class DifaneSwitch(DataPlaneSwitch):
         # Per-class QoS: one counter per (statistic, class) and the
         # cache-residency knobs.  With QoS off (the default) no qos_*
         # counter is ever bound and the goldens stay byte-identical.
-        policy = current_qos()
+        policy = network.qos
         self._qos = policy
         if policy is not None:
             names = policy.classifier.class_names()

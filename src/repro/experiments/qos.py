@@ -21,8 +21,8 @@ best-effort remainder, swept over three protection modes:
   are shed on arrival (exact ``admission-control`` drop attribution)
   instead of queueing ahead of gold.
 
-Every sweep point runs inside its own fresh observability context with
-its own QoS policy installed (and cleared in the ``finally``), so
+Every sweep point runs inside its own fresh run context carrying its
+own QoS policy (the previous context is restored in the ``finally``), so
 ``--jobs N`` is byte-identical to serial and the ambient registry never
 sees point-local state.  The scaled-down configuration is pinned as a
 golden: gold holding its SLO under ``reserved`` while missing it under
@@ -35,19 +35,19 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.series import Series
 from repro.core.controller import DifaneNetwork
+from repro.experiments.cachingablation import _feed_epoch
 from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.rule import Match
 from repro.flowspace.ternary import Ternary
 from repro.obs import context as _obs_context
 from repro.obs import fresh_run_context
-from repro.obs.qos import FlowClass, FlowClassifier, QosPolicy, SloSpec, set_qos
+from repro.obs.qos import FlowClass, FlowClassifier, QosPolicy, SloSpec
 from repro.obs.telemetry import telemetry_section
 from repro.switch.cache import EvictionPolicy
 from repro.workloads.streaming import (
     BASE_ADDRESS,
     StreamSpec,
-    epoch_bursts,
     streaming_policy,
     streaming_topology,
 )
@@ -159,8 +159,7 @@ def _qos_point(
         ),
     )
     previous = _obs_context.current()
-    context = fresh_run_context(telemetry=telemetry_interval_s)
-    set_qos(policy)
+    context = fresh_run_context(telemetry=telemetry_interval_s, qos=policy)
     try:
         context.telemetry.slo_specs = list(policy.slos)
         topo = streaming_topology(spec)
@@ -207,14 +206,7 @@ def _qos_point(
             ),
         }
     finally:
-        set_qos(None)
         _obs_context.install(previous)
-
-
-def _feed_epoch(dn: DifaneNetwork, spec: StreamSpec, epoch: int) -> None:
-    """Generate and enqueue epoch ``epoch``'s bursts (lazy feeder event)."""
-    for timed in epoch_bursts(spec, epoch, LAYOUT):
-        dn.send_batch_at(timed.time, timed.switch, timed.batch)
 
 
 def run_qos_slo(

@@ -221,7 +221,7 @@ _SPECS = [
         "M1", "Soak: million-host streaming workload, sketch metrics",
         "repro.experiments.streaming:run_streaming_soak",
         quick=dict(hosts=4096, edge_switches=4, epochs=40, burst_size=64,
-                   rules_per_switch=16, sketch=True),
+                   rules_per_switch=16),
         golden="M1-streaming-soak",
     ),
 ]

@@ -29,7 +29,7 @@ from repro.net.routing import UNREACHABLE, RoutingTable, compute_routes
 from repro.net.topology import Topology
 from repro.obs import context as _obs_context
 from repro.obs.attribution import attribute_reason
-from repro.obs.qos import current_qos, delay_bucket
+from repro.obs.qos import delay_bucket
 from repro.obs.trace import TraceKind
 
 __all__ = ["SimNetwork", "DeliveryRecord"]
@@ -208,9 +208,9 @@ class SimNetwork:
         self._m_delivered = self.metrics.counter("packets_delivered_total")
         self._m_control = self.metrics.counter("control_messages_total")
         self._m_dropped: Dict[str, object] = {}
-        # Per-class QoS outcome accounting — only active when a policy is
-        # installed (see repro.obs.qos); children bound lazily per class.
-        self._qos = current_qos()
+        # Per-class QoS outcome accounting — only active when the run
+        # context carries a policy; children bound lazily per class.
+        self.qos = context.qos
         self._q_delivered: Dict[str, object] = {}
         self._q_dropped: Dict[str, object] = {}
         self._q_delay: Dict[Tuple[str, str], object] = {}
@@ -431,7 +431,7 @@ class SimNetwork:
         actually crossed an authority (``via_authority``) land in the
         latency histogram: cache hits never paid a redirect.
         """
-        cls = self._qos.classifier.classify_bits(header_bits)
+        cls = self.qos.classifier.classify_bits(header_bits)
         if delivered:
             child = self._q_delivered.get(cls)
             if child is None:
@@ -458,7 +458,7 @@ class SimNetwork:
     def record_delivery(self, packet: Packet, endpoint: str) -> None:
         """Record a successful delivery at ``endpoint``."""
         self._m_delivered.inc()
-        if self._qos is not None:
+        if self.qos is not None:
             self._qos_outcome(
                 packet.header_bits, True, packet.via_authority,
                 self.scheduler.now - (packet.created_at or 0.0),
@@ -489,7 +489,7 @@ class SimNetwork:
 
     def record_drop(self, packet: Packet, where: str, reason: str) -> None:
         """Record a packet loss at ``where``."""
-        if self._qos is not None:
+        if self.qos is not None:
             self._qos_outcome(packet.header_bits, False, packet.via_authority, 0.0)
         bucket = attribute_reason(reason)
         child = self._m_dropped.get(bucket)

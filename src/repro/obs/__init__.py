@@ -18,14 +18,15 @@ five per-feature counter surfaces:
 * :mod:`repro.obs.export` — Prometheus text exposition and JSONL
   time-series export of a run's metrics and telemetry;
 * :mod:`repro.obs.sketch` — memory-bounded mergeable sketches (KLL
-  quantiles, fixed-width counts, Space-Saving top-k) behind the
-  ``--sketch`` flag, for soaks too large to keep per-packet records;
+  quantiles, fixed-width counts, Space-Saving top-k) for soaks too
+  large to keep per-packet records;
 * :mod:`repro.obs.profile` — wall-time stage histograms around event
   callbacks, engine lookups and channel sends;
 * :mod:`repro.obs.attribution` — the canonical drop-reason → bucket
   mapping shared by the registry labels and the chaos experiments;
 * :mod:`repro.obs.context` — the per-run binding everything above hangs
-  off (``fresh_run_context()`` → run → ``snapshot()``).
+  off, plus the run's QoS policy (``fresh_run_context()`` → run →
+  ``snapshot()``).
 """
 
 from repro.obs.attribution import DROP_ATTRIBUTION, attribute_drops, attribute_reason
@@ -53,8 +54,6 @@ from repro.obs.sketch import (
     FixedWidthHistogram,
     QuantileSketch,
     SpaceSavingSketch,
-    set_sketch_mode,
-    sketch_enabled,
 )
 from repro.obs.telemetry import (
     DEFAULT_TELEMETRY_INTERVAL_S,
@@ -95,7 +94,5 @@ __all__ = [
     "fresh_run_context",
     "install",
     "records_like",
-    "set_sketch_mode",
-    "sketch_enabled",
     "telemetry_section",
 ]

@@ -1,12 +1,12 @@
 """The process-wide observability run context.
 
 One experiment run = one :class:`RunContext`: a metrics registry, a
-packet tracer and a profiler that every component constructed during
-the run binds to by default (``SimNetwork``, ``ServiceStation``,
-``ControlChannel`` all resolve :func:`current` when not handed an
-explicit registry).  The CLI, the benchmark harness and the golden
-tests call :func:`fresh_run_context` before a run and snapshot after —
-that snapshot *is* the run's canonical metrics JSON.
+packet tracer, a profiler and the run's QoS policy that every component
+constructed during the run binds to by default (``SimNetwork``,
+``ServiceStation``, ``ControlChannel`` all resolve :func:`current` when
+not handed an explicit registry).  The CLI, the benchmark harness and
+the golden tests call :func:`fresh_run_context` before a run and
+snapshot after — that snapshot *is* the run's canonical metrics JSON.
 
 Explicit injection always wins: pass ``metrics=`` / ``tracer=`` to a
 component and the context is never consulted, which is how the
@@ -16,8 +16,10 @@ overhead benchmark prices a fully disabled observer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.obs.profile import Profiler
+from repro.obs.qos import QosPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import DEFAULT_TELEMETRY_INTERVAL_S, TelemetryRecorder
 from repro.obs.trace import PacketTracer
@@ -42,6 +44,8 @@ class RunContext:
     tracer: PacketTracer
     profiler: Profiler
     telemetry: TelemetryRecorder
+    #: Per-class QoS policy; ``None`` (the default) is QoS off.
+    qos: Optional[QosPolicy] = None
 
 
 def _default_context() -> RunContext:
@@ -88,9 +92,9 @@ def install(context: RunContext) -> RunContext:
 def fresh_run_context(
     metrics_enabled: bool = True,
     trace: bool = False,
-    trace_capacity: int = 262_144,
     profile: bool = False,
     telemetry=None,
+    qos: Optional[QosPolicy] = None,
 ) -> RunContext:
     """Install (and return) a brand-new run context.
 
@@ -101,6 +105,7 @@ def fresh_run_context(
     ``telemetry`` accepts ``True`` (sample at the default cadence), a
     positive float (sample every that-many simulated seconds), or
     ``None``/``False`` (disabled — no per-event cost in the scheduler).
+    ``qos`` is the run's per-class QoS policy (``None``: QoS off).
     """
     metrics = MetricsRegistry(enabled=metrics_enabled)
     if telemetry is True:
@@ -117,8 +122,9 @@ def fresh_run_context(
     return install(
         RunContext(
             metrics=metrics,
-            tracer=PacketTracer(capacity=trace_capacity, enabled=trace),
+            tracer=PacketTracer(enabled=trace),
             profiler=Profiler(registry=metrics, enabled=profile),
             telemetry=recorder,
+            qos=qos,
         )
     )

@@ -13,10 +13,10 @@ of the stack threads through:
 * :class:`SloSpec` — the per-class service-level objective (redirect
   latency quantile, cache miss rate, delivery rate) evaluated over
   telemetry windows by :mod:`repro.obs.health`;
-* :class:`QosPolicy` — the run-wide bundle, installed process-wide via
-  :func:`set_qos` exactly like the sketch mode switch.
+* :class:`QosPolicy` — the run-wide bundle, carried by the run context
+  (``fresh_run_context(qos=policy)``).
 
-Everything downstream is gated on :func:`current_qos` returning a
+Everything downstream is gated on the network's ``qos`` being a
 policy: with QoS off (the default) no ``qos_*`` counter is ever bound,
 no label is rendered, and every pre-existing golden document stays
 byte-identical — the same additive discipline as the COST-gated
@@ -36,8 +36,6 @@ __all__ = [
     "FlowClassifier",
     "SloSpec",
     "QosPolicy",
-    "set_qos",
-    "current_qos",
     "REDIRECT_LATENCY_BUCKETS",
     "BUCKET_LABELS",
     "BUCKET_BOUNDS",
@@ -277,21 +275,3 @@ class QosPolicy:
             if cls.name == class_name and cls.protected:
                 return True
         return False
-
-
-#: The process-wide policy (mirrors ``set_sketch_mode``).
-#: Worker processes do not inherit it automatically — sweeps that need
-#: QoS (the E9 ablation) install a policy inside each point function and
-#: clear it in the ``finally``, exactly like the fresh run context.
-_policy: Optional[QosPolicy] = None
-
-
-def set_qos(policy: Optional[QosPolicy]) -> None:
-    """Install (or clear, with ``None``) the process-wide QoS policy."""
-    global _policy
-    _policy = policy
-
-
-def current_qos() -> Optional[QosPolicy]:
-    """The active QoS policy, or ``None`` when QoS is off (the default)."""
-    return _policy

@@ -28,10 +28,9 @@ compactions actually performed.  :attr:`QuantileSketch.error_weight`
 tracks exactly that sum (merging adds the operands' budgets), and the
 hypothesis suite checks every rank query against an exact oracle.
 
-The process-wide ``--sketch`` flag (:func:`set_sketch_mode`) tells
-experiments whether delivery outcomes feed sketches via
-:class:`DeliverySketchObserver` instead of accumulating per-packet
-records.
+A soak that passes ``sketch=True`` (M1, the default) feeds delivery
+outcomes into a :class:`DeliverySketchObserver` instead of accumulating
+per-packet records.
 """
 
 from __future__ import annotations
@@ -47,32 +46,10 @@ __all__ = [
     "SpaceSavingSketch",
     "DeliverySketchObserver",
     "EXPORT_QUANTILES",
-    "set_sketch_mode",
-    "sketch_enabled",
 ]
 
 #: Quantiles pinned in every :meth:`QuantileSketch.export` (golden surface).
 EXPORT_QUANTILES: Tuple[float, ...] = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
-
-# -- the process-wide mode flag ------------------------------------------------
-
-_SKETCH_MODE = False
-
-
-def set_sketch_mode(enabled: bool) -> None:
-    """Toggle memory-bounded observability process-wide (CLI ``--sketch``).
-
-    Experiments treat this as the default for their ``sketch`` knob; the
-    sweep runner's worker initializer propagates it into worker
-    processes.
-    """
-    global _SKETCH_MODE
-    _SKETCH_MODE = bool(enabled)
-
-
-def sketch_enabled() -> bool:
-    """True when the process runs with sketch-based observability."""
-    return _SKETCH_MODE
 
 
 class QuantileSketch:

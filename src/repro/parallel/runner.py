@@ -18,10 +18,9 @@ to ``jobs=1`` — holds because:
   associative and commutative, so the fold equals serial accumulation —
   the simulator emits no gauges, whose max-merge would not).
 
-The pool propagates the process-wide knobs every worker needs — the
-artifact-cache directory, the sketch mode, and the caller's
-observability configuration — through a worker initializer, because a
-``spawn``-start pool (macOS/Windows) inherits none of them.
+A ``spawn``-start pool (macOS/Windows) inherits no process state: the
+initializer hands each worker the artifact-cache directory, and each
+point carries the caller's run settings into its fresh context.
 
 Packet tracing is the one surface the pool does not transport (events
 live in a ring buffer whose interleaving is scheduling-dependent), so a
@@ -35,6 +34,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.parallel.cache import artifact_cache, configure_artifact_cache
 from repro.parallel.seeds import derive_seed
 
 __all__ = ["SweepRunner", "resolve_jobs"]
@@ -51,39 +51,23 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 # -- worker side (module-level: must be picklable by reference) -------------
 
-_WORKER_OBS: Dict[str, Any] = {
-    "metrics_enabled": True,
-    "profile": False,
-    "telemetry_interval_s": None,
-}
 
-
-def _init_worker(
-    cache_dir: Optional[str],
+def _execute_point(
+    fn: Callable[..., Any],
+    params: Dict[str, Any],
     metrics_enabled: bool,
     profile: bool,
-    telemetry_interval_s: Optional[float] = None,
-    sketch: bool = False,
-) -> None:
-    """Propagate process-wide knobs into a freshly started worker."""
-    from repro.obs.sketch import set_sketch_mode
-    from repro.parallel.cache import configure_artifact_cache
-
-    configure_artifact_cache(cache_dir)
-    set_sketch_mode(sketch)
-    _WORKER_OBS["metrics_enabled"] = metrics_enabled
-    _WORKER_OBS["profile"] = profile
-    _WORKER_OBS["telemetry_interval_s"] = telemetry_interval_s
-
-
-def _execute_point(fn: Callable[..., Any], params: Dict[str, Any]):
+    telemetry_interval_s: Optional[float],
+    qos: Any,
+):
     """Run one sweep point in an isolated run context; ship metrics back."""
     from repro.obs import fresh_run_context
 
     context = fresh_run_context(
-        metrics_enabled=_WORKER_OBS["metrics_enabled"],
-        profile=_WORKER_OBS["profile"],
-        telemetry=_WORKER_OBS["telemetry_interval_s"],
+        metrics_enabled=metrics_enabled,
+        profile=profile,
+        telemetry=telemetry_interval_s,
+        qos=qos,
     )
     value = fn(**params)
     registry = context.metrics if context.metrics.enabled else None
@@ -127,28 +111,25 @@ class SweepRunner:
         if jobs <= 1 or obs_context.current_tracer().enabled:
             return [fn(**params) for params in param_sets]
 
-        from repro.obs.sketch import sketch_enabled
-        from repro.parallel.cache import artifact_cache
-
         parent = obs_context.current()
-        cache_dir = artifact_cache().cache_dir
-        init_args = (
-            str(cache_dir) if cache_dir is not None else None,
+        settings = (
             parent.metrics.enabled,
             parent.profiler.enabled,
             parent.telemetry.interval_s if parent.telemetry.enabled else None,
-            sketch_enabled(),
+            parent.qos,
         )
         try:
             executor = ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker, initargs=init_args
+                max_workers=jobs,
+                initializer=configure_artifact_cache,
+                initargs=(artifact_cache().cache_dir,),
             )
         except (OSError, PermissionError, ValueError):
             # No subprocess support on this host: degrade to serial.
             return [fn(**params) for params in param_sets]
         with executor:
             futures = [
-                executor.submit(_execute_point, fn, params)
+                executor.submit(_execute_point, fn, params, *settings)
                 for params in param_sets
             ]
             # Ordered reassembly: gather in submission order, then fold

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -253,10 +255,24 @@ class TestRunContext:
             context = fresh_run_context(trace=True, profile=True)
             assert context.tracer.enabled
             assert context.profiler.enabled
+            assert context.qos is None
             off = fresh_run_context(metrics_enabled=False)
             assert off.metrics.counter("x") is NULL_METRIC
         finally:
             obs_context.install(previous)
+
+    def test_only_the_run_context_and_artifact_cache_rebind_module_state(self):
+        """Run settings live on the run context, not in module globals."""
+        src = pathlib.Path(obs_context.__file__).resolve().parents[1]
+        offenders = sorted(
+            f"{path.relative_to(src)}:{node.lineno}"
+            for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Global)
+            and path.relative_to(src).as_posix()
+            not in ("obs/context.py", "parallel/cache.py")
+        )
+        assert offenders == []
 
 
 # -- network integration ----------------------------------------------------------

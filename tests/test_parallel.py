@@ -183,6 +183,20 @@ def _worker_pid(x):
     return os.getpid()
 
 
+def _profiled_point(x):
+    """A sweep point that times one stage under the run's profiler."""
+    with obs_context.current_profiler().stage("point"):
+        return x
+
+
+def _run_settings(x):
+    """The run settings a sweep point sees in its own context."""
+    context = obs_context.current()
+    interval = context.telemetry.interval_s if context.telemetry.enabled else None
+    return (context.metrics.enabled, context.profiler.enabled, interval,
+            context.qos is not None)
+
+
 class TestSweepRunner:
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
@@ -215,6 +229,37 @@ class TestSweepRunner:
         # Workers are separate processes (unless the host denies pools,
         # in which case the runner degrades to serial — also acceptable).
         assert len(pids) == 2
+
+    def test_points_run_under_the_callers_settings(self):
+        from repro.obs.qos import FlowClassifier, QosPolicy
+
+        fresh_run_context(metrics_enabled=False)
+        assert SweepRunner(2).map(_run_settings, [dict(x=0), dict(x=1)]) == [
+            (False, False, None, False)
+        ] * 2
+        fresh_run_context(
+            profile=True, telemetry=0.25, qos=QosPolicy(FlowClassifier())
+        )
+        assert SweepRunner(2).map(_run_settings, [dict(x=0), dict(x=1)]) == [
+            (True, True, 0.25, True)
+        ] * 2
+
+    def test_disabled_metrics_stay_empty_after_a_sweep(self):
+        context = fresh_run_context(metrics_enabled=False)
+        SweepRunner(2).map(_square_and_count, [dict(x=x) for x in range(4)])
+        assert context.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}
+        }
+
+    def test_workers_profile_into_the_callers_registry(self):
+        params = [dict(x=x) for x in range(4)]
+        names = []
+        for jobs in (1, 2):
+            context = fresh_run_context(profile=True)
+            SweepRunner(jobs).map(_profiled_point, params)
+            names.append(sorted(context.metrics.snapshot()["histograms"]))
+        assert names[0] == ["profile_stage_seconds{stage=point}"]
+        assert names[1] == names[0]
 
     def test_tracing_forces_inline_execution(self):
         fresh_run_context(trace=True)

@@ -26,7 +26,6 @@ from repro.obs.qos import (
     QosPolicy,
     SloSpec,
     bucket_quantile,
-    current_qos,
     delay_bucket,
 )
 from repro.switch import Tcam
@@ -517,26 +516,50 @@ def test_prometheus_export_carries_class_labels():
     assert 'flow_class="gold",le="0.0001"' in text
 
 
+def _qos_keys(context):
+    snapshot = context.metrics.snapshot()
+    return [
+        key
+        for kind in ("counters", "gauges", "histograms")
+        for key in snapshot.get(kind, {})
+        if key.startswith("qos_")
+    ]
+
+
 def test_qos_off_is_strictly_additive():
     from repro.experiments.delay import run_delay
     from repro.obs import context as obs_context, fresh_run_context
 
-    assert current_qos() is None
     previous = obs_context.current()
     try:
         context = fresh_run_context(telemetry=True)
+        assert context.qos is None
         run_delay(flows=10)
-        snapshot = context.metrics.snapshot()
-        for kind in ("counters", "gauges", "histograms"):
-            assert not any(
-                key.startswith("qos_") for key in snapshot.get(kind, {})
-            )
+        assert _qos_keys(context) == []
         from repro.obs.telemetry import telemetry_section
 
         section = telemetry_section(context.telemetry)
         assert "slo_specs" not in section
         assert "classes" not in section
         assert "slo" not in section
+    finally:
+        obs_context.install(previous)
+
+
+def test_qos_policy_does_not_leak_into_a_later_run():
+    """The policy lives on the E9Q point's run context and dies with it."""
+    from repro.experiments.delay import run_delay
+    from repro.experiments.qos import run_qos_slo
+    from repro.obs import context as obs_context, fresh_run_context
+
+    previous = obs_context.current()
+    try:
+        result = run_qos_slo(modes=("reserved+admission",), epochs=6)
+        assert result.notes["points"]["reserved+admission"]["classes"]
+        assert obs_context.current() is previous
+        context = fresh_run_context(telemetry=True)
+        run_delay(flows=10)
+        assert _qos_keys(context) == []
     finally:
         obs_context.install(previous)
 

@@ -19,8 +19,6 @@ from repro.obs.sketch import (
     FixedWidthHistogram,
     QuantileSketch,
     SpaceSavingSketch,
-    set_sketch_mode,
-    sketch_enabled,
 )
 
 SETTINGS = settings(
@@ -347,13 +345,3 @@ def test_disabled_registry_hands_out_null_sketches():
     NULL_METRIC.observe_repeated(1.0, 5)
     NULL_METRIC.offer("key", 2)
     assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def test_sketch_mode_flag_roundtrip():
-    assert not sketch_enabled()
-    try:
-        set_sketch_mode(True)
-        assert sketch_enabled()
-    finally:
-        set_sketch_mode(False)
-    assert not sketch_enabled()
