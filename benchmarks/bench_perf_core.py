@@ -114,10 +114,11 @@ def test_perf_obs_overhead(benchmark, archive):
     Runs one identical DIFANE workload three ways — registry disabled,
     registry enabled (the default every experiment now runs with), and
     registry + packet tracing — and archives the relative cost.  The
-    design target is <5% for metrics-on with tracing disabled (bound
-    children: one ``+=`` per event); the hard gate is set generously at
-    15% to stay robust to shared-machine timing noise while the archived
-    number records what was actually measured.
+    design target is <5% for metrics-on with tracing disabled (per-packet
+    counters are collected: the registry reads its owners' attributes
+    only when it is read, so the hot path adds no call); the hard gate
+    is set generously at 15% to stay robust to shared-machine timing
+    noise while the archived number records what was actually measured.
     """
     from repro.core.controller import DifaneNetwork
     from repro.flowspace.packet import Packet

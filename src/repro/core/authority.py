@@ -29,7 +29,6 @@ from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
 from repro.core.cachegen import WinRegionTooLarge, cache_rule, generate_cache_rules
 from repro.net.events import ServiceStation
-from repro.obs.registry import NULL_METRIC
 from repro.obs.trace import TraceKind
 from repro.openflow.messages import (
     FlowMod, FlowModCommand, Heartbeat, Message, PacketIn, PacketOut,
@@ -81,9 +80,9 @@ class DifaneSwitch(DataPlaneSwitch):
         extension), falling back to one fragment past the budget.
     """
 
-    #: Per-switch statistics mirrored into the metrics registry as
-    #: ``difane_<stat>_total{switch=...}`` counters (bumped only through
-    #: :meth:`_count`, so an attribute and its counter cannot diverge).
+    #: Per-switch statistics the run's registry collects as
+    #: ``difane_<stat>_total{switch=...}`` counters: one integer attribute
+    #: each, so a statistic and its counter cannot diverge.
     _MIRRORED_STATS = (
         "cache_hits", "authority_hits", "redirects_out", "redirects_handled",
         "cache_installs_sent", "cache_installs_received", "failovers", "unmatched",
@@ -142,9 +141,6 @@ class DifaneSwitch(DataPlaneSwitch):
         #: In-band install messages that carried more than one sibling
         #: fragment (dependency-aware batching at prefetch > 1).
         self.cache_install_batches_sent = 0
-        #: Registry children keyed by statistic name; null until attach()
-        #: binds the network's registry (directly driven unit-test switches).
-        self._m: dict = {stat: NULL_METRIC for stat in self._MIRRORED_STATS}
         #: QoS wiring — bound in attach() when a policy is installed.
         self._qos = None
         self._qc: dict = {}
@@ -153,11 +149,11 @@ class DifaneSwitch(DataPlaneSwitch):
     def attach(self, network) -> None:
         """Wire the redirect-capacity queue when the network binds us."""
         super().attach(network)
-        # Mirror the per-switch statistics into the run's registry so
+        # The run's registry reads the per-switch statistics, so
         # experiments read one canonical snapshot, not switch attributes.
         registry = network.metrics
         for stat in self._MIRRORED_STATS:
-            self._m[stat] = registry.counter(f"difane_{stat}_total", switch=self.name)
+            registry.collect(f"difane_{stat}_total", self, stat, switch=self.name)
         # Cache occupancy and (cumulative) evictions are levels, not
         # counters — they go out as telemetry probe samples so the
         # registry stays gauge-free (gauge max-merge would break the
@@ -271,7 +267,7 @@ class DifaneSwitch(DataPlaneSwitch):
 
     def install_cache_rule(self, rule: Rule) -> None:
         """Receive an in-band cache install from an authority switch."""
-        self._count("cache_installs_received")
+        self.cache_installs_received += 1
         now = self._now()
         if self.network is not None and self.network.tracer.enabled:
             self.network.tracer.record(
@@ -313,11 +309,6 @@ class DifaneSwitch(DataPlaneSwitch):
     # :meth:`process`, :meth:`_handle_redirect` and :meth:`execute` apply
     # them to one packet at a time.
 
-    def _count(self, stat: str, count: int = 1) -> None:
-        """Bump a mirrored statistic and its ``difane_<stat>_total`` counter."""
-        self.__dict__[stat] += count
-        self._m[stat].inc(count)
-
     def process(self, packet: Packet) -> None:
         """Ingress classification / transit tunnelling / authority entry."""
         tunnel_end = packet.encap_destination
@@ -337,11 +328,11 @@ class DifaneSwitch(DataPlaneSwitch):
         result = self.pipeline.lookup(packet, now)
         stage = result.stage
         if stage is PipelineStage.MISS:
-            self._count("unmatched")
+            self.unmatched += 1
             network.record_drop(packet, self.name, "no matching rule")
             return
         stat, qos_stat, kind = _STAGE_ACCOUNTING[stage]
-        self._count(stat)
+        self.__dict__[stat] += 1
         if self._qos is not None:
             self._qos_count(qos_stat, (packet.header_bits,))
         tracer = network.tracer
@@ -360,7 +351,7 @@ class DifaneSwitch(DataPlaneSwitch):
             self._orphaned(packet)
             return
         if failed_over:
-            self._count("failovers")
+            self.failovers += 1
             if tracer.enabled:
                 tracer.record(
                     now, TraceKind.FAILOVER, packet, node=self.name, detail=destination
@@ -390,7 +381,7 @@ class DifaneSwitch(DataPlaneSwitch):
         if self.control_channel is None:
             self.network.record_drop(packet, self.name, "authority unreachable")
             return
-        self._count("degraded_packets")
+        self.degraded_packets += 1
         packet.via_controller = True
         if self.network.tracer.enabled:
             self.network.tracer.record(
@@ -403,7 +394,7 @@ class DifaneSwitch(DataPlaneSwitch):
     # -- the authority path ----------------------------------------------------------
     def _handle_redirect(self, packet: Packet) -> None:
         """Authority-path processing of one redirected packet."""
-        self._count("redirects_handled")
+        self.redirects_handled += 1
         packet.decapsulate()
         now = self.network.scheduler.now
         if self.network.tracer.enabled:
@@ -412,7 +403,7 @@ class DifaneSwitch(DataPlaneSwitch):
             )
         rule = self.pipeline.authority.lookup(packet, now)
         if rule is None:
-            self._count("unmatched")
+            self.unmatched += 1
             self.network.record_drop(packet, self.name, "authority miss")
             return
         ingress = packet.ingress_switch
@@ -476,7 +467,7 @@ class DifaneSwitch(DataPlaneSwitch):
         tracer = self.network.tracer
         for group in groups:
             size = len(group)
-            self._count("cache_installs_sent", size)
+            self.cache_installs_sent += size
             if size > 1:
                 self.cache_install_batches_sent += 1
             if tracer.enabled:

@@ -38,6 +38,7 @@ from repro.openflow.channel import (
     ControlChannel,
     DEFAULT_CONTROL_LATENCY_S,
 )
+from repro.obs.registry import Collectable
 from repro.openflow.messages import Heartbeat, Message, PacketIn, PacketOut
 from repro.switch.cache import EvictionPolicy
 
@@ -179,7 +180,7 @@ class _PartitionState:
                 old.byte_count = 0
 
 
-class DifaneController:
+class DifaneController(Collectable):
     """Proactive rule partitioning and distribution, plus dynamics handling."""
 
     def __init__(
@@ -216,10 +217,10 @@ class DifaneController:
         self.policy_updates = 0
         self.cache_budget_updates = 0
         self.degraded_packet_ins = 0
-        # Mirror into the run's registry so metrics JSON carries the
+        # The run's registry reads it, so metrics JSON carries the
         # degraded-mode load without reaching into controller objects.
-        self._m_degraded_packet_ins = network.metrics.counter(
-            "controller_degraded_packet_ins_total"
+        network.metrics.collect(
+            "controller_degraded_packet_ins_total", self, "degraded_packet_ins"
         )
 
     # -- robustness layer (opt-in; reliable fabric stays the default) --------------
@@ -287,7 +288,6 @@ class DifaneController:
         never silent — degraded, not broken.
         """
         self.degraded_packet_ins += 1
-        self._m_degraded_packet_ins.inc()
         if self._policy_table is None:
             self._policy_table = RuleTable(self.layout, self.policy)
         packet = message.packet

@@ -23,6 +23,7 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.obs import context as _obs_context
+from repro.obs.registry import Collectable
 
 __all__ = ["EventScheduler", "ScheduledEvent", "ServiceStation"]
 
@@ -258,7 +259,7 @@ class EventScheduler:
         return sum(1 for event in self._heap if event[2] is not None) + len(self._lane)
 
 
-class ServiceStation:
+class ServiceStation(Collectable):
     """A rate-limited single-server FIFO queue.
 
     Items arrive via :meth:`submit`; each takes ``1 / rate`` seconds of
@@ -297,12 +298,11 @@ class ServiceStation:
         self.completed = 0
         self.busy_time = 0.0
         self._service_started: Optional[float] = None
-        # Queue drops were historically only this local counter — the
-        # registry child makes every station's tail loss visible in one
-        # canonical metrics snapshot (labelled by station name).
+        # The registry reads every station's tail loss and completions
+        # into one canonical metrics snapshot (labelled by station name).
         registry = metrics if metrics is not None else _obs_context.current_registry()
-        self._m_queue_drops = registry.counter("station_queue_drops_total", station=name)
-        self._m_completed = registry.counter("station_completed_total", station=name)
+        registry.collect("station_queue_drops_total", self, "dropped", station=name)
+        registry.collect("station_completed_total", self, "completed", station=name)
 
     @property
     def queue_depth(self) -> int:
@@ -319,7 +319,6 @@ class ServiceStation:
         """Offer ``item``; returns False (and drops) when the queue is full."""
         if self.queue_limit is not None and len(self._queue) >= self.queue_limit:
             self.dropped += 1
-            self._m_queue_drops.inc()
             if self.on_drop is not None:
                 self.on_drop(item)
             return False
@@ -341,7 +340,6 @@ class ServiceStation:
 
     def _finish(self, item: Any) -> None:
         self.completed += 1
-        self._m_completed.inc()
         if self._service_started is not None:
             self.busy_time += self.scheduler.now - self._service_started
             self._service_started = None

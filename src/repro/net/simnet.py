@@ -30,6 +30,7 @@ from repro.net.topology import Topology
 from repro.obs import context as _obs_context
 from repro.obs.attribution import attribute_reason
 from repro.obs.qos import delay_bucket
+from repro.obs.registry import Collectable
 from repro.obs.trace import TraceKind
 
 __all__ = ["SimNetwork", "DeliveryRecord"]
@@ -164,7 +165,7 @@ class DeliveryLog:
         return f"<DeliveryLog {len(self)} outcomes>"
 
 
-class SimNetwork:
+class SimNetwork(Collectable):
     """Bind a topology, its links, node behaviours and an event scheduler."""
 
     def __init__(
@@ -202,11 +203,14 @@ class SimNetwork:
         #: valid for one routing epoch (cleared by rebuild_routes).
         self._attachment: Dict[str, str] = {}
         self.deliveries = DeliveryLog()
+        self.packets_injected = 0
+        self.packets_delivered = 0
         self.control_messages_sent = 0
-        # Hot-path metric children, bound once.
-        self._m_injected = self.metrics.counter("packets_injected_total")
-        self._m_delivered = self.metrics.counter("packets_delivered_total")
-        self._m_control = self.metrics.counter("control_messages_total")
+        # The registry reads these counts when asked; drop reasons have
+        # no attribute twin, so their children are bound lazily.
+        self.metrics.collect("packets_injected_total", self, "packets_injected")
+        self.metrics.collect("packets_delivered_total", self, "packets_delivered")
+        self.metrics.collect("control_messages_total", self, "control_messages_sent")
         self._m_dropped: Dict[str, object] = {}
         # Per-class QoS outcome accounting — only active when the run
         # context carries a policy; children bound lazily per class.
@@ -308,7 +312,7 @@ class SimNetwork:
         if attachment is None:
             attachment = self._attachment[host] = self.topology.host_attachment(host)
         packet.ingress_switch = attachment
-        self._m_injected.inc()
+        self.packets_injected += 1
         if self.tracer.enabled:
             self.tracer.record(self.scheduler.now, TraceKind.INGRESS, packet, node=host)
         self.transmit(host, attachment, packet)
@@ -317,7 +321,7 @@ class SimNetwork:
         """Hand ``packet`` directly to ``switch`` (saves the host hop)."""
         packet.created_at = self.scheduler.now
         packet.ingress_switch = switch
-        self._m_injected.inc()
+        self.packets_injected += 1
         if self.tracer.enabled:
             self.tracer.record(self.scheduler.now, TraceKind.INGRESS, packet, node=switch)
         self._receiver(switch)(packet)
@@ -333,7 +337,7 @@ class SimNetwork:
         now = self.scheduler.now
         batch.created_at = now
         batch.ingress_switch = switch
-        self._m_injected.inc(len(batch))
+        self.packets_injected += len(batch)
         packets = batch.packets()
         if self.tracer.enabled:
             for packet in packets:
@@ -415,7 +419,6 @@ class SimNetwork:
         if distance == UNREACHABLE:
             return
         self.control_messages_sent += 1
-        self._m_control.inc()
         self.scheduler.schedule(distance + CONTROL_OVERHEAD_S, handler, *args)
 
     # -- accounting -------------------------------------------------------------------
@@ -457,7 +460,7 @@ class SimNetwork:
 
     def record_delivery(self, packet: Packet, endpoint: str) -> None:
         """Record a successful delivery at ``endpoint``."""
-        self._m_delivered.inc()
+        self.packets_delivered += 1
         if self.qos is not None:
             self._qos_outcome(
                 packet.header_bits, True, packet.via_authority,

@@ -3,8 +3,9 @@
 The three planes DIFANE's evaluation needs, as one layer instead of
 five per-feature counter surfaces:
 
-* :mod:`repro.obs.registry` — labelled counters/gauges/histograms with
-  deterministic snapshots and an associative merge;
+* :mod:`repro.obs.registry` — labelled counters (collected from the
+  objects that count) and histograms with deterministic snapshots and
+  an associative merge;
 * :mod:`repro.obs.trace` — ring-buffered packet-lifecycle span events
   (ingress → cache-hit/redirect → authority → install → egress, plus
   drop/degradation causes) with JSONL export;
@@ -44,7 +45,6 @@ from repro.obs.flowtrace import FlowTraceAnalysis
 from repro.obs.profile import Profiler, STAGE_HISTOGRAM
 from repro.obs.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_METRIC,
@@ -70,7 +70,6 @@ __all__ = [
     "DeliverySketchObserver",
     "FixedWidthHistogram",
     "FlowTraceAnalysis",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRIC",

@@ -19,7 +19,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Optional
 
-from repro.obs.registry import Histogram, MetricsRegistry, NULL_METRIC
+from repro.obs.registry import Histogram, MetricsRegistry
 
 __all__ = ["Profiler", "STAGE_HISTOGRAM"]
 
@@ -37,11 +37,8 @@ class Profiler:
 
     def _child(self, stage: str):
         child = self._children.get(stage)
-        if child is None:
-            if self.registry is None:
-                child = NULL_METRIC
-            else:
-                child = self.registry.histogram(STAGE_HISTOGRAM, stage=stage)
+        if child is None:  # only reached when enabled, hence with a registry
+            child = self.registry.histogram(STAGE_HISTOGRAM, stage=stage)
             self._children[stage] = child
         return child
 

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and histograms with labels.
+"""The metrics registry: counters and histograms with labels.
 
 DIFANE's evaluation is counters all the way down — throughput, miss
 rate, redirect load, failover dips.  Before this layer every component
@@ -10,14 +10,17 @@ result of a run — the golden-regression tests diff exactly that.
 
 Design constraints:
 
-* **cheap** — components bind label children once (at attach/connect
-  time) and the hot path is a single ``+=``;
-* **no-op when disabled** — a disabled registry hands out a shared null
-  metric whose operations do nothing, so benchmarks can price the
-  observer itself (see ``bench_perf_core``);
+* **cheap** — a component keeps each per-packet statistic as a plain
+  integer attribute that the registry reads only when it is read
+  (:meth:`MetricsRegistry.collect`); counters with no attribute twin
+  bind a :class:`Counter` child once and ``inc()`` it;
+* **no-op when disabled** — a disabled registry registers no collector
+  and hands out a shared null metric whose operations do nothing, so
+  benchmarks can price the observer itself (see ``bench_perf_core``);
 * **mergeable** — :meth:`merged` combines registries associatively and
-  commutatively (counters add, gauges max, histograms add bucket-wise),
-  so multi-network experiments can fold their runs together.  The
+  commutatively (counters add, histograms add bucket-wise), so
+  multi-network experiments can fold their runs together (a pickled
+  registry ships numbers, not the objects that counted them).  The
   hypothesis suite pins those algebraic properties.
 """
 
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 import bisect
 import json
-from typing import Dict, Iterable, Optional, Tuple
+import weakref
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.sketch import (
     FixedWidthHistogram,
@@ -34,8 +39,8 @@ from repro.obs.sketch import (
 )
 
 __all__ = [
+    "Collectable",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRIC",
@@ -52,9 +57,6 @@ class _NullMetric:
     __slots__ = ()
 
     def inc(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
         pass
 
     def observe(self, value: float) -> None:
@@ -76,8 +78,8 @@ class Counter:
     __slots__ = ("value",)
     kind = "counter"
 
-    def __init__(self):
-        self.value = 0
+    def __init__(self, value: float = 0):
+        self.value = value
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
@@ -92,31 +94,56 @@ class Counter:
         self.value += other.value
 
 
-class Gauge:
-    """A point-in-time level (queue depth, TCAM occupancy)."""
+class Collectable:
+    """Base of an object whose attributes a registry collects: it is held
+    weakly, and its finalizer leaves each one's last value behind."""
 
-    __slots__ = ("value",)
-    kind = "gauge"
+    def __del__(self):
+        for reader in self.__dict__.get("_metric_readers", ()):
+            reader.final = reader.read(self)
 
-    def __init__(self):
-        self.value = 0
 
-    def set(self, value: float) -> None:
-        self.value = value
+class _Reader:
+    """One owner's collected attribute: read live, or its last value
+    (``final`` is unset until the owner's finalizer sets it)."""
 
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
+    __slots__ = ("owner", "read", "final")
+
+    def __init__(self, owner: Collectable, attribute: str):
+        self.owner = weakref.ref(owner)
+        self.read = attrgetter(attribute)
+
+
+class _Collected:
+    """A counter whose value is ``base`` (what merges add) plus one reader
+    per owner: every network of a run counting under a key sums in."""
+
+    __slots__ = ("base", "readers")
+    kind = "counter"
+
+    def __init__(self, base: float = 0):
+        self.base = base
+        self.readers: List[_Reader] = []
+
+    @property
+    def value(self) -> float:
+        total = self.base
+        for reader in self.readers:
+            owner = reader.owner()
+            total += reader.final if owner is None else reader.read(owner)
+        return total
 
     def export(self):
         return self.value
 
-    def fresh(self) -> "Gauge":
-        return Gauge()
+    def fresh(self) -> Counter:
+        return Counter()
 
-    def merge_from(self, other: "Gauge") -> None:
-        # max is associative and commutative; "highest level seen by any
-        # constituent run" is the useful cross-run semantics for levels.
-        self.value = max(self.value, other.value)
+    def merge_from(self, other) -> None:
+        self.base += other.value
+
+    def __reduce__(self):
+        return (Counter, (self.value,))  # the value travels, not its owners
 
 
 class Histogram:
@@ -207,12 +234,12 @@ class Histogram:
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 #: Snapshot section per metric kind.  The three classic sections are
-#: always present (their shape is pinned by every existing golden); the
+#: always present (their shape is pinned by every existing golden;
+#: ``gauges`` stays empty, levels are telemetry probe samples); the
 #: sketch sections appear only when such metrics exist, so documents
 #: from sketch-free runs are byte-identical to before.
 _KIND_SECTIONS = {
     "counter": "counters",
-    "gauge": "gauges",
     "histogram": "histograms",
     "fixedhist": "fixed_histograms",
     "sketch": "sketches",
@@ -235,10 +262,11 @@ def _render_key(name: str, label_key: _LabelKey) -> str:
 class MetricsRegistry:
     """One run's metric namespace.
 
-    ``counter``/``gauge``/``histogram`` return the live child bound to
-    the given labels — hold on to it and mutate it directly (the hot
-    path never re-resolves names).  A disabled registry returns
-    :data:`NULL_METRIC` from every accessor and snapshots to emptiness.
+    ``counter``/``histogram`` return the live child bound to the given
+    labels — hold on to it and mutate it directly (the hot path never
+    re-resolves names); :meth:`collect` instead reads a counter from its
+    owner.  A disabled registry returns :data:`NULL_METRIC` from every
+    accessor, collects nothing and snapshots to emptiness.
     """
 
     def __init__(self, enabled: bool = True):
@@ -249,8 +277,26 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> Counter:
         return self._get("counter", Counter, name, labels)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get("gauge", Gauge, name, labels)
+    def collect(self, name: str, owner: Collectable, attribute: str, **labels) -> None:
+        """Report counter ``name`` as ``owner``'s integer ``attribute`` (a
+        dotted path is fine), read whenever the registry is read; a pushed
+        value already under the key (a sweep worker's) becomes its base."""
+        if not self.enabled:
+            return
+        key = ("counter", name, _label_key(labels))
+        metric = self._metrics.get(key)
+        if not isinstance(metric, _Collected):
+            metric = _Collected(0 if metric is None else metric.value)
+            self._metrics[key] = metric
+        reader = _Reader(owner, attribute)
+        live = [reader]
+        for other in metric.readers:  # dead owners' last values join the base
+            if other.owner() is None:
+                metric.base += other.final
+            else:
+                live.append(other)
+        metric.readers = live
+        owner.__dict__.setdefault("_metric_readers", []).append(reader)
 
     def histogram(
         self, name: str, bounds: Tuple[float, ...] = DEFAULT_TIME_BUCKETS, **labels
@@ -309,11 +355,6 @@ class MetricsRegistry:
         for (kind, name, label_key), metric in self._metrics.items():
             if kind == "counter":
                 yield name, _render_key(name, label_key), metric.value
-
-    # -- lifecycle ------------------------------------------------------------
-    def reset(self) -> None:
-        """Forget every metric (children previously handed out go stale)."""
-        self._metrics.clear()
 
     # -- export ---------------------------------------------------------------
     def snapshot(self, exclude_prefixes: Iterable[str] = ()) -> Dict[str, Dict[str, object]]:

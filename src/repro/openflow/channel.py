@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.events import EventScheduler, ScheduledEvent
 from repro.obs import context as _obs_context
+from repro.obs.registry import Collectable
 from repro.openflow.messages import Message
 
 __all__ = ["ControlChannel", "ChannelFaultModel"]
@@ -108,7 +109,7 @@ class _Pending:
         self.on_acked = on_acked
 
 
-class ControlChannel:
+class ControlChannel(Collectable):
     """One switch's control session to the controller.
 
     Parameters
@@ -129,6 +130,17 @@ class ControlChannel:
     backoff_factor / backoff_cap_s:
         Exponential backoff multiplier per retry and its cap.
     """
+
+    #: Per-direction statistics as (registry event, :meth:`counters` key,
+    #: attribute stem): attempted unique messages (``messages_up`` /
+    #: ``messages_down``), unique deliveries, and the fault breakdown.
+    _STATS = (
+        ("attempted", "attempted", "messages"),
+        ("delivered", "delivered", "delivered"),
+        ("retry", "retries", "retries"),
+        ("duplicate", "duplicates", "duplicates"),
+        ("lost", "lost", "lost"),
+    )
 
     def __init__(
         self,
@@ -170,29 +182,18 @@ class ControlChannel:
         #: Called as ``on_lost(direction, message)`` when a message is
         #: abandoned (retries exhausted, or dropped on an unreliable send).
         self.on_lost: Optional[Callable[[str, Message], None]] = None
-        # Counters: attempted unique messages (the historical meaning of
-        # messages_up/down), unique deliveries, and the fault breakdown.
-        self.messages_up = 0
-        self.messages_down = 0
-        self.delivered_up = 0
-        self.delivered_down = 0
-        self.retries_up = 0
-        self.retries_down = 0
-        self.duplicates_up = 0
-        self.duplicates_down = 0
-        self.lost_up = 0
-        self.lost_down = 0
-        # Mirror the breakdown into the run's registry (aggregated over
-        # channels: no switch label, matching control_plane_counters()).
+        # The ``_STATS`` counters, one attribute per direction, which the
+        # run's registry reads (summed over channels: no switch label,
+        # matching control_plane_counters()).
         registry = metrics if metrics is not None else _obs_context.current_registry()
         self._profiler = _obs_context.current_profiler()
-        self._m = {
-            (direction, event): registry.counter(
-                "control_channel_events_total", direction=direction, event=event
-            )
-            for direction in ("up", "down")
-            for event in ("attempted", "delivered", "retry", "duplicate", "lost")
-        }
+        for direction in ("up", "down"):
+            for event, _, stem in self._STATS:
+                setattr(self, f"{stem}_{direction}", 0)
+                registry.collect(
+                    "control_channel_events_total", self, f"{stem}_{direction}",
+                    direction=direction, event=event,
+                )
 
     # -- public API -----------------------------------------------------------
     def send_to_controller(
@@ -203,7 +204,6 @@ class ControlChannel:
     ) -> None:
         """Switch-side send; arrives at the controller after the latency."""
         self.messages_up += 1
-        self._m[("up", "attempted")].inc()
         self._timed_send("up", message,
                          self.reliable if reliable is None else reliable, on_acked)
 
@@ -215,7 +215,6 @@ class ControlChannel:
     ) -> None:
         """Controller-side send; arrives at the switch after the latency."""
         self.messages_down += 1
-        self._m[("down", "attempted")].inc()
         self._timed_send("down", message,
                          self.reliable if reliable is None else reliable, on_acked)
 
@@ -232,16 +231,9 @@ class ControlChannel:
     def counters(self) -> Dict[str, int]:
         """The attempted/delivered/retry/duplicate/lost breakdown."""
         return {
-            "attempted_up": self.messages_up,
-            "attempted_down": self.messages_down,
-            "delivered_up": self.delivered_up,
-            "delivered_down": self.delivered_down,
-            "retries_up": self.retries_up,
-            "retries_down": self.retries_down,
-            "duplicates_up": self.duplicates_up,
-            "duplicates_down": self.duplicates_down,
-            "lost_up": self.lost_up,
-            "lost_down": self.lost_down,
+            f"{key}_{direction}": getattr(self, f"{stem}_{direction}")
+            for _, key, stem in self._STATS
+            for direction in ("up", "down")
         }
 
     # -- transmission mechanics -------------------------------------------------
@@ -298,11 +290,7 @@ class ControlChannel:
         pending.timeout_s = min(
             pending.timeout_s * self.backoff_factor, self.backoff_cap_s
         )
-        if direction == "up":
-            self.retries_up += 1
-        else:
-            self.retries_down += 1
-        self._m[(direction, "retry")].inc()
+        self.__dict__[f"retries_{direction}"] += 1
         profiler = self._profiler
         if profiler is not None and profiler.enabled:
             started = _time.perf_counter()
@@ -333,11 +321,7 @@ class ControlChannel:
             self.scheduler.schedule(delay, self._ack_arrived, direction, seq)
         seen = self._seen[direction]
         if seq in seen:
-            if direction == "up":
-                self.duplicates_up += 1
-            else:
-                self.duplicates_down += 1
-            self._m[(direction, "duplicate")].inc()
+            self.__dict__[f"duplicates_{direction}"] += 1
             return
         seen.add(seq)
         self._hand_over(direction, message)
@@ -365,7 +349,6 @@ class ControlChannel:
         self._hand_over(direction, message)
 
     def _hand_over(self, direction: str, message: Message) -> None:
-        self._m[(direction, "delivered")].inc()
         if direction == "up":
             self.delivered_up += 1
             self._to_controller(message)
@@ -374,11 +357,7 @@ class ControlChannel:
             self._to_switch(message)
 
     def _count_lost(self, direction: str, message: Message) -> None:
-        self._m[(direction, "lost")].inc()
-        if direction == "up":
-            self.lost_up += 1
-        else:
-            self.lost_down += 1
+        self.__dict__[f"lost_{direction}"] += 1
         if self.on_lost is not None:
             self.on_lost(direction, message)
 

@@ -25,6 +25,7 @@ from typing import Optional
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
+from repro.obs.registry import Collectable
 from repro.switch.tcam import Tcam
 
 __all__ = ["PipelineStage", "LookupResult", "DifanePipeline"]
@@ -39,8 +40,8 @@ class PipelineStage(Enum):
     MISS = "miss"
 
     # Members are singletons compared by identity, so identity hashing is
-    # exact; it keeps the per-packet stage-keyed lookups (stage counters,
-    # DifaneSwitch's stage accounting) off Enum's Python-level __hash__.
+    # exact; it keeps the per-packet stage-keyed lookup (DifaneSwitch's
+    # stage accounting) off Enum's Python-level __hash__.
     __hash__ = object.__hash__
 
 
@@ -66,7 +67,7 @@ class LookupResult:
         return f"LookupResult(rule={self.rule!r}, stage={self.stage!r})"
 
 
-class DifanePipeline:
+class DifanePipeline(Collectable):
     """Three banded TCAM regions evaluated in stage order.
 
     Parameters
@@ -96,19 +97,27 @@ class DifanePipeline:
         self.authority = Tcam(layout, authority_capacity)
         self.partition = Tcam(layout, partition_capacity)
         self.misses = 0
-        # Observability: bound at attach time (the network, and hence
-        # the run's registry, is unknown at construction).  Until then
-        # the stage counters are absent and lookups cost nothing extra.
-        self._m_stage: Optional[dict] = None
+        # Wall-time profiling of the engine lookup, bound at attach time
+        # (the network, and hence the run's profiler, is unknown here).
         self._profiler = None
 
+    @property
+    def authority_hits(self) -> int:
+        """Lookups the authority stage answered: only :meth:`lookup` reads
+        ``cache`` and ``partition`` (``authority`` is also read directly
+        on the redirect path), and it reaches ``partition`` on a miss."""
+        return self.cache.lookups - self.cache.hits - self.partition.lookups
+
     def bind_observability(self, metrics, profiler=None) -> None:
-        """Register per-stage lookup counters (and optional wall-time
-        profiling of the engine lookup) into ``metrics``."""
-        self._m_stage = {
-            stage: metrics.counter("pipeline_lookups_total", stage=stage.value)
-            for stage in PipelineStage
-        }
+        """Report per-stage lookup counts into ``metrics`` (and optionally
+        profile the engine lookup's wall time)."""
+        for stage, attribute in (
+            (PipelineStage.CACHE, "cache.hits"),
+            (PipelineStage.AUTHORITY, "authority_hits"),
+            (PipelineStage.PARTITION, "partition.hits"),
+            (PipelineStage.MISS, "misses"),
+        ):
+            metrics.collect("pipeline_lookups_total", self, attribute, stage=stage.value)
         self._profiler = profiler
 
     def lookup(self, packet: Packet, now: Optional[float] = None) -> LookupResult:
@@ -130,9 +139,6 @@ class DifanePipeline:
                 if rule is None:
                     stage = PipelineStage.MISS
                     self.misses += 1
-        stages = self._m_stage
-        if stages is not None:
-            stages[stage].inc()
         if started is not None:
             profiler.observe("pipeline-lookup", _time.perf_counter() - started)
         return LookupResult(rule, stage)

@@ -26,12 +26,12 @@ from repro.flowspace.action import (
 )
 from repro.flowspace.packet import Packet
 from repro.net.events import ServiceStation
-from repro.obs.registry import NULL_METRIC
+from repro.obs.registry import Collectable
 
 __all__ = ["DataPlaneSwitch"]
 
 
-class DataPlaneSwitch:
+class DataPlaneSwitch(Collectable):
     """Base class for switch behaviours registered with a SimNetwork.
 
     Parameters
@@ -67,23 +67,16 @@ class DataPlaneSwitch:
         self._station: Optional[ServiceStation] = None
         self.packets_seen = 0
         self.packets_dropped_overload = 0
-        # Null until attach() binds real registry children — keeps
-        # directly-driven switches (no network) working in tests.
-        self._m_seen = NULL_METRIC
-        self._m_queue_drops = NULL_METRIC
 
     # -- SimNetwork protocol ------------------------------------------------------
     def attach(self, network) -> None:
         """Called by ``SimNetwork.register_node``; wires the capacity queue."""
         self.network = network
-        # Bind per-switch metric children into the network's registry
-        # (the hot path then pays one += per packet, nothing more).
-        self._m_seen = network.metrics.counter(
-            "switch_packets_seen_total", switch=self.name
-        )
-        self._m_queue_drops = network.metrics.counter(
-            "switch_queue_drops_total", switch=self.name
-        )
+        # The run's registry reads the per-switch counts when asked; the
+        # hot path pays its one += on the attribute, nothing more.
+        for metric, stat in (("switch_packets_seen_total", "packets_seen"),
+                             ("switch_queue_drops_total", "packets_dropped_overload")):
+            network.metrics.collect(metric, self, stat, switch=self.name)
         pipeline = getattr(self, "pipeline", None)
         if pipeline is not None:
             pipeline.bind_observability(network.metrics, network.profiler)
@@ -104,7 +97,6 @@ class DataPlaneSwitch:
     def receive(self, packet: Packet) -> None:
         """Entry point from a link: count, then delay, queue or process."""
         self.packets_seen += 1
-        self._m_seen.inc()
         if self.forwarding_delay_s > 0:
             self.network.scheduler.schedule(self.forwarding_delay_s, self._admit, packet)
         else:
@@ -113,7 +105,6 @@ class DataPlaneSwitch:
     def _receive_now(self, packet: Packet) -> None:
         """:meth:`receive` bound by :meth:`attach` when nothing delays it."""
         self.packets_seen += 1
-        self._m_seen.inc()
         self.process(packet)
 
     def handle_packet(self, network, packet: Packet) -> None:
@@ -130,7 +121,6 @@ class DataPlaneSwitch:
 
     def _overloaded(self, packet: Packet) -> None:
         self.packets_dropped_overload += 1
-        self._m_queue_drops.inc()
         self.network.record_drop(packet, self.name, "switch overloaded")
 
     # -- behaviour hook --------------------------------------------------------------

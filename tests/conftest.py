@@ -27,6 +27,22 @@ def pytest_addoption(parser):
     )
 
 
+@pytest.fixture(autouse=True)
+def _restore_run_context():
+    """Each test ends in the run context it started in.
+
+    A test that installs one (``repro run`` does, per experiment) would
+    otherwise hand it, telemetry and all, to every later test: each
+    network those build would register into its registry and each
+    telemetry window would read all of them.
+    """
+    from repro.obs import context
+
+    previous = context.current()
+    yield
+    context.install(previous)
+
+
 @pytest.fixture
 def update_goldens(request):
     """True when the run should rewrite the golden metrics documents."""

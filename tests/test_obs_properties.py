@@ -1,9 +1,12 @@
 """Property tests for the observability layer (hypothesis).
 
-Three families of properties:
+Four families of properties:
 
 * the registry merge is **associative and commutative** — any grouping
   or ordering of per-run registries folds to the same snapshot;
+* a counter **collected** from an owner's attribute reads exactly like
+  one pushed by the same amounts, sums with every other getter under its
+  key, and pickles as a plain number;
 * histogram **quantiles are bounded by their samples** for every q;
 * trace-event accounting **reconciles exactly** with SimNetwork's
   delivered/dropped/degraded totals under randomized chaos schedules —
@@ -13,6 +16,8 @@ Three families of properties:
 from __future__ import annotations
 
 import dataclasses
+import pickle
+from typing import Optional
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +29,7 @@ from repro.net.failures import FailureInjector
 from repro.net.topology import TopologyBuilder
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import Collectable, Counter, Histogram, MetricsRegistry
 from repro.openflow.channel import ChannelFaultModel
 from repro.workloads.policies import routing_policy_for_topology
 from repro.workloads.traffic import host_pair_packets
@@ -38,25 +43,35 @@ _COUNTER_OPS = st.lists(
     st.tuples(_NAMES, _LABELS, st.integers(min_value=0, max_value=1000)),
     max_size=20,
 )
-_GAUGE_OPS = st.lists(
-    st.tuples(_NAMES, _LABELS, st.integers(min_value=-50, max_value=50)),
-    max_size=10,
-)
 # Dyadic rationals: float addition over them is exact, so histogram sums
 # stay bit-identical under any merge grouping (the property under test is
 # the merge algebra, not IEEE rounding).
 _HISTO_SAMPLES = st.integers(min_value=0, max_value=640).map(lambda n: n / 64)
 _HISTO_OPS = st.lists(st.tuples(_NAMES, _LABELS, _HISTO_SAMPLES), max_size=20)
-_REGISTRY_OPS = st.tuples(_COUNTER_OPS, _GAUGE_OPS, _HISTO_OPS)
+_REGISTRY_OPS = st.tuples(_COUNTER_OPS, _HISTO_OPS)
 
 
-def _build_registry(ops) -> MetricsRegistry:
-    counters, gauges, histos = ops
+class _Owner(Collectable):
+    """An object keeping one statistic, as a switch or channel does."""
+
+    def __init__(self):
+        self.count = 0
+
+
+def _build_registry(ops, owners: Optional[list] = None) -> MetricsRegistry:
+    """``ops`` applied to a fresh registry.  With ``owners``, each counter
+    op is instead one :class:`_Owner`'s attribute, registered and then
+    bumped; the owners live as long as that list holds them."""
+    counters, histos = ops
     registry = MetricsRegistry()
     for name, labels, amount in counters:
-        registry.counter(name, **labels).inc(amount)
-    for name, labels, level in gauges:
-        registry.gauge("g_" + name, **labels).set(level)
+        if owners is None:
+            registry.counter(name, **labels).inc(amount)
+        else:
+            owner = _Owner()
+            owners.append(owner)
+            registry.collect(name, owner, "count", **labels)
+            owner.count += amount
     for name, labels, sample in histos:
         registry.histogram("h_" + name, **labels).observe(sample)
     return registry
@@ -81,6 +96,79 @@ def test_merge_is_commutative(ops, order):
     shuffled = [_build_registry(o) for o in ops]
     order.shuffle(shuffled)
     assert MetricsRegistry.merged(*shuffled).snapshot() == baseline
+
+
+# -- collected counters -----------------------------------------------------------
+
+@given(ops=_REGISTRY_OPS, other=_REGISTRY_OPS)
+def test_collected_counters_read_like_pushed_ones(ops, other):
+    pushed = _build_registry(ops)
+    owners: list = []
+    collected = _build_registry(ops, owners)
+
+    def assert_reads_alike():
+        assert collected.snapshot() == pushed.snapshot()
+        assert list(collected.counter_items()) == list(pushed.counter_items())
+        for name in ("a_total", "b_total", "c_seconds"):
+            assert collected.sum_counters(name) == pushed.sum_counters(name)
+
+    assert_reads_alike()
+    # Merging in either direction, from or into collectors, adds alike.
+    assert (
+        MetricsRegistry.merged(collected, _build_registry(other, [])).snapshot()
+        == MetricsRegistry.merged(pushed, _build_registry(other)).snapshot()
+    )
+    collected.merge_from(_build_registry(other))
+    pushed.merge_from(_build_registry(other))
+    assert_reads_alike()
+    # The registry holds owners weakly: dead ones count at their last value.
+    owners.clear()
+    assert_reads_alike()
+
+
+@given(first=st.integers(0, 1000), second=st.integers(0, 1000))
+def test_owners_under_one_key_sum_and_are_read_live(first, second):
+    registry = MetricsRegistry()
+    a, b = _Owner(), _Owner()
+    registry.collect("x_total", a, "count", switch="s0")
+    registry.collect("x_total", b, "count", switch="s0")
+    a.count += first
+    assert registry.value("x_total", switch="s0") == first
+    b.count += second
+    assert registry.value("x_total", switch="s0") == first + second
+    assert registry.counter("x_total", switch="s0").value == first + second
+    assert len(registry) == 1
+    # A dead owner counts at its last value, also once a later
+    # registration under its key folds it into the base.
+    del a
+    assert registry.value("x_total", switch="s0") == first + second
+    registry.collect("x_total", _Owner(), "count", switch="s0")
+    assert registry.value("x_total", switch="s0") == first + second
+
+
+@given(ops=_REGISTRY_OPS)
+def test_pickling_freezes_collectors_into_counters(ops):
+    owners: list = []
+    registry = _build_registry(ops, owners)
+    data = pickle.dumps(registry)
+    assert _Owner.__name__.encode() not in data
+    restored = pickle.loads(data)
+    assert restored.snapshot() == registry.snapshot()
+    assert all(
+        type(metric) is Counter
+        for (kind, _, _), metric in restored._metrics.items()
+        if kind == "counter"
+    )
+
+
+def test_disabled_registry_collects_nothing():
+    registry = MetricsRegistry(enabled=False)
+    owner = _Owner()
+    registry.collect("x_total", owner, "count", switch="s0")
+    owner.count += 3
+    assert len(registry) == 0
+    assert registry.value("x_total", switch="s0") is None
+    assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 # -- histogram quantiles ----------------------------------------------------------
