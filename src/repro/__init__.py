@@ -73,7 +73,6 @@ from repro.core import (
     Partition,
     PartitionResult,
     assign_partitions,
-    build_partition_rules,
     choose_authority_switches,
     generate_cache_rule,
     generate_cache_rules,
@@ -117,7 +116,7 @@ __all__ = [
     "DifanePipeline", "aggregate_counters",
     # core
     "partition_policy", "Partition", "PartitionResult", "assign_partitions",
-    "build_partition_rules", "generate_cache_rule", "generate_cache_rules",
+    "generate_cache_rule", "generate_cache_rules",
     "DifaneSwitch", "DifaneController", "DifaneNetwork",
     "choose_authority_switches", "ChurnWorkload",
     # baselines

@@ -2,9 +2,9 @@
 
 from repro.analysis.stats import cdf, percentile, summarize, Summary
 from repro.analysis.series import Series
-from repro.analysis.report import render_table, render_series_table, format_si, format_seconds
+from repro.analysis.report import render_table, render_series_table, format_si
 from repro.analysis.asciiplot import ascii_plot
-from repro.analysis.timeline import rate_timeline, detour_timeline
+from repro.analysis.timeline import rate_timeline
 
 __all__ = [
     "cdf",
@@ -15,8 +15,6 @@ __all__ = [
     "render_table",
     "render_series_table",
     "format_si",
-    "format_seconds",
     "ascii_plot",
     "rate_timeline",
-    "detour_timeline",
 ]

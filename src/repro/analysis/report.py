@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.series import Series
 
-__all__ = ["render_table", "render_series_table", "format_si", "format_seconds"]
+__all__ = ["render_table", "render_series_table", "format_si"]
 
 
 def format_si(value: float, unit: str = "") -> str:
@@ -21,18 +21,6 @@ def format_si(value: float, unit: str = "") -> str:
         if magnitude >= threshold:
             return f"{value / threshold:.3g}{suffix}{unit}"
     return f"{value:.4g}{unit}"
-
-
-def format_seconds(value: float) -> str:
-    """Format a duration with the natural unit (s / ms / µs / ns)."""
-    magnitude = abs(value)
-    if magnitude >= 1.0:
-        return f"{value:.3g}s"
-    if magnitude >= 1e-3:
-        return f"{value * 1e3:.3g}ms"
-    if magnitude >= 1e-6:
-        return f"{value * 1e6:.3g}us"
-    return f"{value * 1e9:.3g}ns"
 
 
 def render_table(

@@ -1,15 +1,10 @@
 """Time-binned rate series from delivery records.
 
 Turns a simulation's :class:`~repro.net.simnet.DeliveryRecord` stream
-into rate-over-time curves (delivered/s, dropped/s, detour fraction) —
-the view the paper's throughput-over-time plots take, and the tool for
-spotting transients around dynamics events (failover dips, cache warm-up
-ramps).
-
-The same curves can be built from a :class:`~repro.obs.trace.PacketTracer`
-export — :func:`records_from_trace` adapts terminal trace events into
-record-shaped objects — so a trace JSONL captured from one run is enough
-to reconstruct its timelines offline.
+into a rate-over-time curve (delivered or all-outcome packets per
+second) — the view the paper's throughput-over-time plots take, and the
+tool for spotting transients around dynamics events (failover dips,
+cache warm-up ramps).
 """
 
 from __future__ import annotations
@@ -19,20 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.series import Series
-from repro.obs.trace import records_like
 
-__all__ = ["rate_timeline", "detour_timeline", "records_from_trace"]
-
-
-def records_from_trace(events) -> list:
-    """Adapt trace events into record objects the timeline builders accept.
-
-    ``events`` is any iterable of :class:`~repro.obs.trace.TraceEvent` (or
-    dicts from a trace JSONL); only terminal events (delivered/dropped)
-    survive, each exposing ``finished_at``, ``delivered``,
-    ``via_authority`` and ``via_controller``.
-    """
-    return records_like(events)
+__all__ = ["rate_timeline"]
 
 
 def rate_timeline(
@@ -68,32 +51,4 @@ def rate_timeline(
         series.append(
             start + (index + 0.5) * bin_width_s, counts[index] / bin_width_s
         )
-    return series
-
-
-def detour_timeline(
-    records: Sequence,
-    bin_width_s: float,
-    label: str = "detour fraction",
-) -> Series:
-    """Fraction of delivered packets that took the authority detour, per bin.
-
-    A falling curve is the cache warming up; a spike marks a flush or a
-    failover event.
-    """
-    if bin_width_s <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width_s}")
-    series = Series(label, x_label="time (s)", y_label="fraction via authority")
-    delivered = [r for r in records if r.delivered]
-    if not delivered:
-        return series
-    start = min(r.finished_at for r in delivered)
-    buckets = {}
-    for record in delivered:
-        index = int((record.finished_at - start) / bin_width_s)
-        total, detoured = buckets.get(index, (0, 0))
-        buckets[index] = (total + 1, detoured + (1 if record.via_authority else 0))
-    for index in sorted(buckets):
-        total, detoured = buckets[index]
-        series.append(start + (index + 0.5) * bin_width_s, detoured / total)
     return series

@@ -23,7 +23,7 @@ rather than the forwarding model.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
@@ -246,7 +246,3 @@ class NoxNetwork:
     def switch(self, name: str) -> NoxSwitch:
         """The switch behaviour at ``name``."""
         return self.network.node(name)
-
-    def switches(self) -> List[NoxSwitch]:
-        """All switch behaviours."""
-        return [self.network.node(n) for n in self.network.topology.switches()]

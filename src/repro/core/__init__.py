@@ -20,7 +20,6 @@ from repro.core.partition import (
     PartitionResult,
     partition_policy,
     assign_partitions,
-    build_partition_rules,
 )
 from repro.core.cachegen import generate_cache_rule, generate_cache_rules
 from repro.core.authority import DifaneSwitch
@@ -39,7 +38,6 @@ __all__ = [
     "PartitionResult",
     "partition_policy",
     "assign_partitions",
-    "build_partition_rules",
     "generate_cache_rule",
     "generate_cache_rules",
     "DifaneSwitch",

@@ -22,6 +22,7 @@ saturate.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.flowspace.fields import HeaderLayout
@@ -43,11 +44,11 @@ __all__ = ["DifaneSwitch"]
 #: Matches the headline number measured on the paper's kernel prototype.
 DEFAULT_REDIRECT_RATE = 800_000.0
 
-#: Ingress stage -> (switch statistic, per-class QoS statistic, trace kind).
+#: Ingress stage -> (per-class QoS statistic, trace kind).
 _STAGE_ACCOUNTING = {
-    PipelineStage.CACHE: ("cache_hits", "cache_hits", TraceKind.CACHE_HIT),
-    PipelineStage.AUTHORITY: ("authority_hits", "authority_hits", TraceKind.AUTHORITY_HIT),
-    PipelineStage.PARTITION: ("redirects_out", "redirects", TraceKind.REDIRECT),
+    PipelineStage.CACHE: ("cache_hits", TraceKind.CACHE_HIT),
+    PipelineStage.AUTHORITY: ("authority_hits", TraceKind.AUTHORITY_HIT),
+    PipelineStage.PARTITION: ("redirects", TraceKind.REDIRECT),
 }
 
 
@@ -81,13 +82,23 @@ class DifaneSwitch(DataPlaneSwitch):
     """
 
     #: Per-switch statistics the run's registry collects as
-    #: ``difane_<stat>_total{switch=...}`` counters: one integer attribute
-    #: each, so a statistic and its counter cannot diverge.
+    #: ``difane_<stat>_total{switch=...}`` counters: each is one integer
+    #: kept in one place, so a statistic and its counter cannot diverge.
     _MIRRORED_STATS = (
         "cache_hits", "authority_hits", "redirects_out", "redirects_handled",
         "cache_installs_sent", "cache_installs_received", "failovers", "unmatched",
         "degraded_packets",
     )
+    #: The ingress statistics the pipeline's stages count: the path the
+    #: collector reads, and a read-only property of the same name.
+    _STAGE_STATS = {
+        "cache_hits": "pipeline.cache.hits",
+        "authority_hits": "pipeline.authority_hits",
+        "redirects_out": "pipeline.partition.hits",
+    }
+    cache_hits = property(attrgetter(_STAGE_STATS["cache_hits"]))
+    authority_hits = property(attrgetter(_STAGE_STATS["authority_hits"]))
+    redirects_out = property(attrgetter(_STAGE_STATS["redirects_out"]))
 
     def __init__(
         self,
@@ -133,7 +144,8 @@ class DifaneSwitch(DataPlaneSwitch):
         self._beat = 0
         # Statistics the experiments read: the mirrored ones, then the rest.
         for stat in self._MIRRORED_STATS:
-            setattr(self, stat, 0)
+            if stat not in self._STAGE_STATS:
+                setattr(self, stat, 0)
         self.redirects_dropped = 0
         #: Redirects refused by QoS admission control.  Not mirrored: the
         #: per-class ``qos_shed_total`` counters carry it, QoS on only.
@@ -153,7 +165,8 @@ class DifaneSwitch(DataPlaneSwitch):
         # experiments read one canonical snapshot, not switch attributes.
         registry = network.metrics
         for stat in self._MIRRORED_STATS:
-            registry.collect(f"difane_{stat}_total", self, stat, switch=self.name)
+            registry.collect(f"difane_{stat}_total", self,
+                             self._STAGE_STATS.get(stat, stat), switch=self.name)
         # Cache occupancy and (cumulative) evictions are levels, not
         # counters — they go out as telemetry probe samples so the
         # registry stays gauge-free (gauge max-merge would break the
@@ -331,8 +344,7 @@ class DifaneSwitch(DataPlaneSwitch):
             self.unmatched += 1
             network.record_drop(packet, self.name, "no matching rule")
             return
-        stat, qos_stat, kind = _STAGE_ACCOUNTING[stage]
-        self.__dict__[stat] += 1
+        qos_stat, kind = _STAGE_ACCOUNTING[stage]
         if self._qos is not None:
             self._qos_count(qos_stat, (packet.header_bits,))
         tracer = network.tracer
@@ -541,8 +553,3 @@ class DifaneSwitch(DataPlaneSwitch):
 
     def _now(self) -> float:
         return self.network.scheduler.now if self.network is not None else 0.0
-
-    @property
-    def tcam_footprint(self) -> int:
-        """Total TCAM entries across the pipeline regions."""
-        return self.pipeline.total_entries()

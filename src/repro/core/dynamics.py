@@ -101,12 +101,3 @@ class ChurnWorkload:
     def run(self, steps: int) -> List[ChurnEvent]:
         """Apply ``steps`` updates; returns their events."""
         return [self.step() for _ in range(steps)]
-
-    # -- summaries --------------------------------------------------------------
-    def total_control_messages(self) -> int:
-        """Control messages across all recorded events."""
-        return sum(e.control_messages for e in self.events)
-
-    def total_flushed(self) -> int:
-        """Cache entries flushed across all recorded events."""
-        return sum(e.cache_entries_flushed for e in self.events)

@@ -34,9 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.flowspace.action import Encapsulate
 from repro.flowspace.fields import HeaderLayout
-from repro.flowspace.rule import Match, Rule, RuleKind
+from repro.flowspace.rule import Rule, RuleKind
 from repro.flowspace.ternary import Ternary
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "assign_partitions",
     "greedy_pack",
     "assign_partitions_to_shards",
-    "build_partition_rules",
 ]
 
 
@@ -87,7 +85,7 @@ class Partition:
     def __repr__(self) -> str:
         return (
             f"<Partition {self.partition_id} depth={self.depth} "
-            f"rules={len(self.rules)} region={_short(self.region)}>"
+            f"rules={len(self.rules)} region={self.region}>"
         )
 
 
@@ -439,33 +437,3 @@ def assign_partitions_to_shards(
         pid: derive_seed(seed, ("shard", pid, n_shards)) % n_shards
         for pid in partition_ids
     }
-
-
-def build_partition_rules(
-    partitions: Sequence[Partition],
-    assignment: Dict[int, List[str]],
-    layout: HeaderLayout,
-) -> List[Rule]:
-    """Build the ingress partition rules (one TCAM entry per partition).
-
-    Each rule matches a partition's region and encapsulates to its primary
-    authority switch.  Regions are disjoint, so priorities are irrelevant
-    for correctness; 0 keeps them visibly below everything else.
-    """
-    rules = []
-    for partition in partitions:
-        primary = assignment[partition.partition_id][0]
-        rules.append(
-            Rule(
-                match=Match(layout, partition.region),
-                priority=0,
-                actions=Encapsulate(primary),
-                kind=RuleKind.PARTITION,
-            )
-        )
-    return rules
-
-
-def _short(ternary: Ternary) -> str:
-    text = str(ternary)
-    return text if len(text) <= 24 else text[:21] + "..."

@@ -207,10 +207,6 @@ class ShardedControlPlane:
     def _by_id(self) -> List[ControllerShard]:
         return sorted(self.shards.values(), key=lambda s: s.shard_id)
 
-    def owner_of(self, pid: int) -> Optional[str]:
-        """The shard currently responsible for ``pid`` (leader view)."""
-        return self.ownership.get(pid)
-
     def can_act_on(self, pid: int) -> bool:
         """Whether management operations on ``pid`` can run *now*.
 

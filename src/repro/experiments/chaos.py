@@ -49,7 +49,6 @@ from repro.workloads.traffic import host_pair_packets, zipf_host_pair_packets
 
 __all__ = [
     "run_chaos_soak",
-    "run_chaos_replicates",
     "run_rebalance_soak",
     "attribute_drops",
 ]
@@ -518,55 +517,6 @@ def run_rebalance_soak(
         table_headers=["metric", "value"],
         table_rows=table_rows,
         notes=notes,
-    )
-
-
-def _chaos_replicate(seed: int, **soak_kwargs) -> Dict[str, object]:
-    """One replicate of the soak: the portable summary of its notes.
-
-    Everything returned is plain data (no Series, no Rule references), so
-    replicates can cross a process boundary; the keys cover exactly what
-    the robustness claims are judged on.
-    """
-    result = run_chaos_soak(seed=seed, **soak_kwargs)
-    notes = result.notes
-    return {
-        "seed": seed,
-        "delivered": notes["delivered"],
-        "dropped": notes["dropped"],
-        "drop_attribution": dict(notes["drop_attribution"]),
-        "unattributed_drops": notes["unattributed_drops"],
-        "unaccounted_packets": notes["unaccounted_packets"],
-        "invariant_violations": notes["invariant_violations"],
-        "detections": notes["detections"],
-        "false_positives": notes["false_positives"],
-        "recoveries": notes["recoveries"],
-        "degraded_packets": notes["degraded_packets"],
-        "failovers": notes["failovers"],
-        "chaos_events": notes["chaos_events"],
-    }
-
-
-def run_chaos_replicates(
-    replicates: int = 8,
-    root_seed: int = 7,
-    jobs: Optional[int] = None,
-    **soak_kwargs,
-) -> List[Dict[str, object]]:
-    """Sweep ``replicates`` independent soaks, one derived seed per point.
-
-    Seeds come from :func:`repro.parallel.seeds.derive_seed` over the
-    replicate index, so the schedule of replicate ``i`` depends only on
-    ``(root_seed, i)`` — never on worker count or completion order — and
-    a parallel sweep reproduces the serial one exactly.
-    """
-    from repro.parallel.runner import SweepRunner
-
-    return SweepRunner(jobs).map_seeded(
-        _chaos_replicate,
-        [("chaos-replicate", index) for index in range(replicates)],
-        base_params=soak_kwargs,
-        root_seed=root_seed,
     )
 
 

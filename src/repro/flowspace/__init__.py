@@ -10,8 +10,7 @@ built on.  It models the match semantics of an OpenFlow 1.0 style switch:
   port ranges) to ternary matches.
 * :mod:`repro.flowspace.packet` — concrete packet headers.
 * :mod:`repro.flowspace.rule` — prioritized wildcard rules with actions.
-* :mod:`repro.flowspace.table` — prioritized rule tables with lookup,
-  shadow analysis and semantic-equivalence checking.
+* :mod:`repro.flowspace.table` — prioritized rule tables with lookup.
 * :mod:`repro.flowspace.headerspace` — unions of ternary strings (header
   space algebra) used by the partitioning and cache-generation algorithms.
 """
@@ -29,7 +28,7 @@ from repro.flowspace.fields import (
     parse_ip,
     format_ip,
 )
-from repro.flowspace.ranges import range_to_ternaries, ternary_to_range
+from repro.flowspace.ranges import range_to_ternaries
 from repro.flowspace.packet import Packet
 from repro.flowspace.action import (
     Action,
@@ -58,7 +57,6 @@ __all__ = [
     "parse_ip",
     "format_ip",
     "range_to_ternaries",
-    "ternary_to_range",
     "Packet",
     "Action",
     "Forward",

@@ -1,8 +1,9 @@
 """Low-level bit helpers shared by the ternary-match machinery.
 
 Everything in the flow-space layer represents header bits as Python
-integers.  These helpers keep the bit-twiddling in one audited place so the
-algorithmic modules stay readable.
+integers.  The four helpers here — masks of a width, one bit, population
+count and the prefix-mask test — are what :mod:`~repro.flowspace.ternary`,
+:mod:`~repro.flowspace.fields` and :mod:`~repro.flowspace.ranges` share.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ def mask_of_width(width: int) -> int:
 def bit_at(value: int, position: int) -> int:
     """Return the bit of ``value`` at ``position`` (0 = least significant)."""
     return (value >> position) & 1
-
-
-def set_bit(value: int, position: int, bit: int) -> int:
-    """Return ``value`` with the bit at ``position`` forced to ``bit``."""
-    if bit:
-        return value | (1 << position)
-    return value & ~(1 << position)
 
 
 def popcount(value: int) -> int:
@@ -48,44 +42,3 @@ def is_contiguous_prefix_mask(mask: int, width: int) -> bool:
     # the form 2^k - 1.
     inverted = full & ~mask
     return (inverted & (inverted + 1)) == 0
-
-
-def prefix_length(mask: int, width: int) -> int:
-    """Length of the prefix selected by a contiguous high-order ``mask``.
-
-    Raises :class:`ValueError` when the mask is not a prefix mask.
-    """
-    if not is_contiguous_prefix_mask(mask, width):
-        raise ValueError(f"mask {mask:#x} is not a prefix mask of width {width}")
-    return popcount(mask)
-
-
-def lowest_set_bit(value: int) -> int:
-    """Index of the least-significant set bit; -1 when ``value`` is zero."""
-    if value == 0:
-        return -1
-    return (value & -value).bit_length() - 1
-
-
-def highest_set_bit(value: int) -> int:
-    """Index of the most-significant set bit; -1 when ``value`` is zero."""
-    if value == 0:
-        return -1
-    return value.bit_length() - 1
-
-
-def iter_set_bits(value: int):
-    """Yield indices of the set bits of ``value`` from least significant up."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
-
-
-def reverse_bits(value: int, width: int) -> int:
-    """Reverse the bit order of ``value`` within a ``width``-bit window."""
-    result = 0
-    for _ in range(width):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result

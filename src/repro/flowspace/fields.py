@@ -175,16 +175,6 @@ class HeaderLayout:
         spec = self._by_name[name]
         return match.extract(self._offsets[name], spec.width)
 
-    def field_of_bit(self, position: int) -> str:
-        """Name of the field containing packed bit ``position`` (LSB-based)."""
-        if not 0 <= position < self._width:
-            raise IndexError(f"bit {position} outside header of width {self._width}")
-        for field in self._fields:
-            offset = self._offsets[field.name]
-            if offset <= position < offset + field.width:
-                return field.name
-        raise AssertionError("unreachable: layout offsets are exhaustive")
-
     def describe_match(self, match: Ternary) -> str:
         """Render a packed match as ``field=pattern`` pairs, skipping wildcards."""
         parts = []

@@ -5,11 +5,9 @@ A :class:`HeaderSpace` is a (possibly overlapping) union of
 supports the set operations DIFANE's algorithms need:
 
 * the *uncovered remainder* computation used when generating independent
-  cache rules (rule minus all higher-priority overlaps),
+  cache rules (rule minus all higher-priority overlaps), and
 * partition coverage checks (do the partitions exactly tile the flow
-  space?), and
-* shadowing analysis (is a rule completely covered by higher-priority
-  rules?).
+  space?).
 
 The representation keeps a list of ternaries; ``subtract`` maintains the
 invariant that the result's members are pairwise disjoint, which keeps
@@ -151,15 +149,6 @@ class HeaderSpace:
             for piece in member.subtract(ternary):
                 result._members.append(piece)
         return result
-
-    def subtract_all(self, ternaries: Iterable[Ternary]) -> "HeaderSpace":
-        """Subtract every ternary in ``ternaries`` in sequence."""
-        space = self
-        for ternary in ternaries:
-            space = space.subtract(ternary)
-            if space.is_empty():
-                break
-        return space
 
     def intersection(self, ternary: Ternary) -> "HeaderSpace":
         """A new space equal to ``self`` ∩ ``ternary``."""

@@ -10,12 +10,12 @@ synthesizers use these helpers to produce realistic multi-entry rules.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
-from repro.flowspace.bits import is_contiguous_prefix_mask, mask_of_width, popcount
+from repro.flowspace.bits import mask_of_width
 from repro.flowspace.ternary import Ternary
 
-__all__ = ["range_to_ternaries", "ternary_to_range", "range_expansion_cost"]
+__all__ = ["range_to_ternaries"]
 
 
 def range_to_ternaries(low: int, high: int, width: int) -> List[Ternary]:
@@ -48,22 +48,3 @@ def range_to_ternaries(low: int, high: int, width: int) -> List[Ternary]:
         if position > limit:
             break
     return result
-
-
-def ternary_to_range(ternary: Ternary) -> Optional[Tuple[int, int]]:
-    """Return the inclusive ``(low, high)`` range of a *prefix* ternary.
-
-    Returns ``None`` when the ternary is not a contiguous prefix match (a
-    non-prefix ternary describes a non-contiguous set of integers).
-    """
-    if not is_contiguous_prefix_mask(ternary.mask, ternary.width):
-        return None
-    free = ternary.width - popcount(ternary.mask)
-    low = ternary.value
-    high = ternary.value | mask_of_width(free)
-    return (low, high)
-
-
-def range_expansion_cost(low: int, high: int, width: int) -> int:
-    """Number of TCAM entries the range ``[low, high]`` expands into."""
-    return len(range_to_ternaries(low, high, width))

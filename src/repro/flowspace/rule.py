@@ -243,11 +243,7 @@ class Rule:
             return self.derive()
         return self.derive(match=Match(self.match.layout, overlap))
 
-    # -- matching / accounting ------------------------------------------------------
-    def matches(self, packet: Packet) -> bool:
-        """True when the rule's match covers ``packet``."""
-        return self.match.matches_packet(packet)
-
+    # -- accounting ------------------------------------------------------------------
     def record_hit(self, packet: Packet, now: Optional[float] = None) -> None:
         """Update counters after this rule processed ``packet``."""
         self.packet_count += 1

@@ -116,15 +116,6 @@ class TopologyBuilder:
     """Factory methods for the topologies used by the experiments."""
 
     @staticmethod
-    def single_switch(hosts: int = 2) -> Topology:
-        """One switch with ``hosts`` attached hosts (prototype micro-bench)."""
-        topo = Topology()
-        topo.add_switch("s0")
-        for index in range(hosts):
-            topo.add_host(f"h{index}", "s0")
-        return topo
-
-    @staticmethod
     def linear(switch_count: int, hosts_per_switch: int = 1) -> Topology:
         """A chain s0 – s1 – ... with hosts on every switch."""
         if switch_count < 1:
@@ -195,42 +186,6 @@ class TopologyBuilder:
                     topo.add_link(access, backup, access_spec)
                 for _ in range(hosts_per_access):
                     topo.add_host(f"h{next(host_id)}", access)
-        return topo
-
-    @staticmethod
-    def fat_tree(k: int = 4, hosts_per_edge: int = 1) -> Topology:
-        """A k-ary fat tree (k even): the canonical data-center fabric.
-
-        ``(k/2)²`` core switches; k pods, each with ``k/2`` aggregation
-        and ``k/2`` edge switches; hosts hang off edge switches.  Used by
-        the scaling experiments when a data-center-shaped fabric (rather
-        than a campus) is wanted.
-        """
-        if k < 2 or k % 2:
-            raise ValueError(f"fat tree arity must be even and >= 2, got {k}")
-        topo = Topology()
-        half = k // 2
-        spine_spec = LinkSpec(propagation_s=10e-6, bandwidth_bps=40e9)
-        leaf_spec = LinkSpec(propagation_s=5e-6, bandwidth_bps=10e9)
-
-        cores = [
-            topo.add_switch(f"core{i}") for i in range(half * half)
-        ]
-        host_id = itertools.count()
-        for pod in range(k):
-            aggregations = [
-                topo.add_switch(f"agg{pod}_{i}") for i in range(half)
-            ]
-            edges = [topo.add_switch(f"edge{pod}_{i}") for i in range(half)]
-            for agg_index, agg in enumerate(aggregations):
-                # Each aggregation switch connects to `half` core switches.
-                for j in range(half):
-                    topo.add_link(agg, cores[agg_index * half + j], spine_spec)
-                for edge in edges:
-                    topo.add_link(agg, edge, leaf_spec)
-            for edge in edges:
-                for _ in range(hosts_per_edge):
-                    topo.add_host(f"h{next(host_id)}", edge)
         return topo
 
     @staticmethod

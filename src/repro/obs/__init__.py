@@ -61,7 +61,7 @@ from repro.obs.telemetry import (
     TelemetryRecorder,
     telemetry_section,
 )
-from repro.obs.trace import PacketTracer, TraceEvent, TraceKind, records_like
+from repro.obs.trace import PacketTracer, TraceEvent, TraceKind
 
 __all__ = [
     "Counter",
@@ -92,6 +92,5 @@ __all__ = [
     "current_tracer",
     "fresh_run_context",
     "install",
-    "records_like",
     "telemetry_section",
 ]

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
-__all__ = ["TraceKind", "TraceEvent", "PacketTracer", "records_like"]
+__all__ = ["TraceKind", "TraceEvent", "PacketTracer"]
 
 
 class TraceKind:
@@ -189,57 +189,9 @@ class PacketTracer:
             if opened:
                 handle.close()
 
-    def clear(self) -> None:
-        """Drop every buffered event and reset the recorded count."""
-        self._events.clear()
-        self.recorded = 0
-
     def __len__(self) -> int:
         return len(self._events)
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         return f"<PacketTracer {state} {len(self._events)}/{self.capacity} events>"
-
-
-def records_like(events: Iterable) -> List["_TraceRecord"]:
-    """Adapt terminal trace events into delivery-record-like rows.
-
-    Accepts :class:`TraceEvent` objects or plain dicts (the rows a trace
-    JSONL decodes to).  The returned objects expose ``finished_at``,
-    ``delivered``, ``via_authority`` and ``via_controller`` — the fields
-    :mod:`repro.analysis.timeline` consumes — so rate/detour timelines
-    can be built from a trace alone, without the network's record list.
-    """
-    rows: List[_TraceRecord] = []
-    for event in events:
-        if isinstance(event, dict):
-            kind = event.get("kind")
-            if kind not in TraceKind.TERMINAL:
-                continue
-            rows.append(
-                _TraceRecord(
-                    finished_at=float(event.get("time", 0.0)),
-                    delivered=kind == TraceKind.DELIVERED,
-                    via_authority=bool(event.get("via_authority", False)),
-                    via_controller=bool(event.get("via_controller", False)),
-                )
-            )
-        elif event.kind in TraceKind.TERMINAL:
-            rows.append(
-                _TraceRecord(
-                    finished_at=event.time,
-                    delivered=event.kind == TraceKind.DELIVERED,
-                    via_authority=event.via_authority,
-                    via_controller=event.via_controller,
-                )
-            )
-    return rows
-
-
-@dataclass
-class _TraceRecord:
-    finished_at: float
-    delivered: bool
-    via_authority: bool
-    via_controller: bool

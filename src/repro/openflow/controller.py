@@ -80,10 +80,6 @@ class Controller:
         self.channels[switch.name] = channel
         return channel
 
-    def channel_to(self, switch_name: str) -> ControlChannel:
-        """The control session for ``switch_name``."""
-        return self.channels[switch_name]
-
     # -- inbound path ----------------------------------------------------------------
     def _enqueue(self, message: Message) -> None:
         self.messages_received += 1

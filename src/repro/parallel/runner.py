@@ -35,7 +35,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.parallel.cache import artifact_cache, configure_artifact_cache
-from repro.parallel.seeds import derive_seed
 
 __all__ = ["SweepRunner", "resolve_jobs"]
 
@@ -144,22 +143,3 @@ class SweepRunner:
             if telemetry is not None and parent.telemetry.enabled:
                 parent.telemetry.merge_dump(telemetry)
         return values
-
-    def map_seeded(
-        self,
-        fn: Callable[..., Any],
-        keys: Sequence[Any],
-        base_params: Optional[Dict[str, Any]] = None,
-        root_seed: int = 0,
-        seed_param: str = "seed",
-    ) -> List[Any]:
-        """Replicate sweep: one point per key, seeded by ``(root_seed, key)``.
-
-        Per-point seeds come from :func:`derive_seed`, so they depend
-        only on the key — never on worker count or scheduling order.
-        """
-        base = dict(base_params or {})
-        param_sets = [
-            {**base, seed_param: derive_seed(root_seed, key)} for key in keys
-        ]
-        return self.map(fn, param_sets)

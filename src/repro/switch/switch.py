@@ -123,11 +123,6 @@ class DataPlaneSwitch(Collectable):
         self.packets_dropped_overload += 1
         self.network.record_drop(packet, self.name, "switch overloaded")
 
-    # -- behaviour hook --------------------------------------------------------------
-    def process(self, packet: Packet) -> None:
-        """Classify and act on one packet.  Subclasses must override."""
-        raise NotImplementedError
-
     # -- action execution ---------------------------------------------------------------
     def execute(self, packet: Packet, actions: Iterable[Action]) -> None:
         """Apply an action list (an :class:`ActionList` or its ``actions``

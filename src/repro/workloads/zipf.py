@@ -88,8 +88,3 @@ class ZipfSampler:
         """
         draws = self._rng.random(count)
         return self._permutation[np.searchsorted(self._cdf, draws)].tolist()
-
-    def head_mass(self, k: int) -> float:
-        """Total probability of the ``k`` most popular items."""
-        k = min(k, self.n)
-        return float(self._cdf[k - 1]) if k else 0.0

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     Series,
     cdf,
-    format_seconds,
     format_si,
     percentile,
     render_series_table,
@@ -75,12 +74,6 @@ class TestFormatting:
         assert format_si(1_500_000) == "1.5M"
         assert format_si(2.5e9) == "2.5G"
         assert format_si(42) == "42"
-
-    def test_format_seconds(self):
-        assert format_seconds(2.0) == "2s"
-        assert format_seconds(4.5e-3) == "4.5ms"
-        assert format_seconds(0.4e-3) == "400us"
-        assert format_seconds(5e-8) == "50ns"
 
     def test_render_table_alignment(self):
         text = render_table(["a", "bbb"], [["xx", 1], ["y", 22]], title="T")

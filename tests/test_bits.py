@@ -28,15 +28,6 @@ class TestBitAccess:
         assert bits.bit_at(0b1010, 1) == 1
         assert bits.bit_at(0b1010, 3) == 1
 
-    def test_set_bit_on(self):
-        assert bits.set_bit(0b0000, 2, 1) == 0b0100
-
-    def test_set_bit_off(self):
-        assert bits.set_bit(0b1111, 2, 0) == 0b1011
-
-    def test_set_bit_idempotent(self):
-        assert bits.set_bit(0b0100, 2, 1) == 0b0100
-
 
 class TestPopcount:
     def test_zero(self):
@@ -67,37 +58,3 @@ class TestPrefixMasks:
 
     def test_mask_exceeding_width_is_not_prefix(self):
         assert not bits.is_contiguous_prefix_mask(0x1FF, 8)
-
-    def test_prefix_length(self):
-        assert bits.prefix_length(0b11100000, 8) == 3
-        assert bits.prefix_length(0, 8) == 0
-        assert bits.prefix_length(0xFF, 8) == 8
-
-    def test_prefix_length_rejects_non_prefix(self):
-        with pytest.raises(ValueError):
-            bits.prefix_length(0b0101, 8)
-
-
-class TestScanning:
-    def test_lowest_set_bit(self):
-        assert bits.lowest_set_bit(0) == -1
-        assert bits.lowest_set_bit(0b1000) == 3
-        assert bits.lowest_set_bit(0b1010) == 1
-
-    def test_highest_set_bit(self):
-        assert bits.highest_set_bit(0) == -1
-        assert bits.highest_set_bit(0b1000) == 3
-        assert bits.highest_set_bit(1 << 99) == 99
-
-    def test_iter_set_bits(self):
-        assert list(bits.iter_set_bits(0b101001)) == [0, 3, 5]
-        assert list(bits.iter_set_bits(0)) == []
-
-    def test_reverse_bits(self):
-        assert bits.reverse_bits(0b0001, 4) == 0b1000
-        assert bits.reverse_bits(0b1011, 4) == 0b1101
-        assert bits.reverse_bits(0, 8) == 0
-
-    def test_reverse_involution(self):
-        for value in (0, 1, 0b1010, 0xAB):
-            assert bits.reverse_bits(bits.reverse_bits(value, 8), 8) == value

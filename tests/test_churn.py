@@ -71,15 +71,6 @@ class TestChurn:
                 assert (got.root_origin() is expected
                         or got.actions == expected.actions)
 
-    def test_totals(self):
-        dn = build()
-        churn = ChurnWorkload(dn.controller, L, seed=5)
-        churn.run(10)
-        assert churn.total_control_messages() == sum(
-            e.control_messages for e in churn.events
-        )
-        assert churn.total_flushed() >= 0
-
     def test_insert_fraction_validation(self):
         dn = build()
         with pytest.raises(ValueError):

@@ -561,10 +561,19 @@ class TestBudgetPartitioning:
             redirect_rate=None,
         )
 
+    @staticmethod
+    def _load(switch, cache_hits=0, redirects=0):
+        """Fake ingress load: the pipeline's stage counts, as ``cache_hits``
+        cache hits and ``redirects`` partition hits would leave them."""
+        pipeline = switch.pipeline
+        pipeline.cache.lookups = cache_hits + redirects
+        pipeline.cache.hits = cache_hits
+        pipeline.partition.lookups = pipeline.partition.hits = redirects
+
     def test_budgets_follow_load_with_floor(self):
         dn = self._network()
-        dn.switch("s0").cache_hits = 90
-        dn.switch("s1").cache_hits = 10
+        self._load(dn.switch("s0"), cache_hits=90)
+        self._load(dn.switch("s1"), cache_hits=10)
         budgets = dn.controller.partition_cache_budgets(total_budget=32)
         assert sum(budgets.values()) == 32
         assert set(budgets) == {"s0", "s1", "s2", "s3"}
@@ -577,8 +586,8 @@ class TestBudgetPartitioning:
 
     def test_deterministic_and_conserving(self):
         dn = self._network()
-        dn.switch("s0").cache_hits = 7
-        dn.switch("s2").redirects_out = 7                # tie with s0
+        self._load(dn.switch("s0"), cache_hits=7)
+        self._load(dn.switch("s2"), redirects=7)          # tie with s0
         first = dn.controller.partition_cache_budgets(total_budget=9)
         second = dn.controller.partition_cache_budgets(total_budget=9)
         assert first == second                           # name-ordered ties
@@ -600,7 +609,7 @@ class TestBudgetPartitioning:
                      kind=RuleKind.CACHE),
                 now=0.0,
             )
-        dn.switch("s0").cache_hits = 100
+        self._load(dn.switch("s0"), cache_hits=100)
         budgets = dn.controller.partition_cache_budgets(total_budget=12)
         assert budgets["s3"] < 8
         assert victim.cache.occupancy() == budgets["s3"]

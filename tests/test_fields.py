@@ -136,12 +136,6 @@ class TestPacking:
         )
         assert packet.fields() == {**dict.fromkeys(layout.names(), 0), **values}
 
-    def test_field_of_bit(self):
-        assert FIVE_TUPLE_LAYOUT.field_of_bit(0) == "tp_dst"
-        assert FIVE_TUPLE_LAYOUT.field_of_bit(103) == "nw_src"
-        with pytest.raises(IndexError):
-            FIVE_TUPLE_LAYOUT.field_of_bit(104)
-
 
 class TestPackMatch:
     def test_omitted_fields_are_wildcard(self):

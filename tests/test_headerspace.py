@@ -102,13 +102,6 @@ class TestAlgebra:
         assert space.contains_bits(0x00)
         assert not space.contains_bits(0x80)
 
-    def test_subtract_all_short_circuits(self):
-        space = HeaderSpace.full(W).subtract_all(
-            [Ternary.from_string("0xxxxxxx"), Ternary.from_string("1xxxxxxx"),
-             Ternary.exact(5, W)]
-        )
-        assert space.is_empty()
-
     def test_intersection(self):
         space = HeaderSpace.of(
             Ternary.from_string("0xxxxxxx"), Ternary.from_string("11xxxxxx")

@@ -8,7 +8,6 @@ import pathlib
 
 import pytest
 
-from repro.analysis.timeline import rate_timeline, records_from_trace
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
 from repro.obs.profile import Profiler, STAGE_HISTOGRAM
@@ -17,7 +16,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     NULL_METRIC,
 )
-from repro.obs.trace import PacketTracer, TraceKind, records_like
+from repro.obs.trace import PacketTracer, TraceKind
 
 
 class _FakePacket:
@@ -175,33 +174,6 @@ class TestTracer:
         assert row["kind"] == "delivered"
         assert row["packet_id"] == 9
         assert row["experiment"] == "E4"
-
-    def test_records_like_accepts_events_and_dicts(self):
-        tracer = PacketTracer(enabled=True)
-        tracer.record(0.0, TraceKind.INGRESS, _FakePacket(1))
-        tracer.record(1.0, TraceKind.DELIVERED, _FakePacket(1, via_authority=True))
-        tracer.record(2.0, TraceKind.DROPPED, _FakePacket(2))
-        from_events = records_like(tracer.events())
-        assert len(from_events) == 2
-        assert from_events[0].delivered and from_events[0].via_authority
-        assert not from_events[1].delivered
-        dicts = [
-            {"time": 1.0, "kind": "delivered", "via_authority": True},
-            {"time": 2.0, "kind": "dropped"},
-            {"time": 0.0, "kind": "ingress"},
-        ]
-        from_dicts = records_like(dicts)
-        assert [(r.finished_at, r.delivered) for r in from_dicts] == [
-            (1.0, True), (2.0, False),
-        ]
-
-    def test_timeline_from_trace_matches_timeline_from_records(self):
-        tracer = PacketTracer(enabled=True)
-        for index in range(10):
-            tracer.record(index * 0.1, TraceKind.DELIVERED, _FakePacket(index))
-        series = rate_timeline(records_from_trace(tracer.events()), 0.2)
-        assert len(series) > 0
-        assert sum(y * 0.2 for y in series.y) == pytest.approx(10)
 
 
 # -- profiler ---------------------------------------------------------------------

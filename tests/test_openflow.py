@@ -11,6 +11,8 @@ from repro.openflow import (
     Controller,
     FlowMod,
     FlowModCommand,
+    FlowRemoved,
+    Heartbeat,
     PacketIn,
     StatsReply,
 )
@@ -130,6 +132,25 @@ class TestControllerBase:
         channel = controller.connect_switch(switch)
         channel.send_to_controller(StatsReply(switch="s0"))
         sched.run()  # must not raise
+
+    def test_default_hooks_ignore_what_they_do_not_handle(self):
+        """The base controller's default hooks: a punted packet, a rule
+        expiry, an unclassified message and a CPU-queue overflow are
+        counted and otherwise ignored (nothing goes back to the switch)."""
+        sched = EventScheduler()
+        controller = Controller(sched, processing_rate=1.0, queue_limit=2)
+        switch = FakeSwitch("s0")
+        channel = controller.connect_switch(switch)
+        punt = PacketIn(switch="s0", packet=Packet.from_fields(L))
+        expiry = FlowRemoved(switch="s0", rule=Rule(Match.any(L), 1, Drop()))
+        # One in service, two queued, the fourth overflows the queue.
+        for message in (punt, expiry, Heartbeat(switch="s0"), punt):
+            channel.send_to_controller(message)
+        sched.run()
+        assert controller.messages_received == 4
+        assert controller.messages_dropped == 1
+        assert controller.cpu.completed == 3
+        assert switch.received == []
 
     def test_cpu_utilization_probe(self):
         sched = EventScheduler()

@@ -1,8 +1,6 @@
-"""Tests for fat-tree topologies and load rebalancing."""
+"""Tests for load rebalancing."""
 
 import random
-
-import pytest
 
 from repro.core import DifaneNetwork
 from repro.flowspace import FIVE_TUPLE_LAYOUT, Forward, Match, Packet, Rule
@@ -10,42 +8,6 @@ from repro.net import TopologyBuilder
 from repro.workloads.policies import routing_policy_for_topology
 
 L5 = FIVE_TUPLE_LAYOUT
-
-
-class TestFatTree:
-    def test_structure(self):
-        topo = TopologyBuilder.fat_tree(k=4, hosts_per_edge=2)
-        switches = topo.switches()
-        assert len([s for s in switches if s.startswith("core")]) == 4
-        assert len([s for s in switches if s.startswith("agg")]) == 8
-        assert len([s for s in switches if s.startswith("edge")]) == 8
-        assert len(topo.hosts()) == 16
-        assert topo.is_connected()
-
-    def test_edge_degree(self):
-        topo = TopologyBuilder.fat_tree(k=4, hosts_per_edge=1)
-        # Every edge switch: k/2 aggregation uplinks + hosts.
-        for name in topo.switches():
-            if name.startswith("edge"):
-                assert topo.graph.degree[name] == 2 + 1
-
-    def test_odd_arity_rejected(self):
-        with pytest.raises(ValueError):
-            TopologyBuilder.fat_tree(k=3)
-
-    def test_runs_difane(self):
-        topo = TopologyBuilder.fat_tree(k=2, hosts_per_edge=1)
-        rules, host_ips = routing_policy_for_topology(topo, L5)
-        dn = DifaneNetwork.build(
-            topo, rules, L5, authority_count=1, cache_capacity=16,
-        )
-        hosts = sorted(host_ips)
-        packet = Packet.from_fields(
-            L5, nw_dst=host_ips[hosts[1]], nw_proto=6, tp_src=5, tp_dst=80
-        )
-        dn.send(hosts[0], packet)
-        dn.run()
-        assert dn.network.delivered()[0].endpoint == hosts[1]
 
 
 class TestRebalancing:

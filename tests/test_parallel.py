@@ -175,10 +175,6 @@ def _square_and_count(x):
     return x * x
 
 
-def _report_seed(seed):
-    return seed
-
-
 def _worker_pid(x):
     return os.getpid()
 
@@ -266,22 +262,6 @@ class TestSweepRunner:
         pids = SweepRunner(4).map(_worker_pid, [dict(x=x) for x in range(3)])
         assert set(pids) == {os.getpid()}
 
-    def test_seeds_independent_of_worker_count(self):
-        keys = [("replicate", index) for index in range(6)]
-        serial = SweepRunner(1).map_seeded(_report_seed, keys, root_seed=5)
-        parallel = SweepRunner(3).map_seeded(_report_seed, keys, root_seed=5)
-        assert serial == parallel
-        assert serial == [derive_seed(5, key) for key in keys]
-        assert len(set(serial)) == len(keys)
-
-    def test_seeds_independent_of_key_insertion_order(self):
-        keys = [("replicate", index) for index in range(6)]
-        forward = SweepRunner(1).map_seeded(_report_seed, keys, root_seed=5)
-        backward = SweepRunner(1).map_seeded(
-            _report_seed, list(reversed(keys)), root_seed=5
-        )
-        assert forward == list(reversed(backward))
-
 
 # ---------------------------------------------------------------------------
 # End-to-end: experiments under jobs>1 reproduce the serial run exactly
@@ -314,22 +294,6 @@ class TestExperimentDeterminism:
             assert a.label == b.label
             assert a.x == b.x
             assert a.y == b.y
-
-    def test_chaos_replicates_reproduce_serial(self):
-        from repro.experiments.chaos import run_chaos_replicates
-
-        kwargs = dict(rate=600.0, duration=0.25)
-        serial = run_chaos_replicates(
-            replicates=2, root_seed=11, jobs=1, **kwargs
-        )
-        parallel = run_chaos_replicates(
-            replicates=2, root_seed=11, jobs=2, **kwargs
-        )
-        assert parallel == serial
-        for replicate in serial:
-            assert replicate["invariant_violations"] == 0
-            assert replicate["unaccounted_packets"] == 0
-            assert replicate["drop_attribution"].get("unattributed", 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import assign_partitions, build_partition_rules, partition_policy
+from repro.core import assign_partitions, partition_policy
 from repro.core.partition import greedy_pack
 from repro.flowspace import (
     Drop,
-    Encapsulate,
     Forward,
     Match,
     Rule,
@@ -345,25 +344,6 @@ def test_prop_greedy_pack_equals_the_packers_it_replaced(weights, candidates, re
     single = ({pid: chosen[0] for pid, chosen in assignment.items()}, load)
     _same_packing(single, _rebalance_oracle(weights, candidates))
     _same_packing(single, _repack_oracle(weights, candidates))
-
-
-class TestPartitionRules:
-    def test_one_rule_per_partition(self):
-        result = partition_policy(small_policy(), L, num_partitions=4)
-        assignment = assign_partitions(result.partitions, ["a", "b"])
-        rules = build_partition_rules(result.partitions, assignment, L)
-        assert len(rules) == 4
-        for partition_rule in rules:
-            assert partition_rule.kind is RuleKind.PARTITION
-            action = partition_rule.actions.actions[0]
-            assert isinstance(action, Encapsulate)
-
-    def test_partition_rule_regions_match(self):
-        result = partition_policy(small_policy(), L, num_partitions=4)
-        assignment = assign_partitions(result.partitions, ["a"])
-        rules = build_partition_rules(result.partitions, assignment, L)
-        for partition, partition_rule in zip(result.partitions, rules):
-            assert partition_rule.match.ternary == partition.region
 
 
 # ---------------------------------------------------------------------------

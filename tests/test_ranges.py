@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flowspace import range_to_ternaries, ternary_to_range, Ternary
-from repro.flowspace.ranges import range_expansion_cost
+from repro.flowspace import range_to_ternaries, Ternary
 
 
 class TestRangeToTernaries:
@@ -38,25 +37,6 @@ class TestRangeToTernaries:
             range_to_ternaries(5, 3, 4)
         with pytest.raises(ValueError):
             range_to_ternaries(0, 16, 4)
-
-    def test_cost_helper(self):
-        assert range_expansion_cost(0, 15, 4) == 1
-        assert range_expansion_cost(1, 14, 4) == 6
-
-
-class TestTernaryToRange:
-    def test_prefix_gives_range(self):
-        t = Ternary.from_prefix(0b1010 << 4, 4, 8)
-        assert ternary_to_range(t) == (0xA0, 0xAF)
-
-    def test_wildcard(self):
-        assert ternary_to_range(Ternary.wildcard(4)) == (0, 15)
-
-    def test_exact(self):
-        assert ternary_to_range(Ternary.exact(9, 4)) == (9, 9)
-
-    def test_non_prefix_is_none(self):
-        assert ternary_to_range(Ternary.from_string("1x0x")) is None
 
 
 @settings(max_examples=200)

@@ -106,6 +106,22 @@ class TestLeaseTakeover:
         assert "adoption" in kinds
         assert plane.term == 0  # no election: the leader never died
 
+    def test_follower_orphans_handed_over_by_transfer_and_ack(self):
+        """With three shards the leader adopts part of a dead follower's
+        partitions itself and transfers the rest to the live follower,
+        which owns them only once its OwnershipAck reaches the leader."""
+        dn, _, _ = build_star()
+        plane = self.attach(dn, seed=0)
+        owned_before = [p for p, s in plane.ownership.items() if s == "shard1"]
+        dn.network.scheduler.schedule_at(0.1, plane.kill_shard, "shard1")
+        dn.run(until=0.5)
+        kinds = [e["event"] for e in plane.events]
+        assert kinds.index("transfer") < kinds.index("transfer-ack")
+        assert "adoption" in kinds
+        assert not plane.in_transfer
+        assert {plane.ownership[p] for p in owned_before} == {"shard0", "shard2"}
+        assert plane.term == 0
+
     def test_restored_leader_resumes_without_election(self):
         dn, _, _ = build_star()
         plane = self.attach(dn, n_shards=2)

@@ -1,7 +1,5 @@
 """Unit and property tests for RuleTable."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,60 +102,6 @@ class TestMutation:
         table = RuleTable(L, [a])
         assert a in table
         assert rule(1) not in table
-
-
-class TestAnalysis:
-    def test_dependencies_of(self, overlapping_table):
-        rules = list(overlapping_table.rules)
-        default = rules[-1]
-        deps = overlapping_table.dependencies_of(default)
-        assert set(deps) == set(rules[:-1])
-        top = rules[0]
-        assert overlapping_table.dependencies_of(top) == []
-
-    def test_shadowed_rule_detected(self):
-        wide = rule(10, Forward("w"), f1="0000xxxx")
-        hidden = rule(5, Forward("h"), f1="00001xxx")
-        table = RuleTable(L, [wide, hidden])
-        assert table.shadowed_rules() == [hidden]
-
-    def test_shadow_by_union(self):
-        # Two half-covers jointly shadow a third rule.
-        left = rule(10, Forward("l"), f1="0xxxxxxx")
-        right = rule(9, Forward("r"), f1="1xxxxxxx")
-        below = rule(1, Forward("b"))
-        table = RuleTable(L, [left, right, below])
-        assert table.shadowed_rules() == [below]
-
-    def test_no_false_shadows(self, overlapping_table):
-        assert overlapping_table.shadowed_rules() == []
-
-    def test_uncovered_region_semantics(self, overlapping_table):
-        rules = list(overlapping_table.rules)
-        mid = rules[1]  # priority 20
-        region = overlapping_table.uncovered_region(mid)
-        rng = random.Random(0)
-        for _ in range(100):
-            bits = rng.getrandbits(16)
-            wins = overlapping_table.lookup_bits(bits) is mid
-            assert region.contains_bits(bits) == wins
-
-    def test_semantically_equal_self(self, overlapping_table):
-        rng = random.Random(0)
-        ok, counterexample = overlapping_table.semantically_equal(
-            overlapping_table.lookup_bits, rng
-        )
-        assert ok
-        assert counterexample is None
-
-    def test_semantically_equal_detects_difference(self, overlapping_table):
-        other = RuleTable(L, [rule(1, Drop())])
-        rng = random.Random(0)
-        ok, counterexample = other.semantically_equal(
-            overlapping_table.lookup_bits, rng, samples=100
-        )
-        assert not ok
-        assert counterexample is not None
 
 
 # ---------------------------------------------------------------------------

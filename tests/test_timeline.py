@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.timeline import detour_timeline, rate_timeline
+from repro.analysis.timeline import rate_timeline
 from repro.net.simnet import DeliveryRecord
 
 
@@ -38,48 +38,3 @@ class TestRateTimeline:
     def test_invalid_bin(self):
         with pytest.raises(ValueError):
             rate_timeline([], bin_width_s=0)
-
-
-class TestDetourTimeline:
-    def test_warmup_shape(self):
-        # First bin: all detours (cold cache); second bin: none.
-        records = (
-            [record(0.01 * i, via_authority=True) for i in range(5)]
-            + [record(0.1 + 0.01 * i, via_authority=False) for i in range(5)]
-        )
-        series = detour_timeline(records, bin_width_s=0.1)
-        assert series.y[0] == pytest.approx(1.0)
-        assert series.y[-1] == pytest.approx(0.0)
-
-    def test_drops_excluded(self):
-        records = [record(0.01, via_authority=True),
-                   record(0.02, delivered=False, via_authority=True)]
-        series = detour_timeline(records, bin_width_s=0.1)
-        assert series.y == [pytest.approx(1.0)]
-
-    def test_empty(self):
-        assert len(detour_timeline([], bin_width_s=0.1)) == 0
-
-    def test_live_network_warmup(self):
-        """End-to-end: the detour fraction falls as caches warm."""
-        from repro.core import DifaneNetwork
-        from repro.flowspace import FIVE_TUPLE_LAYOUT
-        from repro.net import TopologyBuilder
-        from repro.workloads.policies import routing_policy_for_topology
-        from repro.workloads.traffic import host_pair_packets
-
-        topo = TopologyBuilder.linear(3, hosts_per_switch=2)
-        rules, host_ips = routing_policy_for_topology(topo, FIVE_TUPLE_LAYOUT)
-        dn = DifaneNetwork.build(
-            topo, rules, FIVE_TUPLE_LAYOUT, authority_count=1,
-            cache_capacity=64, redirect_rate=None,
-        )
-        for timed in host_pair_packets(
-            topo, host_ips, FIVE_TUPLE_LAYOUT, count=150, rate=2000.0,
-            seed=5, flow_packets=2,
-        ):
-            dn.send_at(timed.time, timed.source_host, timed.packet)
-        dn.run()
-        series = detour_timeline(dn.network.delivered(), bin_width_s=0.02)
-        assert len(series) >= 2
-        assert series.y[-1] < series.y[0]

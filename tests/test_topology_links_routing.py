@@ -86,10 +86,6 @@ class TestTopology:
 
 
 class TestBuilders:
-    def test_single_switch(self):
-        topo = TopologyBuilder.single_switch(hosts=3)
-        assert len(topo.switches()) == 1
-        assert len(topo.hosts()) == 3
 
     def test_linear(self):
         topo = TopologyBuilder.linear(4, hosts_per_switch=2)

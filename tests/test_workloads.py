@@ -96,11 +96,6 @@ class TestZipf:
         # Sampling still works and stays in range.
         assert all(0 <= i < 100 for i in shuffled.sample_many(50))
 
-    def test_head_mass(self):
-        sampler = ZipfSampler(100, alpha=1.0)
-        assert sampler.head_mass(100) == pytest.approx(1.0)
-        assert 0 < sampler.head_mass(1) < 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ZipfSampler(0)
