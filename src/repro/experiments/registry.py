@@ -186,6 +186,7 @@ _SPECS = [
         "A5", "Ablation: measured-load repartitioning",
         "repro.experiments.ablations:run_rebalance_ablation",
         quick=dict(packets=1000),
+        golden="A5-rebalance",
     ),
     ExperimentSpec(
         "A6", "Extension: failover transient under load",
