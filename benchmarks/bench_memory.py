@@ -23,7 +23,7 @@ import pathlib
 import subprocess
 import sys
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once
 
 from repro.analysis.report import render_table
 
@@ -104,9 +104,7 @@ def test_bench_memory_bounded_soak(benchmark, archive):
             ["metric", "value"], rows,
             title="M1 million-host soak: peak RSS vs budget",
         ),
-    )
-    (RESULTS_DIR / "M1-memory-bound.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+        timing=report,
     )
 
     assert report["peak_rss_mb"] <= RSS_BUDGET_MB, (

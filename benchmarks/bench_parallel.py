@@ -10,8 +10,8 @@ Two claims are gated here:
 * warming the on-disk workload artifact cache turns a ClassBench
   10K-rule build into a load that is ≥5x faster than generating.
 
-The archived JSON carries the host provenance, so every number can be
-read against the hardware that produced it.
+The sweep's text archive names the host's core count, the one fact of
+the hardware its gate depends on.
 """
 
 import json

@@ -10,13 +10,12 @@ statistically meaningful timings.  They guard the hot paths:
 * the full partitioner on a 10K-rule policy.
 """
 
-import json
 import random
 import statistics
 import time
 
 import pytest
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once
 
 from repro.core import generate_cache_rule, partition_policy
 from repro.flowspace import RuleTable, Ternary
@@ -214,8 +213,7 @@ def test_perf_obs_overhead(benchmark, archive):
         "",
         "telemetry overhead is relative to metrics-on; others to disabled",
     ]
-    archive("obs-overhead", "\n".join(lines))
-    (RESULTS_DIR / "obs-overhead.json").write_text(json.dumps(report, indent=2) + "\n")
+    archive("obs-overhead", "\n".join(lines), timing=report)
 
     assert report["metrics_overhead"] < 0.15, (
         f"metrics-on overhead {report['metrics_overhead']:.1%} exceeds the gate"
@@ -306,10 +304,7 @@ def test_perf_cache_ops(benchmark, archive):
         "",
         f"speedup: {report['speedup']}x",
     ]
-    archive("perf-cache-ops", "\n".join(lines))
-    (RESULTS_DIR / "perf-cache-ops.json").write_text(
-        json.dumps(report, indent=2) + "\n"
-    )
+    archive("perf-cache-ops", "\n".join(lines), timing=report)
 
     assert report["speedup"] >= 10.0, (
         f"indexed cache ops only {report['speedup']}x over the scan oracle"

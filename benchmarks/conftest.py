@@ -5,10 +5,12 @@ run via pytest-benchmark (one round — these are experiments, not
 microbenchmarks), prints the rows/series, and archives them under
 ``benchmarks/results/`` so EXPERIMENTS.md can reference a stable copy.
 
-Every archived JSON embeds the host's provenance (CPU model, core
-count, interpreter, worker count), because wall-clock numbers — and the
-speedups the parallel benchmarks gate on — are meaningless without the
-hardware they were measured on.
+Every archived timing JSON embeds the host's provenance (CPU model,
+core count, interpreter, worker count), because wall-clock numbers are
+meaningless without the hardware they were measured on.  The metrics
+documents carry none: they count simulated events, so they are the same
+on every host, and CI diffs the figures' documents against the
+checked-in copies.
 
 Parallelism knobs: ``--repro-jobs N`` (or the ``REPRO_JOBS`` env var)
 fans experiment sweeps out over N worker processes; ``--repro-cache-dir``
@@ -18,8 +20,10 @@ runs.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
+from typing import Optional
 
 import pytest
 
@@ -65,20 +69,24 @@ def archive(request):
     The fixture installs a fresh observability context before the bench
     body runs, so every network the bench builds reports into one
     registry; the writer persists that registry as ``<name>-metrics.json``
-    next to the text archive, stamped with the host's provenance.
+    next to the text archive.  ``archive(name, text, timing=report)``
+    also writes the wall-clock ``report`` as ``<name>.json``, stamped
+    with the host's provenance.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     previous = obs_context.current()
     context = fresh_run_context()
     provenance = host_provenance(jobs=request.config.getoption("--repro-jobs"))
 
-    def write(name: str, text: str) -> None:
+    def write(name: str, text: str, timing: Optional[dict] = None) -> None:
         print()
         print(text)
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        context.metrics.write_json(
-            RESULTS_DIR / f"{name}-metrics.json", name=name, host=provenance
-        )
+        context.metrics.write_json(RESULTS_DIR / f"{name}-metrics.json", name=name)
+        if timing is not None:
+            (RESULTS_DIR / f"{name}.json").write_text(json.dumps(
+                dict(timing, host=provenance), indent=2, sort_keys=True
+            ) + "\n")
 
     yield write
     obs_context.install(previous)

@@ -44,6 +44,10 @@ __all__ = ["DifaneSwitch"]
 #: Matches the headline number measured on the paper's kernel prototype.
 DEFAULT_REDIRECT_RATE = 800_000.0
 
+#: Extra latency of the in-band cache-install message beyond the routed
+#: path delay (models TCAM write time at the ingress switch).
+_INSTALL_LATENCY_S = 50e-6
+
 #: Ingress stage -> (per-class QoS statistic, trace kind).
 _STAGE_ACCOUNTING = {
     PipelineStage.CACHE: ("cache_hits", TraceKind.CACHE_HIT),
@@ -69,11 +73,8 @@ class DifaneSwitch(DataPlaneSwitch):
         removes the bound (pure-semantics tests).
     redirect_queue:
         Redirect packets that may queue before tail drop.
-    eviction / idle_timeout / hard_timeout:
+    eviction / idle_timeout:
         Cache management knobs (see :class:`CacheManager`).
-    install_latency_s:
-        Extra latency for the in-band cache-install message beyond the
-        routed path delay (models TCAM write time at the ingress switch).
     prefetch_fragments:
         Cache fragments installed per miss.  1 (the paper's behaviour)
         installs the fragment covering the missed packet; higher values
@@ -109,18 +110,13 @@ class DifaneSwitch(DataPlaneSwitch):
         redirect_queue: int = 512,
         eviction: EvictionPolicy = EvictionPolicy.LRU,
         idle_timeout: Optional[float] = None,
-        hard_timeout: Optional[float] = None,
-        install_latency_s: float = 50e-6,
-        processing_rate: Optional[float] = None,
         forwarding_delay_s: float = 0.0,
         prefetch_fragments: int = 1,
         cache_options: Optional[dict] = None,
     ):
         if prefetch_fragments < 1:
             raise ValueError("prefetch_fragments must be >= 1")
-        super().__init__(
-            name, processing_rate=processing_rate, forwarding_delay_s=forwarding_delay_s
-        )
+        super().__init__(name, forwarding_delay_s=forwarding_delay_s)
         self.layout = layout
         self.pipeline = DifanePipeline(layout)
         self.cache = CacheManager(
@@ -128,12 +124,10 @@ class DifaneSwitch(DataPlaneSwitch):
             capacity=cache_capacity,
             policy=eviction,
             default_idle_timeout=idle_timeout,
-            default_hard_timeout=hard_timeout,
             **(cache_options or {}),
         )
         self.redirect_rate = redirect_rate
         self.redirect_queue = redirect_queue
-        self.install_latency_s = install_latency_s
         self.prefetch_fragments = prefetch_fragments
         self._redirect_station: Optional[ServiceStation] = None
         #: Control session to the DIFANE controller; ``None`` until
@@ -454,7 +448,7 @@ class DifaneSwitch(DataPlaneSwitch):
         the penalty (redirect here plus the install path back) is what
         cost-aware eviction reads."""
         distance = self.network.routes.distance
-        delay = self.install_latency_s + distance(self.name, ingress)
+        delay = _INSTALL_LATENCY_S + distance(self.name, ingress)
         return delay, distance(ingress, self.name) + delay
 
     def _install_plan(

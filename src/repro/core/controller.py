@@ -27,7 +27,6 @@ from repro.core.partition import (
     Partition,
     PartitionResult,
     assign_partitions,
-    greedy_pack,
     partition_policy,
 )
 from repro.core.placement import choose_authority_switches
@@ -309,9 +308,9 @@ class DifaneController(Collectable):
     def reinstate_authority(self, name: str) -> bool:
         """Make a repaired (or falsely-suspected) switch eligible again.
 
-        Partitions are not moved back proactively — :meth:`rebalance` or
-        the next failover will use the switch — but it rejoins the
-        candidate pool.  Returns True when the list actually changed.
+        Partitions are not moved back proactively — a migration
+        (:class:`~repro.core.shards.PartitionMigrator`) or the next
+        failover will use the switch — but it rejoins the candidate pool.  Returns True when the list actually changed.
 
         Authority fragments the switch still holds from before it died
         (its partitions were re-homed while it was down, so the
@@ -335,7 +334,7 @@ class DifaneController(Collectable):
         the current primary.  Raises :class:`PartitionInvariantError`
         listing all violations; returns the number of partitions checked.
 
-        Run this after every reconvergence (failover handling, rebalance,
+        Run this after every reconvergence (failover handling, migration,
         repair) — a clean pass means no redirected packet can black-hole
         on a stale partition rule.
         """
@@ -668,53 +667,6 @@ class DifaneController(Collectable):
             return 1.0
         return max(values) / mean
 
-    def rebalance(self) -> int:
-        """Reassign partitions to balance *measured* redirect load.
-
-        The initial assignment balances TCAM entries; once traffic flows,
-        load can skew (hot partitions).  Greedy re-packing on measured
-        load moves whole partitions between authority switches — fragments
-        are installed at new owners, withdrawn from old ones, and every
-        ingress switch's partition rule is re-pointed.  Returns the number
-        of partitions whose primary moved.
-
-        Caches stay valid: cache rules encode forwarding decisions, not
-        authority locations, so no flush is needed.
-        """
-        loads = self.partition_loads()
-        # Greedy: heaviest partitions first onto the least-loaded switch;
-        # the assignment iterates in that placement order.
-        assignment, _ = greedy_pack(loads, self.authority_switches)
-        moved = 0
-        for pid, (new_primary,) in assignment.items():
-            state = self._states[pid]
-            if new_primary == state.primary:
-                continue
-            moved += 1
-            # The new primary plus the old owners as backups, same length.
-            backups = [name for name in state.owners if name != new_primary]
-            self.move_partition(pid, ([new_primary] + backups)[: max(len(state.owners), 1)])
-        return moved
-
-    def move_partition(self, pid: int, new_owners: Sequence[str]) -> None:
-        """Re-home ``pid`` onto ``new_owners`` (primary first) at once; the
-        old owner list may be empty.  The synchronous counterpart of
-        :class:`~repro.core.shards.PartitionMigrator`."""
-        state = self._states[pid]
-        for owner in new_owners:
-            if owner not in state.installed:
-                self._install_fragments(state, owner)
-        if state.primary not in (None, new_owners[0]):
-            # Fragment counters at the old primary are the partition's load
-            # history; MOVE them so post-move load measurements stay
-            # meaningful and the transparency aggregation never double-counts.
-            state.move_load_history(state.primary, new_owners[0])
-        for owner in state.owners:
-            if owner not in new_owners:
-                self._withdraw(owner, state.installed.pop(owner, []))
-        state.owners = list(new_owners)
-        self._repoint_partition_rules(state)
-
     def _install_fragments(self, state: _PartitionState, owner: str) -> None:
         """Install fresh fragments of ``state``'s partition at ``owner`` on
         the configuration-time path and record them as ``owner``'s."""
@@ -863,14 +815,12 @@ class DifaneNetwork:
         layout: HeaderLayout,
         authority_count: int = 1,
         authority_switches: Optional[Sequence[str]] = None,
-        placement: str = "central",
         cache_capacity: int = 1024,
         replication: int = 1,
         partitions_per_authority: int = 1,
         redirect_rate: Optional[float] = None,
         redirect_queue: int = 512,
         idle_timeout: Optional[float] = None,
-        hard_timeout: Optional[float] = None,
         eviction: EvictionPolicy = EvictionPolicy.LRU,
         cut_strategy: str = "split-aware",
         forwarding_delay_s: float = 0.0,
@@ -893,7 +843,6 @@ class DifaneNetwork:
                     redirect_rate=redirect_rate,
                     redirect_queue=redirect_queue,
                     idle_timeout=idle_timeout,
-                    hard_timeout=hard_timeout,
                     eviction=eviction,
                     forwarding_delay_s=forwarding_delay_s,
                     prefetch_fragments=prefetch_fragments,
@@ -901,9 +850,7 @@ class DifaneNetwork:
                 )
             )
         if authority_switches is None:
-            authority_switches = choose_authority_switches(
-                topology, authority_count, strategy=placement
-            )
+            authority_switches = choose_authority_switches(topology, authority_count)
         controller = DifaneController(
             network,
             layout,

@@ -595,13 +595,20 @@ class PartitionMigrator:
     Installs and retires travel as FlowMods over the per-switch ARQ
     channel when one is connected (the flip waits for every install
     ack), or apply immediately on the configuration-time path.
+
+    Moving the primary onto one of its own backups is a swap: the old
+    primary stays a backup and nothing is retired, so the partition
+    keeps every replica.
     """
 
-    def __init__(self, controller, retire_grace_s: float = 0.01,
+    #: Simulated seconds between the flip and the source's retire, long
+    #: enough for redirects already in flight to the source to drain.
+    RETIRE_GRACE_S = 0.01
+
+    def __init__(self, controller,
                  on_complete: Optional[Callable[[Migration], None]] = None):
         self.controller = controller
         self.network = controller.network
-        self.retire_grace_s = retire_grace_s
         self.on_complete = on_complete
         #: In-flight migrations by partition id.
         self.active: Dict[int, Migration] = {}
@@ -660,8 +667,8 @@ class PartitionMigrator:
                 detail=f"partition {pid}: {migration.source}->{target} ({reason})",
             )
         if target in state.owners:
-            # Already a backup: fragments are in place, flip directly.
-            self._flip(migration)
+            # Already a backup: fragments are in place, swap directly.
+            self._flip(migration, keep_source=True)
             return migration
         state.owners.append(target)  # joins as backup: never unowned
         channel = controller.channels.get(target)
@@ -726,10 +733,13 @@ class PartitionMigrator:
             RETIRE_TIMEOUT_S, self._install_check, migration
         )
 
-    def _flip(self, migration: Migration) -> None:
+    def _flip(self, migration: Migration, keep_source: bool = False) -> None:
         """Atomically promote the target: one event moves the load
         history, rewrites the owner list, and re-points every ingress
-        partition rule — no packet window sees a half-flipped state."""
+        partition rule — no packet window sees a half-flipped state.
+
+        ``keep_source`` (the target was already a backup) keeps the
+        source in the owner list as a backup and retires nothing."""
         controller = self.controller
         state = controller._states[migration.pid]
         if migration.phase != "install":
@@ -749,9 +759,10 @@ class PartitionMigrator:
             state.move_load_history(source, migration.target)
         state.owners = [migration.target] + [
             owner for owner in state.owners
-            if owner not in (migration.target, source)
+            if owner != migration.target and (keep_source or owner != source)
         ]
-        migration.retire_fragments = state.installed.pop(source, [])
+        if not keep_source:
+            migration.retire_fragments = state.installed.pop(source, [])
         controller._repoint_partition_rules(state)
         migration.phase = "retire"
         migration.flipped_at = now
@@ -764,11 +775,11 @@ class PartitionMigrator:
             )
         if migration.retire_fragments and self.network.switch_alive(source):
             self.network.scheduler.schedule(
-                self.retire_grace_s, self._retire, migration
+                self.RETIRE_GRACE_S, self._retire, migration
             )
         else:
-            # Nothing to withdraw (or the source is dead: its stale
-            # fragments are purged if it ever rejoins the pool).
+            # Nothing to withdraw (a swap, or the source is dead: its
+            # stale fragments are purged if it ever rejoins the pool).
             self._complete(migration)
 
     def _retire(self, migration: Migration) -> None:
@@ -864,13 +875,18 @@ class Rebalancer:
     * **authority-imbalance** (warning) — greedy repack of partitions
       by window load over the live authorities, pulling in spares one
       at a time while the projected Jain fairness stays below the
-      detector threshold; at most ``max_moves_per_cycle`` migrations
-      (reason ``"hot"``) per firing, then ``cooldown_cycles`` quiet
+      detector threshold; at most ``MAX_MOVES_PER_CYCLE`` migrations
+      (reason ``"hot"``) per firing, then ``COOLDOWN_CYCLES`` quiet
       cycles so in-flight moves can land before re-evaluating.
 
     When a :class:`ShardedControlPlane` is attached, actions on a
     partition whose owner shard is unavailable are deferred to it.
     """
+
+    #: Hot migrations started per imbalance firing.
+    MAX_MOVES_PER_CYCLE = 2
+    #: Quiet cycles after a repack, so in-flight moves land first.
+    COOLDOWN_CYCLES = 2
 
     def __init__(
         self,
@@ -879,9 +895,6 @@ class Rebalancer:
         plane: Optional[ShardedControlPlane] = None,
         interval_s: float = 0.02,
         spares: Sequence[str] = (),
-        fairness_threshold: float = IMBALANCE_FAIRNESS_THRESHOLD,
-        max_moves_per_cycle: int = 2,
-        cooldown_cycles: int = 2,
     ):
         self.controller = controller
         self.network = controller.network
@@ -889,9 +902,6 @@ class Rebalancer:
         self.plane = plane
         self.interval_s = interval_s
         self.spares = list(spares)
-        self.fairness_threshold = fairness_threshold
-        self.max_moves_per_cycle = max_moves_per_cycle
-        self.cooldown_cycles = cooldown_cycles
         #: Synthetic telemetry windows (health-detector input format).
         self.windows: List[Dict[str, object]] = []
         #: Per-cycle record: fairness and what was done.
@@ -973,11 +983,11 @@ class Rebalancer:
             and not self.migrator.active
         ):
             moves = self._plan_repack(window_loads)
-            for pid, target in moves[: self.max_moves_per_cycle]:
+            for pid, target in moves[: self.MAX_MOVES_PER_CYCLE]:
                 if self._request(pid, target, "hot", now):
                     acted.append(f"hot:{pid}->{target}")
             if moves:
-                self._cooldown = self.cooldown_cycles
+                self._cooldown = self.COOLDOWN_CYCLES
         self.history.append(
             {
                 "index": index,
@@ -1051,7 +1061,7 @@ class Rebalancer:
         while True:
             assignment, packed = greedy_pack(window_loads, candidates)
             projected = jain_fairness(list(packed.values()))
-            if projected >= self.fairness_threshold or not spares_left:
+            if projected >= IMBALANCE_FAIRNESS_THRESHOLD or not spares_left:
                 break
             candidates = candidates + [spares_left.pop(0)]
         # Only move when the repack genuinely improves on the current
@@ -1119,9 +1129,6 @@ def attach_sharded_control_plane(
     spares: Sequence[str] = (),
     rebalance: bool = True,
     rebalance_interval_s: float = 0.02,
-    retire_grace_s: float = 0.01,
-    max_moves_per_cycle: int = 2,
-    cooldown_cycles: int = 2,
     on_migration_complete: Optional[Callable[[Migration], None]] = None,
 ) -> ShardedControlPlane:
     """Wire shards + migrator (+ optional rebalancer) onto a controller.
@@ -1141,9 +1148,7 @@ def attach_sharded_control_plane(
         fault_model=fault_model,
         max_retries=max_retries,
     )
-    migrator = PartitionMigrator(
-        controller, retire_grace_s=retire_grace_s, on_complete=on_migration_complete
-    )
+    migrator = PartitionMigrator(controller, on_complete=on_migration_complete)
     plane.migrator = migrator
     if rebalance:
         plane.rebalancer = Rebalancer(
@@ -1152,8 +1157,6 @@ def attach_sharded_control_plane(
             plane=plane,
             interval_s=rebalance_interval_s,
             spares=spares,
-            max_moves_per_cycle=max_moves_per_cycle,
-            cooldown_cycles=cooldown_cycles,
         )
     plane.start()
     if plane.rebalancer is not None:

@@ -12,7 +12,8 @@ five quantify them:
 * :func:`run_partition_granularity` — partitions per authority switch:
   finer partitions balance redirect load at the cost of split overhead;
 * :func:`run_rebalance_ablation` — re-packing partitions on measured
-  redirect load after a traffic hotspot skews it (paper §4).
+  redirect load after a traffic hotspot skews it (paper §4), moved by
+  the online migrator.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from repro.baselines.microflow_cache import (
     simulate_wildcard_cache,
 )
 from repro.core.controller import DifaneNetwork
-from repro.core.partition import partition_policy
+from repro.core.partition import greedy_pack, partition_policy
+from repro.core.shards import PartitionMigrator
 from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.packet import Packet
@@ -309,13 +311,15 @@ def run_partition_granularity(
 
 
 def run_rebalance_ablation(packets: int = 3000, seed: int = 71) -> ExperimentResult:
-    """Load imbalance before and after ``rebalance()`` under a hotspot.
+    """Load imbalance before and after a repack under a hotspot.
 
     The initial assignment balances TCAM entries over three authority
     switches; Zipf-hot destinations then concentrate redirects on one of
-    them, and ``rebalance()`` re-packs partitions on *measured* load.
-    Reports the imbalance on both sides, the partitions moved, the
-    control messages the move cost and the final owners per partition.
+    them.  The repack packs partitions greedily on *measured* load
+    (:func:`greedy_pack`) and hands each partition whose primary changes
+    to the :class:`PartitionMigrator`.  Reports the imbalance on both
+    sides, the partitions moved, the control messages the moves cost and
+    the final owners per partition.
     """
     topo = TopologyBuilder.star(6, hosts_per_leaf=2)
     rules, host_ips = routing_policy_for_topology(topo, LAYOUT)
@@ -343,7 +347,15 @@ def run_rebalance_ablation(packets: int = 3000, seed: int = 71) -> ExperimentRes
     controller = dn.controller
     before = controller.load_imbalance()
     messages_before = controller.control_messages
-    moved = controller.rebalance()
+    migrator = PartitionMigrator(controller)
+    assignment, _ = greedy_pack(
+        controller.partition_loads(), controller.authority_switches
+    )
+    moved = sum(
+        migrator.migrate(pid, target, reason="rebalance") is not None
+        for pid, (target,) in assignment.items()
+    )
+    dn.run()  # the sources' fragments retire after the grace period
     cost = controller.control_messages - messages_before
     after = controller.load_imbalance()
     return ExperimentResult(

@@ -12,18 +12,12 @@ delivered-rate timeline and packet loss for both designs:
 
 * ``replicated``: replication=2, pure data-plane failover, the controller
   is never involved;
-* ``controller-repair``: replication=1; the controller notices after a
-  detection delay and re-points partitions to a surviving switch.
+* ``controller-repair``: replication=1; the controller is handed the
+  failure at ``failure_time + detection_delay_s`` and re-points
+  partitions to a surviving switch.
 
-The controller's detection delay comes in two modes.  ``scheduled`` (the
-default, and the original behaviour) hands the controller the failure at
-``failure_time + detection_delay_s`` exactly.  ``heartbeat`` attaches a
-real control plane instead: authority switches emit heartbeats and a
-:class:`~repro.core.controller.HeartbeatMonitor` declares the switch
-dead after ``miss_threshold`` silent intervals — the detection latency
-is then an emergent quantity (≈ ``miss_threshold × heartbeat_interval_s``
-plus phase and channel latency) and is reported in the notes along with
-the control-channel delivery breakdown.
+Heartbeat detection, where the delay is emergent, is measured by the
+chaos soaks (C1, C2-STATIC).
 """
 
 from __future__ import annotations
@@ -53,10 +47,8 @@ def _run_one(
     duration: float,
     failure_time: float,
     seed: int,
-    heartbeat_interval_s: Optional[float] = None,
-    miss_threshold: int = 3,
 ):
-    """One run; returns (network facade, injector)."""
+    """One run; returns the network facade."""
     topo = TopologyBuilder.star(4, hosts_per_leaf=1)
     rules, host_ips = routing_policy_for_topology(topo, LAYOUT, seed=seed)
     dn = DifaneNetwork.build(
@@ -67,16 +59,8 @@ def _run_one(
         cache_capacity=0,
         redirect_rate=None,
     )
-    injector = FailureInjector(dn.network)
-    injector.fail_switch_at(failure_time, "s0")
-    if heartbeat_interval_s is not None:
-        # Emergent detection: the monitor notices the silence on its own.
-        dn.controller.connect_control_plane(
-            heartbeat_interval_s=heartbeat_interval_s,
-            miss_threshold=miss_threshold,
-            max_retries=None,
-        )
-    elif detection_delay_s is not None:
+    FailureInjector(dn.network).fail_switch_at(failure_time, "s0")
+    if detection_delay_s is not None:
         dn.network.scheduler.schedule_at(
             failure_time + detection_delay_s,
             dn.controller.handle_authority_failure,
@@ -95,13 +79,8 @@ def _run_one(
             tp_src=rng.randint(1024, 65535), tp_dst=80,
         )
         dn.send_at(index / rate, src, packet)
-    if heartbeat_interval_s is not None:
-        # Heartbeat timers keep the event loop alive forever; bound the
-        # run, leaving room for post-traffic detection to complete.
-        dn.run(until=duration + (miss_threshold + 2) * heartbeat_interval_s)
-    else:
-        dn.run()
-    return dn, injector
+    dn.run()
+    return dn
 
 
 def run_failover_transient(
@@ -111,29 +90,15 @@ def run_failover_transient(
     detection_delay_s: float = 0.05,
     bin_width_s: float = 0.02,
     seed: int = 47,
-    detection_mode: str = "scheduled",
-    heartbeat_interval_s: float = 0.02,
-    miss_threshold: int = 3,
 ) -> ExperimentResult:
-    """Compare data-plane failover against controller-driven repair.
-
-    ``detection_mode="scheduled"`` (default) uses the hand-scheduled
-    ``detection_delay_s``; ``"heartbeat"`` detects the failure via the
-    heartbeat monitor and reports the emergent latency instead.
-    """
-    if detection_mode not in ("scheduled", "heartbeat"):
-        raise ValueError(f"unknown detection_mode {detection_mode!r}")
-    heartbeats = detection_mode == "heartbeat"
-    replicated, _ = _run_one(
+    """Compare data-plane failover against controller-driven repair."""
+    replicated = _run_one(
         replication=2, detection_delay_s=None,
         rate=rate, duration=duration, failure_time=failure_time, seed=seed,
     )
-    repaired, _ = _run_one(
-        replication=1,
-        detection_delay_s=None if heartbeats else detection_delay_s,
+    repaired = _run_one(
+        replication=1, detection_delay_s=detection_delay_s,
         rate=rate, duration=duration, failure_time=failure_time, seed=seed,
-        heartbeat_interval_s=heartbeat_interval_s if heartbeats else None,
-        miss_threshold=miss_threshold,
     )
 
     series: List[Series] = []
@@ -160,22 +125,11 @@ def run_failover_transient(
                        "data-plane failovers", "control msgs"],
         table_rows=rows,
     )
-    notes = {
+    result.notes = {
         "rate": rate,
         "failure_time": failure_time,
         "detection_delay_s": detection_delay_s,
         "replicated_drops": int(rows[0][2]),
         "repair_drops": int(rows[1][2]),
     }
-    if heartbeats:
-        monitor = repaired.controller.monitor
-        detected = [t for t, s in monitor.detections if s == "s0"]
-        notes["detection_mode"] = "heartbeat"
-        notes["heartbeat_interval_s"] = heartbeat_interval_s
-        notes["miss_threshold"] = miss_threshold
-        notes["measured_detection_delay_s"] = (
-            detected[0] - failure_time if detected else None
-        )
-        notes["control_counters"] = repaired.controller.control_plane_counters()
-    result.notes = notes
     return result

@@ -52,6 +52,13 @@ __all__ = ["EvictionPolicy", "CacheManager", "ScanCacheManager"]
 #: EWMA step for the manager-level re-fetch penalty estimate (used for
 #: entries installed without a per-rule penalty stamp).
 _PENALTY_ALPHA = 0.25
+#: COST policy: the re-fetch penalty (seconds) that normalizes the score
+#: to 1.0 per expected hit when no measured penalty exists.
+_COST_BASE_PENALTY_S = 1e-3
+#: COST policy: weight of the fragment's headerspace coverage term (a
+#: fully wildcarded fragment scores ``1 + weight`` times an exact-match
+#: one at equal rate and penalty).
+_COST_COVERAGE_WEIGHT = 1.0
 
 
 class EvictionPolicy(Enum):
@@ -105,13 +112,6 @@ class CacheManager:
     cost_tau:
         COST policy: EWMA time constant (seconds) of the per-entry hit
         rate; hits decay by ``exp(-dt/tau)``.
-    cost_base_penalty:
-        COST policy: the re-fetch penalty (seconds) that normalizes the
-        score to 1.0 per expected hit when no measured penalty exists.
-    cost_coverage_weight:
-        COST policy: weight of the fragment's headerspace coverage term
-        (a fully wildcarded fragment scores ``1 + weight`` times an
-        exact-match one at equal rate and penalty).
     class_weights:
         QoS: per-flow-class multipliers on the COST score (see
         :mod:`repro.obs.qos`).  Empty/None leaves scoring untouched.
@@ -130,8 +130,6 @@ class CacheManager:
         default_hard_timeout: Optional[float] = None,
         seed: int = 0,
         cost_tau: float = 1.0,
-        cost_base_penalty: float = 1e-3,
-        cost_coverage_weight: float = 1.0,
         class_weights: Optional[Dict[str, float]] = None,
         reserved: Optional[Dict[str, int]] = None,
     ):
@@ -151,8 +149,6 @@ class CacheManager:
         self.expired = 0
         self.invalidated = 0
         self.cost_tau = float(cost_tau)
-        self.cost_base_penalty = float(cost_base_penalty)
-        self.cost_coverage_weight = float(cost_coverage_weight)
         #: Running estimate of the redirect penalty, fed by the
         #: ``refetch_penalty_s`` stamps on installed rules.
         self.refetch_penalty_ewma: Optional[float] = None
@@ -456,11 +452,11 @@ class CacheManager:
         if penalty is None:
             penalty = self.refetch_penalty_ewma
         if penalty is None or penalty <= 0.0:
-            penalty = self.cost_base_penalty
+            penalty = _COST_BASE_PENALTY_S
         value = (
             (entry.rate * self.cost_tau)
-            * (penalty / self.cost_base_penalty)
-            * (1.0 + self.cost_coverage_weight * entry.coverage)
+            * (penalty / _COST_BASE_PENALTY_S)
+            * (1.0 + _COST_COVERAGE_WEIGHT * entry.coverage)
         )
         if self._class_weights:
             value *= self._class_weights.get(entry.rule.flow_class, 1.0)

@@ -76,26 +76,20 @@ class DifanePipeline(Collectable):
         Header layout for every stage.
     cache_capacity:
         Entry budget for the cache region (the knob the cache-miss
-        experiments sweep).  ``None`` = unbounded.
-    authority_capacity:
-        Entry budget for authority rules (the partitioning experiments
-        measure how much is needed).  ``None`` = unbounded.
-    partition_capacity:
-        Entry budget for partition rules — small by design (one per
-        partition; the paper's point is that this is tiny).
+        experiments sweep).  ``None`` = unbounded.  The authority and
+        partition regions are unbounded: the partitioning experiments
+        measure how many entries they need.
     """
 
     def __init__(
         self,
         layout: HeaderLayout,
         cache_capacity: Optional[int] = None,
-        authority_capacity: Optional[int] = None,
-        partition_capacity: Optional[int] = None,
     ):
         self.layout = layout
         self.cache = Tcam(layout, cache_capacity)
-        self.authority = Tcam(layout, authority_capacity)
-        self.partition = Tcam(layout, partition_capacity)
+        self.authority = Tcam(layout)
+        self.partition = Tcam(layout)
         self.misses = 0
         # Wall-time profiling of the engine lookup, bound at attach time
         # (the network, and hence the run's profiler, is unknown here).

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import DifaneNetwork
+from repro.core.shards import PartitionMigrator
 from repro.experiments.ablations import run_rebalance_ablation
 from repro.flowspace import (
     Drop,
@@ -278,11 +279,14 @@ class TestAuthorityFailover:
         assert set(loads) == set(controller._states)
         assert all(loads[pid] == 0 for pid in orphaned)
         assert controller.load_imbalance() == 1.0
-        # The link comes back: rebalance re-homes the orphans on s2.
+        # The link comes back: a migration re-homes each orphan on s2.
         for neighbour, spec in cut:
             topo.add_link("s2", neighbour, spec)
         dn.network.rebuild_routes()
-        assert controller.rebalance() == len(orphaned)
+        migrator = PartitionMigrator(controller)
+        migrations = [migrator.migrate(pid, "s2") for pid in orphaned]
+        assert [m.phase for m in migrations] == ["done"] * len(orphaned)
+        assert [controller.owners_of(pid) for pid in orphaned] == [["s2"]] * len(orphaned)
         assert controller.assert_all_partitions_owned() == len(controller._states)
         check_semantics(dn, seed=5)
 
@@ -300,8 +304,8 @@ class TestAuthorityFailover:
 class TestRebalance:
     def test_ablation_a5_configuration_is_pinned(self):
         # A5 at its archived scale: Zipf-hot destinations skew redirect
-        # load over three authorities, then rebalance() re-packs
-        # partitions on measured load.
+        # load over three authorities, then the migrator moves the
+        # partitions a greedy pack of measured load re-homes.
         notes = run_rebalance_ablation().notes
         assert notes["imbalance_before"] == 1.6375498368974266
         assert notes["partitions_moved"] == 16

@@ -1,8 +1,10 @@
-"""Tests for load rebalancing."""
+"""Tests for load rebalancing: a greedy repack moved by the online migrator."""
 
 import random
 
 from repro.core import DifaneNetwork
+from repro.core.partition import greedy_pack
+from repro.core.shards import PartitionMigrator
 from repro.flowspace import FIVE_TUPLE_LAYOUT, Forward, Match, Packet, Rule
 from repro.net import TopologyBuilder
 from repro.workloads.policies import routing_policy_for_topology
@@ -10,14 +12,32 @@ from repro.workloads.policies import routing_policy_for_topology
 L5 = FIVE_TUPLE_LAYOUT
 
 
+def rebalance(dn):
+    """A5's repack: pack partitions on measured load, migrate each one
+    whose primary changes, and let the retires land.  Returns the moves."""
+    controller = dn.controller
+    migrator = PartitionMigrator(controller)
+    assignment, _ = greedy_pack(
+        controller.partition_loads(), controller.authority_switches
+    )
+    moved = sum(
+        migrator.migrate(pid, target, reason="rebalance") is not None
+        for pid, (target,) in assignment.items()
+    )
+    dn.run()
+    assert not migrator.active
+    return moved
+
+
 class TestRebalancing:
-    def build(self):
+    def build(self, replication=1):
         topo = TopologyBuilder.star(4, hosts_per_leaf=1)
         rules, host_ips = routing_policy_for_topology(topo, L5)
         dn = DifaneNetwork.build(
             topo, rules, L5,
             authority_switches=["s0", "s1"],
             partitions_per_authority=4,
+            replication=replication,
             cache_capacity=0,   # all traffic redirects: load is visible
             redirect_rate=None,
         )
@@ -47,15 +67,14 @@ class TestRebalancing:
         dn, topo, host_ips = self.build()
         self.skewed_traffic(dn, host_ips)
         before = dn.controller.load_imbalance()
-        moved = dn.controller.rebalance()
-        assert moved >= 1
+        assert rebalance(dn) >= 1
         after = dn.controller.load_imbalance()
         assert after <= before
 
     def test_rebalance_preserves_semantics_and_traffic(self):
         dn, topo, host_ips = self.build()
         self.skewed_traffic(dn, host_ips)
-        dn.controller.rebalance()
+        rebalance(dn)
         # Traffic still delivered correctly after the move.
         hosts = sorted(host_ips)
         packet = Packet.from_fields(
@@ -65,9 +84,7 @@ class TestRebalancing:
         dn.run()
         assert dn.network.deliveries[-1].delivered
         # Partition rules point only at live owners holding the fragments.
-        for state in dn.controller._states.values():
-            primary = state.owners[0]
-            assert primary in state.installed
+        assert dn.controller.assert_all_partitions_owned() == len(dn.controller._states)
 
     def test_rebalance_conserves_counters(self):
         """Moving a partition must move its load history exactly once —
@@ -78,7 +95,7 @@ class TestRebalancing:
             s.packets for s in dn.controller.collect_policy_counters().values()
         )
         assert total_before == 150
-        dn.controller.rebalance()
+        rebalance(dn)
         total_after = sum(
             s.packets for s in dn.controller.collect_policy_counters().values()
         )
@@ -107,32 +124,29 @@ class TestRebalancing:
 
         before = per_rule()
         assert sorted(before.values()) == [100, 100]
-        assert dn.controller.rebalance() >= 1
+        assert rebalance(dn) >= 1
         assert per_rule() == before
 
     def test_rebalance_with_replication_promotes_backup(self):
-        topo = TopologyBuilder.star(4, hosts_per_leaf=1)
-        rules, host_ips = routing_policy_for_topology(topo, L5)
-        dn = DifaneNetwork.build(
-            topo, rules, L5,
-            authority_switches=["s0", "s1"],
-            partitions_per_authority=4,
-            replication=2,
-            cache_capacity=0,
-            redirect_rate=None,
-        )
+        """Moving a partition onto its own backup swaps primary and
+        backup: the old primary stays an owner with its fragments, so the
+        partition keeps both replicas."""
+        dn, topo, host_ips = self.build(replication=2)
         self.skewed_traffic(dn, host_ips, count=120)
-        loads_total = sum(dn.controller.partition_loads().values())
-        dn.controller.rebalance()
+        controller = dn.controller
+        loads_total = sum(controller.partition_loads().values())
+        old_owners = {pid: list(state.owners) for pid, state in controller._states.items()}
+        assert rebalance(dn) >= 1
         # Load history survives the promotion, and owner lists stay sized.
-        assert sum(dn.controller.partition_loads().values()) == loads_total
-        for state in dn.controller._states.values():
-            assert len(state.owners) == 2
-            assert state.owners[0] in state.installed
+        assert sum(controller.partition_loads().values()) == loads_total
+        for pid, state in controller._states.items():
+            assert sorted(state.owners) == sorted(old_owners[pid])
+            assert all(state.installed.get(owner) for owner in state.owners)
+        assert controller.assert_all_partitions_owned() == len(controller._states)
 
     def test_rebalance_noop_when_balanced(self):
         dn, topo, host_ips = self.build()
         # No traffic: loads all zero; greedy packing keeps sizes stable —
         # a second rebalance right after one must move nothing.
-        dn.controller.rebalance()
-        assert dn.controller.rebalance() == 0
+        rebalance(dn)
+        assert rebalance(dn) == 0

@@ -214,9 +214,7 @@ class TestTwoPhaseMigration:
         def on_complete(migration):
             boundary_checks.append(controller.assert_all_partitions_owned())
 
-        migrator = PartitionMigrator(
-            controller, retire_grace_s=0.01, on_complete=on_complete
-        )
+        migrator = PartitionMigrator(controller, on_complete=on_complete)
         state = controller._states[0]
         source = state.owners[0]
         migration = migrator.migrate(0, "s2")
@@ -229,7 +227,9 @@ class TestTwoPhaseMigration:
         assert migration.phase == "done"
         assert migration.flipped_at > migration.started_at
         # Retire waits out the redirect drain grace after the flip.
-        assert migration.completed_at >= migration.flipped_at + 0.01
+        assert migration.completed_at >= (
+            migration.flipped_at + PartitionMigrator.RETIRE_GRACE_S
+        )
         assert state.owners == ["s2"]
         assert boundary_checks and all(n > 0 for n in boundary_checks)
         # The source's fragments were withdrawn over the channel.

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.core import DifaneNetwork
+from repro.core.partition import greedy_pack
 from repro.core.shards import PartitionMigrator
 from repro.flowspace import (
     Drop,
@@ -93,8 +94,17 @@ class DifaneMachine(RuleBasedStateMachine):
 
     @rule()
     def rebalance(self):
+        """A5's repack: pack on measured load, migrate every partition
+        whose primary changes."""
         before = self.policy_counters()
-        self.dn.controller.rebalance()
+        controller = self.dn.controller
+        assignment, _ = greedy_pack(
+            controller.partition_loads(), controller.authority_switches
+        )
+        for pid, (target,) in assignment.items():
+            self.migrator.migrate(pid, target, reason="rebalance")
+        self.dn.run()
+        assert not self.migrator.active
         assert self.policy_counters() == before
 
     @rule(
