@@ -12,6 +12,9 @@ repository runs:
 * C1 with every observability output (telemetry, trace, profile,
   telemetry JSONL, Prometheus text, metrics document);
 * E9Q and C2 with ``--telemetry --metrics-out``;
+* E4 with ``--jobs 2 --telemetry --profile``, a pooled sweep: its workers
+  run unprofiled, but this process merges their counters, histograms and
+  telemetry windows;
 * ``repro report`` on three of those documents and ``repro obs diff``
   twice (one identical pair, one differing pair);
 * every ``examples/*.py`` as ``__main__``.
@@ -105,6 +108,8 @@ def exercise(workdir: Path) -> None:
     for key in ("E9Q", "C2"):
         cli("run", key, "--quick", "--no-plot", "--telemetry",
             "--metrics-out", docs[key])
+    cli("run", "E4", "--quick", "--no-plot", "--jobs", "2", "--telemetry",
+        "--profile")
     for document in docs.values():
         cli("report", document)
     cli("obs", "diff", docs["C2"], docs["C2"])

@@ -239,10 +239,11 @@ def main(argv=None) -> int:
                       f"{args.telemetry_out}")
             if args.prom_out:
                 from repro.obs.export import prometheus_text
+                from repro.obs.registry import EXCLUDED_PREFIXES
 
                 with open(args.prom_out, "w") as handle:
                     handle.write(prometheus_text(context.metrics.snapshot(
-                        exclude_prefixes=("profile_", "artifact_cache_")
+                        exclude_prefixes=EXCLUDED_PREFIXES
                     )))
                 print(f"prometheus metrics written to {args.prom_out}")
     finally:

@@ -873,7 +873,7 @@ class DifaneNetwork:
             time, self.network.inject_from_host, host, packet
         )
 
-    def send_batch_at(self, time: float, switch: str, batch) -> None:
+    def send_batch_at(self, time: float, switch: str, packets: List[Packet]) -> None:
         """Schedule a same-instant burst's injection at ``switch`` at ``time``.
 
         One scheduler event carries the whole burst; at fire time every
@@ -881,7 +881,7 @@ class DifaneNetwork:
         :meth:`SimNetwork.inject_batch_at_switch`).
         """
         self.network.scheduler.schedule_in_order(
-            time, self.network.inject_batch_at_switch, switch, batch
+            time, self.network.inject_batch_at_switch, switch, packets
         )
 
     def run(self, until: Optional[float] = None) -> int:

@@ -38,7 +38,7 @@ from repro.obs.flowtrace import miss_penalty_summary
 from repro.switch.cache import EvictionPolicy
 from repro.workloads.streaming import (
     StreamSpec,
-    epoch_bursts,
+    feed_epochs,
     streaming_policy,
     streaming_topology,
 )
@@ -125,10 +125,7 @@ def _ablation_point(
             loss_seed=seed,
             cache_options=cache_options,
         )
-        scheduler = dn.network.scheduler
-        for epoch in range(spec.epochs):
-            when = spec.start_time + epoch * spec.epoch_interval_s
-            scheduler.schedule_at(when, _feed_epoch, dn, spec, epoch)
+        feed_epochs(dn, spec)
         budgets: Dict[str, int] = {}
         if policy == "cost" and budget_every_epochs > 0:
             total = capacity * len(dn.network.topology.switches())
@@ -137,7 +134,7 @@ def _ablation_point(
                 # Fire between epochs so the repartition sees the traffic
                 # of the completed epoch and never races a burst event.
                 when = spec.start_time + (epoch - 0.5) * spec.epoch_interval_s
-                scheduler.schedule_at(
+                dn.network.scheduler.schedule_at(
                     when, _apply_budgets, dn, total, budgets
                 )
         dn.run()
@@ -181,12 +178,6 @@ def _ablation_point(
         }
     finally:
         _obs_context.install(previous)
-
-
-def _feed_epoch(dn: DifaneNetwork, spec: StreamSpec, epoch: int) -> None:
-    """Generate and enqueue epoch ``epoch``'s bursts (lazy feeder event)."""
-    for timed in epoch_bursts(spec, epoch, LAYOUT):
-        dn.send_batch_at(timed.time, timed.switch, timed.batch)
 
 
 def _apply_budgets(dn: DifaneNetwork, total: int, sink: Dict[str, int]) -> None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis.series import Series
+from repro.obs.registry import EXCLUDED_PREFIXES
 
 __all__ = [
     "Calibration",
@@ -92,7 +93,7 @@ def _json_safe(value):
 def metrics_document(
     result: ExperimentResult,
     context=None,
-    exclude_prefixes=("profile_", "artifact_cache_"),
+    exclude_prefixes=EXCLUDED_PREFIXES,
 ) -> Dict[str, object]:
     """The canonical metrics JSON document for one experiment run.
 

@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.series import Series
 from repro.core.controller import DifaneNetwork
-from repro.experiments.cachingablation import _feed_epoch
 from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.rule import Match
@@ -48,6 +47,7 @@ from repro.switch.cache import EvictionPolicy
 from repro.workloads.streaming import (
     BASE_ADDRESS,
     StreamSpec,
+    feed_epochs,
     streaming_policy,
     streaming_topology,
 )
@@ -181,10 +181,7 @@ def _qos_point(
             redirect_queue=redirect_queue,
             loss_seed=seed,
         )
-        scheduler = dn.network.scheduler
-        for epoch in range(spec.epochs):
-            when = spec.start_time + epoch * spec.epoch_interval_s
-            scheduler.schedule_at(when, _feed_epoch, dn, spec, epoch)
+        feed_epochs(dn, spec)
         dn.run()
 
         section = telemetry_section(context.telemetry)

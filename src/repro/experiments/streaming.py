@@ -9,8 +9,9 @@ M1 composes the pieces that remove those two walls:
 * the **streaming workload** (:mod:`repro.workloads.streaming`): a
   seed-closed :class:`StreamSpec` — heavy-tailed Zipf over the virtual
   host population, diurnal load, flash crowds, mobility churn — whose
-  epochs a *lazy feeder* generates from inside the event loop, one epoch
-  ahead of the simulator, so the schedule never exists as a list;
+  epochs a *lazy feeder* (:func:`feed_epochs`) generates from inside the
+  event loop, each at its own instant, so the schedule never exists as
+  a list;
 * **sketch observability** (:mod:`repro.obs.sketch`): the delivery log
   streams outcomes into a :class:`DeliverySketchObserver` (delay
   quantile sketch, hop histogram, destination top-k) and retains zero
@@ -37,7 +38,7 @@ from repro.obs import context as _obs_context
 from repro.obs.sketch import DeliverySketchObserver
 from repro.workloads.streaming import (
     StreamSpec,
-    epoch_bursts,
+    feed_epochs,
     stream_bursts,
     streaming_policy,
     streaming_topology,
@@ -95,47 +96,30 @@ def run_streaming_soak(
         loss_seed=seed,
     )
     network = dn.network
-    scheduler = network.scheduler
 
     observer: Optional[DeliverySketchObserver] = None
     if sketch:
         observer = DeliverySketchObserver()
         network.deliveries.stream_into(observer)
-        scheduler.add_probe(observer.probe)
+        network.scheduler.add_probe(observer.probe)
 
     offered = 0
 
-    def schedule_burst(timed) -> None:
+    def offer(packets) -> None:
         nonlocal offered
-        offered += len(timed)
+        offered += len(packets)
         if observer is not None:
             # Offered-traffic skew is tracked at scheduling time (the
             # workload's property, independent of delivery outcomes);
             # flow ids ARE the destination host indices by construction.
-            observer.offer_destinations(timed.batch.flow_ids)
-        dn.send_batch_at(timed.time, timed.switch, timed.batch)
+            observer.offer_destinations(packet.flow_id for packet in packets)
 
     if stream:
-        # Lazy feeder: epoch e's bursts are generated by an event firing
-        # at epoch e's instant, then the feeder reschedules itself.  The
-        # epoch interval dwarfs the longest packet/control event chain,
-        # so the heap holds no prior-epoch work at any feeder fire and
-        # the event sequence equals the pre-materialized one (pinned by
-        # the equivalence test).
-        def feed(epoch: int) -> None:
-            for timed in epoch_bursts(spec, epoch, LAYOUT):
-                schedule_burst(timed)
-            if epoch + 1 < spec.epochs:
-                scheduler.schedule_at(
-                    spec.start_time + (epoch + 1) * spec.epoch_interval_s,
-                    feed,
-                    epoch + 1,
-                )
-
-        scheduler.schedule_at(spec.start_time, feed, 0)
+        feed_epochs(dn, spec, offer)
     else:
-        for timed in stream_bursts(spec, LAYOUT):
-            schedule_burst(timed)
+        for time, switch, packets in stream_bursts(spec, LAYOUT):
+            offer(packets)
+            dn.send_batch_at(time, switch, packets)
 
     dn.run()
 

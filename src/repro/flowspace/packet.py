@@ -5,6 +5,11 @@ field of a :class:`~repro.flowspace.fields.HeaderLayout`, packed into a
 single integer for fast ternary matching.  The simulator annotates packets
 with bookkeeping (flow id, ingress/egress, timestamps, encapsulation state)
 without touching the header bits.
+
+Every packet draws its id from one global counter when it is built.  The
+burst soaks build a whole epoch's packets when the epoch is generated
+(:func:`~repro.workloads.streaming.epoch_bursts`), so the ids a burst
+consumes do not depend on when it is injected.
 """
 
 from __future__ import annotations
@@ -15,20 +20,9 @@ from typing import Dict, Optional
 
 from repro.flowspace.fields import HeaderLayout, OPENFLOW_10_LAYOUT, format_ip
 
-__all__ = ["Packet", "reserve_packet_ids"]
+__all__ = ["Packet"]
 
 _packet_ids = itertools.count()
-
-
-def reserve_packet_ids(count: int) -> list:
-    """Draw ``count`` consecutive ids from the global packet counter.
-
-    A :class:`~repro.flowspace.batch.PacketBatch` reserves its ids when
-    it is built, so the ids a burst consumes do not depend on when it is
-    injected.
-    """
-    ids = _packet_ids
-    return [next(ids) for _ in range(count)]
 
 
 class Packet:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.flowspace.batch import PacketBatch
 from repro.flowspace.packet import Packet
 from repro.net.events import EventScheduler
 from repro.net.links import Link
@@ -326,19 +325,17 @@ class SimNetwork(Collectable):
             self.tracer.record(self.scheduler.now, TraceKind.INGRESS, packet, node=switch)
         self._receiver(switch)(packet)
 
-    def inject_batch_at_switch(self, switch: str, batch: PacketBatch) -> None:
-        """Hand a same-instant burst directly to ``switch``.
+    def inject_batch_at_switch(self, switch: str, packets: List[Packet]) -> None:
+        """Hand a same-instant burst of packets directly to ``switch``.
 
-        The burst becomes :class:`Packet` objects (with the ids reserved
-        when it was built) and every packet goes to the switch's receiver
-        in packet order; every INGRESS is traced before the first packet
-        is processed.
+        Every packet is stamped and traced as ingress before the first is
+        processed, then goes to the switch's receiver in list order.
         """
         now = self.scheduler.now
-        batch.created_at = now
-        batch.ingress_switch = switch
-        self.packets_injected += len(batch)
-        packets = batch.packets()
+        for packet in packets:
+            packet.created_at = now
+            packet.ingress_switch = switch
+        self.packets_injected += len(packets)
         if self.tracer.enabled:
             for packet in packets:
                 self.tracer.record(now, TraceKind.INGRESS, packet, node=switch)

@@ -45,10 +45,15 @@ __all__ = [
     "MetricsRegistry",
     "NULL_METRIC",
     "DEFAULT_TIME_BUCKETS",
+    "EXCLUDED_PREFIXES",
 ]
 
 #: Exponential wall-time buckets (seconds): 1 µs … ~8 s.
 DEFAULT_TIME_BUCKETS = tuple(1e-6 * (2 ** i) for i in range(24))
+
+#: Left out of written metrics documents and telemetry windows: host
+#: wall-clock and artifact-cache warmth, not the simulated system.
+EXCLUDED_PREFIXES = ("profile_", "artifact_cache_")
 
 
 class _NullMetric:
@@ -375,9 +380,10 @@ class MetricsRegistry:
         return {section: dict(sorted(out[section].items())) for section in sorted(out)}
 
     def write_json(self, path, **extra) -> None:
-        """Persist :meth:`snapshot` (plus ``extra`` top-level keys)."""
+        """Persist :meth:`snapshot` without the :data:`EXCLUDED_PREFIXES`
+        metrics (plus ``extra`` top-level keys)."""
         document = dict(extra)
-        document["metrics"] = self.snapshot()
+        document["metrics"] = self.snapshot(exclude_prefixes=EXCLUDED_PREFIXES)
         with open(path, "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")

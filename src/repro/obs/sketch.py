@@ -36,9 +36,8 @@ per-packet records.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 __all__ = [
     "QuantileSketch",
@@ -515,10 +514,10 @@ class DeliverySketchObserver:
     # -- workload side -------------------------------------------------------
     def offer_destinations(self, destinations) -> None:
         """Count a burst's destination column into the heavy-hitter sketch."""
-        values, counts = np.unique(np.asarray(destinations), return_counts=True)
+        counts = Counter(destinations)
         offer = self.hot_destinations.offer
-        for value, count in zip(values.tolist(), counts.tolist()):
-            offer(value, count)
+        for value in sorted(counts):
+            offer(value, counts[value])
 
     # -- telemetry ----------------------------------------------------------
     def probe(self) -> Dict[str, float]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import EXCLUDED_PREFIXES, MetricsRegistry
 
 __all__ = [
     "TelemetryRecorder",
@@ -58,11 +58,6 @@ CONTROL_PLANE_SCHEMA = "difane-control-plane/1"
 #: produce a handful-to-dozens of windows — enough to see dynamics,
 #: small enough to diff by eye.
 DEFAULT_TELEMETRY_INTERVAL_S = 0.05
-
-#: Counter prefixes never recorded into windows: wall-clock profiles are
-#: not reproducible, and artifact-cache hits depend on harness warmth,
-#: not on the simulated system (same exclusions as the metrics document).
-EXCLUDED_PREFIXES = ("profile_", "artifact_cache_")
 
 #: A probe returns gauge-like levels keyed by rendered metric name; it is
 #: sampled at every window close of the scheduler it is registered on.

@@ -33,7 +33,6 @@ from repro.workloads.traffic import (
     poisson_arrivals,
     host_pair_packets,
 )
-from repro.workloads.batches import TimedBatch
 from repro.workloads.streaming import (
     StreamSpec,
     epoch_bursts,
@@ -56,7 +55,6 @@ __all__ = [
     "packet_sequence",
     "poisson_arrivals",
     "host_pair_packets",
-    "TimedBatch",
     "StreamSpec",
     "epoch_bursts",
     "host_addresses",

@@ -10,7 +10,8 @@ bursts from ``(spec.seed, epoch)`` alone (via :func:`derive_seed`, the
 same device the sweep runner uses).  Consequences:
 
 * **bounded memory** — an experiment holds one epoch's bursts at a time
-  (:func:`stream_bursts` is a generator), never the whole trace;
+  (:func:`feed_epochs` generates each epoch's ``Packet`` bursts from an
+  event at that epoch's instant), never the whole trace;
 * **random access** — epoch ``e`` can be generated without generating
   epochs ``0..e-1``, so shards, resumes and spot-checks are all exact;
 * **mode equivalence** — the materialized view is literally
@@ -34,19 +35,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.flowspace.action import Drop, Forward
-from repro.flowspace.batch import PacketBatch
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT, HeaderLayout, parse_ip
+from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Match, Rule
 from repro.flowspace.ternary import Ternary
 from repro.net.links import LinkSpec
 from repro.net.topology import Topology
 from repro.parallel.seeds import derive_seed
-from repro.workloads.batches import TimedBatch
 from repro.workloads.zipf import zipf_cdf
 
 __all__ = [
@@ -56,7 +56,11 @@ __all__ = [
     "host_addresses",
     "epoch_bursts",
     "stream_bursts",
+    "feed_epochs",
 ]
+
+#: A same-instant burst: ``(time, ingress switch, packets)``.
+Burst = Tuple[float, str, List[Packet]]
 
 #: All virtual hosts live under this /8.
 BASE_ADDRESS = parse_ip("10.0.0.0")
@@ -266,14 +270,17 @@ def streaming_policy(
 
 def epoch_bursts(
     spec: StreamSpec, epoch: int, layout: HeaderLayout = FIVE_TUPLE_LAYOUT
-) -> List[TimedBatch]:
+) -> List[Burst]:
     """Epoch ``epoch``'s bursts — derivable without any other epoch.
 
     All randomness comes from ``derive_seed(spec.seed, ("stream-epoch",
     epoch))``; draw order within the epoch is fixed (destinations, flash
     replacement, sources, ports, mobility), so the function is a pure
-    map from ``(spec, epoch)`` to bursts.  One :class:`TimedBatch` per
-    ingress switch with traffic this epoch, emitted in switch order.
+    map from ``(spec, epoch)`` to bursts.  One ``(time, switch, packets)``
+    burst per ingress switch with traffic this epoch, emitted in switch
+    order.  The packets draw their ids from the global counter here, in
+    burst order, so the ids an epoch consumes do not depend on when its
+    bursts are injected.
     """
     rng = np.random.default_rng(derive_seed(spec.seed, ("stream-epoch", epoch)))
     count = spec.epoch_packet_count(epoch)
@@ -297,29 +304,30 @@ def epoch_bursts(
     time = spec.start_time + epoch * spec.epoch_interval_s
     source_addresses = host_addresses(spec, sources)
     destination_addresses = host_addresses(spec, destinations)
-    out: List[TimedBatch] = []
+    fixed = layout.pack_values(nw_proto=6, tp_dst=80)
+    src_at, dst_at, port_at = map(layout.offset, ("nw_src", "nw_dst", "tp_src"))
+    out: List[Burst] = []
     for switch in np.unique(ingress):
         positions = np.nonzero(ingress == switch)[0]
-        batch = PacketBatch.from_fields(
-            layout,
-            len(positions),
+        packets = [
             # Flow identity = destination host: what the cache, the
             # top-k sketch and the Zipf skew are all keyed on.
-            flow_ids=[int(d) for d in destinations[positions]],
-            size_bytes=spec.size_bytes,
-            nw_src=source_addresses[positions],
-            nw_dst=destination_addresses[positions],
-            nw_proto=6,
-            tp_src=tp_src[positions],
-            tp_dst=80,
-        )
-        out.append(TimedBatch(time, spec.edge_name(int(switch)), batch))
+            Packet(layout, fixed | src << src_at | dst << dst_at | port << port_at,
+                   flow, spec.size_bytes)
+            for src, dst, port, flow in zip(
+                source_addresses[positions].tolist(),
+                destination_addresses[positions].tolist(),
+                tp_src[positions].tolist(),
+                destinations[positions].tolist(),
+            )
+        ]
+        out.append((time, spec.edge_name(int(switch)), packets))
     return out
 
 
 def stream_bursts(
     spec: StreamSpec, layout: HeaderLayout = FIVE_TUPLE_LAYOUT
-) -> Iterator[TimedBatch]:
+) -> Iterator[Burst]:
     """All epochs' bursts, lazily — the streaming view of the workload.
 
     ``list(stream_bursts(spec))`` *is* the materialized view; peak
@@ -327,3 +335,25 @@ def stream_bursts(
     """
     for epoch in range(spec.epochs):
         yield from epoch_bursts(spec, epoch, layout)
+
+
+def feed_epochs(
+    dn, spec: StreamSpec, on_burst: Optional[Callable[[List[Packet]], None]] = None
+) -> None:
+    """Schedule one event at each epoch's instant that generates the
+    epoch's bursts and hands each to ``dn.send_batch_at`` (after
+    ``on_burst(packets)``, if given), so no epoch exists before its
+    instant.  The epoch interval dwarfs the longest event chain, so the
+    event sequence equals that of ``stream_bursts`` scheduled up front.
+    """
+    scheduler = dn.network.scheduler
+    for epoch in range(spec.epochs):
+        when = spec.start_time + epoch * spec.epoch_interval_s
+        scheduler.schedule_at(when, _feed_epoch, dn, spec, epoch, on_burst)
+
+
+def _feed_epoch(dn, spec: StreamSpec, epoch: int, on_burst) -> None:
+    for time, switch, packets in epoch_bursts(spec, epoch):
+        if on_burst is not None:
+            on_burst(packets)
+        dn.send_batch_at(time, switch, packets)

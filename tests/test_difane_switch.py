@@ -11,7 +11,6 @@ from repro.flowspace import (
     FIVE_TUPLE_LAYOUT, ActionList, Drop, Forward, Packet, Rule, SendToController,
     SetField,
 )
-from repro.flowspace.batch import PacketBatch
 from repro.net import TopologyBuilder
 from repro.net.failures import FailureInjector
 from repro.obs import context as obs_context
@@ -191,12 +190,16 @@ class TestMirroredStats:
     def _burst(host_ips, count=64, seed=0):
         rng = np.random.default_rng(seed)
         addresses = list(host_ips.values())
-        return PacketBatch.from_fields(
-            L, count, flow_ids=list(range(count)),
-            nw_src=rng.integers(0, 2**32, count),
-            nw_dst=[addresses[i % len(addresses)] for i in range(count)],
-            nw_proto=6, tp_src=rng.integers(0, 2**16, count), tp_dst=80,
-        )
+        sources = rng.integers(0, 2**32, count).tolist()
+        ports = rng.integers(0, 2**16, count).tolist()
+        return [
+            Packet.from_fields(
+                L, flow_id=i, nw_src=sources[i],
+                nw_dst=addresses[i % len(addresses)], nw_proto=6,
+                tp_src=ports[i], tp_dst=80,
+            )
+            for i in range(count)
+        ]
 
     def test_attributes_equal_counters_after_miss_failover_and_punt(self):
         """Partitions are owned by the pairs (s0, s1) and (s2, s3).  With
@@ -240,9 +243,9 @@ class TestMirroredStats:
 # -- rare branches, end to end ---------------------------------------------------
 
 def _host_pair_bursts(topology, host_ips, bursts, burst_size, hot_flows, seed):
-    """``(time, ingress switch, PacketBatch)`` bursts 1 ms apart: Zipf(1)
+    """``(time, ingress switch, packets)`` bursts 1 ms apart: Zipf(1)
     over ``hot_flows`` random host pairs, TCP from a random ephemeral port
-    to port 80, one batch per (instant, source attachment switch)."""
+    to port 80, one burst per (instant, source attachment switch)."""
     rng = random.Random(seed)
     hosts = list(host_ips)
     flows = []
@@ -257,12 +260,13 @@ def _host_pair_bursts(topology, host_ips, bursts, burst_size, hot_flows, seed):
         for flow in sampler.sample_many(burst_size):
             by_switch.setdefault(flows[flow][0], []).append(flow)
         for switch, picked in by_switch.items():
-            schedule.append((burst * 1e-3, switch, PacketBatch.from_fields(
-                L, len(picked), flow_ids=picked,
-                nw_src=[flows[f][1] for f in picked],
-                nw_dst=[flows[f][2] for f in picked], nw_proto=6,
-                tp_src=[flows[f][3] for f in picked], tp_dst=80,
-            )))
+            schedule.append((burst * 1e-3, switch, [
+                Packet.from_fields(
+                    L, flow_id=f, nw_src=flows[f][1], nw_dst=flows[f][2],
+                    nw_proto=6, tp_src=flows[f][3], tp_dst=80,
+                )
+                for f in picked
+            ]))
     return schedule
 
 
@@ -322,8 +326,8 @@ def _run_workload(seed, leaf_count, hosts_per_leaf, hot_flows,
     if loss:
         for link in facade.network._links.values():
             link.loss_probability = loss
-    for time, switch, batch in schedule:
-        facade.send_batch_at(time, switch, batch)
+    for time, switch, packets in schedule:
+        facade.send_batch_at(time, switch, packets)
     facade.run()
     outcomes = [
         (r.packet_id, r.delivered, r.drop_reason) for r in facade.network.deliveries

@@ -23,7 +23,6 @@ from repro.flowspace import (
     Ternary,
     TWO_FIELD_LAYOUT,
 )
-from repro.flowspace.batch import PacketBatch
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.core.cachegen import win_fragment as scan_win_fragment
 from repro.flowspace.engine import PROBE_RULES_PER_MASK
@@ -389,7 +388,7 @@ class TestBatchPaths:
     def _three_switch_run(inject):
         """Two same-instant 20-packet bursts into ``s0`` of a 3-switch line
         (the first is redirected and installs cache rules, the second hits
-        them); ``inject(network, batch)`` picks the entry point."""
+        them); ``inject(network, packets)`` picks the entry point."""
         from repro.core import DifaneNetwork
         from repro.net import TopologyBuilder
         from repro.obs import fresh_run_context
@@ -403,12 +402,13 @@ class TestBatchPaths:
             authority_switches=["s1"], redirect_rate=None,
         )
         for _ in range(2):
-            inject(dn.network, PacketBatch.from_fields(
-                FIVE_TUPLE_LAYOUT, 20, flow_ids=range(20),
-                nw_src=[0x0A000000 | i for i in range(20)],
-                nw_dst=host_ips["h2"], nw_proto=6,
-                tp_src=[1024 + i for i in range(20)], tp_dst=80,
-            ))
+            inject(dn.network, [
+                Packet.from_fields(
+                    FIVE_TUPLE_LAYOUT, flow_id=i, nw_src=0x0A000000 | i,
+                    nw_dst=host_ips["h2"], nw_proto=6, tp_src=1024 + i, tp_dst=80,
+                )
+                for i in range(20)
+            ])
             dn.network.run()
         kinds = {}
         for event in context.tracer.events():
@@ -420,12 +420,12 @@ class TestBatchPaths:
         return counters, len(dn.network.delivered()), kinds
 
     @staticmethod
-    def _inject_batch(network, batch):
-        network.inject_batch_at_switch("s0", batch)
+    def _inject_batch(network, packets):
+        network.inject_batch_at_switch("s0", packets)
 
     @staticmethod
-    def _inject_per_packet(network, batch):
-        for packet in batch.packets():
+    def _inject_per_packet(network, packets):
+        for packet in packets:
             network.inject_at_switch("s0", packet)
 
     def test_burst_injection_equals_per_packet(self):
@@ -444,7 +444,7 @@ class TestBatchPaths:
         context = fresh_run_context()
         network = SimNetwork(TopologyBuilder.linear(2, hosts_per_switch=1))
         network.inject_batch_at_switch(
-            "s0", PacketBatch.from_fields(FIVE_TUPLE_LAYOUT, 5, nw_proto=6)
+            "s0", [Packet.from_fields(FIVE_TUPLE_LAYOUT, nw_proto=6) for _ in range(5)]
         )
         network.run()
         assert [r.drop_reason for r in network.dropped()] == (

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.flowspace import Packet, TWO_FIELD_LAYOUT
-from repro.flowspace.batch import PacketBatch
 from repro.net import SimNetwork, TopologyBuilder
 from repro.net.failures import FailureInjector
 from repro.net.simnet import CONTROL_OVERHEAD_S
@@ -79,7 +78,9 @@ class TestDelivery:
         topo = TopologyBuilder.linear(2, hosts_per_switch=1)
         net = SimNetwork(topo)
         net.inject_at_switch("s0", Packet.from_fields(TWO_FIELD_LAYOUT))
-        net.inject_batch_at_switch("s1", PacketBatch.from_fields(TWO_FIELD_LAYOUT, 2))
+        net.inject_batch_at_switch(
+            "s1", [Packet.from_fields(TWO_FIELD_LAYOUT) for _ in range(2)]
+        )
         assert [r.drop_reason for r in net.dropped()] == ["no behaviour registered"] * 3
 
     def test_duck_typed_node_without_receive_is_reached_by_lookup(self):

@@ -49,13 +49,14 @@ def _restore_context():
     obs_context.install(previous)
 
 
-def _burst_key(timed):
-    """Identity of a burst minus globally-reserved packet ids."""
+def _burst_key(burst):
+    """Identity of a burst minus its globally-drawn packet ids."""
+    time, switch, packets = burst
     return (
-        timed.time,
-        timed.switch,
-        timed.batch.header_bits,
-        list(timed.batch.flow_ids),
+        time,
+        switch,
+        [packet.header_bits for packet in packets],
+        [packet.flow_id for packet in packets],
     )
 
 
@@ -73,6 +74,43 @@ def test_epoch_bursts_random_access_equals_sequential():
     for epoch in reversed(range(spec.epochs)):  # deliberately out of order
         random_access[:0] = [_burst_key(t) for t in epoch_bursts(spec, epoch, LAYOUT)]
     assert sequential == random_access
+
+
+def test_epoch_bursts_are_packets_with_consecutive_ids():
+    """An epoch's packets draw consecutive ids in burst order; each header
+    carries the drawn hosts' addresses, TCP to port 80, and the flow id is
+    the destination host index."""
+    spec = StreamSpec(
+        hosts=512, edge_switches=4, epochs=8, burst_size=64,
+        rules_per_switch=8, seed=5, mobility_rate=0.0,
+    )
+    epoch = 3
+    bursts = epoch_bursts(spec, epoch, LAYOUT)
+    assert [switch for _, switch, _ in bursts] == sorted(
+        {switch for _, switch, _ in bursts}
+    )
+    ids = [packet.packet_id for _, _, packets in bursts for packet in packets]
+    assert ids == list(range(ids[0], ids[0] + spec.epoch_packet_count(epoch)))
+    low_bits = (1 << spec.host_bits) - 1
+    for time, switch, packets in bursts:
+        assert time == spec.start_time + epoch * spec.epoch_interval_s
+        for packet in packets:
+            fields = packet.fields()
+            offset = fields["nw_src"] - BASE_ADDRESS
+            source = (
+                (offset & low_bits) * spec.edge_switches
+                + (offset >> spec.host_bits)
+            )
+            assert 0 <= source < spec.hosts
+            assert 0 <= packet.flow_id < spec.hosts
+            assert fields["nw_src"] == int(host_addresses(spec, [source])[0])
+            assert fields["nw_dst"] == int(host_addresses(spec, [packet.flow_id])[0])
+            assert (fields["nw_proto"], fields["tp_dst"]) == (6, 80)
+            assert 1024 <= fields["tp_src"] < 65536
+            # Without mobility every source enters at its home switch.
+            assert switch == spec.edge_name(source % spec.edge_switches)
+            assert packet.size_bytes == spec.size_bytes
+            assert (packet.created_at, packet.ingress_switch) == (None, None)
 
 
 def test_flash_crowd_windows_and_hotset_stability():
@@ -119,9 +157,9 @@ def test_mobility_rewires_ingress_but_not_traffic():
 
     def flatten(spec, epoch):
         flows, ingress = [], []
-        for timed in epoch_bursts(spec, epoch, LAYOUT):
-            flows.extend(timed.batch.flow_ids)
-            ingress.extend([timed.switch] * len(timed))
+        for _, switch, packets in epoch_bursts(spec, epoch, LAYOUT):
+            flows.extend(packet.flow_id for packet in packets)
+            ingress.extend([switch] * len(packets))
         return flows, ingress
 
     home_flows, home_ingress = flatten(home, 5)
@@ -317,7 +355,8 @@ def test_m1_sketch_agrees_with_exact_records_within_bound():
         rules_per_switch=M1_SMALL["rules_per_switch"],
     )
     offered = TallyCounter(
-        str(flow) for t in stream_bursts(spec, LAYOUT) for flow in t.batch.flow_ids
+        str(packet.flow_id)
+        for _, _, packets in stream_bursts(spec, LAYOUT) for packet in packets
     )
     top = observer.hot_destinations
     assert top.total == sum(offered.values())
