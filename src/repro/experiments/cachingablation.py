@@ -8,8 +8,8 @@ the PR-8 streaming workloads — steady Zipf, flash crowds, mobility churn
 — sweeping eviction policy × per-switch cache capacity and reporting
 
 * miss rate (redirects / ingress classifications),
-* the miss-penalty percentiles, read from the delivery log
-  (:func:`repro.obs.flowtrace.miss_penalty_summary`),
+* the miss-penalty percentiles, read as packets are delivered
+  (:class:`repro.obs.flowtrace.FirstDetourReader`),
 * redirect load absorbed by the authority switches,
 * install-message overhead (messages, batched messages, receives), and
 * the eviction-churn split (capacity evictions / expirations / flushes).
@@ -34,7 +34,7 @@ from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.obs import context as _obs_context
 from repro.obs import fresh_run_context
-from repro.obs.flowtrace import miss_penalty_summary
+from repro.obs.flowtrace import FirstDetourReader
 from repro.switch.cache import EvictionPolicy
 from repro.workloads.streaming import (
     StreamSpec,
@@ -80,7 +80,8 @@ def _ablation_point(
     capacity) combination, returning plain scalars.
 
     The point installs its own fresh observability context (tracer off:
-    the miss penalty comes from the delivery log) and restores the ambient
+    the delivery log streams into a :class:`FirstDetourReader`, which
+    keeps one delay per flow) and restores the ambient
     one afterwards, so the caller's registry/telemetry never see
     point-local state — in workers and in the serial path alike.
     """
@@ -125,6 +126,8 @@ def _ablation_point(
             loss_seed=seed,
             cache_options=cache_options,
         )
+        penalty = FirstDetourReader()
+        dn.network.deliveries.stream_into(penalty)
         feed_epochs(dn, spec)
         budgets: Dict[str, int] = {}
         if policy == "cost" and budget_every_epochs > 0:
@@ -144,10 +147,10 @@ def _ablation_point(
         local = sum(s.authority_hits for s in switches)
         misses = sum(s.redirects_out for s in switches)
         if local:
-            # A delivery record carries no flag for an authority-local miss.
+            # A delivered packet carries no flag for an authority-local miss.
             raise ValueError(f"{local} authority-local hits at an ingress")
         total_cls = hits + misses
-        summary = miss_penalty_summary(dn.network.deliveries)
+        summary = penalty.summary()
         breakdown = {"evicted": 0, "expired": 0, "invalidated": 0}
         for switch in switches:
             for key, value in switch.cache.eviction_breakdown().items():

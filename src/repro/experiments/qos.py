@@ -42,6 +42,7 @@ from repro.flowspace.ternary import Ternary
 from repro.obs import context as _obs_context
 from repro.obs import fresh_run_context
 from repro.obs.qos import FlowClass, FlowClassifier, QosPolicy, SloSpec
+from repro.obs.sketch import DeliveryReader
 from repro.obs.telemetry import telemetry_section
 from repro.switch.cache import EvictionPolicy
 from repro.workloads.streaming import (
@@ -181,6 +182,9 @@ def _qos_point(
             redirect_queue=redirect_queue,
             loss_seed=seed,
         )
+        # Every result below comes from counters and telemetry: the
+        # delivery log keeps no per-packet row.
+        dn.network.deliveries.stream_into(DeliveryReader())
         feed_epochs(dn, spec)
         dn.run()
 

@@ -98,56 +98,82 @@ class DeliveryLog:
     Records are appended eagerly, one per terminal packet.
 
     **Streaming mode** (:meth:`stream_into`) replaces retention entirely:
-    every outcome is handed to an observer (records via
-    ``observer.record``, record-free deliveries via
-    ``observer.observe_delivery``) and then forgotten, so a million-packet
-    soak holds zero per-packet rows.  Only the outcome *count* survives
-    (``len`` still works — ``SimNetwork``'s repr relies on it); per-packet
-    reads raise, loudly, rather than return partial data.
+    every outcome is handed to a *reader* (a
+    :class:`~repro.obs.sketch.DeliveryReader`) and then forgotten, so a
+    million-packet soak holds zero per-packet rows.  A reader has two
+    methods:
+
+    * ``observe_delivery(packet, delay)`` — once per delivered packet,
+      with no record built; ``delay`` is ``now - (packet.created_at or
+      0.0)``, the same float a record's :attr:`~DeliveryRecord.delay`
+      gives.  A :class:`DeliveryRecord` carries every attribute a reader
+      may read off the packet (``packet_id``, ``flow_id``, ``hops``,
+      ``via_authority``, ``via_controller``), so readers replay records
+      through the same method.
+    * ``record(record)`` — the :class:`DeliveryRecord` of each drop.
+
+    Only the outcome *count* survives (``len`` still works —
+    ``SimNetwork``'s repr relies on it); per-packet reads raise, loudly,
+    rather than return partial data.
     """
 
-    __slots__ = ("_entries", "_observer", "_streamed")
+    __slots__ = ("_entries", "_reader", "_streamed")
 
     def __init__(self):
         self._entries: List[DeliveryRecord] = []
-        self._observer = None
+        self._reader = None
         self._streamed = 0
 
-    def stream_into(self, observer) -> None:
-        """Forward all future outcomes to ``observer``; retain nothing.
+    def stream_into(self, reader) -> None:
+        """Hand all future outcomes to ``reader``; retain nothing.
 
-        The observer needs ``record(DeliveryRecord)`` and
-        ``observe_delivery(delay, hops)`` (:class:`DeliverySketchObserver`
-        implements both).  Must be
-        enabled before any outcome lands — retroactive streaming would
-        silently split the log in two.
+        Must be enabled before any outcome lands — retroactive streaming
+        would silently split the log in two.
         """
         if self._entries:
             raise RuntimeError("cannot enable streaming on a non-empty delivery log")
-        self._observer = observer
+        self._reader = reader
 
     def append(self, record: DeliveryRecord) -> None:
-        if self._observer is not None:
+        if self._reader is not None:
             self._streamed += 1
-            self._observer.record(record)
+            self._reader.record(record)
             return
         self._entries.append(record)
 
-    def append_delivery(self, delay: float, hops: int) -> None:
-        """Streaming mode only: one delivered packet, no record built."""
-        self._streamed += 1
-        self._observer.observe_delivery(delay, hops)
+    def append_delivery(self, packet: Packet, endpoint: str, now: float) -> None:
+        """One packet delivered at ``endpoint`` at time ``now``: a record
+        when the log retains, a record-free read when it streams."""
+        reader = self._reader
+        if reader is not None:
+            self._streamed += 1
+            reader.observe_delivery(packet, now - (packet.created_at or 0.0))
+            return
+        self.append(
+            DeliveryRecord(
+                packet_id=packet.packet_id,
+                flow_id=packet.flow_id,
+                created_at=packet.created_at or 0.0,
+                finished_at=now,
+                delivered=True,
+                hops=packet.hops,
+                via_authority=packet.via_authority,
+                via_controller=packet.via_controller,
+                ingress_switch=packet.ingress_switch,
+                endpoint=endpoint,
+            )
+        )
 
     def _records(self) -> List[DeliveryRecord]:
-        if self._observer is not None:
+        if self._reader is not None:
             raise RuntimeError(
-                "delivery log is streaming into an observer; "
+                "delivery log is streaming into a reader; "
                 "per-packet records were not retained"
             )
         return self._entries
 
     def __len__(self) -> int:
-        if self._observer is not None:
+        if self._reader is not None:
             return self._streamed
         return len(self._entries)
 
@@ -458,34 +484,15 @@ class SimNetwork(Collectable):
     def record_delivery(self, packet: Packet, endpoint: str) -> None:
         """Record a successful delivery at ``endpoint``."""
         self.packets_delivered += 1
+        now = self.scheduler.now
         if self.qos is not None:
             self._qos_outcome(
                 packet.header_bits, True, packet.via_authority,
-                self.scheduler.now - (packet.created_at or 0.0),
+                now - (packet.created_at or 0.0),
             )
         if self.tracer.enabled:
-            self.tracer.record(
-                self.scheduler.now, TraceKind.DELIVERED, packet, node=endpoint
-            )
-        if self.deliveries._observer is not None:
-            self.deliveries.append_delivery(
-                self.scheduler.now - (packet.created_at or 0.0), packet.hops
-            )
-            return
-        self.deliveries.append(
-            DeliveryRecord(
-                packet_id=packet.packet_id,
-                flow_id=packet.flow_id,
-                created_at=packet.created_at or 0.0,
-                finished_at=self.scheduler.now,
-                delivered=True,
-                hops=packet.hops,
-                via_authority=packet.via_authority,
-                via_controller=packet.via_controller,
-                ingress_switch=packet.ingress_switch,
-                endpoint=endpoint,
-            )
-        )
+            self.tracer.record(now, TraceKind.DELIVERED, packet, node=endpoint)
+        self.deliveries.append_delivery(packet, endpoint, now)
 
     def record_drop(self, packet: Packet, where: str, reason: str) -> None:
         """Record a packet loss at ``where``."""

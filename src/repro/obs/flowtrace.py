@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.series import Series
+from repro.obs.sketch import DeliveryReader
 from repro.obs.trace import TraceEvent, TraceKind
 
 __all__ = ["PacketSpan", "FlowTrace", "FlowTraceAnalysis", "STAGE_OF_KIND", "STAGES",
-           "miss_penalty_summary"]
+           "FirstDetourReader"]
 
 #: Stage charged for the segment *starting* at an event of this kind.
 #: Kinds absent here (terminal events, install-received) never start a
@@ -278,27 +279,38 @@ class FlowTraceAnalysis:
         }
 
 
-def miss_penalty_summary(records: Iterable) -> Dict[str, object]:
-    """:meth:`FlowTraceAnalysis.summary`'s ``miss_penalty_*`` keys from delivery records.
+class FirstDetourReader(DeliveryReader):
+    """The miss penalty with no tracer running: a :meth:`DeliveryLog.stream_into`
+    reader that keeps one first-detour delay per flow.
 
-    Same definition as :meth:`FlowTraceAnalysis.miss_penalty_cdf` — per flow,
-    the lowest-packet-id delivered packet that detoured (``via_authority``:
-    redirect; ``via_controller``: degraded or NOX punt), latency
-    ``finished_at - created_at`` — with no tracer running.  An
-    *authority-local* ingress hit sets neither flag: callers rule it out.
+    Same definition as :meth:`FlowTraceAnalysis.miss_penalty_cdf` — per
+    flow, the lowest-packet-id delivered packet that detoured
+    (``via_authority``: redirect; ``via_controller``: degraded or NOX
+    punt), latency from creation to delivery.  Drops carry no penalty.
+    An *authority-local* ingress hit sets neither flag: callers rule it
+    out.
     """
-    first: Dict[Optional[int], Tuple[int, float]] = {}
-    for record in records:
-        if record.delivered and (record.via_authority or record.via_controller):
-            seen = first.get(record.flow_id)
-            if seen is None or record.packet_id < seen[0]:
-                first[record.flow_id] = (record.packet_id, record.delay)
-    latencies = sorted(latency * 1e3 for _, latency in first.values())
-    return {
-        "miss_penalty_samples": len(latencies),
-        "miss_penalty_p50_ms": _percentile(latencies, 0.5),
-        "miss_penalty_p99_ms": _percentile(latencies, 0.99),
-    }
+
+    __slots__ = ("_first",)
+
+    def __init__(self):
+        #: flow id -> (lowest detoured packet id, its delay in seconds)
+        self._first: Dict[Optional[int], Tuple[int, float]] = {}
+
+    def observe_delivery(self, packet, delay: float) -> None:
+        if packet.via_authority or packet.via_controller:
+            seen = self._first.get(packet.flow_id)
+            if seen is None or packet.packet_id < seen[0]:
+                self._first[packet.flow_id] = (packet.packet_id, delay)
+
+    def summary(self) -> Dict[str, object]:
+        """:meth:`FlowTraceAnalysis.summary`'s ``miss_penalty_*`` keys."""
+        latencies = sorted(latency * 1e3 for _, latency in self._first.values())
+        return {
+            "miss_penalty_samples": len(latencies),
+            "miss_penalty_p50_ms": _percentile(latencies, 0.5),
+            "miss_penalty_p99_ms": _percentile(latencies, 0.99),
+        }
 
 
 def _percentile(sorted_values: List[float], q: float) -> Optional[float]:

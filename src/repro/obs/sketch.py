@@ -30,7 +30,8 @@ hypothesis suite checks every rank query against an exact oracle.
 
 A soak that passes ``sketch=True`` (M1, the default) feeds delivery
 outcomes into a :class:`DeliverySketchObserver` instead of accumulating
-per-packet records.
+per-packet records; :class:`DeliveryReader` is the protocol such a
+reader implements.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "QuantileSketch",
     "FixedWidthHistogram",
     "SpaceSavingSketch",
+    "DeliveryReader",
     "DeliverySketchObserver",
     "EXPORT_QUANTILES",
 ]
@@ -461,7 +463,25 @@ class SpaceSavingSketch:
         )
 
 
-class DeliverySketchObserver:
+class DeliveryReader:
+    """A reader for :meth:`DeliveryLog.stream_into`, and the one that keeps
+    nothing — for runs whose results come from counters and telemetry
+    alone (E9Q).  Readers that keep something subclass it.
+    """
+
+    __slots__ = ()
+
+    def observe_delivery(self, packet, delay: float) -> None:
+        """One delivered packet and its delay in seconds (no record built)."""
+
+    def record(self, record) -> None:
+        """One :class:`DeliveryRecord`: the log hands a reader its drops,
+        and a delivered record replays through :meth:`observe_delivery`."""
+        if record.delivered:
+            self.observe_delivery(record, record.delay)
+
+
+class DeliverySketchObserver(DeliveryReader):
     """Bounded-memory consumer for :meth:`DeliveryLog.stream_into`.
 
     Replaces the per-packet :class:`DeliveryRecord` rows a soak would
@@ -497,19 +517,19 @@ class DeliverySketchObserver:
         self.delivered = 0
         self.dropped = 0
 
-    # -- DeliveryLog streaming protocol -------------------------------------
+    # -- DeliveryLog reader protocol ---------------------------------------
     def record(self, record) -> None:
-        """Consume one :class:`DeliveryRecord`."""
+        """Consume one :class:`DeliveryRecord` (the log hands it drops)."""
         if record.delivered:
-            self.observe_delivery(record.finished_at - record.created_at, record.hops)
+            self.observe_delivery(record, record.delay)
         else:
             self.dropped += 1
 
-    def observe_delivery(self, delay: float, hops: int) -> None:
+    def observe_delivery(self, packet, delay: float) -> None:
         """Consume one delivered packet's delay and hop count (no record)."""
         self.delivered += 1
         self.delay_sketch.observe(delay)
-        self.hop_histogram.observe(hops)
+        self.hop_histogram.observe(packet.hops)
 
     # -- workload side -------------------------------------------------------
     def offer_destinations(self, destinations) -> None:

@@ -16,8 +16,13 @@ __all__ = ["ZipfSampler", "zipf_cdf"]
 
 
 def _build_cdf(n: int, alpha: float) -> np.ndarray:
-    weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), alpha)
-    cdf = np.cumsum(weights)
+    # One array, every step in place: at 10^6 hosts each temporary would
+    # add 8 MB to the run's peak.  Byte-equal to
+    # ``cumsum(1.0 / power(arange, alpha))`` (tests/test_streaming.py).
+    cdf = np.arange(1, n + 1, dtype=np.float64)
+    np.power(cdf, alpha, out=cdf)
+    np.divide(1.0, cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return cdf
 

@@ -15,8 +15,9 @@ from repro.obs import fresh_run_context
 from repro.obs.flowtrace import (
     MISS_PATHS,
     STAGES,
+    FirstDetourReader,
     FlowTraceAnalysis,
-    miss_penalty_summary,
+    _percentile,
 )
 from repro.obs.trace import PacketTracer, TraceEvent, TraceKind
 from repro.workloads.policies import routing_policy_for_topology
@@ -255,6 +256,36 @@ L = FIVE_TUPLE_LAYOUT
 _PENALTY_KEYS = ("miss_penalty_samples", "miss_penalty_p50_ms", "miss_penalty_p99_ms")
 
 
+def miss_penalty_summary(records):
+    """Oracle for :class:`FirstDetourReader`: the miss penalty from a
+    retained record log — per flow, the lowest-packet-id delivered record
+    that detoured, latency ``finished_at - created_at``."""
+    first = {}
+    for record in records:
+        if record.delivered and (record.via_authority or record.via_controller):
+            seen = first.get(record.flow_id)
+            if seen is None or record.packet_id < seen[0]:
+                first[record.flow_id] = (record.packet_id, record.delay)
+    latencies = sorted(latency * 1e3 for _, latency in first.values())
+    return {
+        "miss_penalty_samples": len(latencies),
+        "miss_penalty_p50_ms": _percentile(latencies, 0.5),
+        "miss_penalty_p99_ms": _percentile(latencies, 0.99),
+    }
+
+
+def _streamed_penalty(records):
+    """What :class:`FirstDetourReader` reads from ``records`` when the log
+    streams: deliveries record-free, in log order, and drops as records."""
+    reader = FirstDetourReader()
+    for record in records:
+        if record.delivered:
+            reader.observe_delivery(record, record.finished_at - record.created_at)
+        else:
+            reader.record(record)
+    return reader.summary()
+
+
 def _trace_oracle(tracer):
     analysis = FlowTraceAnalysis.from_tracer(tracer)
     assert analysis.evicted == 0
@@ -269,14 +300,18 @@ def traced_context():
     obs_context.install(previous)
 
 
+def _penalty_record(packet_id, flow_id, delay, delivered=True, authority=True,
+                    controller=False):
+    return DeliveryRecord(
+        packet_id, flow_id, created_at=1.0, finished_at=1.0 + delay,
+        delivered=delivered, hops=2, via_authority=authority,
+        via_controller=controller, ingress_switch="e0", endpoint="h0",
+    )
+
+
 class TestMissPenaltyFromRecords:
     def test_first_flagged_delivered_packet_per_flow(self):
-        def record(packet_id, flow_id, delay, delivered=True, authority=True):
-            return DeliveryRecord(
-                packet_id, flow_id, created_at=1.0, finished_at=1.0 + delay,
-                delivered=delivered, hops=2, via_authority=authority,
-                via_controller=False, ingress_switch="e0", endpoint="h0",
-            )
+        record = _penalty_record
         records = [
             record(3, 10, 0.009),                       # a later miss of flow 10
             record(2, 10, 0.002),                       # flow 10's first miss
@@ -296,23 +331,63 @@ class TestMissPenaltyFromRecords:
             "miss_penalty_p99_ms": None,
         }
 
+    def test_reader_equals_the_record_oracle(self):
+        record = _penalty_record
+        cases = {
+            "empty": [],
+            "out-of-order ids": [
+                record(9, 10, 0.009), record(4, 10, 0.004), record(7, 10, 0.007),
+                record(2, 11, 0.003), record(1, 11, 0.005),
+            ],
+            "via_controller": [
+                record(1, 10, 0.002, authority=False, controller=True),
+                record(2, 10, 0.001),
+                record(3, 11, 0.006, authority=False, controller=True),
+                record(4, 12, 0.001, authority=False),
+            ],
+            "drops ignored": [
+                record(1, 10, 0.001, delivered=False),
+                record(2, 10, 0.005),
+                record(3, 11, 0.002, delivered=False, controller=True),
+            ],
+        }
+        for name, records in cases.items():
+            expected = miss_penalty_summary(records)
+            assert _streamed_penalty(records) == expected, name
+            replayed = FirstDetourReader()
+            for r in records:
+                replayed.record(r)
+            assert replayed.summary() == expected, name
+        # Flow 10's first miss is id 4 (4 ms), flow 11's id 1 (5 ms): the
+        # lowest id wins, not the first delivered.
+        assert _streamed_penalty(cases["out-of-order ids"]) == {
+            "miss_penalty_samples": 2,
+            "miss_penalty_p50_ms": 5.0,
+            "miss_penalty_p99_ms": 5.0,
+        }
+        assert _streamed_penalty(cases["via_controller"])[
+            "miss_penalty_samples"] == 2
+        assert _streamed_penalty(cases["drops ignored"])[
+            "miss_penalty_samples"] == 1
+
     def test_every_e8c_point_matches_the_trace_oracle(self, monkeypatch):
         """Every golden-scale E8C point, rerun with its tracer on: the
-        log-derived miss penalty equals the trace-derived one exactly."""
+        streamed miss penalty equals the trace-derived one exactly."""
         from repro.experiments import cachingablation
 
         compared = []
 
-        def checked(records):
-            got = miss_penalty_summary(records)
-            compared.append((got, _trace_oracle(obs_context.current().tracer)))
-            return got
+        class Checked(FirstDetourReader):
+            def summary(self):
+                got = super().summary()
+                compared.append((got, _trace_oracle(obs_context.current().tracer)))
+                return got
 
         monkeypatch.setattr(
             cachingablation, "fresh_run_context",
             lambda: fresh_run_context(trace=True),
         )
-        monkeypatch.setattr(cachingablation, "miss_penalty_summary", checked)
+        monkeypatch.setattr(cachingablation, "FirstDetourReader", Checked)
         cachingablation.run_caching_ablation(jobs=1)
         assert len(compared) == 3 * 5 * 2
         for got, expected in compared:
@@ -348,6 +423,7 @@ class TestMissPenaltyFromRecords:
         got = miss_penalty_summary(dn.network.deliveries)
         assert got["miss_penalty_samples"] == 8
         assert got == _trace_oracle(dn.network.tracer)
+        assert _streamed_penalty(dn.network.deliveries) == got
 
     def test_nox_punts_match_the_trace_oracle(self, traced_context):
         topo = TopologyBuilder.star(4, hosts_per_leaf=2)
@@ -366,6 +442,7 @@ class TestMissPenaltyFromRecords:
         got = miss_penalty_summary(nox.network.deliveries)
         assert got["miss_penalty_samples"] > 0
         assert got == _trace_oracle(nox.network.tracer)
+        assert _streamed_penalty(nox.network.deliveries) == got
 
     def test_e8c_point_refuses_authority_local_hits(self, monkeypatch):
         """The one miss path a record cannot see: an ingress switch that is

@@ -325,10 +325,12 @@ def test_registry_merge_preserves_sketch_shape_and_content():
     a.quantile_sketch("delay", k=16).observe(1.0)
     b.quantile_sketch("delay", k=16).observe_repeated(2.0, 3)
     b.top_k("hot", k=4).offer("x", 5)
+    b.fixed_histogram("hops", width=2.0, bins=4).observe(3.0)
     merged = MetricsRegistry.merged(a, b)
     sketch = merged.value("delay")
     assert sketch["count"] == 4 and sketch["k"] == 16
     assert merged.value("hot")["entries"][0]["count"] == 5
+    assert merged.value("hops") == b.value("hops")
     # Merging mismatched k raises (fresh() preserved the shape).
     c = MetricsRegistry()
     c.quantile_sketch("delay", k=32).observe(1.0)

@@ -18,6 +18,7 @@ import pytest
 from repro.experiments.common import metrics_document
 from repro.experiments.streaming import run_streaming_soak
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT, parse_ip
+from repro.net import simnet
 from repro.net.simnet import DeliveryLog, DeliveryRecord
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
@@ -30,7 +31,7 @@ from repro.workloads.streaming import (
     streaming_policy,
     streaming_topology,
 )
-from repro.workloads.zipf import ZipfSampler, zipf_cdf
+from repro.workloads.zipf import ZipfSampler, _build_cdf, zipf_cdf
 
 LAYOUT = FIVE_TUPLE_LAYOUT
 
@@ -214,6 +215,17 @@ def test_stream_spec_validation():
 # -- the zipf-CDF cache regression -------------------------------------------
 
 
+@pytest.mark.parametrize("n, alpha", [
+    (1, 1.0), (7, 0.0), (1000, 0.6), (4096, 1.0), (10**6, 1.0), (513, 2.5),
+])
+def test_zipf_cdf_built_in_place_equals_the_expression(n, alpha):
+    """The in-place build is byte-equal to the one-expression original."""
+    weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), alpha)
+    expected = np.cumsum(weights)
+    expected /= expected[-1]
+    assert _build_cdf(n, alpha).tobytes() == expected.tobytes()
+
+
 def test_zipf_cdf_is_built_once_and_shared():
     """The PR-8 fix: the CDF used to be re-derived per sampler."""
     context = fresh_run_context()
@@ -277,6 +289,33 @@ def test_delivery_log_streaming_guards():
     populated.append(_record(0))
     with pytest.raises(RuntimeError):
         populated.stream_into(observer)
+
+
+@pytest.mark.parametrize(
+    "experiment, drops", [("E8C", False), ("E9Q", True)], ids=["E8C", "E9Q"]
+)
+def test_sweep_points_build_no_record_for_a_delivered_packet(
+    experiment, drops, monkeypatch
+):
+    """E8C and E9Q read delivery outcomes as they happen: their quick
+    runs deliver packets without constructing a delivered record."""
+    from repro.experiments.registry import SPECS
+
+    built = TallyCounter()
+
+    class Spy(DeliveryRecord):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built[self.delivered] += 1
+
+    monkeypatch.setattr(simnet, "DeliveryRecord", Spy)
+    points = SPECS[experiment](quick=True, jobs=1).notes["points"]
+    assert sum(stats["delivered"] for stats in points.values()) > 0
+    assert built[True] == 0
+    # The spy is live: E9Q's admission shedding still builds drop records.
+    assert (built[False] > 0) is drops
 
 
 # -- M1 equivalences ---------------------------------------------------------
