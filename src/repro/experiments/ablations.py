@@ -60,16 +60,6 @@ def _campus_world(seed: int):
     return topo, rules, host_ips
 
 
-def _zipfish_traffic(topo, host_ips, flows: int, packets_per_flow: int, seed: int):
-    """Repeating host-pair flows with skewed popularity (hot pairs recur)."""
-    rng = random.Random(seed)
-    base = host_pair_packets(
-        topo, host_ips, LAYOUT, count=flows, rate=4000.0, seed=seed,
-        flow_packets=packets_per_flow,
-    )
-    return base
-
-
 def _eviction_point(
     policy: EvictionPolicy, cache_capacity: int, flows: int, seed: int
 ):
@@ -79,7 +69,10 @@ def _eviction_point(
         topo, rules, LAYOUT, authority_count=3,
         cache_capacity=cache_capacity, redirect_rate=None, eviction=policy,
     )
-    for timed in _zipfish_traffic(topo, host_ips, flows, 3, seed + 1):
+    for timed in host_pair_packets(
+        topo, host_ips, LAYOUT, count=flows, rate=4000.0, seed=seed + 1,
+        flow_packets=3,
+    ):
         dn.send_at(timed.time, timed.source_host, timed.packet)
     dn.run()
     return dn.cache_hit_rate(), sum(s.cache.evicted for s in dn.switches())

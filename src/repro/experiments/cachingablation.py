@@ -80,8 +80,8 @@ def _ablation_point(
     capacity) combination, returning plain scalars.
 
     The point installs its own fresh observability context (tracer off:
-    the delivery log streams into a :class:`FirstDetourReader`, which
-    keeps one delay per flow) and restores the ambient
+    the network reads its outcomes into a :class:`FirstDetourReader`,
+    which keeps one delay per flow) and restores the ambient
     one afterwards, so the caller's registry/telemetry never see
     point-local state — in workers and in the serial path alike.
     """
@@ -127,7 +127,7 @@ def _ablation_point(
             cache_options=cache_options,
         )
         penalty = FirstDetourReader()
-        dn.network.deliveries.stream_into(penalty)
+        dn.network.read_outcomes_with(penalty)
         feed_epochs(dn, spec)
         budgets: Dict[str, int] = {}
         if policy == "cost" and budget_every_epochs > 0:

@@ -183,8 +183,8 @@ def _qos_point(
             loss_seed=seed,
         )
         # Every result below comes from counters and telemetry: the
-        # delivery log keeps no per-packet row.
-        dn.network.deliveries.stream_into(DeliveryReader())
+        # network's outcome reader keeps nothing.
+        dn.network.read_outcomes_with(DeliveryReader())
         feed_epochs(dn, spec)
         dn.run()
 

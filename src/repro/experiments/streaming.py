@@ -12,9 +12,9 @@ M1 composes the pieces that remove those two walls:
   epochs a *lazy feeder* (:func:`feed_epochs`) generates from inside the
   event loop, each at its own instant, so the schedule never exists as
   a list;
-* **sketch observability** (:mod:`repro.obs.sketch`): the delivery log
-  streams outcomes into a :class:`DeliverySketchObserver` (delay
-  quantile sketch, hop histogram, destination top-k) and retains zero
+* **sketch observability** (:mod:`repro.obs.sketch`): the network hands
+  its outcomes to a :class:`DeliverySketchObserver` (delay quantile
+  sketch, hop histogram, destination top-k), which retains zero
   per-packet rows.
 
 Both composition points are independently toggleable (``stream``,
@@ -22,8 +22,8 @@ Both composition points are independently toggleable (``stream``,
 changes a byte of the metrics document: lazy feeding produces the same
 event sequence as a pre-materialized schedule (the epoch interval
 exceeds any event chain, so the heap is empty of prior-epoch work at
-every feeder fire), and the observer consumes outcomes the delivery log
-would otherwise retain.  ``bench_memory.py`` closes the loop by gating
+every feeder fire), and the observer consumes outcomes the retaining delivery
+log would otherwise hold.  ``bench_memory.py`` closes the loop by gating
 the full-scale run's peak RSS.
 """
 
@@ -100,7 +100,7 @@ def run_streaming_soak(
     observer: Optional[DeliverySketchObserver] = None
     if sketch:
         observer = DeliverySketchObserver()
-        network.deliveries.stream_into(observer)
+        network.read_outcomes_with(observer)
         network.scheduler.add_probe(observer.probe)
 
     offered = 0
@@ -152,7 +152,7 @@ def run_streaming_soak(
         "offered": offered,
         "delivered": delivered,
         "dropped": dropped,
-        "unaccounted_packets": offered - len(network.deliveries),
+        "unaccounted_packets": offered - delivered - dropped,
         "cache_hit_rate": dn.cache_hit_rate(),
         "redirects": dn.total_redirects(),
         "invariant_violations": len(violations),

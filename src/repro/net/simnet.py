@@ -41,10 +41,11 @@ CONTROL_OVERHEAD_S = 20e-6
 class DeliveryRecord:
     """Outcome of one packet's trip through the network.
 
-    One record is appended per packet — the hottest allocation after
-    :class:`Packet` itself — so this is a ``__slots__`` class rather than
-    a dataclass (no per-instance dict; see ``bench_perf_core``'s
-    packet-struct micro-benchmark).
+    A retaining :class:`DeliveryLog` keeps one record per terminal packet
+    — the hottest allocation after :class:`Packet` itself on such a run —
+    so this is a ``__slots__`` class rather than a dataclass (no
+    per-instance dict; see ``bench_perf_core``'s packet-struct
+    micro-benchmark).  A streaming reader builds none.
     """
 
     __slots__ = (
@@ -93,62 +94,27 @@ class DeliveryRecord:
 
 
 class DeliveryLog:
-    """The network's outcome log — a list of :class:`DeliveryRecord`.
+    """The outcome reader that keeps records: a list of :class:`DeliveryRecord`.
 
-    Records are appended eagerly, one per terminal packet.
+    A :class:`SimNetwork` hands every delivery and drop to one reader
+    through two methods, and this log is its default:
 
-    **Streaming mode** (:meth:`stream_into`) replaces retention entirely:
-    every outcome is handed to a *reader* (a
-    :class:`~repro.obs.sketch.DeliveryReader`) and then forgotten, so a
-    million-packet soak holds zero per-packet rows.  A reader has two
-    methods:
+    * ``observe_delivery(packet, endpoint, now)`` — ``packet`` was
+      delivered at ``endpoint`` at simulated time ``now``;
+    * ``observe_drop(packet, where, reason, now)`` — ``packet`` was
+      dropped at node ``where`` for ``reason``.
 
-    * ``observe_delivery(packet, delay)`` — once per delivered packet,
-      with no record built; ``delay`` is ``now - (packet.created_at or
-      0.0)``, the same float a record's :attr:`~DeliveryRecord.delay`
-      gives.  A :class:`DeliveryRecord` carries every attribute a reader
-      may read off the packet (``packet_id``, ``flow_id``, ``hops``,
-      ``via_authority``, ``via_controller``), so readers replay records
-      through the same method.
-    * ``record(record)`` — the :class:`DeliveryRecord` of each drop.
-
-    Only the outcome *count* survives (``len`` still works —
-    ``SimNetwork``'s repr relies on it); per-packet reads raise, loudly,
-    rather than return partial data.
+    A reader that keeps no per-packet row (:mod:`repro.obs.sketch`'s
+    :class:`~repro.obs.sketch.DeliveryReader` and its subclasses) takes
+    the log's place through :meth:`SimNetwork.read_outcomes_with`.
     """
 
-    __slots__ = ("_entries", "_reader", "_streamed")
+    __slots__ = ("_entries",)
 
     def __init__(self):
         self._entries: List[DeliveryRecord] = []
-        self._reader = None
-        self._streamed = 0
 
-    def stream_into(self, reader) -> None:
-        """Hand all future outcomes to ``reader``; retain nothing.
-
-        Must be enabled before any outcome lands — retroactive streaming
-        would silently split the log in two.
-        """
-        if self._entries:
-            raise RuntimeError("cannot enable streaming on a non-empty delivery log")
-        self._reader = reader
-
-    def append(self, record: DeliveryRecord) -> None:
-        if self._reader is not None:
-            self._streamed += 1
-            self._reader.record(record)
-            return
-        self._entries.append(record)
-
-    def append_delivery(self, packet: Packet, endpoint: str, now: float) -> None:
-        """One packet delivered at ``endpoint`` at time ``now``: a record
-        when the log retains, a record-free read when it streams."""
-        reader = self._reader
-        if reader is not None:
-            self._streamed += 1
-            reader.observe_delivery(packet, now - (packet.created_at or 0.0))
-            return
+    def observe_delivery(self, packet: Packet, endpoint: str, now: float) -> None:
         self.append(
             DeliveryRecord(
                 packet_id=packet.packet_id,
@@ -164,27 +130,34 @@ class DeliveryLog:
             )
         )
 
-    def _records(self) -> List[DeliveryRecord]:
-        if self._reader is not None:
-            raise RuntimeError(
-                "delivery log is streaming into a reader; "
-                "per-packet records were not retained"
+    def observe_drop(self, packet: Packet, where: str, reason: str, now: float) -> None:
+        self.append(
+            DeliveryRecord(
+                packet_id=packet.packet_id,
+                flow_id=packet.flow_id,
+                created_at=packet.created_at or 0.0,
+                finished_at=now,
+                delivered=False,
+                hops=packet.hops,
+                via_authority=packet.via_authority,
+                via_controller=packet.via_controller,
+                ingress_switch=packet.ingress_switch,
+                endpoint=where,
+                drop_reason=reason,
             )
-        return self._entries
+        )
+
+    def append(self, record: DeliveryRecord) -> None:
+        self._entries.append(record)
 
     def __len__(self) -> int:
-        if self._reader is not None:
-            return self._streamed
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self._records())
+        return iter(self._entries)
 
     def __getitem__(self, index):
-        return self._records()[index]
-
-    def __bool__(self) -> bool:
-        return bool(self._entries) or self._streamed > 0
+        return self._entries[index]
 
     def __repr__(self) -> str:
         return f"<DeliveryLog {len(self)} outcomes>"
@@ -227,6 +200,8 @@ class SimNetwork(Collectable):
         #: host -> attached switch, filled lazily by inject_from_host and
         #: valid for one routing epoch (cleared by rebuild_routes).
         self._attachment: Dict[str, str] = {}
+        #: The one outcome reader: a retaining DeliveryLog unless
+        #: read_outcomes_with replaced it.
         self.deliveries = DeliveryLog()
         self.packets_injected = 0
         self.packets_delivered = 0
@@ -492,7 +467,7 @@ class SimNetwork(Collectable):
             )
         if self.tracer.enabled:
             self.tracer.record(now, TraceKind.DELIVERED, packet, node=endpoint)
-        self.deliveries.append_delivery(packet, endpoint, now)
+        self.deliveries.observe_delivery(packet, endpoint, now)
 
     def record_drop(self, packet: Packet, where: str, reason: str) -> None:
         """Record a packet loss at ``where``."""
@@ -504,25 +479,23 @@ class SimNetwork(Collectable):
             child = self.metrics.counter("packets_dropped_total", reason=bucket)
             self._m_dropped[bucket] = child
         child.inc()
+        now = self.scheduler.now
         if self.tracer.enabled:
-            self.tracer.record(
-                self.scheduler.now, TraceKind.DROPPED, packet, node=where, detail=reason
-            )
-        self.deliveries.append(
-            DeliveryRecord(
-                packet_id=packet.packet_id,
-                flow_id=packet.flow_id,
-                created_at=packet.created_at or 0.0,
-                finished_at=self.scheduler.now,
-                delivered=False,
-                hops=packet.hops,
-                via_authority=packet.via_authority,
-                via_controller=packet.via_controller,
-                ingress_switch=packet.ingress_switch,
-                endpoint=where,
-                drop_reason=reason,
-            )
-        )
+            self.tracer.record(now, TraceKind.DROPPED, packet, node=where, detail=reason)
+        self.deliveries.observe_drop(packet, where, reason, now)
+
+    def read_outcomes_with(self, reader) -> None:
+        """Hand every later delivery and drop to ``reader`` (see
+        :class:`DeliveryLog` for the two methods) instead of keeping
+        records; ``deliveries`` becomes ``reader``.
+
+        Refused once any outcome has landed: the outcomes would split
+        between two readers.
+        """
+        # _m_dropped gains its first child on this network's first drop.
+        if self.packets_delivered or self._m_dropped:
+            raise RuntimeError("cannot replace the outcome reader after an outcome landed")
+        self.deliveries = reader
 
     # -- convenience --------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -544,5 +517,5 @@ class SimNetwork(Collectable):
     def __repr__(self) -> str:
         return (
             f"<SimNetwork {len(self.topology.switches())} switches "
-            f"t={self.scheduler.now:.6f}s {len(self.deliveries)} outcomes>"
+            f"t={self.scheduler.now:.6f}s {self.packets_delivered} delivered>"
         )

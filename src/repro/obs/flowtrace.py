@@ -280,8 +280,8 @@ class FlowTraceAnalysis:
 
 
 class FirstDetourReader(DeliveryReader):
-    """The miss penalty with no tracer running: a :meth:`DeliveryLog.stream_into`
-    reader that keeps one first-detour delay per flow.
+    """The miss penalty with no tracer running: an outcome reader that
+    keeps one first-detour delay per flow.
 
     Same definition as :meth:`FlowTraceAnalysis.miss_penalty_cdf` — per
     flow, the lowest-packet-id delivered packet that detoured
@@ -297,11 +297,13 @@ class FirstDetourReader(DeliveryReader):
         #: flow id -> (lowest detoured packet id, its delay in seconds)
         self._first: Dict[Optional[int], Tuple[int, float]] = {}
 
-    def observe_delivery(self, packet, delay: float) -> None:
+    def observe_delivery(self, packet, endpoint: str, now: float) -> None:
         if packet.via_authority or packet.via_controller:
             seen = self._first.get(packet.flow_id)
             if seen is None or packet.packet_id < seen[0]:
-                self._first[packet.flow_id] = (packet.packet_id, delay)
+                self._first[packet.flow_id] = (
+                    packet.packet_id, now - (packet.created_at or 0.0)
+                )
 
     def summary(self) -> Dict[str, object]:
         """:meth:`FlowTraceAnalysis.summary`'s ``miss_penalty_*`` keys."""

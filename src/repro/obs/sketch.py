@@ -28,10 +28,10 @@ compactions actually performed.  :attr:`QuantileSketch.error_weight`
 tracks exactly that sum (merging adds the operands' budgets), and the
 hypothesis suite checks every rank query against an exact oracle.
 
-A soak that passes ``sketch=True`` (M1, the default) feeds delivery
-outcomes into a :class:`DeliverySketchObserver` instead of accumulating
-per-packet records; :class:`DeliveryReader` is the protocol such a
-reader implements.
+A soak that passes ``sketch=True`` (M1, the default) hands its delivery
+outcomes to a :class:`DeliverySketchObserver` instead of accumulating
+per-packet records; :class:`DeliveryReader` is the reader that keeps
+nothing, and the base such readers subclass.
 """
 
 from __future__ import annotations
@@ -464,25 +464,23 @@ class SpaceSavingSketch:
 
 
 class DeliveryReader:
-    """A reader for :meth:`DeliveryLog.stream_into`, and the one that keeps
-    nothing — for runs whose results come from counters and telemetry
-    alone (E9Q).  Readers that keep something subclass it.
+    """An outcome reader for :meth:`SimNetwork.read_outcomes_with
+    <repro.net.simnet.SimNetwork.read_outcomes_with>`, and the one that
+    keeps nothing — for runs whose results come from counters and
+    telemetry alone (E9Q).  Readers that keep something subclass it.
     """
 
     __slots__ = ()
 
-    def observe_delivery(self, packet, delay: float) -> None:
-        """One delivered packet and its delay in seconds (no record built)."""
+    def observe_delivery(self, packet, endpoint: str, now: float) -> None:
+        """``packet`` was delivered at ``endpoint`` at time ``now``."""
 
-    def record(self, record) -> None:
-        """One :class:`DeliveryRecord`: the log hands a reader its drops,
-        and a delivered record replays through :meth:`observe_delivery`."""
-        if record.delivered:
-            self.observe_delivery(record, record.delay)
+    def observe_drop(self, packet, where: str, reason: str, now: float) -> None:
+        """``packet`` was dropped at ``where`` for ``reason`` at time ``now``."""
 
 
 class DeliverySketchObserver(DeliveryReader):
-    """Bounded-memory consumer for :meth:`DeliveryLog.stream_into`.
+    """Bounded-memory outcome reader for a soak.
 
     Replaces the per-packet :class:`DeliveryRecord` rows a soak would
     otherwise retain: every outcome feeds registry-owned sketches (delay
@@ -517,19 +515,16 @@ class DeliverySketchObserver(DeliveryReader):
         self.delivered = 0
         self.dropped = 0
 
-    # -- DeliveryLog reader protocol ---------------------------------------
-    def record(self, record) -> None:
-        """Consume one :class:`DeliveryRecord` (the log hands it drops)."""
-        if record.delivered:
-            self.observe_delivery(record, record.delay)
-        else:
-            self.dropped += 1
-
-    def observe_delivery(self, packet, delay: float) -> None:
-        """Consume one delivered packet's delay and hop count (no record)."""
+    # -- outcome reader protocol ---------------------------------------------
+    def observe_delivery(self, packet, endpoint: str, now: float) -> None:
+        """Consume one delivered packet's delay and hop count."""
         self.delivered += 1
-        self.delay_sketch.observe(delay)
+        self.delay_sketch.observe(now - (packet.created_at or 0.0))
         self.hop_histogram.observe(packet.hops)
+
+    def observe_drop(self, packet, where: str, reason: str, now: float) -> None:
+        """Count one dropped packet."""
+        self.dropped += 1
 
     # -- workload side -------------------------------------------------------
     def offer_destinations(self, destinations) -> None:

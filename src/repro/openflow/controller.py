@@ -8,12 +8,12 @@ service rate is the famous number in this paper — a NOX-era controller
 handles a few tens of thousands of flow setups per second, and that budget
 is what DIFANE removes from the critical path.
 
-Concrete controllers subclass this:
-
-* :class:`repro.baselines.nox.NoxController` — reactive microflow install;
-* :class:`repro.core.controller.DifaneController` — proactive partition
-  distribution (its CPU budget only matters at configuration time, which
-  is the paper's point).
+:class:`repro.baselines.nox.NoxController` (reactive microflow install)
+is the one subclass.  :class:`repro.core.controller.DifaneController` is
+not one: it subclasses :class:`~repro.obs.registry.Collectable` and opens
+its own channels in ``connect_control_plane``, because its proactive
+partition distribution never puts a controller CPU on the packet path
+(the paper's point).
 """
 
 from __future__ import annotations

@@ -190,26 +190,56 @@ class TestStreamingDelivery:
     def test_record_free_delivery_feeds_the_observer_the_same_numbers(self):
         """With a streaming observer ``record_delivery`` builds no
         ``DeliveryRecord``; the sketches must see the same delay floats
-        and hop counts as the record path hands ``observer.record``."""
+        and hop counts as the retaining log's records hold."""
         kept_topo, kept = build_net()
         streamed_topo, streamed = build_net()
         observer = DeliverySketchObserver(registry=MetricsRegistry())
-        streamed.deliveries.stream_into(observer)
+        streamed.read_outcomes_with(observer)
         for net in (kept, streamed):
             for _ in range(5):
                 net.inject_from_host("h0", Packet.from_fields(TWO_FIELD_LAYOUT))
                 net.run()
             net.record_drop(Packet.from_fields(TWO_FIELD_LAYOUT), "s0", "test")
-        replayed = DeliverySketchObserver(registry=MetricsRegistry())
-        for record in kept.deliveries:
-            replayed.record(record)
-        assert len(streamed.deliveries) == len(kept.deliveries) == 6
+        assert streamed.deliveries is observer
         assert (observer.delivered, observer.dropped) == (5, 1)
-        assert (replayed.delivered, replayed.dropped) == (5, 1)
-        assert observer.delay_sketch.export() == replayed.delay_sketch.export()
-        assert observer.hop_histogram.export() == replayed.hop_histogram.export()
+        assert (len(kept.delivered()), len(kept.dropped())) == (5, 1)
+        expected = DeliverySketchObserver(registry=MetricsRegistry())
+        for record in kept.delivered():
+            expected.delay_sketch.observe(record.delay)
+            expected.hop_histogram.observe(record.hops)
+        assert observer.delay_sketch.export() == expected.delay_sketch.export()
+        assert observer.hop_histogram.export() == expected.hop_histogram.export()
 
+    def test_a_streaming_reader_sees_each_drop_as_the_log_records_it(self):
+        """``record_drop`` hands a streaming reader the same ``(where,
+        reason, now)`` the retaining log writes into its drop record."""
 
+        class DropTally(DeliverySketchObserver):
+            def __init__(self):
+                super().__init__(registry=MetricsRegistry())
+                self.drops = []
+
+            def observe_drop(self, packet, where, reason, now):
+                super().observe_drop(packet, where, reason, now)
+                self.drops.append((where, reason, now))
+
+        kept_topo, kept = build_net()
+        streamed_topo, streamed = build_net()
+        reader = DropTally()
+        streamed.read_outcomes_with(reader)
+        for net in (kept, streamed):
+            net.inject_from_host("h0", Packet.from_fields(TWO_FIELD_LAYOUT))
+            net.record_drop(Packet.from_fields(TWO_FIELD_LAYOUT), "s0", "first")
+            net.run()
+            net.forward_toward("s1", "nowhere", Packet.from_fields(TWO_FIELD_LAYOUT))
+        assert [
+            (r.endpoint, r.drop_reason, r.finished_at) for r in kept.dropped()
+        ] == reader.drops
+        assert [drop[:2] for drop in reader.drops] == [
+            ("s0", "first"), ("s1", "unreachable nowhere"),
+        ]
+        assert reader.drops[1][2] > 0.0
+        assert (reader.delivered, reader.dropped) == (1, 2)
 class TestControlMessages:
     def test_send_control_latency(self):
         topo, net = build_net()

@@ -18,10 +18,13 @@ import pytest
 from repro.experiments.common import metrics_document
 from repro.experiments.streaming import run_streaming_soak
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT, parse_ip
+from repro.flowspace.packet import Packet
 from repro.net import simnet
-from repro.net.simnet import DeliveryLog, DeliveryRecord
+from repro.net.simnet import DeliveryRecord
+from repro.net.topology import TopologyBuilder
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
+from repro.obs.sketch import DeliveryReader
 from repro.workloads.streaming import (
     BASE_ADDRESS,
     StreamSpec,
@@ -252,43 +255,31 @@ def test_zipf_cdf_is_built_once_and_shared():
     assert all(0 <= s < n for s in a.sample_many(50))
 
 
-# -- DeliveryLog streaming mode ----------------------------------------------
+# -- Outcome readers ----------------------------------------------------------
 
 
-class _CountingObserver:
-    def __init__(self):
-        self.records = 0
-
-    def record(self, record):
-        self.records += 1
-
-    def block(self, block):
-        raise AssertionError("no blocks in this test")
-
-
-def _record(packet_id):
-    return DeliveryRecord(
-        packet_id, 0, 0.0, 1e-4, True, 2, False, False, "e0", "sink0", None,
-    )
+def _two_switch_network():
+    return simnet.SimNetwork(TopologyBuilder.linear(2, hosts_per_switch=1))
 
 
 def test_delivery_log_streaming_guards():
-    log = DeliveryLog()
-    observer = _CountingObserver()
-    log.stream_into(observer)
-    for i in range(3):
-        log.append(_record(i))
-    assert observer.records == 3
-    assert len(log) == 3 and bool(log)
-    with pytest.raises(RuntimeError, match="streaming"):
-        list(log)
-    with pytest.raises(RuntimeError, match="streaming"):
-        log[0]
-    # Retroactive streaming is refused: records already landed.
-    populated = DeliveryLog()
-    populated.append(_record(0))
-    with pytest.raises(RuntimeError):
-        populated.stream_into(observer)
+    """A network's outcome reader is chosen before any outcome lands: a
+    later swap would split the outcomes between two readers."""
+    streaming = _two_switch_network()
+    reader = DeliveryReader()
+    streaming.read_outcomes_with(reader)
+    assert streaming.deliveries is reader
+    delivered = _two_switch_network()
+    delivered.record_delivery(Packet.from_fields(LAYOUT), "h1")
+    dropped_only = _two_switch_network()
+    dropped_only.record_drop(Packet.from_fields(LAYOUT), "s0", "test")
+    streaming.record_drop(Packet.from_fields(LAYOUT), "s0", "test")
+    for network in (delivered, dropped_only, streaming):
+        with pytest.raises(RuntimeError, match="outcome landed"):
+            network.read_outcomes_with(DeliveryReader())
+    assert streaming.deliveries is reader
+    assert [r.delivered for r in delivered.deliveries] == [True]
+    assert [r.delivered for r in dropped_only.deliveries] == [False]
 
 
 @pytest.mark.parametrize(
@@ -298,7 +289,7 @@ def test_sweep_points_build_no_record_for_a_delivered_packet(
     experiment, drops, monkeypatch
 ):
     """E8C and E9Q read delivery outcomes as they happen: their quick
-    runs deliver packets without constructing a delivered record."""
+    runs deliver and drop packets without constructing any record."""
     from repro.experiments.registry import SPECS
 
     built = TallyCounter()
@@ -313,9 +304,18 @@ def test_sweep_points_build_no_record_for_a_delivered_packet(
     monkeypatch.setattr(simnet, "DeliveryRecord", Spy)
     points = SPECS[experiment](quick=True, jobs=1).notes["points"]
     assert sum(stats["delivered"] for stats in points.values()) > 0
-    assert built[True] == 0
-    # The spy is live: E9Q's admission shedding still builds drop records.
-    assert (built[False] > 0) is drops
+    if drops:
+        # E9Q's admission shedding drops packets: those build no record either.
+        assert sum(
+            stats["redirects_shed"] + stats["redirects_dropped"]
+            for stats in points.values()
+        ) > 0
+    assert built == {}
+    # The spy is live: a retaining network builds one record per outcome.
+    retaining = _two_switch_network()
+    retaining.record_delivery(Packet.from_fields(LAYOUT), "h1")
+    retaining.record_drop(Packet.from_fields(LAYOUT), "s0", "test")
+    assert built == {True: 1, False: 1}
 
 
 # -- M1 equivalences ---------------------------------------------------------
