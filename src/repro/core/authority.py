@@ -30,6 +30,7 @@ from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Rule, RuleKind
 from repro.core.cachegen import WinRegionTooLarge, cache_rule, generate_cache_rules
 from repro.net.events import ServiceStation
+from repro.obs.qos import QosPolicy
 from repro.obs.trace import TraceKind
 from repro.openflow.messages import (
     FlowMod, FlowModCommand, Heartbeat, Message, PacketIn, PacketOut,
@@ -73,13 +74,18 @@ class DifaneSwitch(DataPlaneSwitch):
         removes the bound (pure-semantics tests).
     redirect_queue:
         Redirect packets that may queue before tail drop.
-    eviction / idle_timeout:
+    eviction / idle_timeout / cost_tau:
         Cache management knobs (see :class:`CacheManager`).
     prefetch_fragments:
         Cache fragments installed per miss.  1 (the paper's behaviour)
         installs the fragment covering the missed packet; higher values
         also push sibling win-region fragments (an ablation-bench
         extension), falling back to one fragment past the budget.
+    qos:
+        Per-class :class:`~repro.obs.qos.QosPolicy`, or ``None`` (QoS
+        off): counts each ingress stage and shed redirect per class,
+        stamps cache rules with their class, arms the cache's class
+        weights and reservations and the redirect admission control.
     """
 
     #: Per-switch statistics the run's registry collects as
@@ -112,7 +118,8 @@ class DifaneSwitch(DataPlaneSwitch):
         idle_timeout: Optional[float] = None,
         forwarding_delay_s: float = 0.0,
         prefetch_fragments: int = 1,
-        cache_options: Optional[dict] = None,
+        cost_tau: float = 1.0,
+        qos: Optional[QosPolicy] = None,
     ):
         if prefetch_fragments < 1:
             raise ValueError("prefetch_fragments must be >= 1")
@@ -124,7 +131,7 @@ class DifaneSwitch(DataPlaneSwitch):
             capacity=cache_capacity,
             policy=eviction,
             default_idle_timeout=idle_timeout,
-            **(cache_options or {}),
+            cost_tau=cost_tau,
         )
         self.redirect_rate = redirect_rate
         self.redirect_queue = redirect_queue
@@ -147,9 +154,16 @@ class DifaneSwitch(DataPlaneSwitch):
         #: In-band install messages that carried more than one sibling
         #: fragment (dependency-aware batching at prefetch > 1).
         self.cache_install_batches_sent = 0
-        #: QoS wiring — bound in attach() when a policy is installed.
-        self._qos = None
+        self._qos = qos
+        #: (statistic, class) -> per-class counter, bound in attach().
         self._qc: dict = {}
+        if qos is not None:
+            weights = qos.class_weights()
+            if weights:
+                self.cache.set_class_weights(weights)
+            reserved = qos.reservations(self.cache.capacity)
+            if reserved:
+                self.cache.set_reservations(reserved)
 
     # -- wiring ---------------------------------------------------------------
     def attach(self, network) -> None:
@@ -180,24 +194,15 @@ class DifaneSwitch(DataPlaneSwitch):
                 name=f"{self.name}.redirect",
                 metrics=network.metrics,
             )
-        # Per-class QoS: one counter per (statistic, class) and the
-        # cache-residency knobs.  With QoS off (the default) no qos_*
-        # counter is ever bound and the goldens stay byte-identical.
-        policy = network.qos
-        self._qos = policy
-        if policy is not None:
-            names = policy.classifier.class_names()
-            for cls in names:
+        # Per-class QoS: one counter per (statistic, class).  With QoS
+        # off (the default) no qos_* counter is ever bound and the
+        # goldens stay byte-identical.
+        if self._qos is not None:
+            for cls in self._qos.classifier.class_names():
                 for stat in ("cache_hits", "authority_hits", "redirects", "shed"):
                     self._qc[(stat, cls)] = registry.counter(
                         f"qos_{stat}_total", flow_class=cls, switch=self.name
                     )
-            weights = policy.class_weights()
-            if weights:
-                self.cache.set_class_weights(weights)
-            reserved = policy.reservations(self.cache.capacity)
-            if reserved:
-                self.cache.set_reservations(reserved)
 
     def _telemetry_probe(self) -> dict:
         """Per-window level samples for the telemetry recorder."""
@@ -340,7 +345,8 @@ class DifaneSwitch(DataPlaneSwitch):
             return
         qos_stat, kind = _STAGE_ACCOUNTING[stage]
         if self._qos is not None:
-            self._qos_count(qos_stat, (packet.header_bits,))
+            classify = self._qos.classifier.classify_bits
+            self._qc[(qos_stat, classify(packet.header_bits))].inc()
         tracer = network.tracer
         if stage is not PipelineStage.PARTITION:
             # A cache hit, or this switch is itself the authority for the
@@ -507,13 +513,6 @@ class DifaneSwitch(DataPlaneSwitch):
             for cached in cached_rules:
                 cached.flow_class = name
         return cached_rules
-
-    def _qos_count(self, stat: str, header_bits_iter) -> None:
-        """Increment the per-class counter for ``stat`` per packed header."""
-        classify = self._qos.classifier.classify_bits
-        qc = self._qc
-        for bits in header_bits_iter:
-            qc[(stat, classify(bits))].inc()
 
     def _admission_shed(self, packet: Packet) -> bool:
         """Shed an unprotected-class redirect when the queue is deep.

@@ -37,6 +37,7 @@ from repro.openflow.channel import (
     ControlChannel,
     DEFAULT_CONTROL_LATENCY_S,
 )
+from repro.obs.qos import QosPolicy
 from repro.obs.registry import Collectable
 from repro.openflow.messages import Heartbeat, Message, PacketIn, PacketOut
 from repro.switch.cache import EvictionPolicy
@@ -826,12 +827,16 @@ class DifaneNetwork:
         forwarding_delay_s: float = 0.0,
         prefetch_fragments: int = 1,
         loss_seed: int = 0,
-        cache_options: Optional[dict] = None,
+        cost_tau: float = 1.0,
+        qos: Optional[QosPolicy] = None,
     ) -> "DifaneNetwork":
         """Construct switches, controller and partitions over ``topology``.
 
         ``loss_seed`` seeds per-link loss/jitter draws (only consulted on
-        links whose spec enables faults).
+        links whose spec enables faults).  ``qos`` is the per-class
+        policy every switch enforces (``None``: QoS off); per-class
+        delivery and drop counts come from a
+        :class:`~repro.obs.qos.QosOutcomeReader` the caller installs.
         """
         network = SimNetwork(topology, loss_seed=loss_seed)
         for name in topology.switches():
@@ -846,7 +851,8 @@ class DifaneNetwork:
                     eviction=eviction,
                     forwarding_delay_s=forwarding_delay_s,
                     prefetch_fragments=prefetch_fragments,
-                    cache_options=cache_options,
+                    cost_tau=cost_tau,
+                    qos=qos,
                 )
             )
         if authority_switches is None:

@@ -105,11 +105,6 @@ def _ablation_point(
     idle_timeout = (
         idle_epochs * spec.epoch_interval_s if policy == "idle" else None
     )
-    cache_options = (
-        {"cost_tau": cost_tau_epochs * spec.epoch_interval_s}
-        if policy == "cost"
-        else None
-    )
     previous = _obs_context.current()
     fresh_run_context()
     try:
@@ -124,7 +119,8 @@ def _ablation_point(
             idle_timeout=idle_timeout,
             eviction=eviction,
             loss_seed=seed,
-            cache_options=cache_options,
+            # Only COST eviction reads its tau.
+            cost_tau=cost_tau_epochs * spec.epoch_interval_s,
         )
         penalty = FirstDetourReader()
         dn.network.read_outcomes_with(penalty)

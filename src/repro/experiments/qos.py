@@ -21,12 +21,13 @@ best-effort remainder, swept over three protection modes:
   are shed on arrival (exact ``admission-control`` drop attribution)
   instead of queueing ahead of gold.
 
-Every sweep point runs inside its own fresh run context carrying its
-own QoS policy (the previous context is restored in the ``finally``), so
-``--jobs N`` is byte-identical to serial and the ambient registry never
-sees point-local state.  The scaled-down configuration is pinned as a
-golden: gold holding its SLO under ``reserved`` while missing it under
-``off`` is a regression-guarded property of the repo.
+Every sweep point builds its network with its own QoS policy and runs
+inside its own fresh run context (the previous context is restored in
+the ``finally``), so ``--jobs N`` is byte-identical to serial and the
+ambient registry never sees point-local state.  The scaled-down
+configuration is pinned as a golden: gold holding its SLO under
+``reserved`` while missing it under ``off`` is a regression-guarded
+property of the repo.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from repro.flowspace.rule import Match
 from repro.flowspace.ternary import Ternary
 from repro.obs import context as _obs_context
 from repro.obs import fresh_run_context
-from repro.obs.qos import FlowClass, FlowClassifier, QosPolicy, SloSpec
-from repro.obs.sketch import DeliveryReader
+from repro.obs.qos import (
+    FlowClass, FlowClassifier, QosOutcomeReader, QosPolicy, SloSpec,
+)
 from repro.obs.telemetry import telemetry_section
 from repro.switch.cache import EvictionPolicy
 from repro.workloads.streaming import (
@@ -119,8 +121,9 @@ def _qos_point(
 ) -> Dict[str, object]:
     """One sweep point: a flash-crowd soak at one protection mode.
 
-    Installs its own fresh observability context *and* QoS policy, and
-    clears both afterwards — workers never inherit the policy, so the
+    Builds its network with the mode's QoS policy and reads its
+    outcomes per class, inside its own fresh observability context that
+    it uninstalls afterwards — the policy dies with the network, so the
     serial and ``--jobs N`` paths construct identical state.
     """
     spec = StreamSpec(
@@ -160,7 +163,7 @@ def _qos_point(
         ),
     )
     previous = _obs_context.current()
-    context = fresh_run_context(telemetry=telemetry_interval_s, qos=policy)
+    context = fresh_run_context(telemetry=telemetry_interval_s)
     try:
         context.telemetry.slo_specs = list(policy.slos)
         topo = streaming_topology(spec)
@@ -175,16 +178,17 @@ def _qos_point(
             # A tau on the epoch scale: COST must *forget* — with the
             # default (1 s) tau the run is too short for flash traffic to
             # ever outscore the warm gold entries, and no mode differs.
-            cache_options={
-                "cost_tau": cost_tau_epochs * spec.epoch_interval_s
-            },
+            cost_tau=cost_tau_epochs * spec.epoch_interval_s,
             redirect_rate=redirect_rate,
             redirect_queue=redirect_queue,
             loss_seed=seed,
+            qos=policy,
         )
         # Every result below comes from counters and telemetry: the
-        # network's outcome reader keeps nothing.
-        dn.network.read_outcomes_with(DeliveryReader())
+        # network's outcome reader keeps no row, only per-class counts.
+        dn.network.read_outcomes_with(
+            QosOutcomeReader(policy, context.metrics)
+        )
         feed_epochs(dn, spec)
         dn.run()
 

@@ -28,7 +28,6 @@ from repro.net.routing import UNREACHABLE, RoutingTable, compute_routes
 from repro.net.topology import Topology
 from repro.obs import context as _obs_context
 from repro.obs.attribution import attribute_reason
-from repro.obs.qos import delay_bucket
 from repro.obs.registry import Collectable
 from repro.obs.trace import TraceKind
 
@@ -104,9 +103,11 @@ class DeliveryLog:
     * ``observe_drop(packet, where, reason, now)`` — ``packet`` was
       dropped at node ``where`` for ``reason``.
 
-    A reader that keeps no per-packet row (:mod:`repro.obs.sketch`'s
-    :class:`~repro.obs.sketch.DeliveryReader` and its subclasses) takes
-    the log's place through :meth:`SimNetwork.read_outcomes_with`.
+    A reader that keeps no per-packet row takes the log's place through
+    :meth:`SimNetwork.read_outcomes_with`: M1's
+    :class:`~repro.obs.sketch.DeliverySketchObserver`, E8C's
+    :class:`~repro.obs.flowtrace.FirstDetourReader`, and E9Q's
+    ``QosOutcomeReader``, which counts outcomes per flow class.
     """
 
     __slots__ = ("_entries",)
@@ -166,27 +167,17 @@ class DeliveryLog:
 class SimNetwork(Collectable):
     """Bind a topology, its links, node behaviours and an event scheduler."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        scheduler: Optional[EventScheduler] = None,
-        loss_seed: int = 0,
-        metrics=None,
-        tracer=None,
-        profiler=None,
-        telemetry=None,
-    ):
+    def __init__(self, topology: Topology, loss_seed: int = 0):
         self.topology = topology
-        #: Observability surfaces: default to the active run context so
-        #: every network built during one run reports into one registry
-        #: (see :mod:`repro.obs.context`); pass explicit objects to
-        #: isolate or disable (the overhead bench does both).
+        #: Observability surfaces: the active run context's, so every
+        #: network built during one run reports into one registry (see
+        #: :mod:`repro.obs.context`).
         context = _obs_context.current()
-        self.metrics = metrics if metrics is not None else context.metrics
-        self.tracer = tracer if tracer is not None else context.tracer
-        self.profiler = profiler if profiler is not None else context.profiler
-        self.telemetry = telemetry if telemetry is not None else context.telemetry
-        self.scheduler = scheduler or EventScheduler(
+        self.metrics = context.metrics
+        self.tracer = context.tracer
+        self.profiler = context.profiler
+        self.telemetry = context.telemetry
+        self.scheduler = EventScheduler(
             profiler=self.profiler, telemetry=self.telemetry
         )
         self.routes: RoutingTable = compute_routes(topology)
@@ -212,12 +203,6 @@ class SimNetwork(Collectable):
         self.metrics.collect("packets_delivered_total", self, "packets_delivered")
         self.metrics.collect("control_messages_total", self, "control_messages_sent")
         self._m_dropped: Dict[str, object] = {}
-        # Per-class QoS outcome accounting — only active when the run
-        # context carries a policy; children bound lazily per class.
-        self.qos = context.qos
-        self._q_delivered: Dict[str, object] = {}
-        self._q_dropped: Dict[str, object] = {}
-        self._q_delay: Dict[Tuple[str, str], object] = {}
         # Host membership, read when a link's receiver is bound.  Refreshed
         # on every topology change (all of which funnel through
         # rebuild_routes).
@@ -420,59 +405,16 @@ class SimNetwork(Collectable):
         self.scheduler.schedule(distance + CONTROL_OVERHEAD_S, handler, *args)
 
     # -- accounting -------------------------------------------------------------------
-    def _qos_outcome(
-        self, header_bits: int, delivered: bool, via_authority: bool, delay: float
-    ) -> None:
-        """Per-class delivery/drop/latency accounting (QoS active only).
-
-        Redirect latency is observed as a histogram bucket counter per
-        class — bucket counts are integer, order-free and mergeable, so
-        per-class quantiles survive the ``--jobs N`` byte-identity rule
-        where a true per-sample quantile would not.  Only packets that
-        actually crossed an authority (``via_authority``) land in the
-        latency histogram: cache hits never paid a redirect.
-        """
-        cls = self.qos.classifier.classify_bits(header_bits)
-        if delivered:
-            child = self._q_delivered.get(cls)
-            if child is None:
-                child = self.metrics.counter("qos_delivered_total", flow_class=cls)
-                self._q_delivered[cls] = child
-            child.inc()
-            if via_authority:
-                label = delay_bucket(delay)
-                key = (cls, label)
-                bucket = self._q_delay.get(key)
-                if bucket is None:
-                    bucket = self.metrics.counter(
-                        "qos_redirect_delay_bucket_total", flow_class=cls, le=label
-                    )
-                    self._q_delay[key] = bucket
-                bucket.inc()
-        else:
-            child = self._q_dropped.get(cls)
-            if child is None:
-                child = self.metrics.counter("qos_dropped_total", flow_class=cls)
-                self._q_dropped[cls] = child
-            child.inc()
-
     def record_delivery(self, packet: Packet, endpoint: str) -> None:
         """Record a successful delivery at ``endpoint``."""
         self.packets_delivered += 1
         now = self.scheduler.now
-        if self.qos is not None:
-            self._qos_outcome(
-                packet.header_bits, True, packet.via_authority,
-                now - (packet.created_at or 0.0),
-            )
         if self.tracer.enabled:
             self.tracer.record(now, TraceKind.DELIVERED, packet, node=endpoint)
         self.deliveries.observe_delivery(packet, endpoint, now)
 
     def record_drop(self, packet: Packet, where: str, reason: str) -> None:
         """Record a packet loss at ``where``."""
-        if self.qos is not None:
-            self._qos_outcome(packet.header_bits, False, packet.via_authority, 0.0)
         bucket = attribute_reason(reason)
         child = self._m_dropped.get(bucket)
         if child is None:

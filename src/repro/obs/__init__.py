@@ -25,9 +25,11 @@ five per-feature counter surfaces:
   callbacks, engine lookups and channel sends;
 * :mod:`repro.obs.attribution` — the canonical drop-reason → bucket
   mapping shared by the registry labels and the chaos experiments;
+* :mod:`repro.obs.qos` — flow classes, SLO specs, the QoS policy a
+  network is built with (``DifaneNetwork.build(..., qos=policy)``) and
+  the outcome reader that counts deliveries and drops per class;
 * :mod:`repro.obs.context` — the per-run binding everything above hangs
-  off, plus the run's QoS policy (``fresh_run_context()`` → run →
-  ``snapshot()``).
+  off (``fresh_run_context()`` → run → ``snapshot()``).
 """
 
 from repro.obs.attribution import DROP_ATTRIBUTION, attribute_drops, attribute_reason

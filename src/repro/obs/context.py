@@ -1,25 +1,24 @@
 """The process-wide observability run context.
 
 One experiment run = one :class:`RunContext`: a metrics registry, a
-packet tracer, a profiler and the run's QoS policy that every component
-constructed during the run binds to by default (``SimNetwork``,
-``ServiceStation``, ``ControlChannel`` all resolve :func:`current` when
-not handed an explicit registry).  The CLI, the benchmark harness and
-the golden tests call :func:`fresh_run_context` before a run and
+packet tracer, a profiler and a telemetry recorder that every component
+constructed during the run binds to (``SimNetwork`` reads all four from
+:func:`current`; ``ServiceStation`` and ``ControlChannel`` resolve it
+when not handed an explicit registry).  The CLI, the benchmark harness
+and the golden tests call :func:`fresh_run_context` before a run and
 snapshot after — that snapshot *is* the run's canonical metrics JSON.
 
-Explicit injection always wins: pass ``metrics=`` / ``tracer=`` to a
-component and the context is never consulted, which is how the
-overhead benchmark prices a fully disabled observer.
+A context holds observability surfaces only: what a network *does*
+(its QoS policy included) is an argument of the network it governs.
+The overhead benchmark prices a fully disabled observer with
+``fresh_run_context(metrics_enabled=False)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.obs.profile import Profiler
-from repro.obs.qos import QosPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import DEFAULT_TELEMETRY_INTERVAL_S, TelemetryRecorder
 from repro.obs.trace import PacketTracer
@@ -44,8 +43,6 @@ class RunContext:
     tracer: PacketTracer
     profiler: Profiler
     telemetry: TelemetryRecorder
-    #: Per-class QoS policy; ``None`` (the default) is QoS off.
-    qos: Optional[QosPolicy] = None
 
 
 def _default_context() -> RunContext:
@@ -94,7 +91,6 @@ def fresh_run_context(
     trace: bool = False,
     profile: bool = False,
     telemetry=None,
-    qos: Optional[QosPolicy] = None,
 ) -> RunContext:
     """Install (and return) a brand-new run context.
 
@@ -105,7 +101,6 @@ def fresh_run_context(
     ``telemetry`` accepts ``True`` (sample at the default cadence), a
     positive float (sample every that-many simulated seconds), or
     ``None``/``False`` (disabled — no per-event cost in the scheduler).
-    ``qos`` is the run's per-class QoS policy (``None``: QoS off).
     """
     metrics = MetricsRegistry(enabled=metrics_enabled)
     if telemetry is True:
@@ -125,6 +120,5 @@ def fresh_run_context(
             tracer=PacketTracer(enabled=trace),
             profiler=Profiler(registry=metrics, enabled=profile),
             telemetry=recorder,
-            qos=qos,
         )
     )

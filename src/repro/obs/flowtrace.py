@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.series import Series
-from repro.obs.sketch import DeliveryReader
 from repro.obs.trace import TraceEvent, TraceKind
 
 __all__ = ["PacketSpan", "FlowTrace", "FlowTraceAnalysis", "STAGE_OF_KIND", "STAGES",
@@ -279,7 +278,7 @@ class FlowTraceAnalysis:
         }
 
 
-class FirstDetourReader(DeliveryReader):
+class FirstDetourReader:
     """The miss penalty with no tracer running: an outcome reader that
     keeps one first-detour delay per flow.
 
@@ -304,6 +303,9 @@ class FirstDetourReader(DeliveryReader):
                 self._first[packet.flow_id] = (
                     packet.packet_id, now - (packet.created_at or 0.0)
                 )
+
+    def observe_drop(self, packet, where: str, reason: str, now: float) -> None:
+        """Drops carry no penalty."""
 
     def summary(self) -> Dict[str, object]:
         """:meth:`FlowTraceAnalysis.summary`'s ``miss_penalty_*`` keys."""

@@ -13,20 +13,22 @@ of the stack threads through:
 * :class:`SloSpec` — the per-class service-level objective (redirect
   latency quantile, cache miss rate, delivery rate) evaluated over
   telemetry windows by :mod:`repro.obs.health`;
-* :class:`QosPolicy` — the run-wide bundle, carried by the run context
-  (``fresh_run_context(qos=policy)``).
+* :class:`QosPolicy` — the bundle a network is built with
+  (``DifaneNetwork.build(..., qos=policy)`` hands it to every switch);
+* :class:`QosOutcomeReader` — the outcome reader that counts each
+  delivery and drop per class (installed with
+  ``SimNetwork.read_outcomes_with``).
 
-Everything downstream is gated on the network's ``qos`` being a
-policy: with QoS off (the default) no ``qos_*`` counter is ever bound,
-no label is rendered, and every pre-existing golden document stays
-byte-identical — the same additive discipline as the COST-gated
-telemetry probe keys.
+Everything downstream is gated on being handed a policy: with QoS off
+(the default) no ``qos_*`` counter is ever bound, no label is rendered,
+and every pre-existing golden document stays byte-identical — the same
+additive discipline as the COST-gated telemetry probe keys.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.flowspace.rule import Match
 
@@ -36,6 +38,7 @@ __all__ = [
     "FlowClassifier",
     "SloSpec",
     "QosPolicy",
+    "QosOutcomeReader",
     "REDIRECT_LATENCY_BUCKETS",
     "BUCKET_LABELS",
     "BUCKET_BOUNDS",
@@ -229,7 +232,7 @@ class SloSpec:
 
 
 class QosPolicy:
-    """The run-wide QoS bundle: classifier + SLOs + enforcement knobs.
+    """One network's QoS bundle: classifier + SLOs + enforcement knobs.
 
     ``admission_threshold`` (redirect-station queue depth) arms admission
     control at the authority switches: once the queue is at least that
@@ -275,3 +278,54 @@ class QosPolicy:
             if cls.name == class_name and cls.protected:
                 return True
         return False
+
+
+class QosOutcomeReader:
+    """Per-class outcome accounting: an outcome reader (see
+    :class:`~repro.net.simnet.DeliveryLog` for the two methods) that
+    keeps no row, only ``qos_delivered_total`` / ``qos_dropped_total``
+    and ``qos_redirect_delay_bucket_total`` counters per flow class,
+    each bound on its class's first outcome.
+
+    Redirect latency is observed as a histogram bucket counter per
+    class — bucket counts are integer, order-free and mergeable, so
+    per-class quantiles survive the ``--jobs N`` byte-identity rule
+    where a true per-sample quantile would not.  Only packets that
+    actually crossed an authority (``via_authority``) land in the
+    latency histogram: cache hits never paid a redirect.
+    """
+
+    __slots__ = ("_classify", "_metrics", "_delivered", "_dropped", "_delay")
+
+    def __init__(self, policy: QosPolicy, metrics):
+        self._classify = policy.classifier.classify_bits
+        self._metrics = metrics
+        self._delivered: Dict[str, object] = {}
+        self._dropped: Dict[str, object] = {}
+        self._delay: Dict[Tuple[str, str], object] = {}
+
+    def observe_delivery(self, packet, endpoint: str, now: float) -> None:
+        cls = self._classify(packet.header_bits)
+        child = self._delivered.get(cls)
+        if child is None:
+            child = self._delivered[cls] = self._metrics.counter(
+                "qos_delivered_total", flow_class=cls
+            )
+        child.inc()
+        if packet.via_authority:
+            key = (cls, delay_bucket(now - (packet.created_at or 0.0)))
+            bucket = self._delay.get(key)
+            if bucket is None:
+                bucket = self._delay[key] = self._metrics.counter(
+                    "qos_redirect_delay_bucket_total", flow_class=cls, le=key[1]
+                )
+            bucket.inc()
+
+    def observe_drop(self, packet, where: str, reason: str, now: float) -> None:
+        cls = self._classify(packet.header_bits)
+        child = self._dropped.get(cls)
+        if child is None:
+            child = self._dropped[cls] = self._metrics.counter(
+                "qos_dropped_total", flow_class=cls
+            )
+        child.inc()

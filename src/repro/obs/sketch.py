@@ -30,8 +30,7 @@ hypothesis suite checks every rank query against an exact oracle.
 
 A soak that passes ``sketch=True`` (M1, the default) hands its delivery
 outcomes to a :class:`DeliverySketchObserver` instead of accumulating
-per-packet records; :class:`DeliveryReader` is the reader that keeps
-nothing, and the base such readers subclass.
+per-packet records.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "QuantileSketch",
     "FixedWidthHistogram",
     "SpaceSavingSketch",
-    "DeliveryReader",
     "DeliverySketchObserver",
     "EXPORT_QUANTILES",
 ]
@@ -463,24 +461,10 @@ class SpaceSavingSketch:
         )
 
 
-class DeliveryReader:
-    """An outcome reader for :meth:`SimNetwork.read_outcomes_with
-    <repro.net.simnet.SimNetwork.read_outcomes_with>`, and the one that
-    keeps nothing — for runs whose results come from counters and
-    telemetry alone (E9Q).  Readers that keep something subclass it.
-    """
-
-    __slots__ = ()
-
-    def observe_delivery(self, packet, endpoint: str, now: float) -> None:
-        """``packet`` was delivered at ``endpoint`` at time ``now``."""
-
-    def observe_drop(self, packet, where: str, reason: str, now: float) -> None:
-        """``packet`` was dropped at ``where`` for ``reason`` at time ``now``."""
-
-
-class DeliverySketchObserver(DeliveryReader):
-    """Bounded-memory outcome reader for a soak.
+class DeliverySketchObserver:
+    """Bounded-memory outcome reader for a soak (see
+    :meth:`SimNetwork.read_outcomes_with
+    <repro.net.simnet.SimNetwork.read_outcomes_with>`).
 
     Replaces the per-packet :class:`DeliveryRecord` rows a soak would
     otherwise retain: every outcome feeds registry-owned sketches (delay

@@ -57,7 +57,6 @@ def _execute_point(
     metrics_enabled: bool,
     profile: bool,
     telemetry_interval_s: Optional[float],
-    qos: Any,
 ):
     """Run one sweep point in an isolated run context; ship metrics back."""
     from repro.obs import fresh_run_context
@@ -66,7 +65,6 @@ def _execute_point(
         metrics_enabled=metrics_enabled,
         profile=profile,
         telemetry=telemetry_interval_s,
-        qos=qos,
     )
     value = fn(**params)
     registry = context.metrics if context.metrics.enabled else None
@@ -115,7 +113,6 @@ class SweepRunner:
             parent.metrics.enabled,
             parent.profiler.enabled,
             parent.telemetry.interval_s if parent.telemetry.enabled else None,
-            parent.qos,
         )
         try:
             executor = ProcessPoolExecutor(

@@ -219,7 +219,6 @@ class TestRunContext:
             context = fresh_run_context(trace=True, profile=True)
             assert context.tracer.enabled
             assert context.profiler.enabled
-            assert context.qos is None
             off = fresh_run_context(metrics_enabled=False)
             assert off.metrics.counter("x") is NULL_METRIC
         finally:

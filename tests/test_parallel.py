@@ -189,8 +189,7 @@ def _run_settings(x):
     """The run settings a sweep point sees in its own context."""
     context = obs_context.current()
     interval = context.telemetry.interval_s if context.telemetry.enabled else None
-    return (context.metrics.enabled, context.profiler.enabled, interval,
-            context.qos is not None)
+    return context.metrics.enabled, context.profiler.enabled, interval
 
 
 class TestSweepRunner:
@@ -227,17 +226,13 @@ class TestSweepRunner:
         assert len(pids) == 2
 
     def test_points_run_under_the_callers_settings(self):
-        from repro.obs.qos import FlowClassifier, QosPolicy
-
         fresh_run_context(metrics_enabled=False)
         assert SweepRunner(2).map(_run_settings, [dict(x=0), dict(x=1)]) == [
-            (False, False, None, False)
+            (False, False, None)
         ] * 2
-        fresh_run_context(
-            profile=True, telemetry=0.25, qos=QosPolicy(FlowClassifier())
-        )
+        fresh_run_context(profile=True, telemetry=0.25)
         assert SweepRunner(2).map(_run_settings, [dict(x=0), dict(x=1)]) == [
-            (True, True, 0.25, True)
+            (True, True, 0.25)
         ] * 2
 
     def test_disabled_metrics_stay_empty_after_a_sweep(self):

@@ -533,7 +533,6 @@ def test_qos_off_is_strictly_additive():
     previous = obs_context.current()
     try:
         context = fresh_run_context(telemetry=True)
-        assert context.qos is None
         run_delay(flows=10)
         assert _qos_keys(context) == []
         from repro.obs.telemetry import telemetry_section
@@ -547,7 +546,8 @@ def test_qos_off_is_strictly_additive():
 
 
 def test_qos_policy_does_not_leak_into_a_later_run():
-    """The policy lives on the E9Q point's run context and dies with it."""
+    """The policy lives on the E9Q point's network and dies with it: a
+    later run in a fresh context binds no ``qos_*`` counter."""
     from repro.experiments.delay import run_delay
     from repro.experiments.qos import run_qos_slo
     from repro.obs import context as obs_context, fresh_run_context
@@ -562,6 +562,71 @@ def test_qos_policy_does_not_leak_into_a_later_run():
         assert _qos_keys(context) == []
     finally:
         obs_context.install(previous)
+
+
+def test_only_the_network_built_with_a_policy_counts_per_class(monkeypatch):
+    """Two networks in one run context, one built with the policy and
+    read by the per-class reader: only that one binds ``qos_*``
+    counters, and its per-class deliveries are the classifier applied
+    to the packets sent."""
+    from collections import Counter
+
+    from repro.core import DifaneNetwork
+    from repro.flowspace import FIVE_TUPLE_LAYOUT
+    from repro.net import TopologyBuilder
+    from repro.obs import fresh_run_context
+    from repro.obs.qos import QosOutcomeReader
+    from repro.workloads.policies import routing_policy_for_topology
+
+    layout = FIVE_TUPLE_LAYOUT
+    topo = TopologyBuilder.linear(3, hosts_per_switch=1)
+    rules, host_ips = routing_policy_for_topology(topo, layout)
+    policy = QosPolicy(FlowClassifier(
+        [FlowClass("gold", Match.build(layout, tp_src=2001))]
+    ))
+    context = fresh_run_context()
+    bound = []
+    counter = context.metrics.counter
+
+    def recording_counter(name, **labels):
+        bound.append(name)
+        return counter(name, **labels)
+
+    monkeypatch.setattr(context.metrics, "counter", recording_counter)
+
+    def packets():
+        return [
+            Packet.from_fields(
+                layout, nw_src=0x0A0A0A0A, nw_dst=host_ips["h2"], nw_proto=6,
+                tp_src=sport, tp_dst=80,
+            )
+            for sport in (2000, 2001, 2001, 2002, 2001, 2000)
+        ]
+
+    qos_bound = {}
+    for qos in (policy, None):
+        del bound[:]
+        dn = DifaneNetwork.build(
+            topo, rules, layout, authority_switches=["s1"], qos=qos
+        )
+        if qos is not None:
+            dn.network.read_outcomes_with(
+                QosOutcomeReader(qos, context.metrics)
+            )
+        for index, packet in enumerate(packets()):
+            dn.send_at(index * 1e-3, "h0", packet)
+        dn.run()
+        qos_bound[qos] = [name for name in bound if name.startswith("qos_")]
+
+    assert {"qos_delivered_total", "qos_redirect_delay_bucket_total"} <= set(
+        qos_bound[policy]
+    )
+    assert qos_bound[None] == []
+    expected = Counter(policy.classifier.classify(p) for p in packets())
+    assert expected == {"gold": 3, DEFAULT_CLASS: 3}
+    for cls, count in expected.items():
+        assert context.metrics.value("qos_delivered_total", flow_class=cls) == count
+    assert context.metrics.sum_counters("packets_delivered_total") == 12
 
 
 # ---------------------------------------------------------------------------

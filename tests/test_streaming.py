@@ -24,7 +24,7 @@ from repro.net.simnet import DeliveryRecord
 from repro.net.topology import TopologyBuilder
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
-from repro.obs.sketch import DeliveryReader
+from repro.obs.flowtrace import FirstDetourReader
 from repro.workloads.streaming import (
     BASE_ADDRESS,
     StreamSpec,
@@ -266,7 +266,7 @@ def test_delivery_log_streaming_guards():
     """A network's outcome reader is chosen before any outcome lands: a
     later swap would split the outcomes between two readers."""
     streaming = _two_switch_network()
-    reader = DeliveryReader()
+    reader = FirstDetourReader()
     streaming.read_outcomes_with(reader)
     assert streaming.deliveries is reader
     delivered = _two_switch_network()
@@ -276,7 +276,7 @@ def test_delivery_log_streaming_guards():
     streaming.record_drop(Packet.from_fields(LAYOUT), "s0", "test")
     for network in (delivered, dropped_only, streaming):
         with pytest.raises(RuntimeError, match="outcome landed"):
-            network.read_outcomes_with(DeliveryReader())
+            network.read_outcomes_with(FirstDetourReader())
     assert streaming.deliveries is reader
     assert [r.delivered for r in delivered.deliveries] == [True]
     assert [r.delivered for r in dropped_only.deliveries] == [False]

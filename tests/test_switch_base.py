@@ -18,7 +18,7 @@ from repro.baselines.proactive import ProactiveNetwork
 from repro.core import DifaneNetwork
 from repro.flowspace import Match, Rule
 from repro.net import FailureInjector, SimNetwork, TopologyBuilder
-from repro.obs.registry import MetricsRegistry
+from repro.obs import fresh_run_context
 from repro.switch.switch import DataPlaneSwitch
 from repro.workloads.policies import routing_policy_for_topology
 
@@ -188,7 +188,8 @@ class TestReceivers:
 
     def build_line(self, **kwargs):
         topo = TopologyBuilder.linear(3, hosts_per_switch=1)
-        net = SimNetwork(topo, metrics=MetricsRegistry())
+        fresh_run_context()
+        net = SimNetwork(topo)
         switches = {
             name: RecorderSwitch(name, ActionList(Forward("h2")), **kwargs)
             for name in topo.switches()
