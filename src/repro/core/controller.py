@@ -122,8 +122,7 @@ class HeartbeatMonitor:
                 continue
             self.dead.add(switch)
             self.detections.append((now, switch))
-            behaviour = self.controller.network.maybe_node(switch)
-            if behaviour is not None and getattr(behaviour, "alive", True):
+            if self.controller.network.switch_alive(switch):
                 self.false_positives += 1
             survivors = [
                 name for name in self.controller.authority_switches
@@ -190,7 +189,6 @@ class DifaneController(Collectable):
         authority_switches: Sequence[str],
         replication: int = 1,
         partitions_per_authority: int = 1,
-        cut_strategy: str = "split-aware",
     ):
         if not authority_switches:
             raise ValueError("DIFANE needs at least one authority switch")
@@ -199,7 +197,6 @@ class DifaneController(Collectable):
         self.authority_switches = list(authority_switches)
         self.replication = replication
         self.partitions_per_authority = partitions_per_authority
-        self.cut_strategy = cut_strategy
         self.policy: List[Rule] = []
         self.result: Optional[PartitionResult] = None
         self._states: Dict[int, _PartitionState] = {}
@@ -393,7 +390,6 @@ class DifaneController(Collectable):
             self.policy,
             self.layout,
             num_partitions=num_partitions,
-            cut_strategy=self.cut_strategy,
         )
         assignment = assign_partitions(
             result.partitions, self.authority_switches, replication=self.replication
@@ -687,12 +683,10 @@ class DifaneController(Collectable):
     def _purge_stale_fragments(self, name: str) -> None:
         """Drop authority fragments ``name`` holds that no partition's
         ``installed`` record lists (left from before it was cut off)."""
-        behaviour = self.network.maybe_node(name)
-        if behaviour is not None and hasattr(behaviour, "purge_stale_authority_rules"):
-            expected: List[Rule] = []
-            for state in self._states.values():
-                expected.extend(state.installed.get(name, ()))
-            behaviour.purge_stale_authority_rules(expected)
+        expected: List[Rule] = []
+        for state in self._states.values():
+            expected.extend(state.installed.get(name, ()))
+        self._switch(name).purge_stale_authority_rules(expected)
 
     # -- cache budget partitioning (cost-aware caching) ---------------------------------
     def partition_cache_budgets(
@@ -823,7 +817,6 @@ class DifaneNetwork:
         redirect_queue: int = 512,
         idle_timeout: Optional[float] = None,
         eviction: EvictionPolicy = EvictionPolicy.LRU,
-        cut_strategy: str = "split-aware",
         forwarding_delay_s: float = 0.0,
         prefetch_fragments: int = 1,
         loss_seed: int = 0,
@@ -863,7 +856,6 @@ class DifaneNetwork:
             authority_switches,
             replication=replication,
             partitions_per_authority=partitions_per_authority,
-            cut_strategy=cut_strategy,
         )
         controller.install_policy(rules)
         return cls(network, controller)

@@ -28,13 +28,13 @@ pieces a replicated control plane needs:
   event boundary of a migration.
 
 * :class:`Rebalancer` — the self-healing loop.  On its own simulated
-  cadence it snapshots per-switch work into synthetic telemetry
-  windows, runs the :mod:`repro.obs.health` detectors over them, and
-  acts on the findings: a *degraded-mode* critical (or a partition
-  with no live reachable owner) triggers orphan healing onto spare
-  switches; an *authority-imbalance* warning triggers a greedy hot
-  repack, pulling spares into the pool until the projected Jain
-  fairness clears the detector's own threshold.
+  cadence it reads each switch's redirect and degraded-packet deltas
+  and judges the window itself, applying the shared
+  :func:`repro.obs.health.authority_imbalance` rule to those deltas:
+  degraded packets (or a partition with no live reachable owner)
+  trigger orphan healing onto spare switches; imbalance triggers a
+  greedy hot repack, pulling spares into the pool until the projected
+  Jain fairness clears the rule's own threshold.
 
 Everything is seeded and event-driven: identical runs (any ``--jobs``)
 produce byte-identical migration histories.
@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.partition import assign_partitions_to_shards, greedy_pack
 from repro.obs.health import (
     IMBALANCE_FAIRNESS_THRESHOLD,
-    evaluate_telemetry,
+    authority_imbalance,
     jain_fairness,
 )
 from repro.obs.trace import TraceKind
@@ -861,13 +861,15 @@ class PartitionMigrator:
 
 
 class Rebalancer:
-    """Telemetry-driven self-healing: consume health findings, migrate.
+    """Load-driven self-healing: judge each window, migrate.
 
-    Every ``interval_s`` of simulated time the rebalancer snapshots a
-    synthetic telemetry window (per-switch redirect / degraded-packet
-    deltas, in the exact counter-key format the real recorder exports)
-    and runs :func:`repro.obs.health.evaluate_telemetry` over the
-    accumulated series.  Findings in the newest window drive action:
+    Every ``interval_s`` of simulated time the rebalancer reads each
+    switch's redirect and degraded-packet deltas since the last cycle
+    and judges that window with the health detectors' own rules:
+    :func:`repro.obs.health.authority_imbalance` over the redirect
+    deltas of every switch that has handled a redirect since
+    :meth:`start`, and degraded-mode when any degraded delta is
+    positive.  Each cycle's findings drive action:
 
     * **degraded-mode** (critical) — some partition lost every live
       owner; each orphan is migrated (reason ``"orphan"``) to the
@@ -902,15 +904,16 @@ class Rebalancer:
         self.plane = plane
         self.interval_s = interval_s
         self.spares = list(spares)
-        #: Synthetic telemetry windows (health-detector input format).
-        self.windows: List[Dict[str, object]] = []
         #: Per-cycle record: fairness and what was done.
         self.history: List[Dict[str, object]] = []
         #: Actions taken/deferred, in order.
         self.actions: List[Dict[str, object]] = []
         self._cooldown = 0
-        self._last_switch: Dict[Tuple[str, str], int] = {}
-        self._cumulative_redirects: Dict[str, int] = {}
+        #: Per switch: (redirects handled, degraded packets) at the last read.
+        self._last_switch: Dict[str, Tuple[int, int]] = {}
+        #: Switches that have handled a redirect since start(): the
+        #: imbalance rule's denominator.
+        self._authorities: Set[str] = set()
         self._last_partition: Dict[int, int] = {}
         self._window_redirects: Dict[str, float] = {}
         registry = self.network.metrics
@@ -918,54 +921,39 @@ class Rebalancer:
             event: registry.counter("control_plane_rebalance_total", event=event)
             for event in ("cycle", "hot-move", "orphan-heal", "deferred")
         }
-        self._started = False
-
-    _SWITCH_STATS = (
-        ("redirects_handled", "difane_redirects_handled_total"),
-        ("degraded_packets", "difane_degraded_packets_total"),
-    )
 
     def start(self) -> None:
         """Take the load baseline and begin the evaluation cadence."""
-        for name in self.network.topology.switches():
-            behaviour = self.network.node(name)
-            for attr, _ in self._SWITCH_STATS:
-                self._last_switch[(name, attr)] = getattr(behaviour, attr, 0)
+        self._last_switch = self._read_switches()
         self._last_partition = dict(self.controller.partition_loads())
-        self._started = True
         self.network.scheduler.schedule(self.interval_s, self._cycle)
+
+    def _read_switches(self) -> Dict[str, Tuple[int, int]]:
+        """Per switch: (redirects handled, degraded packets) so far."""
+        counts: Dict[str, Tuple[int, int]] = {}
+        for name in self.network.topology.switches():
+            switch = self.network.node(name)
+            counts[name] = (switch.redirects_handled, switch.degraded_packets)
+        return counts
 
     # -- the evaluation loop -----------------------------------------------------
     def _cycle(self) -> None:
         now = self.network.scheduler.now
         self._m["cycle"].inc()
-        index = len(self.windows)
-        counters: Dict[str, float] = {}
+        counts = self._read_switches()
         self._window_redirects = {}
-        for name in self.network.topology.switches():
-            behaviour = self.network.node(name)
-            for attr, metric in self._SWITCH_STATS:
-                current = getattr(behaviour, attr, 0)
-                delta = current - self._last_switch.get((name, attr), 0)
-                self._last_switch[(name, attr)] = current
-                if attr == "redirects_handled":
-                    self._cumulative_redirects[name] = current
-                    if delta:
-                        self._window_redirects[name] = float(delta)
-                if delta:
-                    counters[f"{metric}{{switch={name}}}"] = float(delta)
-        window = {
-            "index": index,
-            "start": round(now - self.interval_s, 9),
-            "end": round(now, 9),
-            "counters": counters,
-        }
-        self.windows.append(window)
-        findings = [
-            finding
-            for finding in evaluate_telemetry({"windows": self.windows})
-            if finding["window"] == index and finding["severity"] != "info"
-        ]
+        degraded = False
+        for name, (redirects, punted) in counts.items():
+            last_redirects, last_punted = self._last_switch[name]
+            if redirects > last_redirects:
+                self._window_redirects[name] = float(redirects - last_redirects)
+                self._authorities.add(name)
+            degraded = degraded or punted > last_punted
+        self._last_switch = counts
+        fairness, imbalanced = authority_imbalance([
+            self._window_redirects.get(name, 0.0)
+            for name in sorted(self._authorities)
+        ])
         loads = self.controller.partition_loads()
         window_loads = {
             pid: max(0, loads.get(pid, 0) - self._last_partition.get(pid, 0))
@@ -974,43 +962,30 @@ class Rebalancer:
         self._last_partition = dict(loads)
 
         acted: List[str] = []
-        if any(f["detector"] == "degraded-mode" for f in findings):
+        if degraded:
             acted += self._heal_orphans(now)
         if self._cooldown > 0:
             self._cooldown -= 1
-        elif (
-            any(f["detector"] == "authority-imbalance" for f in findings)
-            and not self.migrator.active
-        ):
+        elif imbalanced and not self.migrator.active:
             moves = self._plan_repack(window_loads)
             for pid, target in moves[: self.MAX_MOVES_PER_CYCLE]:
                 if self._request(pid, target, "hot", now):
                     acted.append(f"hot:{pid}->{target}")
             if moves:
                 self._cooldown = self.COOLDOWN_CYCLES
+        findings = ["authority-imbalance"] if imbalanced else []
+        if degraded:
+            findings.append("degraded-mode")
         self.history.append(
             {
-                "index": index,
+                "index": len(self.history),
                 "time": round(now, 9),
-                "fairness": round(self._window_fairness(), 6),
-                "findings": sorted(f["detector"] for f in findings),
+                "fairness": round(fairness, 6),
+                "findings": findings,
                 "acted": acted,
             }
         )
         self.network.scheduler.schedule(self.interval_s, self._cycle)
-
-    def _window_fairness(self) -> float:
-        """Jain fairness of this window's redirect load, computed over
-        the same denominator the health detector uses (switches with any
-        cumulative redirect work)."""
-        authorities = sorted(
-            name for name, total in self._cumulative_redirects.items() if total
-        )
-        if len(authorities) < 2:
-            return 1.0
-        return jain_fairness(
-            [self._window_redirects.get(name, 0.0) for name in authorities]
-        )
 
     # -- orphan healing ------------------------------------------------------------
     def _heal_orphans(self, now: float) -> List[str]:

@@ -12,7 +12,10 @@ byte-deterministic, so nothing here adapts to the data):
 * **authority-imbalance** — Jain's fairness index over the per-window
   redirect load of the authority switches.  DIFANE's partitioning claim
   is that load stays balanced; an authority kill (chaos C1) collapses
-  the survivors' fairness and this fires.
+  the survivors' fairness and this fires.  The rule itself is
+  :func:`authority_imbalance`; the rebalancer
+  (:class:`~repro.core.shards.Rebalancer`) applies it to the per-switch
+  deltas it reads each cycle, with no telemetry document in between.
 * **degraded-mode** — any window with controller-punt packets
   (orphaned partitions) is a critical finding: the data-plane-only
   invariant was violated.
@@ -33,11 +36,12 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.qos import bucket_quantile
 
 __all__ = [
+    "authority_imbalance",
     "evaluate_telemetry",
     "jain_fairness",
     "slo_report",
@@ -80,7 +84,7 @@ _CLASS_LABEL = re.compile(r"[{,]flow_class=([^,}]*)")
 _LE_LABEL = re.compile(r"[{,]le=([^,}]*)")
 
 
-def jain_fairness(values: List[float]) -> float:
+def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index: ``(Σx)² / (n · Σx²)``, 1.0 when empty."""
     if not values:
         return 1.0
@@ -89,6 +93,23 @@ def jain_fairness(values: List[float]) -> float:
     if squares == 0:
         return 1.0
     return (total * total) / (len(values) * squares)
+
+
+def authority_imbalance(per_authority: Sequence[float]) -> Tuple[float, bool]:
+    """The authority-imbalance rule over one window's per-authority load.
+
+    Returns ``(fairness, fires)``: the Jain fairness of the loads, and
+    whether it counts as imbalanced — at least two authorities, at least
+    :data:`IMBALANCE_MIN_LOAD` redirects, and fairness below
+    :data:`IMBALANCE_FAIRNESS_THRESHOLD`.
+    """
+    fairness = jain_fairness(per_authority)
+    fires = (
+        len(per_authority) >= 2
+        and sum(per_authority) >= IMBALANCE_MIN_LOAD
+        and fairness < IMBALANCE_FAIRNESS_THRESHOLD
+    )
+    return fairness, fires
 
 
 def _switch_of(key: str) -> Optional[str]:
@@ -137,28 +158,27 @@ def evaluate_telemetry(section: Dict[str, object]) -> List[Dict[str, object]]:
             authority_totals[switch] = authority_totals.get(switch, 0.0) + value
     authorities = sorted(switch for switch, total in authority_totals.items() if total)
 
+    eviction_level = 0.0  # the newest cumulative eviction sample so far
     for window in windows:
         counters = window["counters"]
 
-        if len(authorities) >= 2:
-            loads = _per_switch(counters, "difane_redirects_handled_total")
-            per_authority = [loads.get(switch, 0.0) for switch in authorities]
-            window_load = sum(per_authority)
-            fairness = jain_fairness(per_authority)
-            if window_load >= IMBALANCE_MIN_LOAD and fairness < IMBALANCE_FAIRNESS_THRESHOLD:
-                shares = ", ".join(
-                    f"{switch}={load:g}"
-                    for switch, load in zip(authorities, per_authority)
+        loads = _per_switch(counters, "difane_redirects_handled_total")
+        per_authority = [loads.get(switch, 0.0) for switch in authorities]
+        fairness, fires = authority_imbalance(per_authority)
+        if fires:
+            shares = ", ".join(
+                f"{switch}={load:g}"
+                for switch, load in zip(authorities, per_authority)
+            )
+            findings.append(
+                _finding(
+                    "authority-imbalance",
+                    "warning",
+                    window,
+                    f"Jain fairness {fairness:.3f} over {sum(per_authority):g} "
+                    f"redirects ({shares})",
                 )
-                findings.append(
-                    _finding(
-                        "authority-imbalance",
-                        "warning",
-                        window,
-                        f"Jain fairness {fairness:.3f} over {window_load:g} "
-                        f"redirects ({shares})",
-                    )
-                )
+            )
 
         degraded = sum(
             value for key, value in counters.items()
@@ -181,8 +201,11 @@ def evaluate_telemetry(section: Dict[str, object]) -> List[Dict[str, object]]:
         )
         # Evictions also arrive as cumulative probe samples; use the
         # window-over-window delta of the max-merged level.
-        if not churn:
-            churn = _eviction_delta(windows, window)
+        level = _eviction_level(window)
+        if not churn and level is not None:
+            churn = max(0.0, level - eviction_level)
+        if level is not None:
+            eviction_level = level
         if churn >= CACHE_CHURN_THRESHOLD:
             findings.append(
                 _finding(
@@ -211,21 +234,6 @@ def evaluate_telemetry(section: Dict[str, object]) -> List[Dict[str, object]]:
 
     findings.sort(key=lambda f: (f["window"], f["detector"]))
     return findings
-
-
-def _eviction_delta(windows, window) -> float:
-    """Eviction increase in ``window`` from cumulative probe samples."""
-    current = _eviction_level(window)
-    if current is None:
-        return 0.0
-    previous = 0.0
-    for earlier in windows:
-        if earlier["index"] >= window["index"]:
-            break
-        level = _eviction_level(earlier)
-        if level is not None:
-            previous = level
-    return max(0.0, current - previous)
 
 
 def _eviction_level(window) -> Optional[float]:

@@ -12,6 +12,7 @@ from repro.core.shards import (
 from repro.flowspace import FIVE_TUPLE_LAYOUT, Forward, Match, Packet, Rule
 from repro.net import TopologyBuilder
 from repro.net.failures import FailureInjector
+from repro.obs.health import IMBALANCE_MIN_LOAD
 from repro.workloads.policies import routing_policy_for_topology
 
 L = FIVE_TUPLE_LAYOUT
@@ -391,3 +392,56 @@ class TestExportShape:
         assert export["rebalancer"]["cycles"] > 0
         for key in ("leader", "term", "events", "channel", "migrations"):
             assert key in export
+
+
+class TestRebalancerWindow:
+    def test_denominator_counts_redirects_since_start(self):
+        # Mixed traffic loads both authorities before the plane attaches;
+        # afterwards only h1's partition (owned by s0) sees redirects.
+        # The imbalance rule's denominator is the set of switches that
+        # handled a redirect since start(), so s1 is not in it: every
+        # window reads fairness 1.0, and history agrees with the
+        # (absent) findings rather than reporting a sub-threshold value.
+        topo = TopologyBuilder.star(4, hosts_per_leaf=1)
+        rules, host_ips = routing_policy_for_topology(topo, L)
+        dn = DifaneNetwork.build(
+            topo, rules, L,
+            authority_switches=["s0", "s1"],
+            cache_capacity=0,
+            redirect_rate=None,
+        )
+        controller = dn.controller
+        assert {pid: state.owners for pid, state in controller._states.items()} == {
+            0: ["s0"], 1: ["s1"],
+        }
+        hosts = sorted(host_ips)
+
+        def send(src, dst, count, start, gap):
+            for index in range(count):
+                dn.send_at(start + index * gap, src, Packet.from_fields(
+                    L, nw_dst=host_ips[dst], nw_proto=6,
+                    tp_src=1024 + index, tp_dst=80,
+                ))
+
+        for dst in hosts:
+            for src in hosts:
+                if src != dst:
+                    send(src, dst, 5, 0.0, 1e-4)
+        dn.run(until=0.05)
+        before = {name: dn.network.node(name).redirects_handled for name in ("s0", "s1")}
+        assert before["s0"] > 0 and before["s1"] > 0
+
+        plane = attach_sharded_control_plane(controller, n_shards=2, rebalance=True)
+        now = dn.network.scheduler.now
+        for src in hosts:
+            if src != "h1":
+                send(src, "h1", 40, now, 2e-3)
+        dn.run(until=now + 0.12)
+        assert dn.network.node("s1").redirects_handled == before["s1"]
+        assert dn.network.node("s0").redirects_handled - before["s0"] >= 2 * IMBALANCE_MIN_LOAD
+
+        history = plane.rebalancer.history
+        assert len(history) >= 4
+        assert [entry["fairness"] for entry in history] == [1.0] * len(history)
+        assert [entry["findings"] for entry in history] == [[]] * len(history)
+        assert plane.rebalancer.actions == []

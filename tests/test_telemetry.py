@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.dashboard import (
     authority_load_series,
@@ -17,6 +19,7 @@ from repro.obs.export import prometheus_text, telemetry_jsonl_lines, write_telem
 from repro.obs.health import (
     CACHE_CHURN_THRESHOLD,
     IMBALANCE_MIN_LOAD,
+    authority_imbalance,
     evaluate_telemetry,
     jain_fairness,
 )
@@ -292,6 +295,50 @@ class TestHealth:
             _window(2, {}),
         ])
         assert evaluate_telemetry(section) == []
+
+
+_AUTHORITY_NAMES = "abcd"
+
+#: Per-window redirect loads on 1-4 authorities: ``None`` leaves the
+#: switch out of the window, and loads run from zero through values
+#: below and above the imbalance load floor.
+_AUTHORITY_LOADS = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(
+        st.one_of(st.none(), st.integers(0, 3 * IMBALANCE_MIN_LOAD)),
+        min_size=n, max_size=n,
+    ),
+    min_size=1, max_size=6,
+))
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rows=_AUTHORITY_LOADS)
+def test_imbalance_rule_is_the_detector(rows):
+    # The rule the rebalancer applies to its own deltas fires exactly
+    # where the telemetry detector reports authority-imbalance, with the
+    # fairness the finding prints.
+    windows = [
+        _window(index, {
+            f"difane_redirects_handled_total{{switch={_AUTHORITY_NAMES[j]}}}": float(load)
+            for j, load in enumerate(row) if load is not None
+        })
+        for index, row in enumerate(rows)
+    ]
+    findings = {
+        f["window"]: f for f in evaluate_telemetry(_section(windows))
+        if f["detector"] == "authority-imbalance"
+    }
+    columns = sorted({j for row in rows for j, load in enumerate(row) if load})
+    for index, row in enumerate(rows):
+        fairness, fires = authority_imbalance([float(row[j] or 0) for j in columns])
+        assert fires == (index in findings)
+        if fires:
+            assert findings[index]["detail"].startswith(
+                f"Jain fairness {fairness:.3f} over "
+            )
 
 
 class TestExport:
