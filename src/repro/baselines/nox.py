@@ -23,21 +23,26 @@ rather than the forwarding model.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.flowspace.fields import HeaderLayout
 from repro.flowspace.packet import Packet
 from repro.flowspace.rule import Match, Rule, RuleKind
 from repro.flowspace.table import RuleTable
 from repro.flowspace.ternary import Ternary
+from repro.net.events import EventScheduler, ServiceStation
 from repro.net.simnet import SimNetwork
 from repro.net.topology import Topology
 from repro.obs.trace import TraceKind
-from repro.openflow.controller import Controller, DEFAULT_CONTROLLER_RATE
+from repro.openflow.channel import ControlChannel, DEFAULT_CONTROL_LATENCY_S
 from repro.openflow.messages import FlowMod, FlowModCommand, Message, PacketIn, PacketOut
 from repro.switch.switch import DataPlaneSwitch
 
 __all__ = ["NoxSwitch", "NoxController", "NoxNetwork"]
+
+#: Default controller flow-setup capacity (messages/second).  Calibrated to
+#: the paper's NOX measurements (tens of thousands of setups/s).
+DEFAULT_CONTROLLER_RATE = 50_000.0
 
 
 class NoxSwitch(DataPlaneSwitch):
@@ -83,14 +88,6 @@ class NoxSwitch(DataPlaneSwitch):
             while len(self.flow_table) > self.flow_table_capacity:
                 self.flow_table.popitem(last=False)
                 self.table_evictions += 1
-        elif message.command is FlowModCommand.DELETE:
-            if message.match is not None:
-                doomed = [
-                    key for key in self.flow_table
-                    if message.match.matches_bits(key)
-                ]
-                for key in doomed:
-                    del self.flow_table[key]
 
     def _apply_packet_out(self, message: PacketOut) -> None:
         self.execute(message.packet, message.actions)
@@ -133,35 +130,82 @@ class NoxSwitch(DataPlaneSwitch):
         return len(doomed)
 
 
-class NoxController(Controller):
-    """The reactive controller: classify punts, install microflow rules."""
+class NoxController:
+    """The reactive controller: classify punts, install microflow rules.
+
+    One :class:`~repro.openflow.channel.ControlChannel` per switch feeds a
+    CPU modelled as a :class:`~repro.net.events.ServiceStation`: every
+    inbound message queues for the CPU, and a punt whose queue is full is
+    lost.  The service rate is the famous number in this paper — a NOX-era
+    controller handles a few tens of thousands of flow setups per second,
+    and that budget is what DIFANE removes from the critical path.
+    """
 
     def __init__(
         self,
-        scheduler,
+        scheduler: EventScheduler,
         network: SimNetwork,
         layout: HeaderLayout,
         policy: Sequence[Rule],
         processing_rate: float = DEFAULT_CONTROLLER_RATE,
         queue_limit: int = 1024,
         microflow_idle_timeout: Optional[float] = 60.0,
-        control_latency_s: Optional[float] = None,
+        control_latency_s: float = DEFAULT_CONTROL_LATENCY_S,
     ):
-        extra = {}
-        if control_latency_s is not None:
-            extra["control_latency_s"] = control_latency_s
-        super().__init__(
-            scheduler, processing_rate=processing_rate, queue_limit=queue_limit, **extra
-        )
+        self.scheduler = scheduler
         self.network = network
         self.layout = layout
         self.policy = RuleTable(layout, policy)
         self.microflow_idle_timeout = microflow_idle_timeout
+        self.control_latency_s = control_latency_s
+        self.name = "controller"
+        self.channels: Dict[str, ControlChannel] = {}
+        #: The CPU queue (for utilization / queue-depth probes).
+        self.cpu = ServiceStation(
+            scheduler,
+            rate=processing_rate,
+            on_complete=self._dispatch,
+            queue_limit=queue_limit,
+            on_drop=self._on_overload,
+            name="controller.cpu",
+        )
+        self.messages_received = 0
+        self.messages_dropped = 0
         self.flow_setups = 0
         self.policy_misses = 0
 
-    def handle_packet_in(self, message: PacketIn) -> None:
-        """Classify a punted packet; install a microflow and re-inject it."""
+    def connect_switch(self, switch) -> ControlChannel:
+        """Create the control session for ``switch`` and hand it over.
+
+        ``switch`` must expose ``name`` and ``receive_control(message)``.
+        """
+        channel = ControlChannel(
+            self.scheduler,
+            switch.name,
+            to_controller=self._enqueue,
+            to_switch=switch.receive_control,
+            latency_s=self.control_latency_s,
+        )
+        self.channels[switch.name] = channel
+        return channel
+
+    def _enqueue(self, message: Message) -> None:
+        self.messages_received += 1
+        self.cpu.submit(message)
+
+    def _on_overload(self, message: Message) -> None:
+        """CPU queue overflow: a punted packet is lost."""
+        self.messages_dropped += 1
+        if isinstance(message, PacketIn):
+            self.network.record_drop(message.packet, self.name, "controller overloaded")
+
+    def _dispatch(self, message: Message) -> None:
+        """Classify a punted packet; install a microflow and re-inject it.
+
+        Any other message is served (it took CPU time) and ignored.
+        """
+        if not isinstance(message, PacketIn):
+            return
         packet = message.packet
         winner = self.policy.lookup(packet)
         if winner is None:
@@ -182,11 +226,6 @@ class NoxController(Controller):
             PacketOut(switch=message.switch, packet=packet, actions=winner.actions)
         )
 
-    def on_message_dropped(self, message: Message) -> None:
-        """CPU queue overflow: the punted packet is lost."""
-        if isinstance(message, PacketIn):
-            self.network.record_drop(message.packet, self.name, "controller overloaded")
-
 
 class NoxNetwork:
     """Facade mirroring :class:`repro.core.controller.DifaneNetwork`."""
@@ -204,7 +243,7 @@ class NoxNetwork:
         controller_rate: float = DEFAULT_CONTROLLER_RATE,
         controller_queue: int = 1024,
         flow_table_capacity: int = 65536,
-        control_latency_s: Optional[float] = None,
+        control_latency_s: float = DEFAULT_CONTROL_LATENCY_S,
         forwarding_delay_s: float = 0.0,
     ) -> "NoxNetwork":
         """Wire a NOX deployment over ``topology``."""

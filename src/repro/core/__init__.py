@@ -31,7 +31,6 @@ from repro.core.controller import (
 )
 from repro.core.placement import choose_authority_switches
 from repro.core.dynamics import ChurnEvent, ChurnWorkload
-from repro.core.frontend import DifaneFrontend
 
 __all__ = [
     "Partition",
@@ -48,5 +47,4 @@ __all__ = [
     "choose_authority_switches",
     "ChurnEvent",
     "ChurnWorkload",
-    "DifaneFrontend",
 ]

@@ -88,7 +88,6 @@ class HeartbeatMonitor:
         self.recoveries: List[Tuple[float, str]] = []
         #: Detections of switches whose behaviour was in fact alive.
         self.false_positives = 0
-        self._started = False
 
     def start(self) -> None:
         """Begin monitoring every current authority switch from now."""
@@ -96,7 +95,6 @@ class HeartbeatMonitor:
         now = scheduler.now
         for name in self.controller.authority_switches:
             self.last_seen[name] = now
-        self._started = True
         scheduler.schedule(self.interval_s, self._check)
 
     def observe(self, switch: str, when: float) -> None:
@@ -906,11 +904,6 @@ class DifaneNetwork:
     def total_redirects(self) -> int:
         """Packets that detoured through an authority switch."""
         return sum(s.redirects_handled for s in self.switches())
-
-    def policy_counters(self):
-        """Per-policy-rule statistics (see
-        :meth:`DifaneController.collect_policy_counters`)."""
-        return self.controller.collect_policy_counters()
 
     def tcam_report(self) -> Dict[str, Dict[str, int]]:
         """Per-switch TCAM occupancy by region."""

@@ -159,7 +159,6 @@ class ShardedControlPlane:
         self.rebalancer: Optional["Rebalancer"] = None
         self._last_ack: Dict[str, float] = {}
         self._epoch = 0.0
-        self._started = False
         scheduler = self.network.scheduler
         self.channels: Dict[str, ControlChannel] = {
             name: ControlChannel(
@@ -201,7 +200,6 @@ class ShardedControlPlane:
             shard.last_lease = now
             self._last_ack[shard.name] = now
         self.controller.shard_plane = self
-        self._started = True
         self.network.scheduler.schedule(self.lease_interval_s, self._tick)
 
     def _by_id(self) -> List[ControllerShard]:

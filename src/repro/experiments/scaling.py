@@ -27,6 +27,7 @@ from repro.experiments.common import (
     Calibration,
     ExperimentResult,
 )
+from repro.experiments.throughput import span_goodput
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.packet import Packet
 from repro.net.topology import Topology
@@ -73,16 +74,6 @@ def _inject_unique_flows(facade, host_ips, n_ingress: int, count: int, rate: flo
         facade.send_at(index / rate, src, packet)
 
 
-def _span_goodput(delivered, scale: float) -> float:
-    """Full-scale goodput over the delivery span (see throughput module)."""
-    if len(delivered) < 2:
-        return 0.0
-    span = delivered[-1].finished_at - delivered[0].finished_at
-    if span <= 0:
-        return 0.0
-    return (len(delivered) - 1) / span / scale
-
-
 def _scaling_point(
     k: int,
     flows_per_point: int,
@@ -111,7 +102,7 @@ def _scaling_point(
     )
     _inject_unique_flows(dn, host_ips, n_ingress, flows_per_point, offered_scaled, seed=k)
     dn.run()
-    difane_goodput = _span_goodput(dn.network.delivered(), scale)
+    difane_goodput = span_goodput(dn.network.delivered(), scale)
 
     topo = _build_topology(k, n_ingress, n_dst_hosts=16)
     rules, host_ips = routing_policy_for_topology(topo, LAYOUT)
@@ -125,7 +116,7 @@ def _scaling_point(
     )
     _inject_unique_flows(nn, host_ips, n_ingress, flows_per_point, offered_scaled, seed=k)
     nn.run()
-    return difane_goodput, _span_goodput(nn.network.delivered(), scale)
+    return difane_goodput, span_goodput(nn.network.delivered(), scale)
 
 
 def run_scaling(

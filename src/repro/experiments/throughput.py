@@ -76,24 +76,28 @@ def _unique_flow_packets(count: int, dst_ip: int) -> List[Packet]:
     return packets
 
 
-def _measure_goodput(facade, topo, packets, rate_scaled: float, scale: float) -> float:
-    """Inject ``packets`` at ``rate_scaled``; return full-scale goodput.
+def span_goodput(delivered, scale: float) -> float:
+    """Full-scale goodput of ``delivered`` records (in delivery order).
 
     Goodput is measured over the *delivery span* (first to last successful
     delivery): under light load that equals the offered rate, under
     saturation it equals the bottleneck's service rate — robust to the
     post-window queue drain either way.
     """
-    for index, packet in enumerate(packets):
-        facade.send_at(index / rate_scaled, "hsrc", packet)
-    facade.run()
-    delivered = facade.network.delivered()
     if len(delivered) < 2:
         return 0.0
     span = delivered[-1].finished_at - delivered[0].finished_at
     if span <= 0:
         return 0.0
     return (len(delivered) - 1) / span / scale
+
+
+def _measure_goodput(facade, packets, rate_scaled: float, scale: float) -> float:
+    """Inject ``packets`` at ``rate_scaled``; return full-scale goodput."""
+    for index, packet in enumerate(packets):
+        facade.send_at(index / rate_scaled, "hsrc", packet)
+    facade.run()
+    return span_goodput(facade.network.delivered(), scale)
 
 
 def run_throughput(
@@ -141,7 +145,7 @@ def run_throughput(
             redirect_rate=calibration.authority_redirect_rate * scale,
         )
         packets = _unique_flow_packets(flows_per_point, host_ips["hdst"])
-        difane_series.append(rate, _measure_goodput(dn, topo, packets, rate_scaled, scale))
+        difane_series.append(rate, _measure_goodput(dn, packets, rate_scaled, scale))
         difane_drops.update(attribute_drops(dn.network.dropped()))
 
         topo = _build_topology()
@@ -155,7 +159,7 @@ def run_throughput(
             control_latency_s=calibration.control_latency_s,
         )
         packets = _unique_flow_packets(flows_per_point, host_ips["hdst"])
-        nox_series.append(rate, _measure_goodput(nn, topo, packets, rate_scaled, scale))
+        nox_series.append(rate, _measure_goodput(nn, packets, rate_scaled, scale))
         nox_drops.update(attribute_drops(nn.network.dropped()))
 
     result = ExperimentResult(

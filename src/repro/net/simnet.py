@@ -4,8 +4,8 @@
 between nodes, delivery/drop accounting, and control-message latency — and
 stays policy-free.  Switch behaviour (DIFANE pipeline, NOX microflow table)
 lives in node objects registered via :meth:`register_node`; each must
-expose ``name`` and ``handle_packet(network, packet)``; links call its
-``receive(packet)`` directly when it has one.
+expose ``name``, ``attach(network)`` and ``receive(packet)``, which links
+call directly.
 
 Forwarding convention
 ---------------------
@@ -218,12 +218,14 @@ class SimNetwork(Collectable):
 
     def _receiver(self, name: str) -> Callable:
         """``deliver(packet)`` for arrivals at ``name``: a host records the
-        delivery, a node with ``receive`` takes the packet, and anything
-        else goes through :meth:`_arrive`, which looks it up per packet."""
+        delivery, a registered node's ``receive`` takes the packet, and an
+        unregistered switch goes through :meth:`_arrive`, which looks it up
+        per packet (so a node registered while packets are in flight is
+        still reached)."""
         if name in self._hosts:
             return partial(self.record_delivery, endpoint=name)
-        receive = getattr(self._nodes.get(name), "receive", None)
-        return receive if receive is not None else partial(self._arrive, name)
+        node = self._nodes.get(name)
+        return node.receive if node is not None else partial(self._arrive, name)
 
     def _build_links(self) -> None:
         for a, b, data in self.topology.graph.edges(data=True):
@@ -240,9 +242,7 @@ class SimNetwork(Collectable):
         if node.name not in self.topology.graph:
             raise KeyError(f"{node.name!r} is not in the topology")
         self._nodes[node.name] = node
-        attach = getattr(node, "attach", None)
-        if attach is not None:
-            attach(self)
+        node.attach(self)
         receiver = self._receiver(node.name)
         for neighbor in self.topology.graph.neighbors(node.name):
             link = self._links.get((neighbor, node.name))
@@ -389,7 +389,7 @@ class SimNetwork(Collectable):
         if behaviour is None:
             self.record_drop(packet, node_name, "no behaviour registered")
             return
-        behaviour.handle_packet(self, packet)
+        behaviour.receive(packet)
 
     # -- control-plane messaging ---------------------------------------------------
     def send_control(self, from_node: str, to_node: str, handler: Callable, *args) -> None:

@@ -1,29 +1,25 @@
 """OpenFlow 1.0 style control plane substrate.
 
-* :mod:`repro.openflow.messages` — the message vocabulary (PacketIn,
-  FlowMod, PacketOut, Barrier, Stats).
+* :mod:`repro.openflow.messages` — the message subset the runs exchange
+  (PacketIn, FlowMod, PacketOut, Heartbeat and the controller shards'
+  lease and ownership messages).
 * :mod:`repro.openflow.channel` — a latency-modelled control channel
   between one switch and one controller.
-* :mod:`repro.openflow.controller` — the capacity-bounded controller
-  skeleton (message dispatch over a CPU service queue); concrete logic
-  lives in :mod:`repro.baselines.nox` and :mod:`repro.core.controller`.
+
+The controllers that speak over it live in :mod:`repro.baselines.nox`
+(reactive, with a CPU queue on the packet path) and
+:mod:`repro.core.controller` (proactive, off the packet path).
 """
 
 from repro.openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
     FlowMod,
     FlowModCommand,
-    FlowRemoved,
     Heartbeat,
     Message,
     PacketIn,
     PacketOut,
-    StatsReply,
-    StatsRequest,
 )
 from repro.openflow.channel import ChannelFaultModel, ControlChannel
-from repro.openflow.controller import Controller
 
 __all__ = [
     "Message",
@@ -31,13 +27,7 @@ __all__ = [
     "PacketOut",
     "FlowMod",
     "FlowModCommand",
-    "FlowRemoved",
-    "BarrierRequest",
-    "BarrierReply",
-    "StatsRequest",
-    "StatsReply",
     "Heartbeat",
     "ChannelFaultModel",
     "ControlChannel",
-    "Controller",
 ]

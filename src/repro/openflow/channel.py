@@ -4,10 +4,11 @@ A :class:`ControlChannel` models the out-of-band TCP session OpenFlow
 uses: a fixed one-way latency each direction (the paper's testbed measured
 several milliseconds of controller round trip; propagation is one part,
 controller processing the other — the processing half lives in
-:class:`repro.openflow.controller.Controller`'s service queue).
+:class:`repro.baselines.nox.NoxController`'s CPU queue).
 
-Message ordering per direction is FIFO, which the Barrier implementation
-relies on.
+Message ordering per direction is FIFO, which NOX relies on: its
+microflow FlowMod reaches the switch before the PacketOut that
+re-injects the punted packet.
 
 Fault model and reliability
 ---------------------------

@@ -1,9 +1,12 @@
 """OpenFlow 1.0 style control messages.
 
-The subset the evaluation needs: flow installation/removal, packet punts
-and re-injections, barriers (ordering), and statistics.  Messages are
-plain dataclasses; the channel layer handles latency and the controller
-layer handles dispatch, so these stay pure data.
+Only the subset the runs exchange: the NOX baseline's punts
+(:class:`PacketIn`), microflow installs (:class:`FlowMod`) and
+re-injections (:class:`PacketOut`); the DIFANE control plane's liveness
+beacons (:class:`Heartbeat`), and its controller shards' fragment moves
+(:class:`FlowMod` add/delete), leases and ownership handshakes.  Messages
+are plain dataclasses; the channel layer handles latency and the receiver
+handles dispatch, so these stay pure data.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Optional
 
 from repro.flowspace.packet import Packet
-from repro.flowspace.rule import Match, Rule
+from repro.flowspace.rule import Rule
 
 __all__ = [
     "Message",
@@ -22,11 +25,6 @@ __all__ = [
     "PacketOut",
     "FlowModCommand",
     "FlowMod",
-    "FlowRemoved",
-    "BarrierRequest",
-    "BarrierReply",
-    "StatsRequest",
-    "StatsReply",
     "Heartbeat",
     "LeaseRenew",
     "OwnershipTransfer",
@@ -64,59 +62,16 @@ class FlowModCommand(Enum):
     """FlowMod verbs (the OF 1.0 subset we exercise)."""
 
     ADD = "add"
-    MODIFY = "modify"
     DELETE = "delete"
 
 
 @dataclass
 class FlowMod(Message):
-    """Controller → switch: install / modify / delete a rule."""
+    """Controller → switch: install or delete a rule."""
 
     switch: str
     command: FlowModCommand
     rule: Optional[Rule] = None
-    #: For DELETE: remove rules whose match equals this (when rule is None).
-    match: Optional[Match] = None
-
-
-@dataclass
-class FlowRemoved(Message):
-    """Switch → controller: a rule expired or was evicted."""
-
-    switch: str
-    rule: Rule
-    reason: str = "idle-timeout"
-
-
-@dataclass
-class BarrierRequest(Message):
-    """Controller → switch: finish everything sent so far, then reply."""
-
-    switch: str
-
-
-@dataclass
-class BarrierReply(Message):
-    """Switch → controller: barrier acknowledged."""
-
-    switch: str
-    request_xid: int = -1
-
-
-@dataclass
-class StatsRequest(Message):
-    """Controller → switch: read rule counters."""
-
-    switch: str
-    match: Optional[Match] = None
-
-
-@dataclass
-class StatsReply(Message):
-    """Switch → controller: counter snapshot per matching rule."""
-
-    switch: str
-    entries: List[tuple] = field(default_factory=list)  # (rule, packets, bytes)
 
 
 @dataclass

@@ -107,10 +107,6 @@ class DataPlaneSwitch(Collectable):
         self.packets_seen += 1
         self.process(packet)
 
-    def handle_packet(self, network, packet: Packet) -> None:
-        """Entry point for a caller holding the network: :meth:`receive`."""
-        self.receive(packet)
-
     def _process_now(self, packet: Packet) -> None:
         """Station completion callback; resolves :meth:`process` per call so
         a subclass or a tracer patching it after ``attach`` is still seen."""

@@ -56,7 +56,7 @@ def test_redirect_to_own_ingress_caches_locally_in_packet_order(prefetch):
         packet.created_at = 0.0
         packet.ingress_switch = switch.name
         packet.encapsulate(switch.name)
-        switch.handle_packet(facade.network, packet)
+        switch.receive(packet)
     facade.run()
     assert switch.redirects_handled == 24
     assert switch.cache_installs_received >= 24

@@ -53,12 +53,6 @@ class TestExamplesRun:
         assert "Trace-driven cache replay" in out
         assert "live replay" in out
 
-    def test_openflow_frontend(self, capsys):
-        load_example("openflow_frontend").main()
-        out = capsys.readouterr().out
-        assert "StatsReply" in out
-        assert "0 errors" in out
-
     def test_every_example_has_a_test(self):
         """Adding an example without a smoke test should fail loudly."""
         scripts = {p.stem for p in EXAMPLES_DIR.glob("*.py")}

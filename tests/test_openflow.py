@@ -1,20 +1,18 @@
-"""Tests for the OpenFlow substrate: messages, channel, controller base."""
+"""Tests for the OpenFlow substrate: messages, channel, and the NOX
+controller's channels and CPU queue."""
 
 import pytest
 
+from repro.baselines.nox import NoxController
 from repro.flowspace import Drop, FIVE_TUPLE_LAYOUT, Match, Packet, Rule
-from repro.net import EventScheduler
+from repro.net import EventScheduler, SimNetwork
+from repro.net.topology import Topology
 from repro.openflow import (
-    BarrierReply,
-    BarrierRequest,
     ControlChannel,
-    Controller,
     FlowMod,
     FlowModCommand,
-    FlowRemoved,
     Heartbeat,
     PacketIn,
-    StatsReply,
 )
 
 L = FIVE_TUPLE_LAYOUT
@@ -28,9 +26,8 @@ class TestMessages:
         assert b.xid > a.xid
 
     def test_flow_mod_defaults(self):
-        message = FlowMod(switch="s0", command=FlowModCommand.ADD,
-                          rule=Rule(Match.any(L), 1, Drop()))
-        assert message.match is None
+        message = FlowMod(switch="s0", command=FlowModCommand.DELETE)
+        assert message.rule is None
 
 
 class TestChannel:
@@ -43,10 +40,9 @@ class TestChannel:
             to_switch=lambda m: down.append(sched.now),
             latency_s=1e-3,
         )
-        message = BarrierRequest(switch="s0")
-        channel.send_to_controller(message)
+        channel.send_to_controller(Heartbeat(switch="s0"))
         sched.run()
-        channel.send_to_switch(BarrierReply(switch="s0"))
+        channel.send_to_switch(Heartbeat(switch="s0"))
         sched.run()
         assert up == [pytest.approx(1e-3)]
         assert down == [pytest.approx(2e-3)]
@@ -61,8 +57,8 @@ class TestChannel:
             to_controller=lambda m: order.append(m.xid),
             to_switch=lambda m: None,
         )
-        first = BarrierRequest(switch="s0")
-        second = BarrierRequest(switch="s0")
+        first = Heartbeat(switch="s0", beat=1)
+        second = Heartbeat(switch="s0", beat=2)
         channel.send_to_controller(first)
         channel.send_to_controller(second)
         sched.run()
@@ -78,86 +74,73 @@ class FakeSwitch:
         self.received.append(message)
 
 
+def nox_controller(**kwargs):
+    """A NOX controller over a one-switch network with an empty policy,
+    connected to a switch that records what the controller sends it."""
+    topo = Topology()
+    topo.add_switch("s0")
+    network = SimNetwork(topo)
+    controller = NoxController(network.scheduler, network, L, [], **kwargs)
+    switch = FakeSwitch("s0")
+    return network, controller, switch, controller.connect_switch(switch)
+
+
+def punt():
+    return PacketIn(switch="s0", packet=Packet.from_fields(L))
+
+
 class TestControllerBase:
+    """The controller mechanics NOX's results rest on: channels, the CPU
+    queue, dispatch and overload loss."""
+
     def test_connect_and_dispatch(self):
-        sched = EventScheduler()
-        seen = []
-
-        class Probe(Controller):
-            def handle_packet_in(self, message):
-                seen.append(message)
-
-        controller = Probe(sched, processing_rate=1000.0)
-        switch = FakeSwitch("s0")
-        channel = controller.connect_switch(switch)
-        channel.send_to_controller(PacketIn(switch="s0", packet=Packet.from_fields(L)))
-        sched.run()
-        assert len(seen) == 1
+        network, controller, switch, channel = nox_controller(processing_rate=1000.0)
+        assert controller.channels == {"s0": channel}
+        channel.send_to_controller(punt())
+        network.run()
         assert controller.messages_received == 1
+        assert controller.cpu.completed == 1
+        assert controller.policy_misses == 1
+        assert [r.drop_reason for r in network.dropped()] == ["no policy rule"]
 
     def test_cpu_queue_overflow(self):
-        sched = EventScheduler()
-        dropped = []
-
-        class Probe(Controller):
-            def on_message_dropped(self, message):
-                dropped.append(message)
-
-        controller = Probe(sched, processing_rate=1.0, queue_limit=1)
-        switch = FakeSwitch("s0")
-        channel = controller.connect_switch(switch)
+        network, controller, switch, channel = nox_controller(
+            processing_rate=1.0, queue_limit=1
+        )
         for _ in range(5):
-            channel.send_to_controller(PacketIn(switch="s0", packet=Packet.from_fields(L)))
-        sched.run(until=0.01)
+            channel.send_to_controller(punt())
+        network.run(until=0.01)
         assert controller.messages_dropped >= 1
-        assert len(dropped) == controller.messages_dropped
-
-    def test_barrier_default_reply(self):
-        sched = EventScheduler()
-        controller = Controller(sched, processing_rate=1000.0)
-        switch = FakeSwitch("s0")
-        channel = controller.connect_switch(switch)
-        request = BarrierRequest(switch="s0")
-        channel.send_to_controller(request)
-        sched.run()
-        assert len(switch.received) == 1
-        reply = switch.received[0]
-        assert isinstance(reply, BarrierReply)
-        assert reply.request_xid == request.xid
-
-    def test_stats_reply_default_ignored(self):
-        sched = EventScheduler()
-        controller = Controller(sched, processing_rate=1000.0)
-        switch = FakeSwitch("s0")
-        channel = controller.connect_switch(switch)
-        channel.send_to_controller(StatsReply(switch="s0"))
-        sched.run()  # must not raise
+        assert [r.drop_reason for r in network.dropped()] == (
+            ["controller overloaded"] * controller.messages_dropped
+        )
 
     def test_default_hooks_ignore_what_they_do_not_handle(self):
-        """The base controller's default hooks: a punted packet, a rule
-        expiry, an unclassified message and a CPU-queue overflow are
-        counted and otherwise ignored (nothing goes back to the switch)."""
-        sched = EventScheduler()
-        controller = Controller(sched, processing_rate=1.0, queue_limit=2)
-        switch = FakeSwitch("s0")
-        channel = controller.connect_switch(switch)
-        punt = PacketIn(switch="s0", packet=Packet.from_fields(L))
-        expiry = FlowRemoved(switch="s0", rule=Rule(Match.any(L), 1, Drop()))
+        """Every message takes CPU time; a punt is classified (here: no
+        policy rule, so it is dropped), any other message is ignored, and
+        a CPU-queue overflow is counted.  Nothing goes back to the switch."""
+        network, controller, switch, channel = nox_controller(
+            processing_rate=1.0, queue_limit=2
+        )
+        expiry = FlowMod(switch="s0", command=FlowModCommand.DELETE,
+                         rule=Rule(Match.any(L), 1, Drop()))
         # One in service, two queued, the fourth overflows the queue.
-        for message in (punt, expiry, Heartbeat(switch="s0"), punt):
+        for message in (punt(), expiry, Heartbeat(switch="s0"), punt()):
             channel.send_to_controller(message)
-        sched.run()
+        network.run()
         assert controller.messages_received == 4
         assert controller.messages_dropped == 1
         assert controller.cpu.completed == 3
+        assert controller.policy_misses == 1
+        assert controller.flow_setups == 0
+        assert [r.drop_reason for r in network.dropped()] == [
+            "controller overloaded", "no policy rule",
+        ]
         assert switch.received == []
 
     def test_cpu_utilization_probe(self):
-        sched = EventScheduler()
-        controller = Controller(sched, processing_rate=10.0)
-        switch = FakeSwitch("s0")
-        channel = controller.connect_switch(switch)
-        channel.send_to_controller(BarrierRequest(switch="s0"))
-        sched.run()
+        network, controller, switch, channel = nox_controller(processing_rate=10.0)
+        channel.send_to_controller(Heartbeat(switch="s0"))
+        network.run()
         assert controller.cpu.completed == 1
         assert controller.cpu.busy_time == pytest.approx(0.1)

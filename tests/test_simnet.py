@@ -23,9 +23,9 @@ class EchoSwitch:
     def attach(self, network):
         self.network = network
 
-    def handle_packet(self, network, packet):
+    def receive(self, packet):
         self.seen += 1
-        network.forward_toward(self.name, self.destination, packet)
+        self.network.forward_toward(self.name, self.destination, packet)
 
 
 def build_net():
@@ -83,9 +83,9 @@ class TestDelivery:
         )
         assert [r.drop_reason for r in net.dropped()] == ["no behaviour registered"] * 3
 
-    def test_duck_typed_node_without_receive_is_reached_by_lookup(self):
-        """A node with only ``handle_packet`` gets the per-packet lookup,
-        which also sees a node registered while packets are in flight."""
+    def test_node_registered_while_packets_are_in_flight_is_reached(self):
+        """A packet already on its way to an unregistered switch reaches
+        the node registered there before it arrives."""
         topo = TopologyBuilder.linear(2, hosts_per_switch=1)
         net = SimNetwork(topo)
         net.register_node(EchoSwitch("s0", "h1"))

@@ -53,7 +53,7 @@ class TestCounterTransparency:
         for bits in header_stream:
             winner = oracle.lookup_bits(bits)
             expected[winner] = expected.get(winner, 0) + 1
-        measured = dn.policy_counters()
+        measured = dn.controller.collect_policy_counters()
         for rule, count in expected.items():
             snapshot = measured.get(rule)
             assert snapshot is not None, f"no counters folded for {rule}"
@@ -64,7 +64,7 @@ class TestCounterTransparency:
     def test_total_packets_conserved(self):
         dn, topo, host_ips, rules = build()
         header_stream = pump(dn, topo, host_ips)
-        measured = dn.policy_counters()
+        measured = dn.controller.collect_policy_counters()
         assert sum(s.packets for s in measured.values()) == len(header_stream)
 
     def test_counts_survive_replication(self):
@@ -72,13 +72,13 @@ class TestCounterTransparency:
         must not double-count."""
         dn, topo, host_ips, rules = build(replication=2)
         header_stream = pump(dn, topo, host_ips)
-        measured = dn.policy_counters()
+        measured = dn.controller.collect_policy_counters()
         assert sum(s.packets for s in measured.values()) == len(header_stream)
 
     def test_fragments_tracked(self):
         dn, topo, host_ips, rules = build()
         pump(dn, topo, host_ips)
-        measured = dn.policy_counters()
+        measured = dn.controller.collect_policy_counters()
         # Every policy rule with traffic shows at least one fragment.
         assert all(s.fragments >= 1 for s in measured.values())
 
