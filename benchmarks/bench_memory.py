@@ -1,4 +1,4 @@
-"""M1: million-host streaming soak — peak-RSS gate.
+"""Peak-RSS gates: M1's million-host streaming soak, and C2's offered traffic.
 
 The entire point of the streaming workload + sketch observability stack
 is that a soak's memory footprint is a function of the *topology and
@@ -15,6 +15,12 @@ gives an honest number for the soak itself.
 Scale is env-tunable (``REPRO_M1_HOSTS``, ``REPRO_M1_EPOCHS``,
 ``REPRO_M1_BURST``) so CI can trade soak length against runtime without
 editing the gate.
+
+The C2 gate holds the fault soak to the same claim: its offered packets
+are built as the run reaches them and its outcomes are binned, not kept,
+so a soak four times as long (6 s against 1.5 s at 20,000 packets/s) may
+peak at most ``C2_GROWTH_BUDGET_MB`` higher.  A soak that builds every
+packet and outcome record up front grows by about 56 MB over that span.
 """
 
 import json
@@ -59,6 +65,24 @@ print(json.dumps({
 """
 
 
+#: Most a 6 s full-rate C2 soak may peak above the 1.5 s one.
+C2_GROWTH_BUDGET_MB = 12.0
+
+_C2_CHILD = r"""
+import json, resource, sys
+
+from repro.experiments.chaos import run_rebalance_soak
+
+result = run_rebalance_soak(rate=20_000.0, duration=float(sys.argv[1]))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak_mb = peak / (1024 * 1024) if sys.platform == "darwin" else peak / 1024
+print(json.dumps({"peak_rss_mb": round(peak_mb, 1), "notes": {
+    key: result.notes[key]
+    for key in ("delivered", "dropped", "unaccounted_packets", "invariant_violations")
+}}))
+"""
+
+
 def _soak_config():
     return {
         "hosts": int(os.environ.get("REPRO_M1_HOSTS", 1_000_000)),
@@ -67,11 +91,11 @@ def _soak_config():
     }
 
 
-def _run_soak_child(config):
+def _run_soak_child(config, child=_CHILD):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(config)],
+        [sys.executable, "-c", child, json.dumps(config)],
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, f"soak child failed:\n{proc.stderr}"
@@ -119,3 +143,18 @@ def test_bench_memory_bounded_soak(benchmark, archive):
     # The sketch stayed bounded while the error budget stayed honest.
     assert sketch["retained_items"] > 0
     assert sketch["delay_relative_error_bound"] < 0.10
+
+
+def test_bench_memory_c2_peak_does_not_grow_with_offered_traffic():
+    short, long = (_run_soak_child(duration, _C2_CHILD) for duration in (1.5, 6.0))
+    for report, duration in ((short, 1.5), (long, 6.0)):
+        notes = report["notes"]
+        assert notes["delivered"] + notes["dropped"] == int(20_000 * duration)
+        assert notes["unaccounted_packets"] == notes["invariant_violations"] == 0
+    growth = long["peak_rss_mb"] - short["peak_rss_mb"]
+    print(f"C2 peak RSS: {short['peak_rss_mb']} MB at 1.5 s, "
+          f"{long['peak_rss_mb']} MB at 6 s (+{growth:.1f} MB)")
+    assert growth <= C2_GROWTH_BUDGET_MB, (
+        f"C2's peak grew {growth:.1f} MB from 1.5 s to 6 s of offered traffic "
+        f"(budget {C2_GROWTH_BUDGET_MB} MB)"
+    )

@@ -4,7 +4,7 @@ from repro.analysis.stats import cdf, percentile, summarize, Summary
 from repro.analysis.series import Series
 from repro.analysis.report import render_table, render_series_table, format_si
 from repro.analysis.asciiplot import ascii_plot
-from repro.analysis.timeline import rate_timeline
+from repro.analysis.timeline import OutcomeTimeline
 
 __all__ = [
     "cdf",
@@ -16,5 +16,5 @@ __all__ = [
     "render_series_table",
     "format_si",
     "ascii_plot",
-    "rate_timeline",
+    "OutcomeTimeline",
 ]

@@ -1,54 +1,55 @@
-"""Time-binned rate series from delivery records.
-
-Turns a simulation's :class:`~repro.net.simnet.DeliveryRecord` stream
-into a rate-over-time curve (delivered or all-outcome packets per
-second) — the view the paper's throughput-over-time plots take, and the
-tool for spotting transients around dynamics events (failover dips,
-cache warm-up ramps).
-"""
+"""Rate-over-time curves (the paper's throughput-over-time view; failover
+dips, cache warm-up ramps), binned from outcomes as they land."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from collections import Counter
 
 from repro.analysis.series import Series
+from repro.obs.attribution import attribute_reason
 
-__all__ = ["rate_timeline"]
+__all__ = ["OutcomeTimeline"]
 
 
-def rate_timeline(
-    records: Sequence,
-    bin_width_s: float,
-    delivered_only: bool = True,
-    label: str = "rate",
-) -> Series:
-    """Delivered (or all-outcome) packets per second, per time bin.
+class OutcomeTimeline:
+    """A record-free outcome reader (:class:`~repro.net.simnet.DeliveryLog`
+    names its two methods): ``delivered`` / ``dropped`` counts, drops per
+    ``attribute_reason`` bucket, and the bins :meth:`series` reads."""
 
-    Bin edges start at the first record's finish time; each point sits at
-    its bin's midpoint.
-    """
-    if bin_width_s <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width_s}")
-    series = Series(label, x_label="time (s)", y_label="packets/s")
-    times = [
-        r.finished_at
-        for r in records
-        if (r.delivered or not delivered_only)
-    ]
-    if not times:
+    def __init__(self, bin_width_s: float):
+        if bin_width_s <= 0:
+            raise ValueError(f"bin width must be positive, got {bin_width_s}")
+        self.bin_width_s = bin_width_s
+        self.delivered = self.dropped = 0
+        self.drop_buckets: Counter = Counter()
+        #: Delivered-only and all-outcome curves: [first time, bin counts].
+        self._curves = {True: [None, Counter()], False: [None, Counter()]}
+
+    def _count(self, delivered_only: bool, now: float) -> None:
+        curve = self._curves[delivered_only]
+        if curve[0] is None:
+            curve[0] = now
+        # A tolerance: a time mathematically on a bin edge but represented
+        # a hair below it still lands in the bin [edge, edge + width).
+        curve[1][int((now - curve[0]) / self.bin_width_s + 1e-9)] += 1
+
+    def observe_delivery(self, packet, endpoint: str, now: float) -> None:
+        self.delivered += 1
+        self._count(True, now)
+        self._count(False, now)
+
+    def observe_drop(self, packet, where: str, reason: str, now: float) -> None:
+        self.dropped += 1
+        self.drop_buckets[attribute_reason(reason)] += 1
+        self._count(False, now)
+
+    def series(self, label: str = "rate", delivered_only: bool = True) -> Series:
+        """Delivered (or all-outcome) packets per second, per bin; bin edges
+        start at the first such outcome, and each point sits at its bin's
+        midpoint."""
+        start, counts = self._curves[delivered_only]
+        width = self.bin_width_s
+        series = Series(label, x_label="time (s)", y_label="packets/s")
+        for index in range(max(counts, default=-1) + 1):
+            series.append(start + (index + 0.5) * width, counts[index] / width)
         return series
-    start = min(times)
-    # Integer binning with a tolerance: a timestamp mathematically on a
-    # bin edge but represented a hair below it still lands in the bin the
-    # half-open [edge, edge + width) convention assigns it to.
-    array = np.asarray(times, dtype=np.float64)
-    indices = np.floor((array - start) / bin_width_s + 1e-9).astype(np.int64)
-    bins = int(indices.max()) + 1
-    counts = np.bincount(indices, minlength=bins)
-    for index in range(bins):
-        series.append(
-            start + (index + 0.5) * bin_width_s, counts[index] / bin_width_s
-        )
-    return series

@@ -7,8 +7,9 @@
   (paper §3.2): given the rule a redirected packet hit at an authority
   switch, produce a cache rule that can be installed alone at the ingress
   switch without stealing traffic from higher-priority rules.
-* :mod:`repro.core.authority` / :mod:`repro.core.ingress` — the DIFANE
-  switch behaviour (one class: every DIFANE switch can play both roles).
+* :mod:`repro.core.authority` — the DIFANE switch behaviour: one class,
+  :class:`~repro.core.authority.DifaneSwitch`, plays both the ingress and
+  the authority role.
 * :mod:`repro.core.controller` — the proactive DIFANE controller:
   partition distribution, policy changes, topology changes, host mobility,
   authority failover (paper §4).

@@ -15,7 +15,7 @@ routing into a runnable simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.flowspace.action import Encapsulate, Forward
 from repro.flowspace.fields import HeaderLayout
@@ -868,6 +868,19 @@ class DifaneNetwork:
         self.network.scheduler.schedule_in_order(
             time, self.network.inject_from_host, host, packet
         )
+
+    def send_all(self, timed: Iterator, count: int) -> None:
+        """:meth:`send_at` for an iterator of ``count`` time-ordered
+        ``TimedPacket`` objects, pulled as the run reaches them: the first
+        through :meth:`send_at`, the rest through the scheduler's
+        :meth:`~EventScheduler.stream_in_order`."""
+        first = next(timed, None)
+        if first is not None:
+            self.send_at(first.time, first.source_host, first.packet)
+            self.network.scheduler.stream_in_order(
+                self.network.inject_from_host,
+                ((t.time, (t.source_host, t.packet)) for t in timed), count - 1,
+            )
 
     def send_batch_at(self, time: float, switch: str, packets: List[Packet]) -> None:
         """Schedule a same-instant burst's injection at ``switch`` at ``time``.

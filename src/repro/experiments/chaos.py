@@ -34,7 +34,7 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.series import Series
-from repro.analysis.timeline import rate_timeline
+from repro.analysis.timeline import OutcomeTimeline
 from repro.core.controller import DifaneNetwork, PartitionInvariantError
 from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
@@ -42,7 +42,6 @@ from repro.net.chaos import ChaosSchedule, ChaosSpec
 from repro.net.failures import FailureInjector
 from repro.net.topology import Topology, TopologyBuilder
 from repro.obs import context as _obs_context
-from repro.obs.attribution import attribute_drops
 from repro.openflow.channel import ChannelFaultModel
 from repro.workloads.policies import routing_policy_for_topology
 from repro.workloads.traffic import host_pair_packets, zipf_host_pair_packets
@@ -50,7 +49,6 @@ from repro.workloads.traffic import host_pair_packets, zipf_host_pair_packets
 __all__ = [
     "run_chaos_soak",
     "run_rebalance_soak",
-    "attribute_drops",
 ]
 
 LAYOUT = FIVE_TUPLE_LAYOUT
@@ -110,6 +108,8 @@ def run_chaos_soak(
     )
     network = dn.network
     controller = dn.controller
+    outcomes = OutcomeTimeline(bin_width_s)
+    network.read_outcomes_with(outcomes)
 
     # Control plane: shared fault model (brownouts throttle every session),
     # unbounded retransmission (no control message is ever abandoned),
@@ -149,11 +149,10 @@ def run_chaos_soak(
 
     # Steady traffic: random host pairs, one packet per microflow.
     count = int(rate * duration)
-    for timed in host_pair_packets(
+    dn.send_all(host_pair_packets(
         topo, host_ips, LAYOUT, count=count, rate=rate, seed=seed,
         deterministic_arrivals=True,
-    ):
-        dn.send_at(timed.time, timed.source_host, timed.packet)
+    ), count)
 
     # Drain: everything the schedule breaks resolves by 0.9 × duration;
     # leave room for the last detections, retransmissions and repairs.
@@ -161,10 +160,8 @@ def run_chaos_soak(
     dn.run(until=duration + drain)
     check_invariants()
 
-    delivered = network.delivered()
-    dropped = network.dropped()
-    attribution = attribute_drops(dropped)
-    unaccounted = count - len(network.deliveries)
+    attribution = outcomes.drop_buckets
+    unaccounted = count - outcomes.delivered - outcomes.dropped
 
     detection_latencies = _detection_latencies(injector, controller)
     channel_totals = controller.control_plane_counters()
@@ -172,9 +169,8 @@ def run_chaos_soak(
     failovers = sum(s.failovers for s in dn.switches())
 
     series: List[Series] = [
-        rate_timeline(network.deliveries, bin_width_s, label="delivered/s"),
-        rate_timeline(network.deliveries, bin_width_s,
-                      delivered_only=False, label="offered/s"),
+        outcomes.series("delivered/s"),
+        outcomes.series("offered/s", delivered_only=False),
     ]
     # With telemetry on, the per-window authority load becomes part of
     # the result: the series the balance claim (and the imbalance
@@ -191,8 +187,8 @@ def run_chaos_soak(
             load.label = f"authority load: {load.label}"
             series.append(load)
     table_rows = [
-        ["delivered", len(delivered)],
-        ["dropped", len(dropped)],
+        ["delivered", outcomes.delivered],
+        ["dropped", outcomes.dropped],
     ]
     for bucket in sorted(attribution):
         table_rows.append([f"dropped: {bucket}", attribution[bucket]])
@@ -211,8 +207,8 @@ def run_chaos_soak(
         "loss": loss,
         "heartbeat_interval_s": heartbeat_interval_s,
         "miss_threshold": miss_threshold,
-        "delivered": len(delivered),
-        "dropped": len(dropped),
+        "delivered": outcomes.delivered,
+        "dropped": outcomes.dropped,
         "drop_attribution": dict(sorted(attribution.items())),
         "unattributed_drops": int(attribution.get("unattributed", 0)),
         "unaccounted_packets": int(unaccounted),
@@ -295,6 +291,8 @@ def run_rebalance_soak(
     )
     network = dn.network
     controller = dn.controller
+    outcomes = OutcomeTimeline(0.05)
+    network.read_outcomes_with(outcomes)
 
     fault_model = ChannelFaultModel(drop_probability=base_channel_drop, seed=seed)
     violations: List[Tuple[float, str]] = []
@@ -360,11 +358,10 @@ def run_rebalance_soak(
     )
 
     count = int(rate * duration)
-    for timed in zipf_host_pair_packets(
+    dn.send_all(zipf_host_pair_packets(
         topo, host_ips, LAYOUT, count=count, rate=rate, alpha=alpha,
         seed=seed, deterministic_arrivals=True,
-    ):
-        dn.send_at(timed.time, timed.source_host, timed.packet)
+    ), count)
 
     # Sample the cumulative degraded-punt level every bin so recovery
     # time is measurable without enabling full telemetry.
@@ -386,10 +383,7 @@ def run_rebalance_soak(
     dn.run(until=total_time)
     check_invariants()
 
-    delivered = network.delivered()
-    dropped = network.dropped()
-    attribution = attribute_drops(dropped)
-    unaccounted = count - len(network.deliveries)
+    unaccounted = count - outcomes.delivered - outcomes.dropped
     degraded = sum(s.degraded_packets for s in dn.switches())
     failovers = sum(s.failovers for s in dn.switches())
     channel_totals = controller.control_plane_counters()
@@ -449,14 +443,14 @@ def run_rebalance_soak(
                 migrations_aborted += 1
 
     series: List[Series] = [
-        rate_timeline(network.deliveries, 0.05, label="delivered/s"),
+        outcomes.series("delivered/s"),
     ]
     if len(fairness_series):
         series.append(fairness_series)
 
     table_rows = [
-        ["delivered", len(delivered)],
-        ["dropped", len(dropped)],
+        ["delivered", outcomes.delivered],
+        ["dropped", outcomes.dropped],
         ["degraded packet punts", degraded],
         ["invariant violations", len(violations)],
         ["time to full service (s)", round(time_to_full_service, 6)],
@@ -474,9 +468,9 @@ def run_rebalance_soak(
         "miss_threshold": miss_threshold,
         "static_detection_floor_s": miss_threshold * heartbeat_interval_s,
         "spares": list(spares),
-        "delivered": len(delivered),
-        "dropped": len(dropped),
-        "drop_attribution": dict(sorted(attribution.items())),
+        "delivered": outcomes.delivered,
+        "dropped": outcomes.dropped,
+        "drop_attribution": dict(sorted(outcomes.drop_buckets.items())),
         "unaccounted_packets": int(unaccounted),
         "invariant_violations": len(violations),
         "degraded_packets": degraded,

@@ -95,12 +95,12 @@ def _delay_point(
         raise ValueError(f"unknown system {system!r}")
 
     # Two identical packets per flow, the second well after the install.
-    timed = host_pair_packets(
+    timed = list(host_pair_packets(
         topo, host_ips, LAYOUT, count=flows, rate=rate, seed=seed, flow_packets=1
-    )
-    late = host_pair_packets(
+    ))
+    late = list(host_pair_packets(
         topo, host_ips, LAYOUT, count=flows, rate=rate, seed=seed, flow_packets=1
-    )
+    ))
     gap = flows / rate + 10 * calibration.control_latency_s
     for timed_packet in late:
         timed_packet.time += gap

@@ -23,10 +23,10 @@ chaos soaks (C1, C2-STATIC).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.analysis.series import Series
-from repro.analysis.timeline import rate_timeline
+from repro.analysis.timeline import OutcomeTimeline
 from repro.core.controller import DifaneNetwork
 from repro.experiments.common import ExperimentResult
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
@@ -34,6 +34,7 @@ from repro.flowspace.packet import Packet
 from repro.net.failures import FailureInjector
 from repro.net.topology import TopologyBuilder
 from repro.workloads.policies import routing_policy_for_topology
+from repro.workloads.traffic import TimedPacket
 
 __all__ = ["run_failover_transient"]
 
@@ -47,8 +48,9 @@ def _run_one(
     duration: float,
     failure_time: float,
     seed: int,
+    bin_width_s: float,
 ):
-    """One run; returns the network facade."""
+    """One run; returns the network facade, read by an OutcomeTimeline."""
     topo = TopologyBuilder.star(4, hosts_per_leaf=1)
     rules, host_ips = routing_policy_for_topology(topo, LAYOUT, seed=seed)
     dn = DifaneNetwork.build(
@@ -59,6 +61,7 @@ def _run_one(
         cache_capacity=0,
         redirect_rate=None,
     )
+    dn.network.read_outcomes_with(OutcomeTimeline(bin_width_s))
     FailureInjector(dn.network).fail_switch_at(failure_time, "s0")
     if detection_delay_s is not None:
         dn.network.scheduler.schedule_at(
@@ -67,18 +70,22 @@ def _run_one(
             "s0",
         )
 
-    rng = random.Random(seed + 1)
     hosts = [h for h in sorted(host_ips) if topo.host_attachment(h) not in ("s0",)]
     count = int(rate * duration)
-    for index in range(count):
-        src = hosts[index % len(hosts)]
-        dst = rng.choice([h for h in hosts if h != src])
-        packet = Packet.from_fields(
-            LAYOUT, flow_id=index,
-            nw_src=rng.getrandbits(32), nw_dst=host_ips[dst], nw_proto=6,
-            tp_src=rng.randint(1024, 65535), tp_dst=80,
-        )
-        dn.send_at(index / rate, src, packet)
+
+    def offered() -> Iterator[TimedPacket]:
+        rng = random.Random(seed + 1)
+        for index in range(count):
+            src = hosts[index % len(hosts)]
+            dst = rng.choice([h for h in hosts if h != src])
+            packet = Packet.from_fields(
+                LAYOUT, flow_id=index,
+                nw_src=rng.getrandbits(32), nw_dst=host_ips[dst], nw_proto=6,
+                tp_src=rng.randint(1024, 65535), tp_dst=80,
+            )
+            yield TimedPacket(index / rate, src, packet)
+
+    dn.send_all(offered(), count)
     dn.run()
     return dn
 
@@ -92,27 +99,22 @@ def run_failover_transient(
     seed: int = 47,
 ) -> ExperimentResult:
     """Compare data-plane failover against controller-driven repair."""
-    replicated = _run_one(
-        replication=2, detection_delay_s=None,
-        rate=rate, duration=duration, failure_time=failure_time, seed=seed,
-    )
-    repaired = _run_one(
-        replication=1, detection_delay_s=detection_delay_s,
-        rate=rate, duration=duration, failure_time=failure_time, seed=seed,
+    replicated, repaired = (
+        _run_one(replication, delay, rate, duration, failure_time, seed, bin_width_s)
+        for replication, delay in ((2, None), (1, detection_delay_s))
     )
 
     series: List[Series] = []
     rows = []
     for label, dn in (("data-plane failover", replicated),
                       ("controller repair", repaired)):
-        timeline = rate_timeline(dn.network.deliveries, bin_width_s, label=label)
-        series.append(timeline)
-        drops = len(dn.network.dropped())
+        outcomes = dn.network.deliveries
+        series.append(outcomes.series(label))
         failovers = sum(s.failovers for s in dn.switches())
         rows.append([
             label,
-            len(dn.network.delivered()),
-            drops,
+            outcomes.delivered,
+            outcomes.dropped,
             failovers,
             dn.controller.control_messages,
         ])

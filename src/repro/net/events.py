@@ -20,7 +20,7 @@ import itertools
 import time as _time
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.obs import context as _obs_context
 from repro.obs.registry import Collectable
@@ -28,6 +28,9 @@ from repro.obs.registry import Collectable
 __all__ = ["EventScheduler", "ScheduledEvent", "ServiceStation"]
 
 _INF = float("inf")
+
+#: Entries a lazily fed lane pulls from its stream each time it drains.
+LANE_BLOCK = 256
 
 
 class ScheduledEvent(list):
@@ -87,6 +90,8 @@ class EventScheduler:
         #: (``None`` while no lane head is on the heap).
         self._lane: Deque[ScheduledEvent] = deque()
         self._lane_tail: Optional[float] = None
+        #: The open stream: [callback, iterator, next sequence, end sequence].
+        self._stream: Optional[list] = None
         self._sequence = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -147,14 +152,17 @@ class EventScheduler:
         The entry takes its sequence now but waits in a deque; only the
         lane's head is on the heap, and it promotes the next entry when it
         fires, so the fire order is unchanged (DESIGN.md "Event loop").
-        An entry earlier than the lane's tail goes onto the heap.  Lane
-        entries cannot be cancelled, so no handle is returned.
+        An entry earlier than the lane's tail, or made while a stream is
+        open, goes onto the heap.  Lane entries cannot be cancelled, so no
+        handle is returned.
         """
         if not time >= self._now:  # also rejects NaN
             raise ValueError(f"cannot schedule at {time} < now {self._now}")
         event = ScheduledEvent((time, next(self._sequence), callback, args))
         tail = self._lane_tail
-        if tail is None:
+        if self._stream is not None:
+            _heappush(self._heap, event)
+        elif tail is None:
             self._lane_tail = time
             self._promote(event)
         elif time >= tail:
@@ -162,6 +170,41 @@ class EventScheduler:
             self._lane.append(event)
         else:
             _heappush(self._heap, event)
+
+    def stream_in_order(self, callback: Callable, entries: Iterable, count: int) -> None:
+        """:meth:`schedule_in_order` of ``callback(*args)`` for ``count``
+        ``(time, args)`` pairs of ``entries``, pulled :data:`LANE_BLOCK` at a
+        time as the lane drains.  The ``count`` sequence numbers are taken
+        now, so each entry fires at the ``(time, sequence)`` it would have
+        had up front; times must not decrease nor precede the lane's tail.
+        """
+        if self._stream is not None:
+            raise ValueError("a stream is already open")
+        start = next(self._sequence)
+        self._sequence = itertools.count(start + count)
+        self._stream = [callback, iter(entries), start, start + count]
+        if self._lane_tail is None and self._pull():
+            self._promote(self._lane.popleft())
+
+    def _pull(self) -> bool:
+        """Refill the drained lane from the stream; False if none was left."""
+        callback, entries, sequence, end = stream = self._stream
+        tail = self._now if self._lane_tail is None else self._lane_tail
+        lane = self._lane
+        for time, args in itertools.islice(entries, min(LANE_BLOCK, end - sequence)):
+            if not time >= tail:  # also rejects NaN
+                raise ValueError(f"stream time {time} precedes {tail}")
+            lane.append(ScheduledEvent((time, sequence, callback, args)))
+            sequence += 1
+            tail = time
+        stream[2] = sequence
+        if len(lane) < LANE_BLOCK or sequence == end:  # drained
+            self._stream = None
+            if next(entries, None) is not None:
+                raise ValueError("stream yields more entries than its count")
+        if lane:
+            self._lane_tail = tail
+        return bool(lane)
 
     def _promote(self, event: ScheduledEvent) -> None:
         """Put lane entry ``event`` on the heap as the lane's head."""
@@ -172,7 +215,7 @@ class EventScheduler:
     def _fire_lane_head(self, callback: Callable, args: Tuple) -> None:
         """The lane head's callback: promote the next entry, then fire."""
         lane = self._lane
-        if lane:
+        if lane or (self._stream is not None and self._pull()):
             self._promote(lane.popleft())
         else:
             self._lane_tail = None
@@ -256,7 +299,8 @@ class EventScheduler:
 
     def pending(self) -> int:
         """Number of not-yet-fired (and not cancelled) events."""
-        return sum(1 for event in self._heap if event[2] is not None) + len(self._lane)
+        unpulled = self._stream[3] - self._stream[2] if self._stream else 0
+        return sum(1 for event in self._heap if event[2] is not None) + len(self._lane) + unpulled
 
 
 class ServiceStation(Collectable):

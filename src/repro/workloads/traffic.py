@@ -132,33 +132,30 @@ def poisson_arrivals(
     return times
 
 
-def _start_times(count: int, rate: float, seed: int, deterministic: bool) -> List[float]:
+def _start_times(count: int, rate: float, seed: int, deterministic: bool) -> Iterator[float]:
     if deterministic:
-        return [i / rate for i in range(count)]
+        return (i / rate for i in range(count))
     # Exactly `count` Poisson arrivals: accumulate exponential gaps.
-    gap_rng = random.Random(seed + 1)
-    start_times = []
-    t = 0.0
-    for _ in range(count):
-        t += gap_rng.expovariate(rate)
-        start_times.append(t)
-    return start_times
+    expovariate = random.Random(seed + 1).expovariate
+    return accumulate(expovariate(rate) for _ in range(count))
 
 
 def _timed_flows(
     layout: HeaderLayout,
     host_ips: Dict[str, int],
     rng: random.Random,
-    start_times: Sequence[float],
+    start_times: Iterator[float],
     pairs: Iterator[Sequence[str]],
     flow_packets: int,
-) -> List[TimedPacket]:
-    """One TCP flow of ``flow_packets`` packets per start time.
+) -> Iterator[TimedPacket]:
+    """One TCP flow of ``flow_packets`` packets per start time, each built
+    as it is pulled.
 
     ``pairs`` must be lazy: each ``(src, dst)`` draw from ``rng`` has to
     land before that flow's ``tp_src`` draw, as in a per-flow loop.  The
     constant fields and each host's address word are packed (and
-    range-checked) once; a flow only ORs in its ephemeral port.
+    range-checked) once, at the first pull; a flow only ORs in its
+    ephemeral port.
     """
     base = layout.pack_values(nw_proto=6, tp_dst=80)
     layout.pack_values(tp_src=65535)  # the widest port randint can draw
@@ -166,12 +163,10 @@ def _timed_flows(
     src_words = {host: layout.pack_values(nw_src=ip) for host, ip in host_ips.items()}
     dst_words = {host: base | layout.pack_values(nw_dst=ip) for host, ip in host_ips.items()}
     randint = rng.randint
-    result: List[TimedPacket] = []
     for flow_id, (start, (src, dst)) in enumerate(zip(start_times, pairs)):
         bits = src_words[src] | dst_words[dst] | (randint(1024, 65535) << tp_offset)
         for p_index in range(flow_packets):
-            result.append(TimedPacket(start + p_index * 1e-6, src, Packet(layout, bits, flow_id)))
-    return result
+            yield TimedPacket(start + p_index * 1e-6, src, Packet(layout, bits, flow_id))
 
 
 def host_pair_packets(
@@ -183,8 +178,9 @@ def host_pair_packets(
     seed: int = 0,
     flow_packets: int = 1,
     deterministic_arrivals: bool = False,
-) -> List[TimedPacket]:
-    """Timed packets between random host pairs of ``topology``.
+) -> Iterator[TimedPacket]:
+    """Timed packets between random host pairs of ``topology``, in time
+    order and built as they are pulled (``list(...)`` for a list).
 
     Every flow is ``flow_packets`` back-to-back packets (1 µs apart) from a
     random source host to a random destination host, with the destination
@@ -198,7 +194,7 @@ def host_pair_packets(
     if len(hosts) < 2:
         raise ValueError("need at least two hosts")
     start_times = _start_times(count, rate, seed, deterministic_arrivals)
-    pairs = (rng.sample(hosts, 2) for _ in start_times)
+    pairs = (rng.sample(hosts, 2) for _ in range(count))
     return _timed_flows(layout, host_ips, rng, start_times, pairs, flow_packets)
 
 
@@ -212,7 +208,7 @@ def zipf_host_pair_packets(
     seed: int = 0,
     flow_packets: int = 1,
     deterministic_arrivals: bool = False,
-) -> List[TimedPacket]:
+) -> Iterator[TimedPacket]:
     """Like :func:`host_pair_packets`, but with Zipf-skewed destinations.
 
     Destination hosts are drawn from ``Zipf(alpha)`` over the host list

@@ -1,14 +1,17 @@
 """Chaos layer: lossy links, heartbeat detection, degradation, schedules."""
 
 import dataclasses
+import gc
 
 import pytest
 
 from repro.core import DifaneNetwork, PartitionInvariantError
-from repro.experiments.chaos import attribute_drops, run_chaos_soak
+from repro.experiments.chaos import run_chaos_soak
 from repro.flowspace import FIVE_TUPLE_LAYOUT, Packet
-from repro.net import ChaosSchedule, ChaosSpec, TopologyBuilder
+from repro.net import ChaosSchedule, ChaosSpec, EventScheduler, TopologyBuilder
+from repro.net.events import LANE_BLOCK
 from repro.net.failures import FailureInjector
+from repro.obs.attribution import attribute_drops
 from repro.openflow.channel import ChannelFaultModel
 from repro.workloads.policies import routing_policy_for_topology
 
@@ -300,6 +303,29 @@ class TestChaosSoak:
         assert a.table_rows == b.table_rows
         assert a.notes["drop_attribution"] == b.notes["drop_attribution"]
         assert a.notes["detection_latencies_s"] == b.notes["detection_latencies_s"]
+
+    def test_rebalance_soak_builds_offered_packets_as_the_run_reaches_them(self, monkeypatch):
+        """When C2's quick run (1,000 offered packets) enters the event
+        loop, at most one lane block of them has been built."""
+        from repro.experiments.registry import SPECS
+
+        def live_packets():
+            return {id(obj) for obj in gc.get_objects() if isinstance(obj, Packet)}
+
+        gc.collect()
+        before = live_packets()
+        at_run = []
+        run = EventScheduler.run
+
+        def counting_run(self, *args, **kwargs):
+            if not at_run:
+                at_run.append(len(live_packets() - before))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(EventScheduler, "run", counting_run)
+        result = SPECS["C2"](quick=True)
+        assert result.notes["delivered"] + result.notes["dropped"] == 1000
+        assert at_run and at_run[0] <= LANE_BLOCK + 1
 
 
 class TestKillRecoverKillRegression:

@@ -1,12 +1,16 @@
 """Unit tests for the event scheduler and service stations."""
 
 import functools
+import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net import EventScheduler, ServiceStation
+from repro.net import events
+from repro.net.events import LANE_BLOCK
 from repro.obs.profile import Profiler, STAGE_HISTOGRAM
 from repro.obs.registry import MetricsRegistry
 
@@ -215,6 +219,83 @@ class TestInOrderLane:
         assert sched.pending() == 0
 
 
+def stream(times):
+    """``(time, args)`` stream entries whose one argument is their index."""
+    return ((when, (index,)) for index, when in enumerate(times))
+
+
+class TestLaneStream:
+    def test_stream_fires_like_entries_scheduled_up_front(self):
+        times = [index // 3 * 0.25 for index in range(3 * LANE_BLOCK)]
+        upfront, lazy = EventScheduler(), EventScheduler()
+        fired_upfront, fired_lazy = [], []
+        for index, when in enumerate(times):
+            upfront.schedule_in_order(when, fired_upfront.append, index)
+        lazy.stream_in_order(fired_lazy.append, stream(times), len(times))
+        for sched, fired in ((upfront, fired_upfront), (lazy, fired_lazy)):
+            sched.schedule_at(0.25, fired.append, "tie")
+            sched.run(until=10.0)
+            sched.schedule_in_order(100.0, fired.append, "after")
+            sched.run()
+        assert fired_lazy == fired_upfront
+        assert fired_lazy[-1] == "after" and len(fired_lazy) == len(times) + 2
+
+    def test_pulled_entry_keeps_the_sequence_it_took_at_open(self):
+        """Every entry was offered before the ``schedule_at`` at the same
+        time, so all fire first, including those pulled after it."""
+        sched = EventScheduler()
+        fired = []
+        count = 2 * LANE_BLOCK + 1
+        sched.stream_in_order(fired.append, stream([1.0] * count), count)
+        sched.schedule_at(1.0, fired.append, "later")
+        sched.run()
+        assert fired == list(range(count)) + ["later"]
+
+    def test_pending_counts_unpulled_entries(self):
+        sched = EventScheduler()
+        fired = []
+        count = 3 * LANE_BLOCK
+        sched.stream_in_order(fired.append, stream(range(count)), count)
+        assert len(sched._lane) < LANE_BLOCK  # only one block pulled
+        assert sched.pending() == count
+        sched.run(max_events=LANE_BLOCK + 5)
+        assert sched.pending() == count - LANE_BLOCK - 5
+        sched.run()
+        assert (len(fired), sched.pending()) == (count, 0)
+
+    def test_decreasing_time_raises(self):
+        sched = EventScheduler()
+        with pytest.raises(ValueError):
+            sched.stream_in_order(print, stream([1.0, 0.5]), 2)
+        late = EventScheduler()
+        times = [1.0] * LANE_BLOCK + [0.5]
+        late.stream_in_order(lambda index: None, stream(times), len(times))
+        with pytest.raises(ValueError):
+            late.run()
+
+    def test_in_order_entry_during_a_stream_takes_the_heap(self):
+        """An entry scheduled while the stream is open fires at its time,
+        not behind the stream's unpulled entries."""
+        sched = EventScheduler()
+        fired = []
+        count = 2 * LANE_BLOCK
+        sched.stream_in_order(fired.append, stream(range(count)), count)
+        # After the pulled block's tail, before the unpulled entries.
+        sched.schedule_in_order(LANE_BLOCK + 0.5, fired.append, "between")
+        assert len(sched._heap) == 2  # the lane's head and the new entry
+        sched.run()
+        assert fired.index("between") == LANE_BLOCK + 1 and len(fired) == count + 1
+
+    def test_stream_longer_than_its_count_and_second_stream_raise(self):
+        with pytest.raises(ValueError):
+            EventScheduler().stream_in_order(print, stream([0.0, 1.0, 2.0]), 2)
+        sched = EventScheduler()
+        count = LANE_BLOCK + 1  # one entry is still unpulled
+        sched.stream_in_order(print, stream(range(count)), count)
+        with pytest.raises(ValueError):
+            sched.stream_in_order(print, stream([3.0]), 1)
+
+
 # -- the scheduler contract, against a reference model ------------------------
 
 class ReferenceScheduler:
@@ -229,12 +310,19 @@ class ReferenceScheduler:
         self.processed = 0
 
     def add(self, time, spawn_delay=None, cancel_target=None,
-            lane=False, spawn_lane=False):
+            lane=False, spawn_lane=False, stream=None):
         self.events.append(SimpleNamespace(
             time=time, order=len(self.events), live=True,
             spawn_delay=spawn_delay, cancel_target=cancel_target,
-            lane=lane, spawn_lane=spawn_lane,
+            lane=lane, spawn_lane=spawn_lane, stream=stream,
         ))
+
+    def add_stream(self, gaps):
+        """A lazily fed stream is its entries scheduled in order at once:
+        their orders are allocated when it opens.  They start at the
+        later of now and the last in-order entry's time."""
+        for when in stream_times(self.now, self.events, gaps):
+            self.add(when, lane=True)
 
     def cancel(self, index):
         """Cancel the ``index``-th event that has a handle (modulo their
@@ -263,6 +351,8 @@ class ReferenceScheduler:
                 self.add(self.now + event.spawn_delay, lane=event.spawn_lane)
             if event.cancel_target is not None:
                 self.cancel(event.cancel_target)
+            if event.stream is not None:
+                self.add_stream(event.stream)
         self.processed += fired
         if until is not None and self.now < until and not any(
             event.time <= until for event in self.live()
@@ -329,6 +419,14 @@ def test_scheduler_fires_in_reference_order(ops):
         assert [h.sequence for h in handles] == list(range(len(handles)))
 
 
+def stream_times(now, lane_events, gaps):
+    """Stream entry times: ``gaps`` accumulated from the later of ``now``
+    and the latest in-order entry, so the stream never starts before the
+    lane's tail."""
+    base = max([now] + [event.time for event in lane_events if event.lane])
+    return [base + offset for offset in itertools.accumulate(gaps)]
+
+
 LANE_OPS = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["schedule", "schedule_at", "schedule_in_order"]),
@@ -336,6 +434,10 @@ LANE_OPS = st.lists(
                   st.one_of(st.none(), INDEX)),
         st.tuples(st.just("cancel"), INDEX),
         st.tuples(st.just("run"), MAYBE_TICKS, st.one_of(st.none(), st.integers(0, 4))),
+        # A stream of gaps (0 makes equal-time ties), opened now or, with
+        # a tick, by a heap event that fires during a run.
+        st.tuples(st.just("stream"), st.lists(st.integers(0, 2).map(lambda n: n / 4.0),
+                                              max_size=12), MAYBE_TICKS),
     ),
     min_size=12,
     max_size=60,
@@ -344,23 +446,43 @@ LANE_OPS = st.lists(
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ops=LANE_OPS)
-def test_in_order_lane_fires_in_reference_order(ops):
+@given(ops=LANE_OPS, block=st.sampled_from([1, 2, 3, LANE_BLOCK]))
+def test_in_order_lane_fires_in_reference_order(ops, block):
     """The in-order lane, in and out of order and from inside callbacks,
-    interleaved with schedule / schedule_at / cancel / run(until) /
-    run(max_events): the same contract as the heap alone."""
+    and one lazily fed stream pulled ``block`` entries at a time, opened
+    before or during a run, interleaved with schedule / schedule_at /
+    cancel / run(until) / run(max_events): the same contract as the heap
+    alone, with every stream entry where ``schedule_in_order`` up front
+    would have put it."""
     sched, model = EventScheduler(), ReferenceScheduler()
     handles, log, scheduled = [], [], [0]
+    in_order = []  # (time, lane) per entry this side placed, as model.events
+    streams = []
 
-    def place(entry, when, spawn, cancel_target):
+    def place(entry, when, spawn, cancel_target, opener=None):
         args = (scheduled[0], spawn, cancel_target)
         scheduled[0] += 1
-        if entry == "schedule_in_order":
+        in_order.append(SimpleNamespace(time=when, lane=entry == "schedule_in_order"))
+        if opener is not None:
+            handles.append(sched.schedule_at(when, open_stream, args[0], opener))
+        elif entry == "schedule_in_order":
             assert sched.schedule_in_order(when, fire, *args) is None
         elif entry == "schedule":
             handles.append(sched.schedule(when - sched.now, fire, *args))
         else:
             handles.append(sched.schedule_at(when, fire, *args))
+
+    def open_stream(order, gaps):
+        if order is not None:
+            log.append((order, sched.now))
+        times = stream_times(sched.now, in_order, gaps)
+        first = scheduled[0]
+        scheduled[0] += len(times)
+        in_order.extend(SimpleNamespace(time=when, lane=True) for when in times)
+        sched.stream_in_order(
+            fire, ((when, (first + i, None, None)) for i, when in enumerate(times)),
+            len(times),
+        )
 
     def fire(order, spawn, cancel_target):
         log.append((order, sched.now))
@@ -371,31 +493,43 @@ def test_in_order_lane_fires_in_reference_order(ops):
         if cancel_target is not None and handles:
             handles[cancel_target % len(handles)].cancel()
 
-    for op in ops:
-        before = sched.now
-        if op[0] == "cancel":
-            if handles:
-                handles[op[1] % len(handles)].cancel()
-            model.cancel(op[1])
-        elif op[0] == "run":
-            until = None if op[1] is None else sched.now + op[1]
-            assert sched.run(until=until, max_events=op[2]) == model.run(until, op[2])
-        else:
-            entry, tick, spawn, cancel_target = op
-            place(entry, sched.now + tick, spawn, cancel_target)
-            model.add(
-                model.now + tick, None if spawn is None else spawn[0], cancel_target,
-                lane=entry == "schedule_in_order",
-                spawn_lane=spawn is not None and spawn[1],
-            )
-        assert log == model.log
-        assert before <= sched.now == model.now
-        assert sched.pending() == len(model.live())
-        assert sched.events_processed == model.processed
-        handled = [event for event in model.events if not event.lane]
-        assert [(h.time, h.sequence) for h in handles] == [
-            (event.time, event.order) for event in handled
-        ]
+    with mock.patch.object(events, "LANE_BLOCK", block):
+        for op in ops:
+            before = sched.now
+            if op[0] == "cancel":
+                if handles:
+                    handles[op[1] % len(handles)].cancel()
+                model.cancel(op[1])
+            elif op[0] == "run":
+                until = None if op[1] is None else sched.now + op[1]
+                assert sched.run(until=until, max_events=op[2]) == model.run(until, op[2])
+            elif op[0] == "stream":
+                if streams:  # one stream an example: a second could overlap
+                    continue
+                streams.append(op)
+                _, gaps, tick = op
+                if tick is None:
+                    open_stream(None, gaps)
+                    model.add_stream(gaps)
+                else:
+                    place("schedule_at", sched.now + tick, None, None, opener=gaps)
+                    model.add(model.now + tick, stream=gaps)
+            else:
+                entry, tick, spawn, cancel_target = op
+                place(entry, sched.now + tick, spawn, cancel_target)
+                model.add(
+                    model.now + tick, None if spawn is None else spawn[0], cancel_target,
+                    lane=entry == "schedule_in_order",
+                    spawn_lane=spawn is not None and spawn[1],
+                )
+            assert log == model.log
+            assert before <= sched.now == model.now
+            assert sched.pending() == len(model.live())
+            assert sched.events_processed == model.processed
+            handled = [event for event in model.events if not event.lane]
+            assert [(h.time, h.sequence) for h in handles] == [
+                (event.time, event.order) for event in handled
+            ]
 
 
 class TestServiceStation:

@@ -15,11 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.nox import NoxNetwork
-from repro.experiments.chaos import attribute_drops
 from repro.flowspace.fields import FIVE_TUPLE_LAYOUT
 from repro.flowspace.packet import Packet
 from repro.net.topology import Topology
-from repro.obs import attribute_reason
+from repro.obs import attribute_drops, attribute_reason
 from repro.obs import context as obs_context
 from repro.obs import fresh_run_context
 from repro.workloads.policies import routing_policy_for_topology

@@ -238,8 +238,8 @@ class TestTraffic:
     def test_host_pair_packets(self):
         topo = TopologyBuilder.linear(3, hosts_per_switch=1)
         _, host_ips = routing_policy_for_topology(topo, L)
-        timed = host_pair_packets(topo, host_ips, L, count=20, rate=100.0,
-                                  seed=4, flow_packets=2)
+        timed = list(host_pair_packets(topo, host_ips, L, count=20, rate=100.0,
+                                       seed=4, flow_packets=2))
         assert len(timed) == 40
         for tp in timed:
             assert tp.packet.field("nw_dst") in host_ips.values()
@@ -258,7 +258,7 @@ class TestTraffic:
                       deterministic_arrivals=deterministic)
         generator = zipf_host_pair_packets if zipf else host_pair_packets
         expected = _per_flow_reference(host_ips, zipf=zipf, **kwargs)
-        actual = generator(None, host_ips, L, **kwargs)
+        actual = list(generator(None, host_ips, L, **kwargs))
 
         def signature(timed):
             first = timed[0].packet.packet_id
