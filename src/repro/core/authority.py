@@ -321,6 +321,16 @@ class DifaneSwitch(DataPlaneSwitch):
     # :meth:`process`, :meth:`_handle_redirect` and :meth:`execute` apply
     # them to one packet at a time.
 
+    def _receive_now(self, packet: Packet) -> None:
+        """:meth:`receive` bound by :meth:`attach` when nothing delays it: a
+        transit hop skips :meth:`process` (DESIGN.md "Event loop")."""
+        self.packets_seen += 1
+        tunnel_end = packet.encap_destination
+        if tunnel_end is None or tunnel_end == self.name:
+            self.process(packet)
+        else:  # transit, as in process
+            self.network.forward_toward(self.name, tunnel_end, packet)
+
     def process(self, packet: Packet) -> None:
         """Ingress classification / transit tunnelling / authority entry."""
         tunnel_end = packet.encap_destination

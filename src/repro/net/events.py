@@ -29,6 +29,10 @@ __all__ = ["EventScheduler", "ScheduledEvent", "ServiceStation"]
 
 _INF = float("inf")
 
+#: The callback slot of a heap entry holding several equal-time link
+#: deliveries; its args slot is their ``[(deliver, packet), ...]`` list.
+JOINED = object()
+
 #: Entries a lazily fed lane pulls from its stream each time it drains.
 LANE_BLOCK = 256
 
@@ -81,7 +85,8 @@ class EventScheduler:
 
     Determinism: events fire in ``(time, scheduling order)`` order, so two
     runs with the same inputs produce identical traces — property tests and
-    benchmarks rely on this.
+    benchmarks rely on this.  ``Link.send`` pushes its own handle-less
+    entries, and equal-time deliveries share one (DESIGN.md "Event loop").
     """
 
     def __init__(self, profiler=None, telemetry=None):
@@ -92,8 +97,11 @@ class EventScheduler:
         self._lane_tail: Optional[float] = None
         #: The open stream: [callback, iterator, next sequence, end sequence].
         self._stream: Optional[list] = None
+        #: The last ``Link.send`` entry, open to joins until another insertion.
+        self._open: Optional[list] = None
         self._sequence = itertools.count()
-        self._now = 0.0
+        #: Current simulation time in seconds (a plain attribute: no frame).
+        self.now = 0.0
         self._events_processed = 0
         #: Optional wall-time profiler; when enabled, each callback's
         #: duration lands in a per-callback stage histogram.  Defaults
@@ -119,11 +127,6 @@ class EventScheduler:
         self.telemetry_probes.append(probe)
 
     @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         """Number of callbacks fired so far (for sanity checks)."""
         return self._events_processed
@@ -133,16 +136,18 @@ class EventScheduler:
         if not delay >= 0:  # also rejects NaN, which would poison the heap order
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         event = ScheduledEvent(
-            (self._now + delay, next(self._sequence), callback, args)
+            (self.now + delay, next(self._sequence), callback, args)
         )
+        self._open = None
         _heappush(self._heap, event)
         return event
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if not time >= self._now:  # also rejects NaN
-            raise ValueError(f"cannot schedule at {time} < now {self._now}")
+        if not time >= self.now:  # also rejects NaN
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
         event = ScheduledEvent((time, next(self._sequence), callback, args))
+        self._open = None
         _heappush(self._heap, event)
         return event
 
@@ -156,9 +161,10 @@ class EventScheduler:
         open, goes onto the heap.  Lane entries cannot be cancelled, so no
         handle is returned.
         """
-        if not time >= self._now:  # also rejects NaN
-            raise ValueError(f"cannot schedule at {time} < now {self._now}")
+        if not time >= self.now:  # also rejects NaN
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
         event = ScheduledEvent((time, next(self._sequence), callback, args))
+        self._open = None
         tail = self._lane_tail
         if self._stream is not None:
             _heappush(self._heap, event)
@@ -181,6 +187,7 @@ class EventScheduler:
         if self._stream is not None:
             raise ValueError("a stream is already open")
         start = next(self._sequence)
+        self._open = None
         self._sequence = itertools.count(start + count)
         self._stream = [callback, iter(entries), start, start + count]
         if self._lane_tail is None and self._pull():
@@ -189,7 +196,7 @@ class EventScheduler:
     def _pull(self) -> bool:
         """Refill the drained lane from the stream; False if none was left."""
         callback, entries, sequence, end = stream = self._stream
-        tail = self._now if self._lane_tail is None else self._lane_tail
+        tail = self.now if self._lane_tail is None else self._lane_tail
         lane = self._lane
         for time, args in itertools.islice(entries, min(LANE_BLOCK, end - sequence)):
             if not time >= tail:  # also rejects NaN
@@ -210,6 +217,7 @@ class EventScheduler:
         """Put lane entry ``event`` on the heap as the lane's head."""
         event[3] = (event[2], event[3])
         event[2] = self._fire_lane_head
+        self._open = None
         _heappush(self._heap, event)
 
     def _fire_lane_head(self, callback: Callable, args: Tuple) -> None:
@@ -267,29 +275,25 @@ class EventScheduler:
                 continue
             if sampling and when >= tele_deadline:
                 tele_index, tele_deadline = recorder.roll(tele_index, when, probes)
-            self._now = when
+            self.now = when
+            if callback is JOINED:
+                fired += self._fire_joined(event, limit - fired, profiling)
+                continue
             if profiling:
                 # A lane head is named after the callback it fires.
                 named = event[3][0] if callback == self._fire_lane_head else callback
-                started = _time.perf_counter()
-                callback(*event[3])
-                profiler.observe(
-                    "callback:" + getattr(
-                        named, "__qualname__", type(named).__name__
-                    ),
-                    _time.perf_counter() - started,
-                )
+                _observed(profiler, named, callback, event[3])
             else:
                 callback(*event[3])
             fired += 1
         self._events_processed += fired
-        if until is not None and self._now < until:
+        if until is not None and self.now < until:
             # A ``max_events`` stop can leave events at or before ``until``
             # on the heap; only live ones hold the clock back.
             while heap and heap[0][2] is None:
                 pop(heap)
             if not heap or heap[0][0] > until:
-                self._now = until
+                self.now = until
         if sampling:
             # Attribute the residual deltas to the trailing (partial)
             # window; the cursor persists so a continuing run keeps
@@ -297,10 +301,38 @@ class EventScheduler:
             self._telemetry_index = recorder.flush(tele_index, probes)
         return fired
 
+    def _fire_joined(self, event: list, budget: float, profiling: bool) -> int:
+        """Fire up to ``budget`` members of joined ``event`` in order; the
+        rest (after a ``max_events`` stop or a raise) go back on the heap."""
+        members, fired = event[3], 0
+        try:
+            for deliver, packet in members:
+                if fired == budget:
+                    break
+                fired += 1
+                if profiling:
+                    _observed(self.profiler, deliver, deliver, (packet,))
+                else:
+                    deliver(packet)
+        finally:
+            if fired < len(members):
+                event[3] = members[fired:]
+                _heappush(self._heap, event)
+        return fired
+
     def pending(self) -> int:
         """Number of not-yet-fired (and not cancelled) events."""
         unpulled = self._stream[3] - self._stream[2] if self._stream else 0
-        return sum(1 for event in self._heap if event[2] is not None) + len(self._lane) + unpulled
+        live = (len(e[3]) if e[2] is JOINED else e[2] is not None for e in self._heap)
+        return sum(live) + len(self._lane) + unpulled
+
+
+def _observed(profiler, named: Callable, callback: Callable, args: Tuple) -> None:
+    """``callback(*args)``, its wall time observed under ``named``'s name."""
+    started = _time.perf_counter()
+    callback(*args)
+    name = getattr(named, "__qualname__", type(named).__name__)
+    profiler.observe("callback:" + name, _time.perf_counter() - started)
 
 
 class ServiceStation(Collectable):

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush as _heappush
 from typing import Callable, Dict, Optional
 
-from repro.net.events import EventScheduler
+from repro.net.events import JOINED, EventScheduler
 
 __all__ = ["LinkSpec", "Link"]
 
@@ -107,10 +108,25 @@ class Link:
             return
         delay = self._delays.get(size)
         if delay is None:
-            delay = self._delays[size] = self.spec.transfer_delay(size)
+            delay = self.spec.transfer_delay(size)
+            if not delay >= 0:  # also rejects NaN, which would poison the heap order
+                raise ValueError(f"link {self.source}->{self.destination} has delay {delay}")
+            self._delays[size] = delay
         if self.jitter_s > 0.0:
             delay += self._rng.uniform(0.0, self.jitter_s)
-        self.scheduler.schedule(delay, self.deliver, packet)
+        # The scheduler's push, inlined; equal-time ones join (DESIGN.md).
+        scheduler = self.scheduler
+        now = scheduler.now
+        when = now + delay
+        entry = scheduler._open
+        sequence = next(scheduler._sequence)
+        if entry is not None and entry[0] == when > now:
+            if entry[2] is not JOINED:
+                entry[2], entry[3] = JOINED, [(entry[2], entry[3][0])]
+            entry[3].append((self.deliver, packet))
+        else:
+            scheduler._open = entry = [when, sequence, self.deliver, (packet,)]
+            _heappush(scheduler._heap, entry)
 
     def __repr__(self) -> str:
         return f"<Link {self.source}->{self.destination} {self.packets_carried}pkts>"

@@ -13,8 +13,8 @@ ingress/authority in :mod:`repro.core`, NOX microflow switch in
   rewrites, honouring ``Drop``;
 * counter plumbing.
 
-Subclasses implement :meth:`process` (called once per packet, in capacity
-order).
+Subclasses implement :meth:`process` (called once per packet they classify,
+in capacity order).
 """
 
 from __future__ import annotations
@@ -103,13 +103,14 @@ class DataPlaneSwitch(Collectable):
             self._admit(packet)
 
     def _receive_now(self, packet: Packet) -> None:
-        """:meth:`receive` bound by :meth:`attach` when nothing delays it."""
+        """:meth:`receive` bound by :meth:`attach` when nothing delays it
+        (a subclass may forward some packets without :meth:`process`)."""
         self.packets_seen += 1
         self.process(packet)
 
     def _process_now(self, packet: Packet) -> None:
         """Station completion callback; resolves :meth:`process` per call so
-        a subclass or a tracer patching it after ``attach`` is still seen."""
+        a subclass or a tracer patching it after ``attach`` sees each admit."""
         self.process(packet)
 
     #: :meth:`receive`'s next step; :meth:`attach` puts a station in front.

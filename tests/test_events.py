@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.net import EventScheduler, ServiceStation
 from repro.net import events
 from repro.net.events import LANE_BLOCK
+from repro.net.links import Link, LinkSpec
 from repro.obs.profile import Profiler, STAGE_HISTOGRAM
 from repro.obs.registry import MetricsRegistry
 
@@ -296,12 +297,171 @@ class TestLaneStream:
             sched.stream_in_order(print, stream([3.0]), 1)
 
 
+class Deliveries:
+    """Link-style pushes onto a scheduler: ``push(delay, *args)`` sends a
+    packet over a lossless link whose delay is exactly ``delay``, so
+    ``Link.send`` puts a handle-less entry on the heap (or joins the open
+    one) and ``deliver(*args)`` fires on arrival."""
+
+    def __init__(self, sched, deliver):
+        self.sched, self.links = sched, {}
+        self.deliver = lambda packet: deliver(*packet.args)
+
+    def push(self, delay, *args):
+        link = self.links.get(delay)
+        if link is None:
+            spec = LinkSpec(propagation_s=delay, bandwidth_bps=float("inf"))
+            link = self.links[delay] = Link("a", "b", spec, self.sched, self.deliver)
+        link.send(SimpleNamespace(size_bytes=0, args=args))
+
+
+class TestJoinedDeliveries:
+    """Equal-time link deliveries share one heap entry; each regression
+    below fails when the guard it names is taken out."""
+
+    def test_equal_time_deliveries_share_one_entry_and_keep_their_order(self):
+        sched = EventScheduler()
+        fired = []
+        links = Deliveries(sched, fired.append)
+        for name in "abc":
+            links.push(1.0, name)
+        links.push(2.0, "d")
+        assert len(sched._heap) == 2
+        assert sched.run() == 4 and sched.events_processed == 4
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_max_events_stops_inside_a_joined_entry(self):
+        """The members not fired go back under the entry's (time, sequence)."""
+        sched = EventScheduler()
+        fired = []
+        links = Deliveries(sched, fired.append)
+        for index in range(4):
+            links.push(1.0, index)
+        assert sched.run(max_events=2) == 2
+        assert (fired, sched.now, sched.pending()) == ([0, 1], 1.0, 2)
+        sched.schedule_at(1.0, fired.append, "later")
+        assert sched.run() == 3
+        assert fired == [0, 1, 2, 3, "later"]
+        assert sched.events_processed == 5
+
+    def test_a_raising_member_leaves_the_rest_pending(self):
+        sched = EventScheduler()
+        fired = []
+
+        def deliver(name):
+            if name == "boom":
+                raise RuntimeError(name)
+            fired.append(name)
+
+        links = Deliveries(sched, deliver)
+        for name in ("a", "boom", "c", "d"):
+            links.push(1.0, name)
+        with pytest.raises(RuntimeError):
+            sched.run()
+        assert (fired, sched.pending()) == (["a"], 2)
+        sched.run()
+        assert fired == ["a", "c", "d"]
+
+    def test_pending_counts_each_member(self):
+        sched = EventScheduler()
+        links = Deliveries(sched, lambda name: None)
+        for name in "abc":
+            links.push(0.5, name)
+        assert len(sched._heap) == 1
+        assert sched.pending() == 3
+
+    def test_a_zero_delay_push_at_the_instant_an_entry_fired_does_not_join_it(self):
+        """The fired entry is off the heap but still the one pushed last;
+        a delivery joining it would never fire."""
+        sched = EventScheduler()
+        fired = []
+
+        def deliver(name):
+            fired.append(name)
+            if name == "first":
+                links.push(0.0, "same instant")
+
+        links = Deliveries(sched, deliver)
+        links.push(1.0, "first")
+        assert sched.run() == 2
+        assert fired == ["first", "same instant"]
+
+    def test_an_equal_time_push_after_a_run_until_clean_up_is_not_lost(self):
+        """``run(until)`` pops cancelled entries off the heap's top.  Only a
+        handle-less link entry may be joined, so a delivery never joins a
+        cancelled ``schedule`` entry that clean-up threw away."""
+        sched = EventScheduler()
+        fired = []
+        links = Deliveries(sched, fired.append)
+        sched.schedule(1.0, fired.append, "cancelled").cancel()
+        sched.run(until=0.5)
+        assert sched._heap == []
+        links.push(0.5, "delivered")
+        assert sched.run() == 1
+        assert fired == ["delivered"]
+
+    @pytest.mark.parametrize(
+        "insert", ["schedule", "schedule_at", "schedule_in_order", "stream_in_order"]
+    )
+    def test_a_delivery_never_joins_across_another_insertion(self, insert):
+        """Any insertion between two equal-time deliveries takes a sequence
+        number between theirs, so it must fire between them.  The lane's
+        head keeps a ``schedule_in_order`` entry in the deque and a stream
+        unpulled, off the heap."""
+        sched = EventScheduler()
+        fired = []
+        links = Deliveries(sched, fired.append)
+        sched.schedule_in_order(0.5, fired.append, "lane head")
+        links.push(1.0, "before")
+        if insert == "schedule":
+            sched.schedule(1.0, fired.append, insert)
+        elif insert == "stream_in_order":
+            sched.stream_in_order(fired.append, [(1.0, (insert,))], 1)
+        else:
+            getattr(sched, insert)(1.0, fired.append, insert)
+        links.push(1.0, "after")
+        sched.run()
+        assert fired == ["lane head", "before", insert, "after"]
+
+    def test_profiled_members_are_named_after_their_own_callbacks(self):
+        registry = MetricsRegistry()
+        sched = EventScheduler(profiler=Profiler(registry=registry, enabled=True))
+        fired = []
+
+        def arrive_here(packet):
+            fired.append(packet.args)
+
+        def arrive_there(packet):
+            fired.append(packet.args)
+
+        spec = LinkSpec(propagation_s=1.0, bandwidth_bps=float("inf"))
+        here = Link("a", "b", spec, sched, arrive_here)
+        there = Link("a", "c", spec, sched, arrive_there)
+        for link in (here, there, here):
+            link.send(SimpleNamespace(size_bytes=0, args=link.destination))
+        assert len(sched._heap) == 1
+        assert sched.run() == 3
+        assert fired == ["b", "c", "b"]
+        stage = "callback:TestJoinedDeliveries.test_profiled_members_are_named_after_" \
+            "their_own_callbacks.<locals>.arrive_"
+        assert registry.value(STAGE_HISTOGRAM, stage=stage + "here")["count"] == 2
+        assert registry.value(STAGE_HISTOGRAM, stage=stage + "there")["count"] == 1
+
+    def test_a_negative_link_delay_is_rejected(self):
+        spec = LinkSpec(propagation_s=-1.0)
+        link = Link("a", "b", spec, EventScheduler(), print)
+        with pytest.raises(ValueError):
+            link.send(SimpleNamespace(size_bytes=0))
+
+
 # -- the scheduler contract, against a reference model ------------------------
 
 class ReferenceScheduler:
     """The contract, restated without a heap: events fire in a stable sort
     by ``(time, scheduling order)``; ``order`` is allocated when the event
-    is scheduled, which for a spawned event is when its parent fires."""
+    is scheduled, which for a spawned event is when its parent fires.  A
+    link delivery is an event like any other: joining equal-time
+    deliveries must not show."""
 
     def __init__(self):
         self.now = 0.0
@@ -310,11 +470,12 @@ class ReferenceScheduler:
         self.processed = 0
 
     def add(self, time, spawn_delay=None, cancel_target=None,
-            lane=False, spawn_lane=False, stream=None):
+            lane=False, spawn_lane=False, stream=None, link=False, spawn_link=False):
         self.events.append(SimpleNamespace(
             time=time, order=len(self.events), live=True,
             spawn_delay=spawn_delay, cancel_target=cancel_target,
             lane=lane, spawn_lane=spawn_lane, stream=stream,
+            link=link, spawn_link=spawn_link,
         ))
 
     def add_stream(self, gaps):
@@ -324,10 +485,15 @@ class ReferenceScheduler:
         for when in stream_times(self.now, self.events, gaps):
             self.add(when, lane=True)
 
+    def handled(self):
+        """The events that have a handle; lane entries and link deliveries
+        have none."""
+        return [event for event in self.events if not (event.lane or event.link)]
+
     def cancel(self, index):
         """Cancel the ``index``-th event that has a handle (modulo their
-        number); lane entries have none."""
-        handled = [event for event in self.events if not event.lane]
+        number)."""
+        handled = self.handled()
         if handled:
             handled[index % len(handled)].live = False
 
@@ -348,7 +514,8 @@ class ReferenceScheduler:
             self.log.append((event.order, self.now))
             fired += 1
             if event.spawn_delay is not None:
-                self.add(self.now + event.spawn_delay, lane=event.spawn_lane)
+                self.add(self.now + event.spawn_delay, lane=event.spawn_lane,
+                         link=event.spawn_link)
             if event.cancel_target is not None:
                 self.cancel(event.cancel_target)
             if event.stream is not None:
@@ -365,10 +532,19 @@ class ReferenceScheduler:
 TICKS = st.integers(0, 8).map(lambda n: n / 4.0)
 MAYBE_TICKS = st.one_of(st.none(), TICKS)
 INDEX = st.integers(0, 63)
+#: A callback's follow-up: ``(delay, kind)``, scheduled when it fires.
+SPAWN = st.one_of(st.none(), st.tuples(TICKS, st.sampled_from(["schedule", "link"])))
 SCHEDULER_OPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["schedule", "schedule_at"]),
-                  TICKS, MAYBE_TICKS, st.one_of(st.none(), INDEX)),
+        # "link" is a handle-less Link.send delivery: a delay-0 one, one at
+        # the instant of the delivery pushed last (a join), or neither.
+        st.tuples(st.sampled_from(["schedule", "schedule_at", "link"]),
+                  TICKS, SPAWN, st.one_of(st.none(), INDEX)),
+        # Several insertions at one instant, M1's burst shape: joins, and
+        # insertions between two deliveries that must not be joined across.
+        st.tuples(st.just("burst"), TICKS,
+                  st.lists(st.sampled_from(["schedule", "schedule_at", "link"]),
+                           min_size=2, max_size=6)),
         st.tuples(st.just("cancel"), INDEX),
         st.tuples(st.just("run"), MAYBE_TICKS, st.one_of(st.none(), st.integers(0, 4))),
     ),
@@ -376,47 +552,67 @@ SCHEDULER_OPS = st.lists(
     max_size=60,
 )
 
+#: Examples per contract property: the larger of 120 and the loaded
+#: profile's budget, so CI's derandomized ``scheduler-contract`` profile
+#: (tests/conftest.py) can raise it.
+CONTRACT_EXAMPLES = max(120, settings().max_examples)
 
-@settings(max_examples=120, deadline=None,
+
+@settings(max_examples=CONTRACT_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=SCHEDULER_OPS)
 def test_scheduler_fires_in_reference_order(ops):
-    """Random interleavings of schedule / schedule_at /
-    cancel / run(until) / run(max_events), with callbacks that schedule
-    and cancel from inside the loop."""
+    """Random interleavings of schedule / schedule_at / link deliveries /
+    cancel / run(until) / run(max_events), with callbacks that schedule,
+    send and cancel from inside the loop."""
     sched, model = EventScheduler(), ReferenceScheduler()
-    handles, log = [], []
+    handles, log, scheduled = [], [], [0]
 
-    def fire(order, spawn_delay, cancel_target):
+    def place(entry, delay, spawn, cancel_target):
+        args = (scheduled[0], spawn, cancel_target)
+        scheduled[0] += 1
+        if entry == "link":
+            links.push(delay, *args)
+        elif entry == "schedule":
+            handles.append(sched.schedule(delay, fire, *args))
+        else:
+            handles.append(sched.schedule_at(sched.now + delay, fire, *args))
+
+    def fire(order, spawn, cancel_target):
         log.append((order, sched.now))
-        if spawn_delay is not None:
-            handles.append(sched.schedule(spawn_delay, fire, len(handles), None, None))
-        if cancel_target is not None:
+        if spawn is not None:
+            place(spawn[1], spawn[0], None, None)
+        if cancel_target is not None and handles:
             handles[cancel_target % len(handles)].cancel()
 
+    links = Deliveries(sched, fire)
     for op in ops:
         before = sched.now
         if op[0] == "cancel":
             if handles:
                 handles[op[1] % len(handles)].cancel()
-                model.cancel(op[1])
+            model.cancel(op[1])
         elif op[0] == "run":
             until = None if op[1] is None else sched.now + op[1]
             assert sched.run(until=until, max_events=op[2]) == model.run(until, op[2])
+        elif op[0] == "burst":
+            for entry in op[2]:
+                place(entry, op[1], None, None)
+                model.add(model.now + op[1], link=entry == "link")
         else:
-            entry, tick, spawn_delay, cancel_target = op
-            when = sched.now + tick if entry == "schedule_at" else tick
-            handle = getattr(sched, entry)(
-                when, fire, len(handles), spawn_delay, cancel_target
+            entry, tick, spawn, cancel_target = op
+            place(entry, tick, spawn, cancel_target)
+            model.add(
+                model.now + tick, None if spawn is None else spawn[0], cancel_target,
+                link=entry == "link", spawn_link=spawn is not None and spawn[1] == "link",
             )
-            handles.append(handle)
-            model.add(model.now + tick, spawn_delay, cancel_target)
         assert log == model.log
         assert before <= sched.now == model.now
         assert sched.pending() == len(model.live())
         assert sched.events_processed == model.processed
-        assert [h.time for h in handles] == [event.time for event in model.events]
-        assert [h.sequence for h in handles] == list(range(len(handles)))
+        assert [(h.time, h.sequence) for h in handles] == [
+            (event.time, event.order) for event in model.handled()
+        ]
 
 
 def stream_times(now, lane_events, gaps):
@@ -429,9 +625,13 @@ def stream_times(now, lane_events, gaps):
 
 LANE_OPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["schedule", "schedule_at", "schedule_in_order"]),
-                  TICKS, st.one_of(st.none(), st.tuples(TICKS, st.booleans())),
+        st.tuples(st.sampled_from(["schedule", "schedule_at", "schedule_in_order", "link"]),
+                  TICKS, st.one_of(st.none(), st.tuples(
+                      TICKS, st.sampled_from(["schedule", "schedule_in_order", "link"]))),
                   st.one_of(st.none(), INDEX)),
+        st.tuples(st.just("burst"), TICKS, st.lists(
+            st.sampled_from(["schedule", "schedule_at", "schedule_in_order", "link"]),
+            min_size=2, max_size=6)),
         st.tuples(st.just("cancel"), INDEX),
         st.tuples(st.just("run"), MAYBE_TICKS, st.one_of(st.none(), st.integers(0, 4))),
         # A stream of gaps (0 makes equal-time ties), opened now or, with
@@ -444,14 +644,14 @@ LANE_OPS = st.lists(
 )
 
 
-@settings(max_examples=120, deadline=None,
+@settings(max_examples=CONTRACT_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=LANE_OPS, block=st.sampled_from([1, 2, 3, LANE_BLOCK]))
 def test_in_order_lane_fires_in_reference_order(ops, block):
     """The in-order lane, in and out of order and from inside callbacks,
     and one lazily fed stream pulled ``block`` entries at a time, opened
-    before or during a run, interleaved with schedule / schedule_at /
-    cancel / run(until) / run(max_events): the same contract as the heap
+    before or during a run, interleaved with schedule / schedule_at / link
+    deliveries / cancel / run(until) / run(max_events): the same contract as the heap
     alone, with every stream entry where ``schedule_in_order`` up front
     would have put it."""
     sched, model = EventScheduler(), ReferenceScheduler()
@@ -467,6 +667,8 @@ def test_in_order_lane_fires_in_reference_order(ops, block):
             handles.append(sched.schedule_at(when, open_stream, args[0], opener))
         elif entry == "schedule_in_order":
             assert sched.schedule_in_order(when, fire, *args) is None
+        elif entry == "link":
+            links.push(when - sched.now, *args)
         elif entry == "schedule":
             handles.append(sched.schedule(when - sched.now, fire, *args))
         else:
@@ -487,12 +689,12 @@ def test_in_order_lane_fires_in_reference_order(ops, block):
     def fire(order, spawn, cancel_target):
         log.append((order, sched.now))
         if spawn is not None:
-            delay, lane = spawn
-            place("schedule_in_order" if lane else "schedule",
-                  sched.now + delay, None, None)
+            delay, entry = spawn
+            place(entry, sched.now + delay, None, None)
         if cancel_target is not None and handles:
             handles[cancel_target % len(handles)].cancel()
 
+    links = Deliveries(sched, fire)
     with mock.patch.object(events, "LANE_BLOCK", block):
         for op in ops:
             before = sched.now
@@ -514,21 +716,26 @@ def test_in_order_lane_fires_in_reference_order(ops, block):
                 else:
                     place("schedule_at", sched.now + tick, None, None, opener=gaps)
                     model.add(model.now + tick, stream=gaps)
+            elif op[0] == "burst":
+                for entry in op[2]:
+                    place(entry, sched.now + op[1], None, None)
+                    model.add(model.now + op[1], lane=entry == "schedule_in_order",
+                              link=entry == "link")
             else:
                 entry, tick, spawn, cancel_target = op
                 place(entry, sched.now + tick, spawn, cancel_target)
                 model.add(
                     model.now + tick, None if spawn is None else spawn[0], cancel_target,
-                    lane=entry == "schedule_in_order",
-                    spawn_lane=spawn is not None and spawn[1],
+                    lane=entry == "schedule_in_order", link=entry == "link",
+                    spawn_lane=spawn is not None and spawn[1] == "schedule_in_order",
+                    spawn_link=spawn is not None and spawn[1] == "link",
                 )
             assert log == model.log
             assert before <= sched.now == model.now
             assert sched.pending() == len(model.live())
             assert sched.events_processed == model.processed
-            handled = [event for event in model.events if not event.lane]
             assert [(h.time, h.sequence) for h in handles] == [
-                (event.time, event.order) for event in handled
+                (event.time, event.order) for event in model.handled()
             ]
 
 
